@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from hdpbench import harness
@@ -21,15 +22,7 @@ def main() -> None:
     )
     cfg = harness.load_config(work / "config.ini")
     for scenario in ("scenario1", "scenario2"):
-        scenario_cfg = harness.ExperimentConfig(
-            manifest=cfg.manifest,
-            output_dir=str(work / scenario),
-            methods=cfg.methods,
-            measures=cfg.measures,
-            effort_fraction=cfg.effort_fraction,
-            scenario=scenario,
-            seed=cfg.seed,
-        )
+        scenario_cfg = replace(cfg, output_dir=str(work / scenario), scenario=scenario)
         result = harness.run_experiment(scenario_cfg, workers=1)
         harness.export_results(result, scenario_cfg.output_dir)
         harness.write_report(harness.build_report(result), scenario_cfg.output_dir)

@@ -17,7 +17,8 @@ import configparser
 import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -134,8 +135,10 @@ class ExperimentResult:
     predictions: dict[tuple[str, str, str], str]  # (variant, source, target) -> labels
     n_plans_total: int = 0
 
-    @property
+    @cached_property
     def plans(self) -> list[tuple[str, str]]:
+        """Distinct (source, target) pairs in row order; rows are never
+        changed after construction, so this is computed once."""
         seen: dict[tuple[str, str], None] = {}
         for row in self.rows:
             seen.setdefault((row.source, row.target), None)
@@ -434,16 +437,7 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
 def load_results(results_dir: str | Path) -> ExperimentResult:
     """Reconstruct an ExperimentResult from an exported results directory."""
     results_dir = Path(results_dir)
-    cfg = load_config(results_dir / "config.ini")
-    cfg = ExperimentConfig(
-        manifest=cfg.manifest,
-        output_dir=str(results_dir),
-        methods=cfg.methods,
-        measures=cfg.measures,
-        effort_fraction=cfg.effort_fraction,
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-    )
+    cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
     rows = []
     with (results_dir / "results.csv").open() as fh:
         reader = csv.reader(fh)

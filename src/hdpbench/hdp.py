@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datasets import DefectDataset, effort_values
+from .datasets import DefectDataset
 from .learner import TrainConfig, predict_proba, train_logistic
-from .udp import ScoredPrediction
+from .udp import ScoredPrediction, bundle_predictions
 
 SELECTION_FRACTION = 0.15
 MATCH_CUTOFF = 0.05
@@ -265,14 +265,6 @@ def match_metrics(
     return MetricMatch(tuple(pairs))
 
 
-def _bundle(target: DefectDataset, scores: np.ndarray) -> list[ScoredPrediction]:
-    efforts = effort_values(target)
-    return [
-        ScoredPrediction(mid, float(s), bool(s > 0.5), float(e))
-        for mid, s, e in zip(target.module_ids, scores, efforts)
-    ]
-
-
 def hdp1_predict(
     source: DefectDataset,
     target: DefectDataset,
@@ -291,7 +283,7 @@ def hdp1_predict(
     target_cols = [target.schema.metric_index(t) for _, t, _ in match.pairs]
     model = train_logistic(source.values[:, source_cols], source.labels, cfg)
     scores = predict_proba(model, target.values[:, target_cols])
-    return HdpOutcome(predictions=_bundle(target, scores))
+    return HdpOutcome(predictions=bundle_predictions(target, scores, scores > 0.5))
 
 
 DISTRIBUTION_STATS = (
@@ -354,7 +346,7 @@ def hdp5_predict(
     x_target = np.vstack([distribution_vector(row) for row in target.values])
     model = train_logistic(x_source, source.labels, cfg)
     scores = predict_proba(model, x_target)
-    return HdpOutcome(predictions=_bundle(target, scores))
+    return HdpOutcome(predictions=bundle_predictions(target, scores, scores > 0.5))
 
 
 ExternalMethod = Callable[[DefectDataset, DefectDataset], HdpOutcome]

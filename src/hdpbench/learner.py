@@ -62,9 +62,17 @@ def zscore_fit(X: np.ndarray) -> StandardizationParams:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("zscore_fit needs a 2-d matrix with at least 2 rows")
+    means = X.mean(axis=0)
     stds = X.std(axis=0, ddof=1)
+    # squared deviations below ~1e-154 are subnormal and lose digits:
+    # measure such columns in units of their largest deviation
+    tiny = (stds > 0) & (stds < 1e-150)
+    if tiny.any():
+        deviations = X[:, tiny] - means[tiny]
+        scale = np.abs(deviations).max(axis=0)
+        stds[tiny] = (deviations / scale).std(axis=0, ddof=1) * scale
     stds[(X == X[0]).all(axis=0)] = 0.0
-    return StandardizationParams(X.mean(axis=0), stds)
+    return StandardizationParams(means, stds)
 
 
 def zscore_apply(params: StandardizationParams, X: np.ndarray) -> np.ndarray:

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
-from .measures import _average_ranks
 from .udp import ScoredPrediction
 
 ALPHA = 0.05
@@ -38,7 +37,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(diffs)
     if n == 0:
         return 1.0
-    ranks = _average_ranks(np.abs(diffs))
+    ranks = rankdata(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     if n <= _EXACT_LIMIT:
         signs = (np.arange(2**n, dtype=np.uint32)[:, None] >> np.arange(n)) & 1

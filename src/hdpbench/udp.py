@@ -32,7 +32,10 @@ class ScoredPrediction:
             raise ValueError("effort must be positive")
 
 
-def _bundle(d: DefectDataset, scores: np.ndarray, predicted: np.ndarray) -> list[ScoredPrediction]:
+def bundle_predictions(
+    d: DefectDataset, scores: np.ndarray, predicted: np.ndarray
+) -> list[ScoredPrediction]:
+    """One ScoredPrediction per module of ``d``, in row order, with its effort."""
     efforts = effort_values(d)
     return [
         ScoredPrediction(mid, float(s), bool(p), float(e))
@@ -55,7 +58,7 @@ def cla_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> list[Score
     percentile cutoff; modules with K strictly above the median K are
     labeled defective."""
     _, k, labels = _cla_parts(d, cutoff_percentile)
-    return _bundle(d, k.astype(float), labels)
+    return bundle_predictions(d, k.astype(float), labels)
 
 
 def clami_predict(
@@ -83,7 +86,7 @@ def clami_predict(
         return cla_predict(d, cutoff_percentile)
     model = train_logistic(d.values[survivors][:, kept], survivor_labels, cfg)
     scores = predict_proba(model, d.values[:, kept])
-    return _bundle(d, scores, scores > 0.5)
+    return bundle_predictions(d, scores, scores > 0.5)
 
 
 def normalized_laplacian(weights: np.ndarray) -> np.ndarray:
@@ -112,10 +115,8 @@ def spectral_predict(d: DefectDataset) -> list[ScoredPrediction]:
     """
     if d.n_modules < 2:
         raise ValueError("spectral clustering needs at least 2 modules")
-    z = zscore_apply(zscore_fit(d.values), d.values)
-    row_sums = z.sum(axis=1)
-    w = np.maximum(z @ z.T, 0.0)
-    np.fill_diagonal(w, 0.0)
+    row_sums = zscore_apply(zscore_fit(d.values), d.values).sum(axis=1)
+    w = connectivity_matrix(d)
     predicted = np.zeros(d.n_modules, dtype=bool)
     if np.any(w > 0):
         laplacian = normalized_laplacian(w)
@@ -129,17 +130,16 @@ def spectral_predict(d: DefectDataset) -> list[ScoredPrediction]:
                 predicted = in_a
             elif mean_b > mean_a:
                 predicted = ~in_a
-    return _bundle(d, row_sums, predicted)
+    return bundle_predictions(d, row_sums, predicted)
 
 
-def _top_half_ranking(
-    d: DefectDataset, scores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable descending ranking; the top ceil(n/2) modules are defective."""
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
+def _top_half(scores: np.ndarray) -> np.ndarray:
+    """Defective flags for the top ceil(n/2) modules of the stable
+    descending ranking (ties keep module order)."""
+    order = np.argsort(-scores, kind="stable")
     predicted = np.zeros(len(scores), dtype=bool)
     predicted[order[: (len(scores) + 1) // 2]] = True
-    return scores, predicted
+    return predicted
 
 
 def manual_rank(d: DefectDataset, direction: str = "down") -> list[ScoredPrediction]:
@@ -152,8 +152,7 @@ def manual_rank(d: DefectDataset, direction: str = "down") -> list[ScoredPredict
         scores = 1.0 / loc
     else:
         raise ValueError("direction must be 'down' or 'up'")
-    scores, predicted = _top_half_ranking(d, scores)
-    return _bundle(d, scores, predicted)
+    return bundle_predictions(d, scores, _top_half(scores))
 
 
 class BestMetric(NamedTuple):
@@ -174,27 +173,28 @@ def best_metric_oracle(
     """
     if measure not in measures.CORE_MEASURES:
         raise ValueError(f"measure must be one of {measures.CORE_MEASURES}")
-    truth = {mid: bool(lab) for mid, lab in zip(d.module_ids, d.labels)}
     higher_better = measures.HIGHER_IS_BETTER[measure]
-    best: BestMetric | None = None
+    efforts = effort_values(d)
+    best = None  # (metric, scores, predicted, value)
     best_quality = -np.inf
     for name in d.schema.metric_names:
-        column = d.column(name)
-        if name == d.schema.loc_metric:
-            column = effort_values(d)
+        column = efforts if name == d.schema.loc_metric else d.column(name)
         for sign in (1.0, -1.0):
-            scores, predicted = _top_half_ranking(d, sign * column)
-            preds = _bundle(d, scores, predicted)
-            value, _ = measures.compute_measure(measure, preds, truth, effort_fraction)
+            scores = sign * column
+            predicted = _top_half(scores)
+            value, _ = measures.compute_measure_arrays(
+                measure, scores, predicted, efforts, d.labels, effort_fraction
+            )
             if value is None:
                 continue
             quality = value if higher_better else -value
             if quality > best_quality:
                 best_quality = quality
-                best = BestMetric(name, preds, value)
+                best = (name, scores, predicted, value)
     if best is None:
         # every candidate was undefined (e.g. no defective modules): keep
         # the first metric's descending ranking so output cardinality holds
-        scores, predicted = _top_half_ranking(d, d.column(d.schema.metric_names[0]))
-        best = BestMetric(d.schema.metric_names[0], _bundle(d, scores, predicted), None)
-    return best
+        scores = d.column(d.schema.metric_names[0])
+        best = (d.schema.metric_names[0], scores, _top_half(scores), None)
+    name, scores, predicted, value = best
+    return BestMetric(name, bundle_predictions(d, scores, predicted), value)

@@ -1,0 +1,118 @@
+"""Bit-exact agreement of the array measures with the loop reference.
+
+``reference_measures`` holds the loop implementations the array code
+replaced. Every comparison here uses ``==``: the array code must add in
+the same order and break ties the same way, not merely come close.
+"""
+
+import numpy as np
+from helpers import make_dataset, truth_map
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import rankdata
+
+import reference_measures as ref
+from hdpbench.datasets import effort_values
+from hdpbench.measures import CORE_MEASURES, HIGHER_IS_BETTER, MEASURE_IDS, compute_measure, effort_curve
+from hdpbench.udp import best_metric_oracle, bundle_predictions
+
+# LOC values <= 0 are clamped to effort 1; few distinct efforts make equal
+# defect densities common
+LOC_POOL = (-3.0, 0.0, 0.7, 1.0, 2.0, 2.3, 3.0, 4.0, 9.5)
+FRACTIONS = st.sampled_from([0.05, 0.2, 0.5, 1.0]) | st.floats(0.01, 1.0)
+
+
+@st.composite
+def labels_of(draw, n):
+    kind = draw(st.sampled_from(["mixed", "all_defective", "none_defective"]))
+    if kind == "all_defective":
+        return [True] * n
+    if kind == "none_defective":
+        return [False] * n
+    return draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@st.composite
+def prediction_cases(draw):
+    n = draw(st.integers(1, 30))
+    distinct = draw(st.sampled_from([1, 3, 1000]))  # few distinct scores force ties
+    scores = np.array(draw(st.lists(st.integers(-distinct, distinct), min_size=n, max_size=n))) / 4.0
+    loc = draw(st.lists(st.sampled_from(LOC_POOL), min_size=n, max_size=n))
+    labels = draw(labels_of(n))
+    predicted = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    d = make_dataset("t", np.column_stack([loc, scores]), labels)
+    return bundle_predictions(d, scores, predicted), truth_map(d), draw(FRACTIONS)
+
+
+@given(prediction_cases())
+def test_compute_measure_equals_loop_reference(case):
+    preds, truth, fraction = case
+    for measure in MEASURE_IDS:
+        assert compute_measure(measure, preds, truth, fraction) == ref.compute_measure(
+            measure, preds, truth, fraction
+        ), measure
+
+
+@given(prediction_cases())
+def test_effort_curve_points_equal_loop_reference(case):
+    preds, truth, _ = case
+    if not any(truth.values()):
+        return
+    for ordering in ("by_score", "optimal", "worst"):
+        curve = effort_curve(preds, truth, ordering)
+        expected = ref.effort_curve_points(preds, truth, ordering)
+        assert curve.points == expected, ordering
+        assert curve.area() == ref.area(expected), ordering
+
+
+@given(st.lists(st.integers(-4, 4).map(lambda v: v / 3.0), min_size=1, max_size=40))
+def test_rankdata_equals_loop_average_ranks(values):
+    values = np.array(values)
+    assert np.array_equal(rankdata(values), ref.average_ranks(values))
+
+
+def brute_force_best_metric(d, measure, effort_fraction):
+    """Bundle every (metric, direction) candidate and score it with compute_measure."""
+    truth = truth_map(d)
+    n = d.n_modules
+    best = None
+    for name in d.schema.metric_names:
+        column = effort_values(d) if name == d.schema.loc_metric else d.column(name)
+        for sign in (1.0, -1.0):
+            scores = sign * column
+            order = sorted(range(n), key=lambda i: -scores[i])
+            predicted = np.zeros(n, dtype=bool)
+            predicted[order[: (n + 1) // 2]] = True
+            preds = bundle_predictions(d, scores, predicted)
+            value, _ = compute_measure(measure, preds, truth, effort_fraction)
+            if value is None:
+                continue
+            quality = value if HIGHER_IS_BETTER[measure] else -value
+            if best is None or quality > best[0]:
+                best = (quality, name, preds, value)
+    if best is None:
+        column = d.column(d.schema.metric_names[0])
+        order = sorted(range(n), key=lambda i: -column[i])
+        predicted = np.zeros(n, dtype=bool)
+        predicted[order[: (n + 1) // 2]] = True
+        return d.schema.metric_names[0], bundle_predictions(d, column, predicted), None
+    return best[1], best[2], best[3]
+
+
+@given(st.data())
+def test_best_metric_oracle_equals_brute_force(data):
+    n = data.draw(st.integers(1, 25))
+    m = data.draw(st.integers(1, 4))
+    loc = data.draw(st.lists(st.sampled_from(LOC_POOL), min_size=n, max_size=n))
+    others = [
+        data.draw(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n))
+        for _ in range(m - 1)
+    ]
+    labels = data.draw(labels_of(n))
+    fraction = data.draw(FRACTIONS)
+    d = make_dataset("t", np.column_stack([loc, *others]), labels)
+    for measure in CORE_MEASURES:
+        result = best_metric_oracle(d, measure, fraction)
+        metric, preds, value = brute_force_best_metric(d, measure, fraction)
+        assert (result.metric, result.value) == (metric, value), measure
+        assert result.predictions == preds, measure
