@@ -23,7 +23,7 @@ def main() -> None:
     cfg = harness.load_config(work / "config.ini")
     for scenario in ("scenario1", "scenario2"):
         scenario_cfg = replace(cfg, output_dir=str(work / scenario), scenario=scenario)
-        result = harness.run_experiment(scenario_cfg, workers=1)
+        result = harness.run_experiment(scenario_cfg)
         harness.export_results(result, scenario_cfg.output_dir)
         harness.write_report(harness.build_report(result), scenario_cfg.output_dir)
         failures = harness.method_failures(result)

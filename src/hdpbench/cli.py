@@ -17,7 +17,7 @@ from .datasets import (
 
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
-    result = harness.run_experiment(cfg, workers=args.workers)
+    result = harness.run_experiment(cfg)
     paths = harness.export_results(result, cfg.output_dir)
     paths += harness.write_report(harness.build_report(result), cfg.output_dir)
     for path in paths:
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment from a config file")
     run.add_argument("config")
-    run.add_argument("--workers", type=int, default=1)
     run.set_defaults(fn=_cmd_run)
 
     report = sub.add_parser("report", help="rebuild report tables from a results directory")

@@ -16,11 +16,10 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import hdp, measures, stats, udp
 from .datasets import CombinationPlan, DefectDataset, enumerate_combinations, load_manifest_datasets
@@ -247,31 +246,23 @@ def _run_hdp_method(
         return hdp.HdpOutcome(failure=f"error: {exc}")
 
 
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Evaluate every configured method on every combination in the scenario.
 
     Per-plan method failures are recorded in the rows; the run itself never
-    aborts on a single plan. Output is deterministic for any worker count.
+    aborts on a single plan. Output is deterministic.
     """
     datasets = {d.name: d for d in load_manifest_datasets(cfg.manifest)}
     for m in cfg.methods:
         method_category(m)  # validates names
     all_plans = enumerate_combinations(list(datasets.values()))
-    return _run_on_datasets(cfg, datasets, all_plans, workers)
+    return _run_on_datasets(cfg, datasets, all_plans)
 
 
 def _run_on_datasets(
     cfg: ExperimentConfig,
     datasets: dict[str, DefectDataset],
     all_plans: list[CombinationPlan],
-    workers: int,
 ) -> ExperimentResult:
     hdp_methods = [m for m in cfg.methods if method_category(m) == "hdp"]
     udp_methods = [m for m in cfg.methods if method_category(m) == "udp"]
@@ -279,12 +270,10 @@ def _run_on_datasets(
     need_hdp1 = cfg.scenario == "scenario2" or "hdp1" in cfg.methods
     hdp1_outcomes: dict[tuple[str, str], hdp.HdpOutcome] = {}
     if need_hdp1:
-        outs = _pmap(
-            lambda p: _run_hdp_method("hdp1", datasets[p.source], datasets[p.target]),
-            all_plans,
-            workers,
-        )
-        hdp1_outcomes = {(p.source, p.target): o for p, o in zip(all_plans, outs)}
+        hdp1_outcomes = {
+            (p.source, p.target): _run_hdp_method("hdp1", datasets[p.source], datasets[p.target])
+            for p in all_plans
+        }
 
     plans = all_plans
     if cfg.scenario == "scenario2":
@@ -293,25 +282,16 @@ def _run_on_datasets(
     targets = sorted({p.target for p in plans})
     udp_cache: dict[tuple[str, str], MethodResult] = {}
     for method in udp_methods:
-        outs = _pmap(
-            lambda t, m=method: _evaluate_udp(m, datasets[t], cfg.measures, cfg.effort_fraction),
-            targets,
-            workers,
-        )
-        for t, res in zip(targets, outs):
-            udp_cache[(method, t)] = res
+        for t in targets:
+            udp_cache[(method, t)] = _evaluate_udp(method, datasets[t], cfg.measures, cfg.effort_fraction)
 
     cell: dict[tuple[str, str, str], MethodResult] = {}
     for method in hdp_methods:
-        if method == "hdp1":
-            outs = [hdp1_outcomes[(p.source, p.target)] for p in plans]
-        else:
-            outs = _pmap(
-                lambda p, m=method: _run_hdp_method(m, datasets[p.source], datasets[p.target]),
-                plans,
-                workers,
-            )
-        for p, outcome in zip(plans, outs):
+        for p in plans:
+            if method == "hdp1":
+                outcome = hdp1_outcomes[(p.source, p.target)]
+            else:
+                outcome = _run_hdp_method(method, datasets[p.source], datasets[p.target])
             cell[(method, p.source, p.target)] = _evaluate_hdp_outcome(
                 method, outcome, datasets[p.target], cfg.measures, cfg.effort_fraction
             )

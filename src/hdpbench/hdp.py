@@ -21,6 +21,7 @@ from .udp import ScoredPrediction, bundle_predictions
 
 SELECTION_FRACTION = 0.15
 MATCH_CUTOFF = 0.05
+GAIN_RATIO_BINS = 10
 
 BUILTIN_METHOD_NAMES = ("hdp1", "hdp5", "cla", "clami", "spectral", "manual", "bestmetric")
 _RESERVED_NAMES = frozenset(BUILTIN_METHOD_NAMES) | {"truth"}
@@ -67,34 +68,44 @@ def _entropy(counts: np.ndarray) -> float:
 def equal_frequency_bins(feature: np.ndarray, n_bins: int = 10) -> np.ndarray:
     """Bin indices from order-statistic cut points (duplicates merged).
 
-    Cut points are taken at the k/n_bins quantiles using the lower order
-    statistic, so binning depends only on ranks and is invariant under
-    strictly monotone transforms.
+    The cut for the k/n_bins quantile is the lower order statistic
+    ``sort(x)[floor((n - 1) * (k / n_bins))]``, with the index computed in
+    floating point as numpy's ``quantile(method="lower")`` does (so n = 91
+    cuts the 0.7 quantile at index 62, not 63). Binning therefore depends
+    only on ranks and is invariant under strictly monotone transforms.
     """
     x = np.asarray(feature, dtype=float)
-    cuts = np.unique(np.quantile(x, np.arange(1, n_bins) / n_bins, method="lower"))
+    index = np.floor((len(x) - 1) * (np.arange(1, n_bins) / n_bins)).astype(np.intp)
+    order_stats = np.sort(x)[index]
+    cuts = order_stats[np.concatenate(([True], order_stats[1:] != order_stats[:-1]))]
     return np.searchsorted(cuts, x, side="right")
 
 
 def gain_ratio(feature: Sequence[float], labels: Sequence[bool]) -> float:
-    """Information gain over intrinsic value after 10 equal-frequency bins.
+    """Information gain over intrinsic value after GAIN_RATIO_BINS equal-frequency bins.
 
     Defined as 0 when the intrinsic value is 0 (all samples in one bin).
+    The conditional entropy adds the per-bin terms in bin order.
     """
     x = np.asarray(feature, dtype=float)
     y = np.asarray(labels, dtype=bool)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("feature/labels must be equal-length with >= 2 samples")
-    bins = equal_frequency_bins(x)
-    bin_ids, bin_counts = np.unique(bins, return_counts=True)
+    # row b holds the (clean, defective) counts of bin b
+    bins = equal_frequency_bins(x, GAIN_RATIO_BINS)
+    table = np.bincount(2 * bins + y, minlength=2 * GAIN_RATIO_BINS).reshape(-1, 2)
+    bin_counts = table.sum(axis=1)
     intrinsic = _entropy(bin_counts)
     if intrinsic == 0:
         return 0.0
-    h_labels = _entropy(np.bincount(y.astype(int), minlength=2))
-    conditional = sum(
-        count / len(x) * _entropy(np.bincount(y[bins == b].astype(int), minlength=2))
-        for b, count in zip(bin_ids, bin_counts)
-    )
+    h_labels = _entropy(table.sum(axis=0))
+    occupied = bin_counts > 0
+    table, bin_counts = table[occupied], bin_counts[occupied]
+    probs = table / bin_counts[:, None]
+    # an empty label cell adds 0.0, as _entropy's mask leaves it out
+    terms = probs * np.log2(np.where(table > 0, probs, 1.0))
+    bin_entropy = -(terms[:, 0] + terms[:, 1])
+    conditional = sum((bin_counts / len(x) * bin_entropy).tolist())
     return min(1.0, max(0.0, (h_labels - conditional) / intrinsic))
 
 
@@ -293,40 +304,69 @@ DISTRIBUTION_STATS = (
 )
 
 
+def _linear_quantile(ordered: list[float], q: float) -> float:
+    """numpy's default ("linear") quantile of an ascending list, bit for bit.
+
+    The virtual index is (n - 1) * q; the two neighbouring order statistics
+    are interpolated with numpy's ``_lerp``, which works from the upper
+    neighbour when the weight is at least 0.5.
+    """
+    n = len(ordered)
+    if n == 1:
+        return ordered[0]
+    virtual = (n - 1) * q
+    i = math.floor(virtual)
+    t = virtual - i
+    lo, hi = ordered[i], ordered[i + 1]
+    diff = hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
+
+
 def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     """The 14 distribution characteristics of one module's metric values.
 
     Degenerate cases: harmonic mean is 0 when any value is <= 0, the
     coefficient of variation is 0 at zero mean, and skewness/kurtosis are 0
     at zero standard deviation. The mode breaks frequency ties toward the
-    smallest value; kurtosis is excess kurtosis.
+    smallest value; kurtosis is excess kurtosis. Variance is the population
+    variance, the median of an even-length row is the mean of the middle
+    pair, and the quartiles follow numpy's default linear rule. The row is
+    sorted once; mode, median and quartiles are read from the sorted values.
     """
     x = np.asarray(module_row, dtype=float)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("module row must be a non-empty 1-d vector")
     n = len(x)
-    values, counts = np.unique(x, return_counts=True)
-    mode = float(values[np.argmax(counts)])
-    mode_freq = int(counts.max())
-    mean = float(x.mean())
+    s = np.sort(x)
+    run_bounds = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+    run_lengths = run_bounds[1:] - run_bounds[:-1]
+    top = int(np.argmax(run_lengths))  # the first longest run holds the smallest value
+    ordered = s.tolist()
+    mode = ordered[run_bounds[top]]
+    mode_freq = int(run_lengths[top])
+    half = n // 2
+    median = ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2
+    # np.mean is an add.reduce divided by n; the sums below add in that order
+    mean = float(x.sum()) / n
     minimum = float(x.min())
     maximum = float(x.max())
     harmonic = n / float(np.sum(1.0 / x)) if minimum > 0 else 0.0
-    variance = float(np.mean((x - mean) ** 2))
+    dev = x - mean
+    variance = float((dev**2).sum()) / n
     std = math.sqrt(variance)
     cv = std / mean if mean != 0 else 0.0
-    skew = float(np.mean((x - mean) ** 3)) / std**3 if std > 0 else 0.0
-    kurt = float(np.mean((x - mean) ** 4)) / std**4 - 3.0 if std > 0 else 0.0
+    skew = float((dev**3).sum()) / n / std**3 if std > 0 else 0.0
+    kurt = float((dev**4).sum()) / n / std**4 - 3.0 if std > 0 else 0.0
     return np.array([
         mode,
-        float(np.median(x)),
+        median,
         mean,
         harmonic,
         minimum,
         maximum,
         maximum - minimum,
         1.0 - mode_freq / n,
-        float(np.percentile(x, 75) - np.percentile(x, 25)),
+        _linear_quantile(ordered, 0.75) - _linear_quantile(ordered, 0.25),
         variance,
         std,
         cv,

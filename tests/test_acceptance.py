@@ -282,18 +282,17 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     config = write_synthetic_benchmark(data_dir, seed=21, measures="f1 auc acc popt pmi20 ifa")
     cfg = harness.load_config(config)
     outputs = {}
-    for label, workers in (("run1", 1), ("run2", 1), ("run4", 4)):
-        result = harness.run_experiment(cfg, workers=workers)
+    for label in ("run1", "run2"):
+        result = harness.run_experiment(cfg)
         out = tmp_path / label
         harness.export_results(result, out)
         harness.write_report(harness.build_report(result), out)
         outputs[label] = {p.name: p.read_bytes() for p in out.iterdir()}
     elapsed = time.perf_counter() - start
     assert outputs["run1"] == outputs["run2"], "repeat run differs"
-    assert outputs["run1"] == outputs["run4"], "worker count changes output"
     assert elapsed < 60.0
     n_files = len(outputs["run1"])
-    print(f"\nACCEPTANCE 10 PASS end-to-end determinism ({n_files} files x 3 runs, {elapsed:.1f}s)")
+    print(f"\nACCEPTANCE 10 PASS end-to-end determinism ({n_files} files x 2 runs, {elapsed:.1f}s)")
 
 
 def test_criterion_11_full_replication_mode(tmp_path):
@@ -305,7 +304,7 @@ def test_criterion_11_full_replication_mode(tmp_path):
         methods=("hdp1", "hdp5", "cla", "clami", "spectral", "manual", "bestmetric"),
         measures=("precision", "recall", "f1", "auc", "acc", "popt", "pmi20", "ifa"),
     )
-    result = harness.run_experiment(cfg, workers=1)
+    result = harness.run_experiment(cfg)
     assert result.n_plans_total == 962
     assert len(result.plans) == 962
     assert len(result.rows) == 962 * 7 * 8

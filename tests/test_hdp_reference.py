@@ -1,0 +1,105 @@
+"""Bit-exact agreement of hdp's sorted-row kernels with the earlier code.
+
+``reference_hdp`` holds the ``np.unique`` / ``np.median`` /
+``np.percentile`` / ``np.quantile`` versions of ``distribution_vector``,
+``equal_frequency_bins`` and ``gain_ratio``. Every comparison uses ``==``
+(``np.array_equal``), and every input without ``-0.0`` must also give the
+same bytes. With ``-0.0`` in a row, a zero median or quartile may carry the
+other sign, because ``np.median`` and ``np.percentile`` partition the row
+where the new code sorts it; those two fields are then compared with ``==``
+only.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_hdp as ref
+from hdpbench import hdp
+
+MEDIAN, IQR = hdp.DISTRIBUTION_STATS.index("median"), hdp.DISTRIBUTION_STATS.index("interquartile_range")
+
+# few distinct values force many-way frequency ties; 0 and negatives hit the
+# harmonic-mean guard
+TIED = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+WIDE = st.floats(1e-3, 1e6) | st.floats(-1e6, -1e-3)
+
+
+@st.composite
+def rows(draw, min_size=1, max_size=70):
+    n = draw(st.integers(min_size, max_size))
+    kind = draw(st.sampled_from(["constant", "tied", "wide", "mixed"]))
+    if kind == "constant":
+        return [draw(TIED | WIDE)] * n
+    values = {"tied": TIED, "wide": WIDE, "mixed": TIED | WIDE}[kind]
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+@st.composite
+def labels_for(draw, n):
+    kind = draw(st.sampled_from(["mixed", "all_defective", "none_defective"]))
+    if kind == "mixed":
+        return draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [kind == "all_defective"] * n
+
+
+@st.composite
+def gain_cases(draw):
+    feature = draw(rows(min_size=2, max_size=200))
+    return feature, draw(labels_for(len(feature)))
+
+
+def has_negative_zero(values) -> bool:
+    return any(v == 0 and math.copysign(1.0, v) < 0 for v in values)
+
+
+@settings(max_examples=300)
+@given(rows())
+@example([7.0])
+@example([-0.0])
+@example([0.0, -0.0])
+@example([1.0, 2.0])
+@example([2.0, 2.0, 2.0])
+@example([3.0, 3.0, 1.0, 1.0, 2.0, 2.0])
+@example([0.0, 1.0, 2.0])
+@example([-1.0, 1.0, 2.0])
+@example([1e-3, 1e6, 5.0, 1e6])
+def test_distribution_vector_equals_reference(row):
+    got = hdp.distribution_vector(row)
+    want = ref.distribution_vector(row)
+    assert np.array_equal(got, want, equal_nan=True)
+    keep = np.ones(len(got), dtype=bool)
+    if has_negative_zero(row):
+        keep[[MEDIAN, IQR]] = False
+    assert got[keep].tobytes() == want[keep].tobytes()
+
+
+@settings(max_examples=300)
+@given(gain_cases())
+@example(([1.0] * 9 + [2.0], [True] * 5 + [False] * 5))  # a single occupied bin
+@example(([0.0, -0.0, 1.0, -1.0], [True, False, True, False]))
+@example(([float(v) for v in range(91)], [v % 3 == 0 for v in range(91)]))
+def test_gain_ratio_equals_reference(case):
+    feature, labels = case
+    got = hdp.gain_ratio(feature, labels)
+    want = ref.gain_ratio(feature, labels)
+    assert got == want
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@given(rows(min_size=1, max_size=200), st.sampled_from([2, 4, 10]))
+@example([float(v) for v in range(91)], 10)  # floor(90 * 0.7) is 62 in floating point
+def test_equal_frequency_bins_equal_reference(feature, n_bins):
+    assert np.array_equal(hdp.equal_frequency_bins(feature, n_bins), ref.equal_frequency_bins(feature, n_bins))
+
+
+def test_kernels_keep_their_input_checks():
+    for bad_row in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            hdp.distribution_vector(bad_row)
+    for feature, labels in (([1.0], [True]), ([1.0, 2.0], [True]), ([[1.0, 2.0]], [[True, False]])):
+        with pytest.raises(ValueError):
+            hdp.gain_ratio(feature, labels)
