@@ -63,7 +63,7 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .udp import (
-    ScoredPrediction,
+    Prediction,
     best_metric_oracle,
     cla_predict,
     clami_predict,

@@ -21,9 +21,16 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import hdp, measures, stats, udp
-from .datasets import CombinationPlan, DefectDataset, enumerate_combinations, load_manifest_datasets
-from .udp import ScoredPrediction
+from .datasets import (
+    CombinationPlan,
+    DefectDataset,
+    effort_values,
+    enumerate_combinations,
+    load_manifest_datasets,
+)
 
 SCENARIOS = ("scenario1", "scenario2")
 NPM_MEASURES = ("precision", "recall", "f1", "auc")
@@ -39,6 +46,8 @@ METHOD_CATEGORY = {
 }
 
 RESULT_COLUMNS = ("method", "source", "target", "measure", "value", "failure")
+PREDICTION_COLUMNS = ("variant", "source", "target", "labels")
+TARGET_COLUMNS = ("target", "group", "labels")
 
 
 @dataclass(frozen=True)
@@ -148,23 +157,21 @@ def _bits(flags: Iterable[bool]) -> str:
     return "".join("1" if f else "0" for f in flags)
 
 
-def _pred_bits(preds: Sequence[ScoredPrediction]) -> str:
-    return _bits(p.predicted for p in preds)
+def _flags(bits: str) -> np.ndarray:
+    """Inverse of ``_bits``: a '0'/'1' label string as a bool vector."""
+    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
 
 
-def _truth_map(d: DefectDataset) -> dict[str, bool]:
-    return {mid: bool(lab) for mid, lab in zip(d.module_ids, d.labels)}
-
-
-def _all_values(
-    preds: Sequence[ScoredPrediction],
-    truth: dict[str, bool],
-    measure_ids: Sequence[str],
+def _measure_value(
+    pred: udp.Prediction,
+    measure: str,
+    target: DefectDataset,
+    efforts: np.ndarray,
     effort_fraction: float,
-) -> dict[str, tuple[float | None, str | None]]:
-    return {
-        m: measures.compute_measure(m, preds, truth, effort_fraction) for m in measure_ids
-    }
+) -> tuple[float | None, str | None]:
+    return measures.compute_measure(
+        measure, pred.scores, pred.predicted, efforts, target.labels, effort_fraction
+    )
 
 
 def _failed(measure_ids: Sequence[str], reason: str) -> MethodResult:
@@ -172,26 +179,29 @@ def _failed(measure_ids: Sequence[str], reason: str) -> MethodResult:
 
 
 def _evaluate_udp(
-    method: str, target: DefectDataset, measure_ids: Sequence[str], effort_fraction: float
+    method: str,
+    target: DefectDataset,
+    efforts: np.ndarray,
+    measure_ids: Sequence[str],
+    effort_fraction: float,
 ) -> MethodResult:
-    truth = _truth_map(target)
     if method in ("cla", "clami", "spectral"):
         fn = {"cla": udp.cla_predict, "clami": udp.clami_predict, "spectral": udp.spectral_predict}
-        preds = fn[method](target)
+        pred = fn[method](target)
         return MethodResult(
-            _all_values(preds, truth, measure_ids, effort_fraction),
-            {method: _pred_bits(preds)},
+            {m: _measure_value(pred, m, target, efforts, effort_fraction) for m in measure_ids},
+            {method: _bits(pred.predicted)},
         )
     if method == "manual":
         # size ranking: larger-first for the classification measures,
         # smaller-first for the effort-aware ones
         down = udp.manual_rank(target, "down")
         up = udp.manual_rank(target, "up")
-        values = {}
-        for m in measure_ids:
-            preds = down if m in NPM_MEASURES else up
-            values[m] = measures.compute_measure(m, preds, truth, effort_fraction)
-        return MethodResult(values, {"manual": _pred_bits(down)})
+        values = {
+            m: _measure_value(down if m in NPM_MEASURES else up, m, target, efforts, effort_fraction)
+            for m in measure_ids
+        }
+        return MethodResult(values, {"manual": _bits(down.predicted)})
     if method == "bestmetric":
         oracle_cache: dict[str, udp.BestMetric] = {}
 
@@ -203,11 +213,11 @@ def _evaluate_udp(
         values = {}
         for m in measure_ids:
             # precision/recall ride on the F1-oriented metric choice
-            preds = oracle("f1" if m in ("precision", "recall") else m).predictions
-            values[m] = measures.compute_measure(m, preds, truth, effort_fraction)
+            pred = oracle("f1" if m in ("precision", "recall") else m).predictions
+            values[m] = _measure_value(pred, m, target, efforts, effort_fraction)
         variants = {
-            "bestmetric-auc": _pred_bits(oracle("auc").predictions),
-            "bestmetric-f1": _pred_bits(oracle("f1").predictions),
+            "bestmetric-auc": _bits(oracle("auc").predictions.predicted),
+            "bestmetric-f1": _bits(oracle("f1").predictions.predicted),
         }
         return MethodResult(values, variants)
     raise ValueError(f"unknown unsupervised method {method!r}")
@@ -217,15 +227,16 @@ def _evaluate_hdp_outcome(
     method: str,
     outcome: hdp.HdpOutcome,
     target: DefectDataset,
+    efforts: np.ndarray,
     measure_ids: Sequence[str],
     effort_fraction: float,
 ) -> MethodResult:
     if not outcome.ok:
         return _failed(measure_ids, outcome.failure)
-    truth = _truth_map(target)
+    pred = outcome.predictions
     return MethodResult(
-        _all_values(outcome.predictions, truth, measure_ids, effort_fraction),
-        {method: _pred_bits(outcome.predictions)},
+        {m: _measure_value(pred, m, target, efforts, effort_fraction) for m in measure_ids},
+        {method: _bits(pred.predicted)},
     )
 
 
@@ -239,7 +250,7 @@ def _run_hdp_method(
             return hdp.hdp5_predict(source, target)
         fn = hdp.external_methods()[method]
         outcome = fn(source, target)
-        if outcome.ok and len(outcome.predictions) != target.n_modules:
+        if outcome.ok and len(outcome.predictions.scores) != target.n_modules:
             return hdp.HdpOutcome(failure="error: prediction count mismatch")
         return outcome
     except Exception as exc:  # a single bad plan must not abort the run
@@ -280,10 +291,13 @@ def _run_on_datasets(
         plans = [p for p in all_plans if hdp1_outcomes[(p.source, p.target)].ok]
 
     targets = sorted({p.target for p in plans})
+    efforts = {t: effort_values(datasets[t]) for t in targets}
     udp_cache: dict[tuple[str, str], MethodResult] = {}
     for method in udp_methods:
         for t in targets:
-            udp_cache[(method, t)] = _evaluate_udp(method, datasets[t], cfg.measures, cfg.effort_fraction)
+            udp_cache[(method, t)] = _evaluate_udp(
+                method, datasets[t], efforts[t], cfg.measures, cfg.effort_fraction
+            )
 
     cell: dict[tuple[str, str, str], MethodResult] = {}
     for method in hdp_methods:
@@ -293,7 +307,8 @@ def _run_on_datasets(
             else:
                 outcome = _run_hdp_method(method, datasets[p.source], datasets[p.target])
             cell[(method, p.source, p.target)] = _evaluate_hdp_outcome(
-                method, outcome, datasets[p.target], cfg.measures, cfg.effort_fraction
+                method, outcome, datasets[p.target], efforts[p.target],
+                cfg.measures, cfg.effort_fraction,
             )
     for method in udp_methods:
         for p in plans:
@@ -394,7 +409,7 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     pred_path = out / "predictions.csv"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["variant", "source", "target", "labels"])
+    writer.writerow(PREDICTION_COLUMNS)
     for (variant, source, target), bits in sorted(result.predictions.items()):
         writer.writerow([variant, source, target, bits])
     pred_path.write_text(buffer.getvalue())
@@ -402,7 +417,7 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     targets_path = out / "targets.csv"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["target", "group", "labels"])
+    writer.writerow(TARGET_COLUMNS)
     for target in sorted(result.target_truth):
         writer.writerow([target, result.target_groups[target], result.target_truth[target]])
     targets_path.write_text(buffer.getvalue())
@@ -414,41 +429,62 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     return [config_path, results_path, pred_path, targets_path, summary_path]
 
 
+def _csv_records(path: Path, columns: tuple[str, ...]) -> Iterable[tuple[int, list[str]]]:
+    """(line number, fields) of each record after the exact header ``columns``."""
+    with path.open() as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != columns:
+            raise ValueError(f"{path}:1: expected header {','.join(columns)}, got {header}")
+        for record in reader:
+            if len(record) != len(columns):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(columns)} fields, got {len(record)}"
+                )
+            yield reader.line_num, record
+
+
+def _check_labels(bits: str, n_modules: int | None, where: str) -> None:
+    """A label string is only '0'/'1', one per module of its target."""
+    if bits.strip("01"):
+        raise ValueError(f"{where}: labels must contain only 0 and 1")
+    if n_modules is not None and len(bits) != n_modules:
+        raise ValueError(f"{where}: {len(bits)} labels for a target of {n_modules} modules")
+
+
 def load_results(results_dir: str | Path) -> ExperimentResult:
-    """Reconstruct an ExperimentResult from an exported results directory."""
+    """Reconstruct an ExperimentResult from an exported results directory.
+
+    The label files are checked: exact headers, only '0'/'1' labels, and
+    every prediction as long as its target's truth."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
     rows = []
-    with (results_dir / "results.csv").open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULT_COLUMNS:
-            raise ValueError(f"unexpected results header {header}")
-        for record in reader:
-            method, source, target, measure, value, failure = record
-            rows.append(
-                ResultRow(method, source, target, measure,
-                          float(value) if value else None, failure or None)
-            )
-    predictions = {}
-    with (results_dir / "predictions.csv").open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for variant, source, target, bits in reader:
-            predictions[(variant, source, target)] = bits
+    for _, record in _csv_records(results_dir / "results.csv", RESULT_COLUMNS):
+        method, source, target, measure, value, failure = record
+        rows.append(
+            ResultRow(method, source, target, measure,
+                      float(value) if value else None, failure or None)
+        )
     target_groups = {}
     target_truth = {}
-    with (results_dir / "targets.csv").open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for target, group, bits in reader:
-            target_groups[target] = group
-            target_truth[target] = bits
-    summary = (results_dir / "summary.txt").read_text()
-    n_total = 0
-    for line in summary.splitlines():
-        if line.startswith("plans_total:"):
-            n_total = int(line.split(":")[1])
+    path = results_dir / "targets.csv"
+    for line, (target, group, bits) in _csv_records(path, TARGET_COLUMNS):
+        _check_labels(bits, None, f"{path}:{line}")
+        target_groups[target] = group
+        target_truth[target] = bits
+    predictions = {}
+    path = results_dir / "predictions.csv"
+    for line, (variant, source, target, bits) in _csv_records(path, PREDICTION_COLUMNS):
+        if target not in target_truth:
+            raise ValueError(f"{path}:{line}: target {target!r} is not in targets.csv")
+        _check_labels(bits, len(target_truth[target]), f"{path}:{line}")
+        predictions[(variant, source, target)] = bits
+    path = results_dir / "summary.txt"
+    totals = [line for line in path.read_text().splitlines() if line.startswith("plans_total:")]
+    if not totals:
+        raise ValueError(f"{path}: missing plans_total line")
+    n_total = int(totals[0].split(":")[1])
     return ExperimentResult(cfg, rows, target_groups, target_truth, predictions, n_total)
 
 
@@ -604,22 +640,6 @@ def _report_wtl(result: ExperimentResult, index) -> str:
     return "\n".join(out) + "\n"
 
 
-def _contingency_from_bits(a: str, b: str, truth: str) -> stats.ContingencyTable:
-    cc = cw = wc = ww = 0
-    for pa, pb, t in zip(a, b, truth):
-        if t != "1":
-            continue
-        if pa == "1" and pb == "1":
-            cc += 1
-        elif pa == "1":
-            cw += 1
-        elif pb == "1":
-            wc += 1
-        else:
-            ww += 1
-    return stats.ContingencyTable(cc, cw, wc, ww)
-
-
 def _report_diversity(result: ExperimentResult) -> str:
     cfg = result.config
     variants = [v for m in cfg.methods for v in _variants_of(m)]
@@ -631,6 +651,8 @@ def _report_diversity(result: ExperimentResult) -> str:
         ("udp vs udp", "udp", "udp"),
         ("hdp vs udp", "hdp", "udp"),
     )
+    truth = {t: _flags(bits) for t, bits in result.target_truth.items()}
+    flags = {key: _flags(bits) for key, bits in result.predictions.items()}
     out = ["mcnemar diversity on defective modules: significant plans / comparable plans", ""]
     for title, cat_a, cat_b in sections:
         if cat_a == cat_b:
@@ -648,13 +670,13 @@ def _report_diversity(result: ExperimentResult) -> str:
             sig = {g: 0 for g in groups}
             total = {g: 0 for g in groups}
             for source, target in plans:
-                bits_a = result.predictions.get((a, source, target))
-                bits_b = result.predictions.get((b, source, target))
-                if bits_a is None or bits_b is None:
+                flags_a = flags.get((a, source, target))
+                flags_b = flags.get((b, source, target))
+                if flags_a is None or flags_b is None:
                     continue
                 group = result.target_groups[target]
                 total[group] += 1
-                table = _contingency_from_bits(bits_a, bits_b, result.target_truth[target])
+                table = stats.diversity_table(flags_a, flags_b, truth[target])
                 if stats.mcnemar(table) < stats.ALPHA:
                     sig[group] += 1
             cells = [f"{sig[g]}/{total[g]}" for g in groups]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import DefectDataset
 from .learner import TrainConfig, predict_proba, train_logistic
-from .udp import ScoredPrediction, bundle_predictions
+from .udp import Prediction
 
 SELECTION_FRACTION = 0.15
 MATCH_CUTOFF = 0.05
@@ -45,9 +45,9 @@ class MetricMatch:
 
 @dataclass(frozen=True)
 class HdpOutcome:
-    """Either per-module predictions or a recorded failure reason."""
+    """Either a Prediction in target row order or a recorded failure reason."""
 
-    predictions: list[ScoredPrediction] | None = None
+    predictions: Prediction | None = None
     failure: str | None = None
 
     def __post_init__(self):
@@ -294,7 +294,7 @@ def hdp1_predict(
     target_cols = [target.schema.metric_index(t) for _, t, _ in match.pairs]
     model = train_logistic(source.values[:, source_cols], source.labels, cfg)
     scores = predict_proba(model, target.values[:, target_cols])
-    return HdpOutcome(predictions=bundle_predictions(target, scores, scores > 0.5))
+    return HdpOutcome(predictions=Prediction(scores, scores > 0.5))
 
 
 DISTRIBUTION_STATS = (
@@ -386,7 +386,7 @@ def hdp5_predict(
     x_target = np.vstack([distribution_vector(row) for row in target.values])
     model = train_logistic(x_source, source.labels, cfg)
     scores = predict_proba(model, x_target)
-    return HdpOutcome(predictions=bundle_predictions(target, scores, scores > 0.5))
+    return HdpOutcome(predictions=Prediction(scores, scores > 0.5))
 
 
 ExternalMethod = Callable[[DefectDataset, DefectDataset], HdpOutcome]
@@ -398,7 +398,9 @@ def register_external_method(name: str, fn: ExternalMethod) -> str:
     """Register a pluggable heterogeneous method under a unique name.
 
     The callable receives (source, target) datasets and returns an
-    HdpOutcome; it participates in harness runs identically to built-ins.
+    HdpOutcome holding a Prediction in target row order (or a failure);
+    it participates in harness runs identically to built-ins. Effort-aware
+    measures use the target's clamped LOC column as effort.
     """
     if name in _RESERVED_NAMES:
         raise ValueError(f"method name {name!r} is reserved")

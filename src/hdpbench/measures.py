@@ -6,22 +6,20 @@ modules are visited in score order and the budget is a fraction of the
 total effort. The module that would cross the budget is excluded, which
 makes ACC and PMI consistent with each other.
 
-``compute_measure_arrays`` is the one implementation: it works on numpy
-arrays in target row order. The public functions that take a
-``ScoredPrediction`` list and a module-id truth map convert them once and
-call the same array code.
+Every function takes per-module vectors in target row order: float
+``scores`` (higher means inspect earlier), bool ``predicted`` flags,
+positive float ``efforts`` and bool ``actual`` truth. Vectors of unequal
+length are rejected rather than broadcast. ``compute_measure`` evaluates
+one measure by id and turns undefined cases into absent values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import rankdata
-
-if TYPE_CHECKING:  # only the dataclass type; udp imports this module at runtime
-    from .udp import ScoredPrediction
 
 #: Canonical measure order; the first two exist for the satisfactory-ratio
 #: analysis, the remaining six are the benchmark's headline measures.
@@ -92,36 +90,49 @@ class EffortCurve:
         return float(np.trapezoid(self.y, self.x))
 
 
-def _truth_vector(preds: Sequence[ScoredPrediction], truth: Mapping[str, bool]) -> np.ndarray:
-    if len(preds) != len(truth):
-        raise ValueError(f"{len(preds)} predictions vs {len(truth)} truth labels")
-    try:
-        return np.array([truth[p.module_id] for p in preds], dtype=bool)
-    except KeyError as exc:
-        raise ValueError(f"prediction for unknown module id {exc.args[0]!r}") from None
+def _vectors(*columns: tuple[Sequence, type]) -> tuple[np.ndarray, ...]:
+    """Each (values, dtype) pair as a 1-d array; all must have one length,
+    since numpy would broadcast a length-1 vector against a length-n one."""
+    arrays = tuple(np.asarray(values, dtype=dtype) for values, dtype in columns)
+    if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays}) > 1:
+        raise ValueError(
+            f"per-module vectors must be 1-d and of equal length, got shapes "
+            f"{[a.shape for a in arrays]}"
+        )
+    return arrays
 
 
-def _prediction_arrays(preds: Sequence[ScoredPrediction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scores, predicted, efforts) in list order."""
-    n = len(preds)
-    return (
-        np.fromiter((p.score for p in preds), dtype=float, count=n),
-        np.fromiter((p.predicted for p in preds), dtype=bool, count=n),
-        np.fromiter((p.effort for p in preds), dtype=float, count=n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# array code: every argument is a vector in target row order
-
-
-def _confusion(predicted: np.ndarray, actual: np.ndarray) -> ConfusionMatrix:
+def confusion(predicted: Sequence[bool], actual: Sequence[bool]) -> ConfusionMatrix:
+    """Counts with defective as the positive class."""
+    predicted, actual = _vectors((predicted, bool), (actual, bool))
     return ConfusionMatrix(
         tp=int(np.sum(predicted & actual)),
         fp=int(np.sum(predicted & ~actual)),
         tn=int(np.sum(~predicted & ~actual)),
         fn=int(np.sum(~predicted & actual)),
     )
+
+
+def prf1(cm: ConfusionMatrix) -> dict[str, float]:
+    """Precision, recall, and their harmonic mean; any 0/0 is defined as 0."""
+    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp else 0.0
+    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {"precision": precision, "recall": recall, "f1": f1}
+
+
+def auc(scores: Sequence[float], actual: Sequence[bool]) -> float | None:
+    """Rank-based AUC: P(positive scored above negative), ties counted 0.5.
+
+    Returns None when only one class is present.
+    """
+    scores, labels = _vectors((scores, float), (actual, bool))
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ranks = rankdata(scores)  # tied scores share the average rank
+    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
 def _check_efforts(efforts: np.ndarray) -> None:
@@ -134,9 +145,20 @@ def _by_score(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _effort_curve(
-    scores: np.ndarray, efforts: np.ndarray, actual: np.ndarray, ordering: str
+def effort_curve(
+    scores: Sequence[float],
+    efforts: Sequence[float],
+    actual: Sequence[bool],
+    ordering: str = "by_score",
 ) -> EffortCurve:
+    """Cumulative defect-discovery curve over cumulative inspection effort.
+
+    ``optimal`` sorts by actual defect density (label/effort) descending with
+    smaller effort first on ties; ``worst`` is the ascending mirror, larger
+    effort first on ties; ``by_score`` follows the prediction ranking, score
+    descending with ties in module order.
+    """
+    scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
     _check_efforts(efforts)
     n_defective = int(actual.sum())
     if n_defective == 0:
@@ -161,10 +183,15 @@ def _effort_curve(
     return EffortCurve(x, y)
 
 
-def _popt(scores: np.ndarray, efforts: np.ndarray, actual: np.ndarray) -> float:
-    area_m = _effort_curve(scores, efforts, actual, "by_score").area()
-    area_opt = _effort_curve(scores, efforts, actual, "optimal").area()
-    area_worst = _effort_curve(scores, efforts, actual, "worst").area()
+def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]) -> float:
+    """Normalized effort-aware indicator in [0, 1].
+
+    1 - (area(optimal) - area(method)) / (area(optimal) - area(worst)),
+    with trapezoid areas; degenerate equal optimal/worst areas give 1.
+    """
+    area_m = effort_curve(scores, efforts, actual, "by_score").area()
+    area_opt = effort_curve(scores, efforts, actual, "optimal").area()
+    area_worst = effort_curve(scores, efforts, actual, "worst").area()
     denom = area_opt - area_worst
     if denom <= 0:
         return 1.0
@@ -184,146 +211,63 @@ def _inspected(scores: np.ndarray, efforts: np.ndarray, effort_fraction: float) 
     return order[: np.searchsorted(np.cumsum(efforts[order]), budget, side="right")]
 
 
-def _acc(scores: np.ndarray, efforts: np.ndarray, actual: np.ndarray, effort_fraction: float) -> float:
+def acc_at(
+    scores: Sequence[float],
+    efforts: Sequence[float],
+    actual: Sequence[bool],
+    effort_fraction: float = 0.2,
+) -> float:
+    """Recall of defective modules within the given fraction of total effort."""
+    scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
     n_defective = int(actual.sum())
     if n_defective == 0:
         raise NoDefects("ACC needs at least one defective module")
     return int(actual[_inspected(scores, efforts, effort_fraction)].sum()) / n_defective
 
 
-def _pmi(scores: np.ndarray, efforts: np.ndarray, effort_fraction: float) -> float:
+def pmi_at(scores: Sequence[float], efforts: Sequence[float], effort_fraction: float = 0.2) -> float:
+    """Proportion of modules inspected within the given fraction of total effort."""
+    scores, efforts = _vectors((scores, float), (efforts, float))
     return len(_inspected(scores, efforts, effort_fraction)) / len(scores)
 
 
-def _ifa(scores: np.ndarray, actual: np.ndarray) -> int:
+def ifa(scores: Sequence[float], actual: Sequence[bool]) -> int:
+    """Non-defective modules ranked before the first defective one."""
+    scores, actual = _vectors((scores, float), (actual, bool))
     if not actual.any():
         raise NoDefects("IFA needs at least one defective module")
     return int(np.argmax(actual[_by_score(scores)]))
 
 
-def compute_measure_arrays(
+def compute_measure(
     measure: str,
-    scores: np.ndarray,
-    predicted: np.ndarray,
-    efforts: np.ndarray,
-    actual: np.ndarray,
+    scores: Sequence[float],
+    predicted: Sequence[bool],
+    efforts: Sequence[float],
+    actual: Sequence[bool],
     effort_fraction: float = 0.2,
 ) -> tuple[float | None, str | None]:
-    """Evaluate one measure on per-module arrays in target row order:
-    float scores, bool predictions, positive float efforts and bool truth.
-    Undefined cases yield (None, reason)."""
+    """Evaluate one measure on per-module vectors in target row order.
+    Efforts must be positive for every measure. Undefined cases yield
+    (None, reason)."""
+    scores, predicted, efforts, actual = _vectors(
+        (scores, float), (predicted, bool), (efforts, float), (actual, bool)
+    )
+    _check_efforts(efforts)
     if measure in ("precision", "recall", "f1"):
-        return prf1(_confusion(predicted, actual))[measure], None
+        return prf1(confusion(predicted, actual))[measure], None
     if measure == "auc":
         value = auc(scores, actual)
         return (value, None) if value is not None else (None, "SingleClassTruth")
     try:
         if measure == "acc":
-            return _acc(scores, efforts, actual, effort_fraction), None
+            return acc_at(scores, efforts, actual, effort_fraction), None
         if measure == "popt":
-            return _popt(scores, efforts, actual), None
+            return popt(scores, efforts, actual), None
         if measure == "pmi20":
-            return _pmi(scores, efforts, effort_fraction), None
+            return pmi_at(scores, efforts, effort_fraction), None
         if measure == "ifa":
-            return float(_ifa(scores, actual)), None
+            return float(ifa(scores, actual)), None
     except NoDefects:
         return None, "NoDefects"
     raise ValueError(f"unknown measure {measure!r}")
-
-
-# ---------------------------------------------------------------------------
-# list-and-truth-map API
-
-
-def confusion(preds: Sequence[ScoredPrediction], truth: Mapping[str, bool]) -> ConfusionMatrix:
-    """Counts with defective as the positive class, aligned by module id."""
-    actual = _truth_vector(preds, truth)
-    _, predicted, _ = _prediction_arrays(preds)
-    return _confusion(predicted, actual)
-
-
-def prf1(cm: ConfusionMatrix) -> dict[str, float]:
-    """Precision, recall, and their harmonic mean; any 0/0 is defined as 0."""
-    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp else 0.0
-    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1}
-
-
-def auc(scores: Sequence[float], truth: Sequence[bool]) -> float | None:
-    """Rank-based AUC: P(positive scored above negative), ties counted 0.5.
-
-    Returns None when only one class is present.
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(truth, dtype=bool)
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = rankdata(scores)  # tied scores share the average rank
-    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
-
-
-def effort_curve(
-    preds: Sequence[ScoredPrediction],
-    truth: Mapping[str, bool],
-    ordering: str = "by_score",
-) -> EffortCurve:
-    """Cumulative defect-discovery curve over cumulative inspection effort.
-
-    ``optimal`` sorts by actual defect density (label/effort) descending with
-    smaller effort first on ties; ``worst`` is the ascending mirror, larger
-    effort first on ties; ``by_score`` follows the prediction ranking, score
-    descending with ties in module order.
-    """
-    actual = _truth_vector(preds, truth)
-    scores, _, efforts = _prediction_arrays(preds)
-    return _effort_curve(scores, efforts, actual, ordering)
-
-
-def popt(preds: Sequence[ScoredPrediction], truth: Mapping[str, bool]) -> float:
-    """Normalized effort-aware indicator in [0, 1].
-
-    1 - (area(optimal) - area(method)) / (area(optimal) - area(worst)),
-    with trapezoid areas; degenerate equal optimal/worst areas give 1.
-    """
-    actual = _truth_vector(preds, truth)
-    scores, _, efforts = _prediction_arrays(preds)
-    return _popt(scores, efforts, actual)
-
-
-def acc_at(
-    preds: Sequence[ScoredPrediction],
-    truth: Mapping[str, bool],
-    effort_fraction: float = 0.2,
-) -> float:
-    """Recall of defective modules within the given fraction of total effort."""
-    actual = _truth_vector(preds, truth)
-    scores, _, efforts = _prediction_arrays(preds)
-    return _acc(scores, efforts, actual, effort_fraction)
-
-
-def pmi_at(preds: Sequence[ScoredPrediction], effort_fraction: float = 0.2) -> float:
-    """Proportion of modules inspected within the given fraction of total effort."""
-    scores, _, efforts = _prediction_arrays(preds)
-    return _pmi(scores, efforts, effort_fraction)
-
-
-def ifa(preds: Sequence[ScoredPrediction], truth: Mapping[str, bool]) -> int:
-    """Non-defective modules ranked before the first defective one."""
-    actual = _truth_vector(preds, truth)
-    scores, _, _ = _prediction_arrays(preds)
-    return _ifa(scores, actual)
-
-
-def compute_measure(
-    measure: str,
-    preds: Sequence[ScoredPrediction],
-    truth: Mapping[str, bool],
-    effort_fraction: float = 0.2,
-) -> tuple[float | None, str | None]:
-    """Evaluate one measure; undefined cases yield (None, reason)."""
-    actual = _truth_vector(preds, truth)
-    scores, predicted, efforts = _prediction_arrays(preds)
-    return compute_measure_arrays(measure, scores, predicted, efforts, actual, effort_fraction)

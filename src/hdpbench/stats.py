@@ -12,8 +12,6 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.stats import chi2, rankdata
 
-from .udp import ScoredPrediction
-
 ALPHA = 0.05
 NEGLIGIBLE_DELTA = 0.147  # |delta| below this is a negligible effect
 _EXACT_LIMIT = 12  # enumerate 2^n sign assignments up to this many nonzero diffs
@@ -225,31 +223,24 @@ def mcnemar(ct: ContingencyTable) -> float:
 
 
 def diversity_table(
-    preds_a: Sequence[ScoredPrediction],
-    preds_b: Sequence[ScoredPrediction],
-    truth: Mapping[str, bool],
+    predicted_a: Sequence[bool], predicted_b: Sequence[bool], actual: Sequence[bool]
 ) -> ContingencyTable:
     """Contingency counts restricted to defective modules; a correct
-    prediction is predicting defective."""
-    by_a = {p.module_id: p.predicted for p in preds_a}
-    by_b = {p.module_id: p.predicted for p in preds_b}
-    if by_a.keys() != by_b.keys() or not by_a.keys() <= truth.keys():
-        raise ValueError("predictions and truth are not aligned by module id")
-    cc = cw = wc = ww = 0
-    for mid, defective in truth.items():
-        if not defective:
-            continue
-        a_correct = by_a[mid]
-        b_correct = by_b[mid]
-        if a_correct and b_correct:
-            cc += 1
-        elif a_correct:
-            cw += 1
-        elif b_correct:
-            wc += 1
-        else:
-            ww += 1
-    return ContingencyTable(cc, cw, wc, ww)
+    prediction is predicting defective. All three vectors are per-module
+    flags in the same row order."""
+    a = np.asarray(predicted_a, dtype=bool)
+    b = np.asarray(predicted_b, dtype=bool)
+    actual = np.asarray(actual, dtype=bool)
+    if a.ndim != 1 or not a.shape == b.shape == actual.shape:
+        raise ValueError(
+            f"predictions and truth must be equal-length vectors, got shapes "
+            f"{a.shape}, {b.shape} and {actual.shape}"
+        )
+    a, b = a[actual], b[actual]
+    n_cc = int(np.count_nonzero(a & b))
+    n_cw = int(np.count_nonzero(a)) - n_cc
+    n_wc = int(np.count_nonzero(b)) - n_cc
+    return ContingencyTable(n_cc, n_cw, n_wc, len(a) - n_cc - n_cw - n_wc)
 
 
 def satisfactory(precision: float, recall: float, criterion: str) -> bool:

@@ -1,9 +1,11 @@
 """Unsupervised defect predictors.
 
 All five methods share the assumption that defective modules tend to have
-larger metric values. Every method returns one ScoredPrediction per module
-with higher score meaning inspect earlier; inspection effort is the LOC
-column with values <= 0 clamped to 1.
+larger metric values. Every method returns one ``Prediction``: a score
+vector (higher means inspect earlier) and a defective-flag vector, both in
+the target's row order. Inspection effort is not part of it; the measures
+take the target's LOC column with values <= 0 clamped to 1
+(``datasets.effort_values``).
 """
 
 from __future__ import annotations
@@ -18,29 +20,24 @@ from .datasets import DefectDataset, effort_values
 from .learner import TrainConfig, predict_proba, train_logistic, zscore_apply, zscore_fit
 
 
-@dataclass(frozen=True)
-class ScoredPrediction:
-    """Per-module output: defect-proneness score, binary decision, and effort."""
+@dataclass(frozen=True, eq=False)
+class Prediction:
+    """Per-module output in target row order: float64 defect-proneness
+    ``scores`` and bool ``predicted`` flags (True = defective)."""
 
-    module_id: str
-    score: float
-    predicted: bool  # True = defective
-    effort: float
+    scores: np.ndarray
+    predicted: np.ndarray
 
     def __post_init__(self):
-        if self.effort <= 0:
-            raise ValueError("effort must be positive")
-
-
-def bundle_predictions(
-    d: DefectDataset, scores: np.ndarray, predicted: np.ndarray
-) -> list[ScoredPrediction]:
-    """One ScoredPrediction per module of ``d``, in row order, with its effort."""
-    efforts = effort_values(d)
-    return [
-        ScoredPrediction(mid, float(s), bool(p), float(e))
-        for mid, s, p, e in zip(d.module_ids, scores, predicted, efforts)
-    ]
+        scores = np.asarray(self.scores, dtype=np.float64)
+        predicted = np.asarray(self.predicted, dtype=bool)
+        if scores.ndim != 1 or scores.shape != predicted.shape:
+            raise ValueError(
+                f"scores and predicted must be equal-length vectors, got shapes "
+                f"{scores.shape} and {predicted.shape}"
+            )
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "predicted", predicted)
 
 
 def _cla_parts(d: DefectDataset, cutoff_percentile: float):
@@ -53,19 +50,19 @@ def _cla_parts(d: DefectDataset, cutoff_percentile: float):
     return cutoffs, k, labels
 
 
-def cla_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> list[ScoredPrediction]:
+def cla_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> Prediction:
     """Cluster-and-label by magnitude: K = number of metrics above their
     percentile cutoff; modules with K strictly above the median K are
     labeled defective."""
     _, k, labels = _cla_parts(d, cutoff_percentile)
-    return bundle_predictions(d, k.astype(float), labels)
+    return Prediction(k.astype(float), labels)
 
 
 def clami_predict(
     d: DefectDataset,
     cutoff_percentile: float = 50.0,
     cfg: TrainConfig = TrainConfig(),
-) -> list[ScoredPrediction]:
+) -> Prediction:
     """CLA labeling plus metric and instance selection, then a logistic fit.
 
     A violation is a cell whose magnitude disagrees with its module's CLA
@@ -86,7 +83,7 @@ def clami_predict(
         return cla_predict(d, cutoff_percentile)
     model = train_logistic(d.values[survivors][:, kept], survivor_labels, cfg)
     scores = predict_proba(model, d.values[:, kept])
-    return bundle_predictions(d, scores, scores > 0.5)
+    return Prediction(scores, scores > 0.5)
 
 
 def normalized_laplacian(weights: np.ndarray) -> np.ndarray:
@@ -105,7 +102,7 @@ def connectivity_matrix(d: DefectDataset) -> np.ndarray:
     return w
 
 
-def spectral_predict(d: DefectDataset) -> list[ScoredPrediction]:
+def spectral_predict(d: DefectDataset) -> Prediction:
     """Connectivity-based clustering via the normalized Laplacian.
 
     Modules are split by the sign of the eigenvector of the second-smallest
@@ -130,7 +127,7 @@ def spectral_predict(d: DefectDataset) -> list[ScoredPrediction]:
                 predicted = in_a
             elif mean_b > mean_a:
                 predicted = ~in_a
-    return bundle_predictions(d, row_sums, predicted)
+    return Prediction(row_sums, predicted)
 
 
 def _top_half(scores: np.ndarray) -> np.ndarray:
@@ -142,7 +139,7 @@ def _top_half(scores: np.ndarray) -> np.ndarray:
     return predicted
 
 
-def manual_rank(d: DefectDataset, direction: str = "down") -> list[ScoredPrediction]:
+def manual_rank(d: DefectDataset, direction: str = "down") -> Prediction:
     """Size-only ranking: ``down`` scores by LOC (larger first), ``up`` by
     1/LOC (smaller first); the top half of the ranking is labeled defective."""
     loc = effort_values(d)
@@ -152,12 +149,12 @@ def manual_rank(d: DefectDataset, direction: str = "down") -> list[ScoredPredict
         scores = 1.0 / loc
     else:
         raise ValueError("direction must be 'down' or 'up'")
-    return bundle_predictions(d, scores, _top_half(scores))
+    return Prediction(scores, _top_half(scores))
 
 
 class BestMetric(NamedTuple):
     metric: str
-    predictions: list[ScoredPrediction]
+    predictions: Prediction
     value: float | None
 
 
@@ -182,7 +179,7 @@ def best_metric_oracle(
         for sign in (1.0, -1.0):
             scores = sign * column
             predicted = _top_half(scores)
-            value, _ = measures.compute_measure_arrays(
+            value, _ = measures.compute_measure(
                 measure, scores, predicted, efforts, d.labels, effort_fraction
             )
             if value is None:
@@ -197,4 +194,4 @@ def best_metric_oracle(
         scores = d.column(d.schema.metric_names[0])
         best = (d.schema.metric_names[0], scores, _top_half(scores), None)
     name, scores, predicted, value = best
-    return BestMetric(name, bundle_predictions(d, scores, predicted), value)
+    return BestMetric(name, Prediction(scores, predicted), value)

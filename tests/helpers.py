@@ -102,10 +102,6 @@ def benchmark_stub_datasets(n_modules: int = 4, seed: int = 0) -> list[DefectDat
     return datasets
 
 
-def truth_map(d: DefectDataset) -> dict[str, bool]:
-    return {mid: bool(lab) for mid, lab in zip(d.module_ids, d.labels)}
-
-
 def write_benchmark_stub_files(out_dir: Path, n_modules: int = 18, seed: int = 3) -> Path:
     """Write 34 stub CSVs plus a manifest; returns the manifest path.
 

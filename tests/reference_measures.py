@@ -3,26 +3,22 @@
 These are the pure-Python versions that ``hdpbench.measures`` replaced
 with numpy array code. The array code adds efforts in the same order,
 sorts with the same tie rules and computes exact half-integer ranks, so
-tests compare the two with ``==``, not with a tolerance.
+tests compare the two with ``==``, not with a tolerance. Inputs are
+per-module arrays in row order: scores, predicted flags, efforts, truth.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from hdpbench.measures import ConfusionMatrix, NoDefects, prf1
-from hdpbench.udp import ScoredPrediction
 
 
-def truth_vector(preds: Sequence[ScoredPrediction], truth: Mapping[str, bool]) -> np.ndarray:
-    return np.array([truth[p.module_id] for p in preds], dtype=bool)
-
-
-def score_order(preds: Sequence[ScoredPrediction]) -> list[int]:
+def score_order(scores: np.ndarray) -> list[int]:
     """Indices sorted by score descending, stable on the original module order."""
-    return sorted(range(len(preds)), key=lambda i: -preds[i].score)
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -52,20 +48,18 @@ def auc(scores: Sequence[float], truth: Sequence[bool]) -> float | None:
 
 
 def effort_curve_points(
-    preds: Sequence[ScoredPrediction], truth: Mapping[str, bool], ordering: str
+    scores: np.ndarray, efforts: np.ndarray, actual: np.ndarray, ordering: str
 ) -> tuple[tuple[float, float], ...]:
-    actual = truth_vector(preds, truth)
-    efforts = np.array([p.effort for p in preds], dtype=float)
     n_defective = int(actual.sum())
     if n_defective == 0:
         raise NoDefects("effort curve needs at least one defective module")
     density = actual / efforts
     if ordering == "by_score":
-        order = score_order(preds)
+        order = score_order(scores)
     elif ordering == "optimal":
-        order = sorted(range(len(preds)), key=lambda i: (-density[i], efforts[i]))
+        order = sorted(range(len(scores)), key=lambda i: (-density[i], efforts[i]))
     else:
-        order = sorted(range(len(preds)), key=lambda i: (density[i], -efforts[i]))
+        order = sorted(range(len(scores)), key=lambda i: (density[i], -efforts[i]))
     total_effort = float(efforts.sum())
     points = [(0.0, 0.0)]
     cum_effort = 0.0
@@ -84,23 +78,22 @@ def area(points: Sequence[tuple[float, float]]) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def popt(preds: Sequence[ScoredPrediction], truth: Mapping[str, bool]) -> float:
-    area_m = area(effort_curve_points(preds, truth, "by_score"))
-    area_opt = area(effort_curve_points(preds, truth, "optimal"))
-    area_worst = area(effort_curve_points(preds, truth, "worst"))
+def popt(scores: np.ndarray, efforts: np.ndarray, actual: np.ndarray) -> float:
+    area_m = area(effort_curve_points(scores, efforts, actual, "by_score"))
+    area_opt = area(effort_curve_points(scores, efforts, actual, "optimal"))
+    area_worst = area(effort_curve_points(scores, efforts, actual, "worst"))
     denom = area_opt - area_worst
     if denom <= 0:
         return 1.0
     return min(1.0, max(0.0, 1.0 - (area_opt - area_m) / denom))
 
 
-def inspected_prefix(preds: Sequence[ScoredPrediction], effort_fraction: float) -> list[int]:
+def inspected_prefix(scores: np.ndarray, efforts: np.ndarray, effort_fraction: float) -> list[int]:
     """Ranked indices inspectable within the budget; the module crossing it is excluded."""
-    efforts = np.array([p.effort for p in preds], dtype=float)
     budget = effort_fraction * float(efforts.sum()) * (1 + 1e-9)
     inspected = []
     spent = 0.0
-    for i in score_order(preds):
+    for i in score_order(scores):
         if spent + efforts[i] > budget:
             break
         spent += efforts[i]
@@ -110,13 +103,13 @@ def inspected_prefix(preds: Sequence[ScoredPrediction], effort_fraction: float) 
 
 def compute_measure(
     measure: str,
-    preds: Sequence[ScoredPrediction],
-    truth: Mapping[str, bool],
+    scores: np.ndarray,
+    predicted: np.ndarray,
+    efforts: np.ndarray,
+    actual: np.ndarray,
     effort_fraction: float = 0.2,
 ) -> tuple[float | None, str | None]:
-    actual = truth_vector(preds, truth)
     if measure in ("precision", "recall", "f1"):
-        predicted = np.array([p.predicted for p in preds], dtype=bool)
         cm = ConfusionMatrix(
             tp=int(np.sum(predicted & actual)),
             fp=int(np.sum(predicted & ~actual)),
@@ -125,20 +118,20 @@ def compute_measure(
         )
         return prf1(cm)[measure], None
     if measure == "auc":
-        value = auc([p.score for p in preds], actual)
+        value = auc(scores, actual)
         return (value, None) if value is not None else (None, "SingleClassTruth")
     if measure == "pmi20":
-        return len(inspected_prefix(preds, effort_fraction)) / len(preds), None
+        return len(inspected_prefix(scores, efforts, effort_fraction)) / len(scores), None
     if not actual.any():
         return None, "NoDefects"
     if measure == "acc":
-        found = sum(int(actual[i]) for i in inspected_prefix(preds, effort_fraction))
+        found = sum(int(actual[i]) for i in inspected_prefix(scores, efforts, effort_fraction))
         return found / int(actual.sum()), None
     if measure == "popt":
-        return popt(preds, truth), None
+        return popt(scores, efforts, actual), None
     if measure == "ifa":
         count = 0
-        for i in score_order(preds):
+        for i in score_order(scores):
             if actual[i]:
                 break
             count += 1

@@ -14,7 +14,6 @@ import pytest
 from hdpbench import harness, measures, stats, udp
 from hdpbench.datasets import enumerate_combinations
 from hdpbench.hdp import match_from_weights
-from hdpbench.udp import ScoredPrediction
 from helpers import (
     NASA_TAGS,
     benchmark_stub_datasets,
@@ -24,14 +23,12 @@ from helpers import (
 
 
 def preds_from(scores, efforts):
-    return [
-        ScoredPrediction(f"m{i:05d}", float(s), True, float(e))
-        for i, (s, e) in enumerate(zip(scores, efforts))
-    ]
+    """(scores, efforts) as float vectors in module order."""
+    return np.asarray(scores, dtype=float), np.asarray(efforts, dtype=float)
 
 
 def truth_from(labels):
-    return {f"m{i:05d}": bool(l) for i, l in enumerate(labels)}
+    return np.asarray(labels, dtype=bool)
 
 
 def test_criterion_01_acc_pmi_worked_example():
@@ -44,8 +41,8 @@ def test_criterion_01_acc_pmi_worked_example():
     labels[600:630] = True
     preds = preds_from(np.arange(2000, 0, -1), efforts)
     truth = truth_from(labels)
-    acc = measures.acc_at(preds, truth, 0.2)
-    pmi = measures.pmi_at(preds, 0.2)
+    acc = measures.acc_at(*preds, truth, 0.2)
+    pmi = measures.pmi_at(*preds, 0.2)
     elapsed = time.perf_counter() - start
     assert acc == 0.25
     assert pmi == 0.30
@@ -60,13 +57,10 @@ def test_criterion_02_mcnemar_worked_examples():
         "m2": [1, 1, 1, 1, 1, 0, 1, 1, 1, 1],
         "m3": [0, 0, 1, 1, 0, 0, 0, 1, 1, 0],
     }
-    truth = {f"x{i}": True for i in range(10)}
+    truth = np.ones(10, dtype=bool)
 
     def as_preds(key):
-        return [
-            ScoredPrediction(f"x{i}", float(v), bool(v), 1.0)
-            for i, v in enumerate(table[key])
-        ]
+        return udp.Prediction(table[key], table[key]).predicted
 
     p12 = stats.mcnemar(stats.diversity_table(as_preds("m1"), as_preds("m2"), truth))
     p13 = stats.mcnemar(stats.diversity_table(as_preds("m1"), as_preds("m3"), truth))
@@ -108,14 +102,14 @@ def test_criterion_04_popt_bounds_and_oracle():
         order_opt = sorted(range(n), key=lambda i: (-density[i], efforts[i]))
         scores = np.empty(n)
         scores[order_opt] = np.arange(n, 0, -1)
-        assert measures.popt(preds_from(scores, efforts), truth) == 1.0
+        assert measures.popt(*preds_from(scores, efforts), truth) == 1.0
 
         order_worst = sorted(range(n), key=lambda i: (density[i], -efforts[i]))
         scores[order_worst] = np.arange(n, 0, -1)
-        assert measures.popt(preds_from(scores, efforts), truth) == 0.0
+        assert measures.popt(*preds_from(scores, efforts), truth) == 0.0
 
         random_scores = rng.random(n)
-        value = measures.popt(preds_from(random_scores, efforts), truth)
+        value = measures.popt(*preds_from(random_scores, efforts), truth)
         assert 0.0 <= value <= 1.0
         expected = independent_popt(efforts, labels, random_scores)
         assert value == pytest.approx(expected, abs=1e-9)
@@ -251,14 +245,14 @@ def test_criterion_09_method_invariants():
         values[:, 0] = rng.integers(1, 400, size=n)
         labels = rng.random(n) < 0.4
         d = make_dataset("t", values, labels)
-        cla_base = [p.predicted for p in udp.cla_predict(d)]
-        manual_base = [p.predicted for p in udp.manual_rank(d, "down")]
+        cla_base = udp.cla_predict(d).predicted.tolist()
+        manual_base = udp.manual_rank(d, "down").predicted.tolist()
         warped = np.column_stack([
             transforms[(trial + j) % len(transforms)](values[:, j]) for j in range(m)
         ])
         d2 = make_dataset("t", warped, labels)
-        assert [p.predicted for p in udp.cla_predict(d2)] == cla_base
-        assert [p.predicted for p in udp.manual_rank(d2, "down")] == manual_base
+        assert udp.cla_predict(d2).predicted.tolist() == cla_base
+        assert udp.manual_rank(d2, "down").predicted.tolist() == manual_base
 
     worst = 0.0
     for trial in range(20):

@@ -13,7 +13,7 @@ from hdpbench.harness import (
     write_report,
 )
 from hdpbench.hdp import HdpOutcome, register_external_method, unregister_external_method
-from hdpbench.udp import ScoredPrediction
+from hdpbench.udp import Prediction
 from helpers import write_synthetic_benchmark
 
 
@@ -175,9 +175,8 @@ def test_external_method_failure_recorded(tmp_path):
     def flaky(source, target):
         if target.name == "two":
             return HdpOutcome(failure="SimulatedFailure")
-        return HdpOutcome(predictions=[
-            ScoredPrediction(mid, 0.5, False, 1.0) for mid in target.module_ids
-        ])
+        return HdpOutcome(predictions=Prediction(np.full(target.n_modules, 0.5),
+                                                 np.zeros(target.n_modules, dtype=bool)))
 
     register_external_method("flaky-ext", flaky)
     try:
@@ -219,6 +218,34 @@ def test_external_exception_becomes_failure_row(tmp_path):
     )
 
 
+def test_external_prediction_count_mismatch_becomes_failure_row(tmp_path):
+    manifest = two_dataset_manifest(tmp_path)
+
+    def short(source, target):
+        n = target.n_modules - 1
+        return HdpOutcome(predictions=Prediction(np.ones(n), np.ones(n, dtype=bool)))
+
+    register_external_method("short", short)
+    try:
+        cfg = ExperimentConfig(
+            manifest=str(manifest),
+            output_dir=str(tmp_path / "out"),
+            methods=("short", "cla"),
+            measures=("f1", "popt"),
+        )
+        result = run_experiment(cfg)
+    finally:
+        unregister_external_method("short")
+    short_rows = [r for r in result.rows if r.method == "short"]
+    assert len(short_rows) == 2 * 2  # both plans, both measures
+    assert all(
+        r.value is None and r.failure == "error: prediction count mismatch" for r in short_rows
+    )
+    cla_rows = [r for r in result.rows if r.method == "cla"]
+    assert len(cla_rows) == 2 * 2 and all(r.failure is None for r in cla_rows)
+    assert not any(variant == "short" for variant, _, _ in result.predictions)
+
+
 # ---------------------------------------------------------------------------
 # export / load
 
@@ -233,6 +260,69 @@ def test_export_round_trip(synth_result, tmp_path):
     assert loaded.target_groups == result.target_groups
     assert loaded.target_truth == result.target_truth
     assert loaded.n_plans_total == result.n_plans_total
+
+
+@pytest.fixture
+def exported(synth_result, tmp_path):
+    out = tmp_path / "exported"
+    export_results(synth_result, out)
+    return out
+
+
+def _rewrite(path, edit):
+    path.write_text(edit(path.read_text()))
+
+
+@pytest.mark.parametrize("name", ["results.csv", "predictions.csv", "targets.csv"])
+def test_load_results_requires_exact_header(exported, name):
+    # without the check a headerless file silently lost its first row
+    _rewrite(exported / name, lambda text: text.split("\n", 1)[1])
+    with pytest.raises(ValueError, match=rf"{name}:1: expected header"):
+        load_results(exported)
+
+
+def _edit_labels(path, line_no, edit):
+    lines = path.read_text().splitlines()
+    fields = lines[line_no - 1].split(",")
+    fields[-1] = edit(fields[-1])
+    lines[line_no - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", ["predictions.csv", "targets.csv"])
+def test_load_results_rejects_non_binary_labels(exported, name):
+    _edit_labels(exported / name, 3, lambda bits: bits[:-1] + "2")
+    with pytest.raises(ValueError, match=rf"{name}:3: labels must contain only 0 and 1"):
+        load_results(exported)
+
+
+@pytest.mark.parametrize("edit", [lambda bits: bits[:-1], lambda bits: bits + "0"])
+def test_load_results_rejects_prediction_of_wrong_length(exported, edit):
+    # a short string was silently truncated by the diversity count and
+    # raised IndexError in the unidentified report
+    _edit_labels(exported / "predictions.csv", 2, edit)
+    with pytest.raises(ValueError, match=r"predictions.csv:2: \d+ labels for a target of \d+ modules"):
+        load_results(exported)
+
+
+def test_load_results_rejects_prediction_for_unknown_target(exported):
+    _rewrite(exported / "targets.csv", lambda text: "\n".join(text.splitlines()[:-1]) + "\n")
+    with pytest.raises(ValueError, match=r"predictions.csv:\d+: target .* is not in targets.csv"):
+        load_results(exported)
+
+
+def test_load_results_rejects_wrong_field_count(exported):
+    _edit_labels(exported / "predictions.csv", 2, lambda bits: bits + ",extra")
+    with pytest.raises(ValueError, match=r"predictions.csv:2: expected 4 fields, got 5"):
+        load_results(exported)
+
+
+def test_load_results_requires_plans_total(exported):
+    # without it the total read as 0 and a re-export wrote plans_total: 0
+    _rewrite(exported / "summary.txt",
+             lambda text: "".join(l for l in text.splitlines(True) if not l.startswith("plans_total:")))
+    with pytest.raises(ValueError, match="summary.txt: missing plans_total line"):
+        load_results(exported)
 
 
 def test_absent_values_serialize_as_empty_field(tmp_path):

@@ -251,8 +251,8 @@ def test_hdp1_succeeds_on_shared_informative_metric():
     src, tgt, yt = synthetic_pair()
     out = hdp1_predict(src, tgt)
     assert out.ok
-    assert len(out.predictions) == tgt.n_modules
-    scores = [p.score for p in out.predictions]
+    assert len(out.predictions.scores) == tgt.n_modules
+    scores = out.predictions.scores.tolist()
     assert brute_force_auc(scores, yt) > 0.5
 
 
@@ -272,8 +272,8 @@ def test_hdp1_is_deterministic():
     src, tgt, _ = synthetic_pair()
     a = hdp1_predict(src, tgt)
     b = hdp1_predict(src, tgt)
-    assert [p.score for p in a.predictions] == [p.score for p in b.predictions]
-    assert [p.predicted for p in a.predictions] == [p.predicted for p in b.predictions]
+    assert a.predictions.scores.tolist() == b.predictions.scores.tolist()
+    assert a.predictions.predicted.tolist() == b.predictions.predicted.tolist()
 
 
 def test_hdp_outcome_is_exclusive():
@@ -357,7 +357,7 @@ def test_distribution_vector_harmonic_mean_guard():
 def test_hdp5_output_length_and_signal():
     src, tgt, yt = synthetic_pair(seed=13)
     out = hdp5_predict(src, tgt)
-    assert out.ok and len(out.predictions) == tgt.n_modules
+    assert out.ok and len(out.predictions.scores) == tgt.n_modules
 
 
 def test_hdp5_uniformly_larger_metrics_give_signal():
@@ -376,7 +376,7 @@ def test_hdp5_uniformly_larger_metrics_give_signal():
     src = make_dataset("s", base_s, ys)
     tgt = make_dataset("t", base_t, yt)
     out = hdp5_predict(src, tgt)
-    assert brute_force_auc([p.score for p in out.predictions], yt) > 0.5
+    assert brute_force_auc(out.predictions.scores.tolist(), yt) > 0.5
 
 
 def test_hdp5_equals_direct_training_on_vectors():
@@ -385,7 +385,7 @@ def test_hdp5_equals_direct_training_on_vectors():
     vectors = np.vstack([distribution_vector(r) for r in src.values])
     model = train_logistic(vectors, src.labels)
     direct = predict_proba(model, vectors)
-    assert np.allclose([p.score for p in out.predictions], direct, atol=0)
+    assert np.allclose(out.predictions.scores.tolist(), direct, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +394,10 @@ def test_hdp5_equals_direct_training_on_vectors():
 
 def test_register_and_duplicate():
     def constant(source, target):
-        from hdpbench.udp import ScoredPrediction
+        from hdpbench.udp import Prediction
 
-        return HdpOutcome(predictions=[
-            ScoredPrediction(mid, 0.5, False, 1.0) for mid in target.module_ids
-        ])
+        return HdpOutcome(predictions=Prediction(np.full(target.n_modules, 0.5),
+                                                 np.zeros(target.n_modules, dtype=bool)))
 
     name = register_external_method("constant-half", constant)
     try:

@@ -4,10 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hdpbench.measures import (
+    MEASURE_IDS,
     ConfusionMatrix,
     NoDefects,
     acc_at,
     auc,
+    compute_measure,
     confusion,
     effort_curve,
     ifa,
@@ -15,20 +17,15 @@ from hdpbench.measures import (
     popt,
     prf1,
 )
-from hdpbench.udp import ScoredPrediction
 
 
-def preds_from(scores, efforts, predicted=None):
-    n = len(scores)
-    predicted = predicted if predicted is not None else [True] * n
-    return [
-        ScoredPrediction(f"m{i:04d}", float(s), bool(p), float(e))
-        for i, (s, p, e) in enumerate(zip(scores, predicted, efforts))
-    ]
+def preds_from(scores, efforts):
+    """(scores, efforts) as float vectors in module order."""
+    return np.asarray(scores, dtype=float), np.asarray(efforts, dtype=float)
 
 
 def truth_from(labels):
-    return {f"m{i:04d}": bool(l) for i, l in enumerate(labels)}
+    return np.asarray(labels, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -36,32 +33,78 @@ def truth_from(labels):
 
 
 def test_confusion_all_correct():
-    preds = preds_from([1, 2], [1, 1], predicted=[True, False])
-    cm = confusion(preds, truth_from([True, False]))
+    cm = confusion(truth_from([True, False]), truth_from([True, False]))
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 0, 1, 0)
 
 
 def test_confusion_inversion_swaps_cells():
-    labels = [True, False, True, False, False]
-    preds = preds_from(range(5), [1] * 5, predicted=[True, True, False, False, True])
-    cm = confusion(preds, truth_from(labels))
-    flipped = preds_from(range(5), [1] * 5, predicted=[False, False, True, True, False])
-    cm2 = confusion(flipped, truth_from(labels))
+    labels = truth_from([True, False, True, False, False])
+    predicted = truth_from([True, True, False, False, True])
+    cm = confusion(predicted, labels)
+    cm2 = confusion(~predicted, labels)
     assert (cm.tp, cm.fn) == (cm2.fn, cm2.tp)
     assert (cm.fp, cm.tn) == (cm2.tn, cm2.fp)
 
 
 def test_confusion_predict_everything_defective():
     labels = [True] * 10 + [False] * 10
-    preds = preds_from(range(20), [1] * 20)
-    cm = confusion(preds, truth_from(labels))
+    cm = confusion(np.ones(20, dtype=bool), truth_from(labels))
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (10, 10, 0, 0)
 
 
-def test_confusion_id_mismatch():
-    preds = preds_from([1], [1])
+def test_confusion_length_mismatch():
     with pytest.raises(ValueError):
-        confusion(preds, {"other": True})
+        confusion(truth_from([True, False]), truth_from([True]))
+    with pytest.raises(ValueError):  # length 1 against length n must not broadcast
+        confusion(truth_from([True]), truth_from([True, False, True]))
+
+
+def test_unequal_vectors_rejected_by_every_measure():
+    short, long = np.ones(1), np.ones(4)
+    flags = np.ones(4, dtype=bool)
+    for scores, efforts, actual in (
+        (short, long, flags),
+        (long, short, flags),
+        (long, long, flags[:1]),
+    ):
+        with pytest.raises(ValueError):
+            effort_curve(scores, efforts, actual)
+        with pytest.raises(ValueError):
+            popt(scores, efforts, actual)
+        with pytest.raises(ValueError):
+            acc_at(scores, efforts, actual)
+        for measure in MEASURE_IDS:
+            with pytest.raises(ValueError):
+                compute_measure(measure, scores, flags, efforts, actual)
+    with pytest.raises(ValueError):
+        compute_measure("f1", long, flags[:1], long, flags)
+    for scores, other in ((short, flags), (long, flags[:1])):
+        with pytest.raises(ValueError):
+            auc(scores, other)
+        with pytest.raises(ValueError):
+            ifa(scores, other)
+        with pytest.raises(ValueError):
+            pmi_at(scores, other.astype(float))
+    with pytest.raises(ValueError):
+        confusion(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_measures_reject_non_positive_effort(bad):
+    scores, efforts = preds_from([3, 2, 1], [1.0, bad, 2.0])
+    actual = truth_from([1, 0, 1])
+    for measure in MEASURE_IDS:
+        with pytest.raises(ValueError, match="efforts must be positive"):
+            compute_measure(measure, scores, actual, efforts, actual)
+    for ordering in ("by_score", "optimal", "worst"):
+        with pytest.raises(ValueError, match="efforts must be positive"):
+            effort_curve(scores, efforts, actual, ordering)
+    with pytest.raises(ValueError, match="efforts must be positive"):
+        popt(scores, efforts, actual)
+    with pytest.raises(ValueError, match="efforts must be positive"):
+        acc_at(scores, efforts, actual)
+    with pytest.raises(ValueError, match="efforts must be positive"):
+        pmi_at(scores, efforts)
 
 
 def test_prf1_balanced():
@@ -144,20 +187,19 @@ def test_auc_invariant_under_increasing_transform():
 
 
 def test_effort_curve_single_defective_module():
-    curve = effort_curve(preds_from([1.0], [7.0]), truth_from([True]))
+    curve = effort_curve(*preds_from([1.0], [7.0]), truth_from([True]))
     assert curve.points == ((0.0, 0.0), (1.0, 1.0))
 
 
 def test_effort_curve_three_module_trapezoid():
-    preds = preds_from([3, 2, 1], [1, 2, 1])
-    curve = effort_curve(preds, truth_from([1, 0, 1]), "by_score")
+    curve = effort_curve(*preds_from([3, 2, 1], [1, 2, 1]), truth_from([1, 0, 1]), "by_score")
     assert curve.points == ((0.0, 0.0), (0.25, 0.5), (0.75, 0.5), (1.0, 1.0))
     assert curve.area() == pytest.approx(0.5)
 
 
 def test_effort_curve_needs_defects():
     with pytest.raises(NoDefects):
-        effort_curve(preds_from([1, 2], [1, 1]), truth_from([0, 0]))
+        effort_curve(*preds_from([1, 2], [1, 1]), truth_from([0, 0]))
 
 
 def test_optimal_curve_dominates_by_score_curve():
@@ -169,8 +211,8 @@ def test_optimal_curve_dominates_by_score_curve():
         labels[int(rng.integers(0, n))] = True
         preds = preds_from(rng.random(n), efforts)
         truth = truth_from(labels)
-        method = effort_curve(preds, truth, "by_score")
-        optimal = effort_curve(preds, truth, "optimal")
+        method = effort_curve(*preds, truth, "by_score")
+        optimal = effort_curve(*preds, truth, "optimal")
         xs_o = [p[0] for p in optimal.points]
         ys_o = [p[1] for p in optimal.points]
         for x, y in method.points:
@@ -217,7 +259,7 @@ def test_popt_matches_independent_oracle():
         scores = rng.random(n)
         preds = preds_from(scores, efforts)
         expected = independent_popt(efforts.tolist(), labels.tolist(), scores.tolist())
-        assert popt(preds, truth_from(labels)) == pytest.approx(expected, abs=1e-9)
+        assert popt(*preds, truth_from(labels)) == pytest.approx(expected, abs=1e-9)
 
 
 def test_popt_optimal_and_worst_anchors():
@@ -227,10 +269,10 @@ def test_popt_optimal_and_worst_anchors():
     order_opt = sorted(range(5), key=lambda i: (-density[i], efforts[i]))
     scores = np.empty(5)
     scores[order_opt] = np.arange(5, 0, -1)
-    assert popt(preds_from(scores, efforts), truth_from(labels)) == 1.0
+    assert popt(*preds_from(scores, efforts), truth_from(labels)) == 1.0
     order_worst = sorted(range(5), key=lambda i: (density[i], -efforts[i]))
     scores[order_worst] = np.arange(5, 0, -1)
-    assert popt(preds_from(scores, efforts), truth_from(labels)) == 0.0
+    assert popt(*preds_from(scores, efforts), truth_from(labels)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -249,51 +291,51 @@ def worked_example_preds():
 
 def test_acc_and_pmi_worked_example():
     preds, truth = worked_example_preds()
-    assert acc_at(preds, truth, 0.2) == 0.25
-    assert pmi_at(preds, 0.2) == 0.30
+    assert acc_at(*preds, truth, 0.2) == 0.25
+    assert pmi_at(*preds, 0.2) == 0.30
 
 
 def test_acc_full_budget():
     preds, truth = worked_example_preds()
-    assert acc_at(preds, truth, 1.0) == 1.0
-    assert pmi_at(preds, 1.0) == 1.0
+    assert acc_at(*preds, truth, 1.0) == 1.0
+    assert pmi_at(*preds, 1.0) == 1.0
 
 
 def test_acc_zero_when_first_module_exceeds_budget():
-    preds = preds_from([2, 1], [90, 10], predicted=[True, True])
+    preds = preds_from([2, 1], [90, 10])
     truth = truth_from([True, True])
-    assert acc_at(preds, truth, 0.2) == 0.0
-    assert pmi_at(preds, 0.2) == 0.0
+    assert acc_at(*preds, truth, 0.2) == 0.0
+    assert pmi_at(*preds, 0.2) == 0.0
 
 
 def test_acc_pmi_monotone_in_fraction():
     rng = np.random.default_rng(5)
     preds = preds_from(rng.random(30), rng.integers(1, 20, 30))
     truth = truth_from(rng.random(30) < 0.4)
-    if not any(truth.values()):
-        truth["m0000"] = True
+    if not truth.any():
+        truth[0] = True
     fractions = [0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
-    accs = [acc_at(preds, truth, f) for f in fractions]
-    pmis = [pmi_at(preds, f) for f in fractions]
+    accs = [acc_at(*preds, truth, f) for f in fractions]
+    pmis = [pmi_at(*preds, f) for f in fractions]
     assert accs == sorted(accs)
     assert pmis == sorted(pmis)
 
 
 def test_pmi_uniform_efforts():
     preds = preds_from(np.arange(10), np.ones(10))
-    assert pmi_at(preds, 0.2) == pytest.approx(0.2)
+    assert pmi_at(*preds, 0.2) == pytest.approx(0.2)
 
 
 def test_acc_requires_defects():
     preds = preds_from([1, 2], [1, 1])
     with pytest.raises(NoDefects):
-        acc_at(preds, truth_from([0, 0]), 0.2)
+        acc_at(*preds, truth_from([0, 0]), 0.2)
 
 
 def test_bad_fraction_rejected():
     preds = preds_from([1], [1])
     with pytest.raises(ValueError):
-        pmi_at(preds, 0.0)
+        pmi_at(*preds, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +343,11 @@ def test_bad_fraction_rejected():
 
 
 def test_ifa_first_module_defective():
-    assert ifa(preds_from([3, 2, 1], [1, 1, 1]), truth_from([1, 0, 0])) == 0
+    assert ifa([3.0, 2.0, 1.0], truth_from([1, 0, 0])) == 0
 
 
 def test_ifa_two_false_alarms():
-    assert ifa(preds_from([3, 2, 1], [1, 1, 1]), truth_from([0, 0, 1])) == 2
+    assert ifa([3.0, 2.0, 1.0], truth_from([0, 0, 1])) == 2
 
 
 def test_ifa_matches_scan_oracle():
@@ -315,19 +357,18 @@ def test_ifa_matches_scan_oracle():
         scores = rng.permutation(n).astype(float)
         labels = rng.random(n) < 0.3
         labels[int(rng.integers(0, n))] = True
-        preds = preds_from(scores, np.ones(n))
         order = sorted(range(n), key=lambda i: -scores[i])
         expected = 0
         for i in order:
             if labels[i]:
                 break
             expected += 1
-        assert ifa(preds, truth_from(labels)) == expected
+        assert ifa(scores, truth_from(labels)) == expected
 
 
 def test_ifa_requires_defects():
     with pytest.raises(NoDefects):
-        ifa(preds_from([1], [1]), truth_from([0]))
+        ifa([1.0], truth_from([0]))
 
 
 @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))

@@ -6,7 +6,7 @@ the same order and break ties the same way, not merely come close.
 """
 
 import numpy as np
-from helpers import make_dataset, truth_map
+from helpers import make_dataset
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
@@ -14,7 +14,7 @@ from scipy.stats import rankdata
 import reference_measures as ref
 from hdpbench.datasets import effort_values
 from hdpbench.measures import CORE_MEASURES, HIGHER_IS_BETTER, MEASURE_IDS, compute_measure, effort_curve
-from hdpbench.udp import best_metric_oracle, bundle_predictions
+from hdpbench.udp import Prediction, best_metric_oracle
 
 # LOC values <= 0 are clamped to effort 1; few distinct efforts make equal
 # defect densities common
@@ -41,26 +41,26 @@ def prediction_cases(draw):
     labels = draw(labels_of(n))
     predicted = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     d = make_dataset("t", np.column_stack([loc, scores]), labels)
-    return bundle_predictions(d, scores, predicted), truth_map(d), draw(FRACTIONS)
+    return scores, predicted, effort_values(d), d.labels, draw(FRACTIONS)
 
 
 @given(prediction_cases())
 def test_compute_measure_equals_loop_reference(case):
-    preds, truth, fraction = case
+    scores, predicted, efforts, actual, fraction = case
     for measure in MEASURE_IDS:
-        assert compute_measure(measure, preds, truth, fraction) == ref.compute_measure(
-            measure, preds, truth, fraction
-        ), measure
+        assert compute_measure(
+            measure, scores, predicted, efforts, actual, fraction
+        ) == ref.compute_measure(measure, scores, predicted, efforts, actual, fraction), measure
 
 
 @given(prediction_cases())
 def test_effort_curve_points_equal_loop_reference(case):
-    preds, truth, _ = case
-    if not any(truth.values()):
+    scores, _, efforts, actual, _ = case
+    if not actual.any():
         return
     for ordering in ("by_score", "optimal", "worst"):
-        curve = effort_curve(preds, truth, ordering)
-        expected = ref.effort_curve_points(preds, truth, ordering)
+        curve = effort_curve(scores, efforts, actual, ordering)
+        expected = ref.effort_curve_points(scores, efforts, actual, ordering)
         assert curve.points == expected, ordering
         assert curve.area() == ref.area(expected), ordering
 
@@ -72,8 +72,8 @@ def test_rankdata_equals_loop_average_ranks(values):
 
 
 def brute_force_best_metric(d, measure, effort_fraction):
-    """Bundle every (metric, direction) candidate and score it with compute_measure."""
-    truth = truth_map(d)
+    """Score every (metric, direction) candidate with compute_measure."""
+    efforts = effort_values(d)
     n = d.n_modules
     best = None
     for name in d.schema.metric_names:
@@ -83,19 +83,18 @@ def brute_force_best_metric(d, measure, effort_fraction):
             order = sorted(range(n), key=lambda i: -scores[i])
             predicted = np.zeros(n, dtype=bool)
             predicted[order[: (n + 1) // 2]] = True
-            preds = bundle_predictions(d, scores, predicted)
-            value, _ = compute_measure(measure, preds, truth, effort_fraction)
+            value, _ = compute_measure(measure, scores, predicted, efforts, d.labels, effort_fraction)
             if value is None:
                 continue
             quality = value if HIGHER_IS_BETTER[measure] else -value
             if best is None or quality > best[0]:
-                best = (quality, name, preds, value)
+                best = (quality, name, Prediction(scores, predicted), value)
     if best is None:
         column = d.column(d.schema.metric_names[0])
         order = sorted(range(n), key=lambda i: -column[i])
         predicted = np.zeros(n, dtype=bool)
         predicted[order[: (n + 1) // 2]] = True
-        return d.schema.metric_names[0], bundle_predictions(d, column, predicted), None
+        return d.schema.metric_names[0], Prediction(column, predicted), None
     return best[1], best[2], best[3]
 
 
@@ -113,6 +112,7 @@ def test_best_metric_oracle_equals_brute_force(data):
     d = make_dataset("t", np.column_stack([loc, *others]), labels)
     for measure in CORE_MEASURES:
         result = best_metric_oracle(d, measure, fraction)
-        metric, preds, value = brute_force_best_metric(d, measure, fraction)
+        metric, pred, value = brute_force_best_metric(d, measure, fraction)
         assert (result.metric, result.value) == (metric, value), measure
-        assert result.predictions == preds, measure
+        assert np.array_equal(result.predictions.scores, pred.scores), measure
+        assert np.array_equal(result.predictions.predicted, pred.predicted), measure

@@ -17,7 +17,7 @@ from hdpbench.stats import (
     scott_knott,
     wilcoxon_signed_rank,
 )
-from hdpbench.udp import ScoredPrediction
+from hdpbench.udp import Prediction
 
 # ---------------------------------------------------------------------------
 # Wilcoxon signed-rank
@@ -258,14 +258,11 @@ PAPER_TABLE = {
 
 
 def paper_preds(key):
-    return [
-        ScoredPrediction(f"m{i}", float(v), bool(v), 1.0)
-        for i, v in enumerate(PAPER_TABLE[key])
-    ]
+    return Prediction(PAPER_TABLE[key], PAPER_TABLE[key]).predicted
 
 
 def paper_truth():
-    return {f"m{i}": True for i in range(10)}
+    return np.ones(10, dtype=bool)
 
 
 def test_diversity_counts_for_worked_example():
@@ -292,19 +289,64 @@ def test_diversity_identical_predictions():
 
 
 def test_diversity_ignores_non_defective_modules():
-    preds_a = [ScoredPrediction("a", 1, True, 1.0), ScoredPrediction("b", 0, False, 1.0)]
-    preds_b = [ScoredPrediction("a", 1, False, 1.0), ScoredPrediction("b", 0, True, 1.0)]
-    truth = {"a": True, "b": False}
-    table = diversity_table(preds_a, preds_b, truth)
+    table = diversity_table([True, False], [False, True], [True, False])
     assert table.total == 1
     assert table.n_cw == 1
 
 
-def test_diversity_alignment_error():
-    preds_a = [ScoredPrediction("a", 1, True, 1.0)]
-    preds_b = [ScoredPrediction("zzz", 1, True, 1.0)]
+def test_diversity_length_error():
+    one, three = np.ones(1, dtype=bool), np.ones(3, dtype=bool)
+    # a length-1 vector must raise against length-n ones, not broadcast
+    for a, b, truth in ((one, three, three), (three, one, three), (three, three, one),
+                        (three, three, three[:2])):
+        with pytest.raises(ValueError):
+            diversity_table(a, b, truth)
     with pytest.raises(ValueError):
-        diversity_table(preds_a, preds_b, {"a": True})
+        diversity_table(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool),
+                        np.ones((2, 2), dtype=bool))
+
+
+def contingency_from_bits(a: str, b: str, truth: str) -> ContingencyTable:
+    """Loop reference over '0'/'1' label strings, one character per module."""
+    cc = cw = wc = ww = 0
+    for pa, pb, t in zip(a, b, truth):
+        if t != "1":
+            continue
+        if pa == "1" and pb == "1":
+            cc += 1
+        elif pa == "1":
+            cw += 1
+        elif pb == "1":
+            wc += 1
+        else:
+            ww += 1
+    return ContingencyTable(cc, cw, wc, ww)
+
+
+@st.composite
+def label_triples(draw):
+    n = draw(st.integers(0, 40))
+    bits = st.text(alphabet="01", min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["mixed", "all_defective", "none_defective", "identical"]))
+    a = draw(bits)
+    b = a if kind == "identical" else draw(bits)
+    if kind == "all_defective":
+        return a, b, "1" * n
+    if kind == "none_defective":
+        return a, b, "0" * n
+    return a, b, draw(bits)
+
+
+def flags(bits: str) -> np.ndarray:
+    return np.array([c == "1" for c in bits], dtype=bool)
+
+
+@given(label_triples())
+def test_diversity_table_equals_loop_reference(case):
+    a, b, truth = case
+    table = diversity_table(flags(a), flags(b), flags(truth))
+    assert table == contingency_from_bits(a, b, truth)
+    assert table.total == truth.count("1")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import pytest
 
 from hdpbench import measures
 from hdpbench.learner import zscore_apply, zscore_fit
+from hdpbench.datasets import effort_values
 from hdpbench.udp import (
-    ScoredPrediction,
+    Prediction,
     best_metric_oracle,
     cla_predict,
     clami_predict,
@@ -13,7 +14,7 @@ from hdpbench.udp import (
     normalized_laplacian,
     spectral_predict,
 )
-from helpers import make_dataset, truth_map
+from helpers import make_dataset
 
 # ---------------------------------------------------------------------------
 # CLA
@@ -22,13 +23,13 @@ from helpers import make_dataset, truth_map
 def test_cla_hand_trace():
     d = make_dataset("t", [[1, 9], [9, 1], [9, 9], [1, 1]], [0, 0, 1, 0])
     preds = cla_predict(d, 50.0)
-    assert [p.score for p in preds] == [1, 1, 2, 0]
-    assert [p.predicted for p in preds] == [False, False, True, False]
+    assert preds.scores.tolist() == [1, 1, 2, 0]
+    assert preds.predicted.tolist() == [False, False, True, False]
 
 
 def test_cla_identical_rows_predict_nothing():
     d = make_dataset("t", np.ones((5, 3)), [0, 1, 0, 0, 0])
-    assert not any(p.predicted for p in cla_predict(d))
+    assert not cla_predict(d).predicted.any()
 
 
 def test_cla_score_is_k_ordering():
@@ -37,7 +38,7 @@ def test_cla_score_is_k_ordering():
     preds = cla_predict(d)
     cutoffs = np.percentile(d.values, 50.0, axis=0)
     k = (d.values > cutoffs).sum(axis=1)
-    assert [p.score for p in preds] == k.tolist()
+    assert preds.scores.tolist() == k.tolist()
 
 
 def test_cla_rejects_bad_percentile():
@@ -52,12 +53,12 @@ def test_cla_invariant_under_monotone_transforms():
     for _ in range(30):
         values = rng.lognormal(1, 0.8, size=(15, 4)) + 0.5
         d = make_dataset("t", values, rng.random(15) < 0.4)
-        base = [p.predicted for p in cla_predict(d)]
+        base = cla_predict(d).predicted.tolist()
         warped = np.column_stack(
             [transforms[j % len(transforms)](values[:, j]) for j in range(4)]
         )
         d2 = make_dataset("t", warped, d.labels)
-        assert [p.predicted for p in cla_predict(d2)] == base
+        assert cla_predict(d2).predicted.tolist() == base
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +69,8 @@ def test_clami_keeps_zero_violation_metric():
     # metric 0 tracks the CLA labels perfectly, metric 1 violates them
     d = make_dataset("t", [[9, 1], [9, 9], [1, 1], [1, 9]], [1, 1, 0, 0])
     preds = clami_predict(d)
-    assert len(preds) == 4
-    assert [p.predicted for p in preds[:2]] != [p.predicted for p in preds[2:]]
+    assert len(preds.predicted) == 4
+    assert preds.predicted[:2].tolist() != preds.predicted[2:].tolist()
 
 
 def test_clami_falls_back_to_cla_when_class_vanishes():
@@ -77,16 +78,17 @@ def test_clami_falls_back_to_cla_when_class_vanishes():
     # filtering then drops every CLA-defective module
     d = make_dataset("t", [[9, 1], [1, 9], [2, 2], [3, 3], [4, 4]], [0, 0, 0, 0, 1])
     cla = cla_predict(d, 90.0)
-    assert sum(p.predicted for p in cla) == 2
+    assert cla.predicted.sum() == 2
     clami = clami_predict(d, 90.0)
-    assert [(p.score, p.predicted) for p in clami] == [(p.score, p.predicted) for p in cla]
+    assert clami.scores.tolist() == cla.scores.tolist()
+    assert clami.predicted.tolist() == cla.predicted.tolist()
 
 
-def test_clami_prediction_count_and_ids():
+def test_clami_prediction_count():
     rng = np.random.default_rng(2)
     d = make_dataset("t", rng.lognormal(1, 1, (30, 5)), rng.random(30) < 0.3)
     preds = clami_predict(d)
-    assert [p.module_id for p in preds] == list(d.module_ids)
+    assert preds.scores.shape == preds.predicted.shape == (d.n_modules,)
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +104,14 @@ def block_dataset(seed=3):
 
 def test_spectral_labels_high_value_block_defective():
     preds = spectral_predict(block_dataset())
-    assert [p.predicted for p in preds] == [True] * 5 + [False] * 5
+    assert preds.predicted.tolist() == [True] * 5 + [False] * 5
 
 
 def test_spectral_degenerate_graph():
     d = make_dataset("t", np.ones((4, 2)), [0, 1, 0, 0])
     preds = spectral_predict(d)
-    assert not any(p.predicted for p in preds)
-    assert all(p.score == 0 for p in preds)
+    assert not preds.predicted.any()
+    assert (preds.scores == 0).all()
 
 
 def test_spectral_eigen_residual():
@@ -156,20 +158,20 @@ def test_spectral_split_matches_brute_force_eigendecomposition():
     eigenvalues = np.linalg.eigvalsh(laplacian)
     assert np.allclose(roots, eigenvalues, atol=1e-8)
     preds = spectral_predict(d)
-    assert [p.predicted for p in preds] == [True, True, False, False]
+    assert preds.predicted.tolist() == [True, True, False, False]
 
 
 def test_spectral_scores_are_normalized_row_sums_and_permutation_invariant():
     d = block_dataset(seed=5)
     preds = spectral_predict(d)
     z = zscore_apply(zscore_fit(d.values), d.values)
-    assert np.allclose([p.score for p in preds], z.sum(axis=1))
+    assert np.allclose(preds.scores.tolist(), z.sum(axis=1))
     perm = [2, 0, 3, 1]
     d2 = make_dataset("b", d.values[:, perm], d.labels)
     preds2 = spectral_predict(d2)
     # summation order shifts by a few ulps under permutation
-    assert np.allclose([p.score for p in preds], [p.score for p in preds2], atol=1e-12)
-    assert [p.predicted for p in preds] == [p.predicted for p in preds2]
+    assert np.allclose(preds.scores.tolist(), preds2.scores.tolist(), atol=1e-12)
+    assert preds.predicted.tolist() == preds2.predicted.tolist()
 
 
 def test_spectral_needs_two_modules():
@@ -184,24 +186,26 @@ def test_spectral_needs_two_modules():
 def test_manual_down_and_up():
     d = make_dataset("t", [[100], [50], [200], [10]], [0, 0, 1, 0])
     down = manual_rank(d, "down")
-    assert [p.predicted for p in down] == [True, False, True, False]
+    assert down.predicted.tolist() == [True, False, True, False]
     up = manual_rank(d, "up")
-    assert [p.predicted for p in up] == [False, True, False, True]
+    assert up.predicted.tolist() == [False, True, False, True]
 
 
 def test_manual_down_reversed_equals_up_for_distinct_loc():
     rng = np.random.default_rng(6)
     loc = rng.permutation(np.arange(1, 12)).astype(float)
     d = make_dataset("t", loc[:, None], rng.random(11) < 0.5)
-    down_order = sorted(range(11), key=lambda i: -manual_rank(d, "down")[i].score)
-    up_order = sorted(range(11), key=lambda i: -manual_rank(d, "up")[i].score)
+    down = manual_rank(d, "down").scores
+    up = manual_rank(d, "up").scores
+    down_order = sorted(range(11), key=lambda i: -down[i])
+    up_order = sorted(range(11), key=lambda i: -up[i])
     assert down_order == up_order[::-1]
 
 
 def test_manual_clamps_zero_loc_effort():
     d = make_dataset("t", [[0.0], [5.0]], [0, 1])
     preds = manual_rank(d, "up")
-    assert all(p.effort > 0 for p in preds)
+    assert preds.scores.tolist() == [1.0, 0.2]  # 1 / clamped LOC, finite
 
 
 def test_manual_invariant_under_monotone_loc_transform():
@@ -209,9 +213,9 @@ def test_manual_invariant_under_monotone_loc_transform():
     for _ in range(30):
         loc = rng.integers(1, 500, size=13).astype(float)
         d = make_dataset("t", loc[:, None], rng.random(13) < 0.4)
-        base = [p.predicted for p in manual_rank(d, "down")]
+        base = manual_rank(d, "down").predicted.tolist()
         d2 = make_dataset("t", (3 * loc + 2)[:, None], d.labels)
-        assert [p.predicted for p in manual_rank(d2, "down")] == base
+        assert manual_rank(d2, "down").predicted.tolist() == base
 
 
 def test_manual_rejects_unknown_direction():
@@ -255,12 +259,13 @@ def test_oracle_beats_or_ties_manual_ranking():
         labels[0] = True
         labels[1] = False
         d = make_dataset("t", values, labels)
-        truth = truth_map(d)
+        efforts = effort_values(d)
         for measure_id in measures.CORE_MEASURES:
             oracle_value = best_metric_oracle(d, measure_id).value
             for direction in ("down", "up"):
+                manual = manual_rank(d, direction)
                 manual_value, _ = measures.compute_measure(
-                    measure_id, manual_rank(d, direction), truth, 0.2
+                    measure_id, manual.scores, manual.predicted, efforts, d.labels, 0.2
                 )
                 if manual_value is None or oracle_value is None:
                     continue
@@ -280,9 +285,20 @@ def test_every_method_returns_one_prediction_per_module():
         manual_rank(d, "down"),
         best_metric_oracle(d, "auc").predictions,
     ):
-        assert [p.module_id for p in preds] == list(d.module_ids)
+        assert isinstance(preds, Prediction)
+        assert preds.scores.dtype == np.float64 and preds.predicted.dtype == bool
+        assert preds.scores.shape == preds.predicted.shape == (d.n_modules,)
 
 
-def test_scored_prediction_requires_positive_effort():
+def test_prediction_converts_and_checks_shapes():
+    pred = Prediction([3, 1], [1, 0])
+    assert pred.scores.dtype == np.float64 and pred.scores.tolist() == [3.0, 1.0]
+    assert pred.predicted.dtype == bool and pred.predicted.tolist() == [True, False]
     with pytest.raises(ValueError):
-        ScoredPrediction("m", 0.5, True, 0.0)
+        Prediction([0.5, 0.2], [True])  # unequal lengths
+    with pytest.raises(ValueError):
+        Prediction([0.5], [True, False])  # length 1 must not broadcast
+    with pytest.raises(ValueError):
+        Prediction([[0.5, 0.2]], [[True, False]])  # 2-d
+    with pytest.raises(ValueError):
+        Prediction(0.5, True)  # 0-d
