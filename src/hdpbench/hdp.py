@@ -172,7 +172,16 @@ def max_weight_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
     """Exact maximum-weight assignment (Kuhn-Munkres with potentials).
 
     Accepts a rectangular matrix; every row (or column, whichever side is
-    smaller) is assigned. Returns (row, col) index pairs.
+    smaller) is assigned. Returns (row, col) index pairs, sorted.
+
+    Ties: when several pairings reach the same total weight, the one
+    returned is the first this iteration reaches. The smaller side (rows
+    after transposing a tall matrix) is added one index at a time, and
+    each augmenting-path search scans the other side in increasing index
+    order and moves only to a strictly smaller reduced cost. So a matrix
+    of equal weights pairs index i with index i, e.g. ``ones((3, 3))``
+    gives the diagonal and ``ones((2, 4))`` and ``ones((4, 2))`` give
+    [(0, 0), (1, 1)]. Another solver may return another optimal pairing.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.size == 0:
@@ -236,7 +245,8 @@ def match_from_weights(
 
     Edges at or below the cutoff are zeroed before the assignment is solved
     and dropped from the returned pairs; an empty matching is a valid
-    result.
+    result. Among pairings of equal total weight, the one returned is the
+    one ``max_weight_assignment`` picks by its tie rule.
     """
     weights = np.asarray(weights, dtype=float)
     usable = np.where(weights > cutoff, weights, 0.0)

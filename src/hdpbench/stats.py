@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
+from scipy import special
+from scipy.stats import rankdata
 
 ALPHA = 0.05
 NEGLIGIBLE_DELTA = 0.147  # |delta| below this is a negligible effect
@@ -181,7 +182,8 @@ def scott_knott(samples: Mapping[str, Sequence[float]], alpha: float = ALPHA) ->
             sigma02 = (float(((ms - overall) ** 2).sum()) + nu * s2_mean) / (k + nu)
             if sigma02 > 0:
                 lam = _SK_FACTOR * best_b0 / sigma02
-                if lam > chi2.isf(alpha, k / (math.pi - 2.0)):
+                # chdtri is the chi-square inverse survival function
+                if lam > special.chdtri(k / (math.pi - 2.0), alpha):
                     partition(group[:best_split])
                     partition(group[best_split:])
                     return
@@ -219,7 +221,7 @@ def mcnemar(ct: ContingencyTable) -> float:
     if discordant == 0:
         return 1.0
     stat = (ct.n_cw - ct.n_wc) ** 2 / discordant
-    return float(chi2.sf(stat, 1))
+    return float(special.chdtrc(1, stat))  # the chi-square survival function
 
 
 def diversity_table(

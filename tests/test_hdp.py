@@ -18,6 +18,7 @@ from hdpbench.hdp import (
     ks_pvalue,
     ks_statistic,
     match_from_weights,
+    max_weight_assignment,
     match_metrics,
     register_external_method,
     select_top_metrics,
@@ -184,6 +185,21 @@ def test_sub_cutoff_edges_do_not_displace_real_ones():
     w = np.array([[0.06, 0.05], [0.05, 0.0]])
     match = match_from_weights(w, ["s0", "s1"], ["t0", "t1"], cutoff=0.05)
     assert match.pairs == (("s0", "t0", 0.06),)
+
+
+def test_equal_weight_ties_pair_index_with_index():
+    # hdp1's matchings depend on this rule; a solver that breaks ties
+    # another way changes them without changing the total weight
+    assert max_weight_assignment(np.ones((3, 3))) == [(0, 0), (1, 1), (2, 2)]
+    assert max_weight_assignment(np.ones((2, 4))) == [(0, 0), (1, 1)]
+    assert max_weight_assignment(np.ones((4, 2))) == [(0, 0), (1, 1)]
+    assert max_weight_assignment(np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 2.0]])) == [(0, 0), (1, 1)]
+    assert max_weight_assignment(np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])) == [(0, 1), (1, 2)]
+    # scipy's linear_sum_assignment(maximize=True) returns [(0, 0), (1, 2), (2, 1)]
+    tied = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert max_weight_assignment(tied) == [(0, 1), (1, 2), (2, 0)]
+    match = match_from_weights(np.full((2, 3), 0.5), ["s0", "s1"], ["t0", "t1", "t2"])
+    assert match.pairs == (("s0", "t0", 0.5), ("s1", "t1", 0.5))
 
 
 def test_match_metrics_identical_distribution():

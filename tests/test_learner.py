@@ -2,20 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hdpbench.learner import (
     LogisticModel,
     StandardizationParams,
     TrainConfig,
-    _gd_fit,
     _loss_and_grad,
+    _newton_fit,
+    _sigmoid,
     predict_proba,
     train_logistic,
     zscore_apply,
     zscore_fit,
 )
+from reference_learner import _gd_fit
 
 
 def test_zscore_fit_simple_column():
@@ -79,7 +81,7 @@ def test_gradient_small_at_optimum():
     y = rng.random(40) < 0.5
     cfg = TrainConfig()
     Z = zscore_apply(zscore_fit(X), X)
-    w, b, _ = _gd_fit(Z, y.astype(float), cfg)
+    w, b, _ = _newton_fit(Z, y.astype(float), cfg)
     _, gw, gb = _loss_and_grad(w, b, Z, y.astype(float), cfg.l2_strength)
     assert math.sqrt(float(gw @ gw) + gb * gb) < cfg.tolerance
 
@@ -112,7 +114,7 @@ def test_loss_is_non_increasing():
     y = rng.random(30) < 0.4
     y[0], y[1] = True, False
     Z = zscore_apply(zscore_fit(X), X)
-    _, _, losses = _gd_fit(Z, y.astype(float), TrainConfig())
+    _, _, losses = _newton_fit(Z, y.astype(float), TrainConfig())
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-15)
 
@@ -162,3 +164,100 @@ def test_model_requires_finite_weights():
     params = StandardizationParams(np.zeros(1), np.ones(1))
     with pytest.raises(ValueError):
         LogisticModel(np.array([np.inf]), 0.0, params)
+
+
+def test_config_rejects_non_finite_l2():
+    for l2 in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(l2_strength=l2)
+
+
+def test_config_rejects_non_positive_l2():
+    # without a penalty separable data has no finite optimum to step to
+    for l2 in (0.0, -1e-4):
+        with pytest.raises(ValueError):
+            TrainConfig(l2_strength=l2)
+
+
+def test_config_rejects_max_iters_below_one():
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError):
+            TrainConfig(max_iters=max_iters)
+
+
+def test_config_rejects_non_positive_tolerance():
+    for tolerance in (0.0, -1e-8, math.nan):
+        with pytest.raises(ValueError):
+            TrainConfig(tolerance=tolerance)
+
+
+@st.composite
+def fit_inputs(draw):
+    n = draw(st.integers(10, 30))
+    d = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(st.floats(-100, 100), min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assume(y.any() and not y.all())
+    return X, y
+
+
+@given(fit_inputs())
+def test_newton_reaches_the_converged_reference_optimum(data):
+    X, y = data
+    Z = zscore_apply(zscore_fit(X), X)
+    cfg = TrainConfig()
+    # a short cap keeps the slow near-separable reference fits out
+    ref_w, ref_b, ref_losses = _gd_fit(Z, y.astype(float), TrainConfig(max_iters=500))
+    _, gw, gb = _loss_and_grad(ref_w, ref_b, Z, y.astype(float), cfg.l2_strength)
+    assume(math.sqrt(float(gw @ gw) + gb * gb) < cfg.tolerance)
+    w, b, losses = _newton_fit(Z, y.astype(float), cfg)
+    assert losses[-1] <= ref_losses[-1] + 1e-12
+    ref_scores = _sigmoid(Z @ ref_w + ref_b)
+    decided = np.abs(ref_scores - 0.5) > 1e-6
+    assert np.array_equal((_sigmoid(Z @ w + b) > 0.5)[decided], (ref_scores > 0.5)[decided])
+
+
+def test_constant_column_weight_stays_exactly_zero():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(20, 3))
+    X[:, 1] = 7.0
+    y = X[:, 0] + 0.5 * rng.normal(size=20) > 0
+    model = train_logistic(X, y)
+    assert model.weights[1] == 0.0
+    assert model.weights[0] != 0.0 and model.weights[2] != 0.0
+
+
+# a CLAMI fit of a plans226 benchmark run: one metric, nearly separable at
+# about 1006, where gradient descent stopped at its 5000-iteration cap
+CAPPED_X = [1606.2022937689737, 1601.9785365989476, 1606.9871983261137, 1609.851779044015,
+            1000.7912159042163, 1001.2948591843272, 1002.0615406887675, 1001.6410369956853,
+            1006.07944169294, 1004.0274892684565, 1005.0983213987505, 1002.6583038557712,
+            1000.6478774485945, 1003.2194104373149, 1002.5479178503051, 1001.3311753851094]
+CAPPED_Y = [1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0]
+
+
+def test_near_separable_input_that_capped_gradient_descent_converges():
+    X = np.array(CAPPED_X)[:, None]
+    y = np.array(CAPPED_Y, dtype=float)
+    Z = zscore_apply(zscore_fit(X), X)
+    cfg = TrainConfig()
+    _, _, ref_losses = _gd_fit(Z, y, cfg)
+    assert len(ref_losses) - 1 == cfg.max_iters
+    w, b, losses = _newton_fit(Z, y, cfg)
+    _, gw, gb = _loss_and_grad(w, b, Z, y, cfg.l2_strength)
+    assert math.sqrt(float(gw @ gw) + gb * gb) < cfg.tolerance
+    assert len(losses) - 1 < cfg.max_iters
+    assert losses[-1] < ref_losses[-1]
+
+
+def test_backtracking_damps_a_newton_step_that_would_raise_the_loss():
+    # here the full first Newton step overshoots and raises the loss
+    X = np.array([[4.0, 3.8], [-2.2, -18.5], [-0.2, 0.7], [-0.5, -0.1], [-16.0, -2.4]])
+    y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    Z = zscore_apply(zscore_fit(X), X)
+    cfg = TrainConfig()
+    w, b, losses = _newton_fit(Z, y, cfg)
+    assert np.all(np.diff(losses) <= 1e-15)
+    _, gw, gb = _loss_and_grad(w, b, Z, y, cfg.l2_strength)
+    assert math.sqrt(float(gw @ gw) + gb * gb) < cfg.tolerance

@@ -1,9 +1,13 @@
 import itertools
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
+from scipy.stats import chi2
 
 from hdpbench.stats import (
     ContingencyTable,
@@ -246,6 +250,14 @@ def test_scott_knott_three_tiers():
     assert ranking.groups[2] == ("low",)
 
 
+def test_scott_knott_critical_value_equals_chi2_isf():
+    # scott_knott calls the special function behind chi2.isf directly
+    for alpha in (0.01, 0.05, 0.1):
+        for k in range(2, 201):
+            df = k / (math.pi - 2.0)
+            assert special.chdtri(df, alpha) == chi2.isf(alpha, df)
+
+
 # ---------------------------------------------------------------------------
 # McNemar and diversity
 
@@ -281,6 +293,17 @@ def test_mcnemar_reproduces_worked_p_values():
 def test_mcnemar_balanced_discordants():
     assert mcnemar(ContingencyTable(3, 4, 4, 2)) == 1.0
     assert mcnemar(ContingencyTable(5, 0, 0, 5)) == 1.0
+
+
+def test_mcnemar_equals_chi2_sf_on_a_grid():
+    # mcnemar calls the special function behind chi2.sf directly
+    n_cw, n_wc = (grid.ravel() for grid in np.meshgrid(np.arange(300), np.arange(300)))
+    discordant = n_cw + n_wc
+    keep = discordant > 0
+    n_cw, n_wc, discordant = n_cw[keep], n_wc[keep], discordant[keep]
+    expected = chi2.sf((n_cw - n_wc) ** 2 / discordant, 1)
+    got = [mcnemar(ContingencyTable(0, int(a), int(b), 0)) for a, b in zip(n_cw, n_wc)]
+    assert np.array_equal(got, expected)
 
 
 def test_diversity_identical_predictions():
