@@ -24,6 +24,7 @@ from .harness import (
     write_report,
 )
 from .hdp import (
+    DatasetProfile,
     HdpOutcome,
     MetricMatch,
     distribution_vector,

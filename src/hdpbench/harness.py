@@ -6,9 +6,11 @@ the rows into the benchmark's report tables: Scott-Knott rankings,
 win/tie/loss matrices, McNemar diversity counts, unidentified-defective
 counts, and satisfactory ratios.
 
-Unsupervised methods ignore the source project but are evaluated once per
-combination so their rows align one-for-one with the heterogeneous
-methods' rows.
+Unsupervised methods ignore the source project: each runs once per target,
+and its result is copied to every plan of that target so the rows align
+one-for-one with the heterogeneous methods' rows. hdp1 sorts each dataset's
+columns and ranks a source's metrics once per dataset (``hdp.DatasetProfile``);
+per plan it keeps only the KS weight matrix, the assignment and the fit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import io
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -240,21 +242,24 @@ def _evaluate_hdp_outcome(
     )
 
 
+def _recorded(predict: Callable[..., hdp.HdpOutcome], *args) -> hdp.HdpOutcome:
+    """``predict(*args)`` for one plan, with any exception kept as its failure."""
+    try:
+        return predict(*args)
+    except Exception as exc:  # a single bad plan must not abort the run
+        return hdp.HdpOutcome(failure=f"error: {exc}")
+
+
 def _run_hdp_method(
     method: str, source: DefectDataset, target: DefectDataset
 ) -> hdp.HdpOutcome:
-    try:
-        if method == "hdp1":
-            return hdp.hdp1_predict(source, target)
-        if method == "hdp5":
-            return hdp.hdp5_predict(source, target)
-        fn = hdp.external_methods()[method]
-        outcome = fn(source, target)
-        if outcome.ok and len(outcome.predictions.scores) != target.n_modules:
-            return hdp.HdpOutcome(failure="error: prediction count mismatch")
-        return outcome
-    except Exception as exc:  # a single bad plan must not abort the run
-        return hdp.HdpOutcome(failure=f"error: {exc}")
+    """hdp5 or an external method on one plan."""
+    if method == "hdp5":
+        return hdp.hdp5_predict(source, target)
+    outcome = hdp.external_methods()[method](source, target)
+    if outcome.ok and len(outcome.predictions.scores) != target.n_modules:
+        return hdp.HdpOutcome(failure="error: prediction count mismatch")
+    return outcome
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -281,8 +286,11 @@ def _run_on_datasets(
     need_hdp1 = cfg.scenario == "scenario2" or "hdp1" in cfg.methods
     hdp1_outcomes: dict[tuple[str, str], hdp.HdpOutcome] = {}
     if need_hdp1:
+        # hdp1's sorts and metric selection depend on one dataset: do them once
+        names = sorted({p.source for p in all_plans} | {p.target for p in all_plans})
+        profiles = {name: hdp.DatasetProfile(datasets[name]) for name in names}
         hdp1_outcomes = {
-            (p.source, p.target): _run_hdp_method("hdp1", datasets[p.source], datasets[p.target])
+            (p.source, p.target): _recorded(hdp.hdp1_predict, profiles[p.source], profiles[p.target])
             for p in all_plans
         }
 
@@ -305,7 +313,7 @@ def _run_on_datasets(
             if method == "hdp1":
                 outcome = hdp1_outcomes[(p.source, p.target)]
             else:
-                outcome = _run_hdp_method(method, datasets[p.source], datasets[p.target])
+                outcome = _recorded(_run_hdp_method, method, datasets[p.source], datasets[p.target])
             cell[(method, p.source, p.target)] = _evaluate_hdp_outcome(
                 method, outcome, datasets[p.target], efforts[p.target],
                 cfg.measures, cfg.effort_fraction,

@@ -10,7 +10,8 @@ fixed 14-statistic vector. Further heterogeneous methods plug in through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,24 +149,85 @@ def kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample KS statistic: the largest ECDF gap over all sample points."""
-    x = np.sort(np.asarray(a, dtype=float))
-    y = np.sort(np.asarray(b, dtype=float))
-    if len(x) == 0 or len(y) == 0:
+def _sorted_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of an (n, m) matrix sorted ascending, one row per column,
+    and each sorted value's right-side count within its own row."""
+    columns = np.array(np.asarray(values, dtype=float).T, order="C")
+    columns.sort(axis=1)
+    counts = np.array([np.searchsorted(c, c, side="right") for c in columns])
+    return columns, counts.reshape(columns.shape)
+
+
+def ks_statistics(
+    x_columns: np.ndarray, x_counts: np.ndarray, y_columns: np.ndarray, y_counts: np.ndarray
+) -> np.ndarray:
+    """Two-sample KS statistics of every x sample against every y sample.
+
+    Each row of ``x_columns`` (k, n) and ``y_columns`` (l, m) is one sample
+    sorted ascending, and the counts are each value's right-side count in
+    its own row, as ``_sorted_columns`` returns them. Entry (i, j) is the
+    largest ECDF gap over the points of both samples, each ECDF value being
+    count / sample size. It takes k + l ``searchsorted`` calls, each over
+    one whole side, in place of k * l pairwise sorts.
+    """
+    n, m = x_columns.shape[1], y_columns.shape[1]
+    if n == 0 or m == 0:
         raise ValueError("both samples must be non-empty")
-    points = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, points, side="right") / len(x)
-    cdf_y = np.searchsorted(y, points, side="right") / len(y)
-    return float(np.abs(cdf_x - cdf_y).max())
+    stats = np.empty((len(x_columns), len(y_columns)))
+    y_ecdf = y_counts / m
+    for i, col in enumerate(x_columns):
+        # gaps at y's points: x's ECDF there against y's own
+        stats[i] = np.abs(np.searchsorted(col, y_columns, side="right") / n - y_ecdf).max(axis=1)
+    x_ecdf = x_counts / n
+    for j, col in enumerate(y_columns):
+        at_x = np.abs(x_ecdf - np.searchsorted(col, x_columns, side="right") / m).max(axis=1)
+        np.maximum(stats[:, j], at_x, out=stats[:, j])
+    return stats
+
+
+def ks_pvalues(stats: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Asymptotic KS p-values of statistics between samples of n and m
+    values, with effective size n*m/(n+m)."""
+    lam = math.sqrt(n * m / (n + m)) * np.asarray(stats, dtype=float)
+    return np.array([[kolmogorov_sf(v) for v in row] for row in lam.tolist()]).reshape(lam.shape)
+
+
+def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
+    """Two-sample KS statistic: the 1 x 1 case of ``ks_statistics``."""
+    x = _sorted_columns(np.asarray(a, dtype=float)[:, None])
+    y = _sorted_columns(np.asarray(b, dtype=float)[:, None])
+    return float(ks_statistics(*x, *y)[0, 0])
 
 
 def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
-    """Asymptotic two-sample KS p-value with effective size n*m/(n+m)."""
-    d = ks_statistic(a, b)
-    n, m = len(a), len(b)
-    effective = n * m / (n + m)
-    return kolmogorov_sf(math.sqrt(effective) * d)
+    """Asymptotic two-sample KS p-value: the 1 x 1 case of ``ks_pvalues``."""
+    return float(ks_pvalues(np.array([[ks_statistic(a, b)]]), len(a), len(b))[0, 0])
+
+
+@dataclass(frozen=True, eq=False)
+class DatasetProfile:
+    """hdp1's per-dataset work, done once for each loaded dataset.
+
+    ``columns`` and ``counts`` are ``_sorted_columns`` of the dataset's
+    values: the half of every KS ECDF that this dataset contributes, on
+    either side of a plan. ``selected`` is the dataset's metric selection as
+    a source. It is ranked on first use, so a dataset that is never a source
+    never ranks its metrics, and one too small to rank fails each plan it is
+    the source of.
+    """
+
+    dataset: DefectDataset
+    columns: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        columns, counts = _sorted_columns(self.dataset.values)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "counts", counts)
+
+    @cached_property
+    def selected(self) -> tuple[str, ...]:
+        return tuple(select_top_metrics(self.dataset))
 
 
 def max_weight_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -261,49 +323,44 @@ def match_from_weights(
 
 
 def match_metrics(
-    source: DefectDataset,
-    target: DefectDataset,
-    selected: Sequence[str],
+    source: DatasetProfile,
+    target: DatasetProfile,
     cutoff: float = MATCH_CUTOFF,
 ) -> MetricMatch:
-    """Maximum-total-weight matching of selected source metrics to target
-    metrics, where an edge weight is the KS p-value of the two columns.
+    """Maximum-total-weight matching of the source's selected metrics to the
+    target's metrics, where an edge weight is the KS p-value of the two columns.
 
     Edges with weight <= cutoff are removed before solving (a high p-value
-    means the distributions are similar).
+    means the distributions are similar). The pairs come in source schema order.
     """
-    missing = set(selected) - set(source.schema.metric_names)
-    if missing:
-        raise ValueError(f"selected metrics not in source schema: {sorted(missing)}")
-    target_names = target.schema.metric_names
-    weights = np.zeros((len(selected), len(target_names)))
-    for i, s_name in enumerate(selected):
-        s_col = source.column(s_name)
-        for j, t_name in enumerate(target_names):
-            weights[i, j] = ks_pvalue(s_col, target.column(t_name))
-    match = match_from_weights(weights, list(selected), list(target_names), cutoff)
-    pairs = sorted(match.pairs, key=lambda p: source.schema.metric_index(p[0]))
+    schema = source.dataset.schema
+    rows = [schema.metric_index(name) for name in source.selected]
+    stats = ks_statistics(source.columns[rows], source.counts[rows], target.columns, target.counts)
+    weights = ks_pvalues(stats, source.dataset.n_modules, target.dataset.n_modules)
+    match = match_from_weights(
+        weights, list(source.selected), list(target.dataset.schema.metric_names), cutoff
+    )
+    pairs = sorted(match.pairs, key=lambda p: schema.metric_index(p[0]))
     return MetricMatch(tuple(pairs))
 
 
 def hdp1_predict(
-    source: DefectDataset,
-    target: DefectDataset,
-    selection_fraction: float = SELECTION_FRACTION,
+    source: DatasetProfile,
+    target: DatasetProfile,
     cutoff: float = MATCH_CUTOFF,
     cfg: TrainConfig = TrainConfig(),
 ) -> HdpOutcome:
-    """Metric selection, KS matching, then a logistic model on the matched
-    columns. Fails with NoMatchedMetrics when no metric pair survives the
-    cutoff; the failure is recorded, not fatal."""
-    selected = select_top_metrics(source, selection_fraction)
-    match = match_metrics(source, target, selected, cutoff)
+    """KS matching of the source's selected metrics, then a logistic model on
+    the matched columns. Fails with NoMatchedMetrics when no metric pair
+    survives the cutoff; the failure is recorded, not fatal."""
+    match = match_metrics(source, target, cutoff)
     if not match.pairs:
         return HdpOutcome(failure="NoMatchedMetrics")
-    source_cols = [source.schema.metric_index(s) for s, _, _ in match.pairs]
-    target_cols = [target.schema.metric_index(t) for _, t, _ in match.pairs]
-    model = train_logistic(source.values[:, source_cols], source.labels, cfg)
-    scores = predict_proba(model, target.values[:, target_cols])
+    s, t = source.dataset, target.dataset
+    source_cols = [s.schema.metric_index(name) for name, _, _ in match.pairs]
+    target_cols = [t.schema.metric_index(name) for _, name, _ in match.pairs]
+    model = train_logistic(s.values[:, source_cols], s.labels, cfg)
+    scores = predict_proba(model, t.values[:, target_cols])
     return HdpOutcome(predictions=Prediction(scores, scores > 0.5))
 
 

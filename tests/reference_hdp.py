@@ -6,6 +6,11 @@ versions built from ``np.unique``, ``np.median``, ``np.percentile``,
 ``np.quantile`` and a per-bin mask loop. The new code adds in the same
 order and takes the same order statistics, so tests compare the two with
 ``==``, not with a tolerance.
+
+``hdpbench.hdp`` also sorts each dataset's columns once and computes a
+plan's KS weights as one matrix. ``ks_statistic`` sorts both samples on
+every call, and ``match_metrics`` / ``hdp1_predict`` rank the source's
+metrics and fill the weight matrix one pair at a time, as hdp1 did before.
 """
 
 from __future__ import annotations
@@ -15,7 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
+from hdpbench import hdp
+from hdpbench.datasets import DefectDataset
 from hdpbench.hdp import _entropy
+from hdpbench.learner import predict_proba, train_logistic
+from hdpbench.udp import Prediction
 
 
 def equal_frequency_bins(feature: np.ndarray, n_bins: int = 10) -> np.ndarray:
@@ -75,3 +84,47 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
         skew,
         kurt,
     ])
+
+
+def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
+    x = np.sort(np.asarray(a, dtype=float))
+    y = np.sort(np.asarray(b, dtype=float))
+    if len(x) == 0 or len(y) == 0:
+        raise ValueError("both samples must be non-empty")
+    points = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, points, side="right") / len(x)
+    cdf_y = np.searchsorted(y, points, side="right") / len(y)
+    return float(np.abs(cdf_x - cdf_y).max())
+
+
+def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
+    d = ks_statistic(a, b)
+    n, m = len(a), len(b)
+    effective = n * m / (n + m)
+    return hdp.kolmogorov_sf(math.sqrt(effective) * d)
+
+
+def match_metrics(
+    source: DefectDataset, target: DefectDataset, cutoff: float = hdp.MATCH_CUTOFF
+) -> hdp.MetricMatch:
+    selected = hdp.select_top_metrics(source)
+    target_names = target.schema.metric_names
+    weights = np.zeros((len(selected), len(target_names)))
+    for i, s_name in enumerate(selected):
+        s_col = source.column(s_name)
+        for j, t_name in enumerate(target_names):
+            weights[i, j] = ks_pvalue(s_col, target.column(t_name))
+    match = hdp.match_from_weights(weights, list(selected), list(target_names), cutoff)
+    pairs = sorted(match.pairs, key=lambda p: source.schema.metric_index(p[0]))
+    return hdp.MetricMatch(tuple(pairs))
+
+
+def hdp1_predict(source: DefectDataset, target: DefectDataset) -> hdp.HdpOutcome:
+    match = match_metrics(source, target)
+    if not match.pairs:
+        return hdp.HdpOutcome(failure="NoMatchedMetrics")
+    source_cols = [source.schema.metric_index(s) for s, _, _ in match.pairs]
+    target_cols = [target.schema.metric_index(t) for _, t, _ in match.pairs]
+    model = train_logistic(source.values[:, source_cols], source.labels)
+    scores = predict_proba(model, target.values[:, target_cols])
+    return hdp.HdpOutcome(predictions=Prediction(scores, scores > 0.5))

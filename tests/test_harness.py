@@ -14,7 +14,8 @@ from hdpbench.harness import (
 )
 from hdpbench.hdp import HdpOutcome, register_external_method, unregister_external_method
 from hdpbench.udp import Prediction
-from helpers import write_synthetic_benchmark
+import reference_hdp
+from helpers import write_benchmark_stub_files, write_synthetic_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +372,93 @@ def test_same_config_twice_is_byte_identical(tmp_path):
         write_report(build_report(result), d)
     for name in sorted(p.name for p in dirs[0].iterdir()):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# hdp1's per-dataset profiles
+
+# the three NASA groups share one value scale, so their plans can match
+STUB_GROUPS = {"relink": "Apache Safe", "nasa37": "cm1 mw1", "nasa21": "jm1", "nasa36": "pc2",
+               "softlab": "ar1 ar3"}
+
+
+@pytest.fixture(scope="module")
+def stub_manifest(tmp_path_factory):
+    """Eight of the 34 stub projects in five groups: 50 plans."""
+    out = tmp_path_factory.mktemp("stub")
+    manifest = write_benchmark_stub_files(out, n_modules=18, seed=3)
+    manifest.write_text("".join(
+        f"[{tag}]\nloc_metric = {tag}_m0\ngranularity = file\n"
+        f"files = {' '.join(f'{name}.csv' for name in names.split())}\n\n"
+        for tag, names in STUB_GROUPS.items()
+    ))
+    return manifest
+
+
+def _record_hdp1(monkeypatch) -> tuple[dict, dict]:
+    """Wrap hdp1_predict and match_metrics; returns (outcomes, matches) by plan."""
+    outcomes, matches = {}, {}
+    predict, match = hdp.hdp1_predict, hdp.match_metrics
+
+    def recorded_predict(source, target, *args, **kwargs):
+        key = (source.dataset.name, target.dataset.name)
+        outcomes[key] = predict(source, target, *args, **kwargs)
+        return outcomes[key]
+
+    def recorded_match(source, target, *args, **kwargs):
+        key = (source.dataset.name, target.dataset.name)
+        matches[key] = match(source, target, *args, **kwargs)
+        return matches[key]
+
+    monkeypatch.setattr(hdp, "hdp1_predict", recorded_predict)
+    monkeypatch.setattr(hdp, "match_metrics", recorded_match)
+    return outcomes, matches
+
+
+def test_hdp1_outcomes_equal_the_per_pair_reference(stub_manifest, tmp_path, monkeypatch):
+    outcomes, matches = _record_hdp1(monkeypatch)
+    cfg = ExperimentConfig(manifest=str(stub_manifest), output_dir=str(tmp_path), methods=("hdp1",))
+    result = run_experiment(cfg)
+    datasets = {d.name: d for d in harness.load_manifest_datasets(stub_manifest)}
+    assert sorted(outcomes) == sorted(matches) == sorted(result.plans) and len(outcomes) == 50
+    for (source, target), outcome in outcomes.items():
+        assert matches[(source, target)] == reference_hdp.match_metrics(datasets[source], datasets[target])
+        want = reference_hdp.hdp1_predict(datasets[source], datasets[target])
+        assert outcome.failure == want.failure
+        if outcome.ok:
+            assert outcome.predictions.scores.tobytes() == want.predictions.scores.tobytes()
+            assert np.array_equal(outcome.predictions.predicted, want.predictions.predicted)
+    ok = sum(o.ok for o in outcomes.values())
+    assert 0 < ok < len(outcomes)  # both matched and unmatched plans are compared
+
+
+def test_metric_selection_runs_once_per_source_dataset(stub_manifest, tmp_path, monkeypatch):
+    ranked = []
+    select = hdp.select_top_metrics
+
+    def counted(d, *args, **kwargs):
+        ranked.append(d.name)
+        return select(d, *args, **kwargs)
+
+    monkeypatch.setattr(hdp, "select_top_metrics", counted)
+    outcomes, _ = _record_hdp1(monkeypatch)
+    cfg = ExperimentConfig(manifest=str(stub_manifest), output_dir=str(tmp_path), methods=("hdp1",))
+    result = run_experiment(cfg)
+    assert len(outcomes) == len(result.plans) == 50
+    assert sorted(ranked) == sorted({s for s, _ in result.plans})  # 8 datasets, once each
+
+
+def test_a_dataset_too_small_to_rank_fails_only_as_a_source(tmp_path, monkeypatch):
+    manifest = two_dataset_manifest(tmp_path)
+    one = (tmp_path / "one.csv").read_text().splitlines()
+    (tmp_path / "one.csv").write_text("\n".join(one[:2]) + "\n")  # header and one module
+    outcomes, _ = _record_hdp1(monkeypatch)
+    cfg = ExperimentConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"),
+                           methods=("hdp1",), measures=("f1",))
+    failures = {(r.source, r.target): r.failure for r in run_experiment(cfg).rows}
+    # the gain ratio needs two modules; one module is enough for a KS sample
+    assert failures[("one", "two")] == "error: feature/labels must be equal-length with >= 2 samples"
+    assert outcomes[("two", "one")].ok
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from scipy.special import kolmogorov
 
 from hdpbench import hdp
 from hdpbench.hdp import (
+    DatasetProfile,
     HdpOutcome,
     MetricMatch,
     distribution_vector,
@@ -207,7 +208,7 @@ def test_match_metrics_identical_distribution():
     col = rng.normal(size=50)
     src = make_dataset("s", np.column_stack([col]), rng.random(50) < 0.5)
     tgt = make_dataset("t", np.column_stack([col]), rng.random(50) < 0.5)
-    match = match_metrics(src, tgt, ["s_m0"], cutoff=0.05)
+    match = match_metrics(DatasetProfile(src), DatasetProfile(tgt), cutoff=0.05)
     assert match.pairs == (("s_m0", "t_m0", 1.0),)
 
 
@@ -215,7 +216,7 @@ def test_match_metrics_all_below_cutoff():
     rng = np.random.default_rng(9)
     src = make_dataset("s", np.column_stack([rng.normal(0, 1, 40)]), rng.random(40) < 0.5)
     tgt = make_dataset("t", np.column_stack([rng.normal(1000, 1, 40)]), rng.random(40) < 0.5)
-    assert match_metrics(src, tgt, ["s_m0"], cutoff=0.05).pairs == ()
+    assert match_metrics(DatasetProfile(src), DatasetProfile(tgt), cutoff=0.05).pairs == ()
 
 
 def test_metric_match_rejects_duplicates():
@@ -265,7 +266,7 @@ def synthetic_pair(seed=10, n=60):
 
 def test_hdp1_succeeds_on_shared_informative_metric():
     src, tgt, yt = synthetic_pair()
-    out = hdp1_predict(src, tgt)
+    out = hdp1_predict(DatasetProfile(src), DatasetProfile(tgt))
     assert out.ok
     assert len(out.predictions.scores) == tgt.n_modules
     scores = out.predictions.scores.tolist()
@@ -280,14 +281,14 @@ def test_hdp1_fails_when_everything_is_disjoint():
         np.column_stack([rng.normal(1e5, 1, 60), rng.normal(-1e5, 1, 60)]),
         rng.random(60) < 0.5,
     )
-    out = hdp1_predict(src, tgt)
+    out = hdp1_predict(DatasetProfile(src), DatasetProfile(tgt))
     assert not out.ok and out.failure == "NoMatchedMetrics"
 
 
 def test_hdp1_is_deterministic():
     src, tgt, _ = synthetic_pair()
-    a = hdp1_predict(src, tgt)
-    b = hdp1_predict(src, tgt)
+    a = hdp1_predict(DatasetProfile(src), DatasetProfile(tgt))
+    b = hdp1_predict(DatasetProfile(src), DatasetProfile(tgt))
     assert a.predictions.scores.tolist() == b.predictions.scores.tolist()
     assert a.predictions.predicted.tolist() == b.predictions.predicted.tolist()
 

@@ -103,3 +103,37 @@ def test_kernels_keep_their_input_checks():
     for feature, labels in (([1.0], [True]), ([1.0, 2.0], [True]), ([[1.0, 2.0]], [[True, False]])):
         with pytest.raises(ValueError):
             hdp.gain_ratio(feature, labels)
+
+
+@st.composite
+def sample_matrices(draw):
+    """Two (n, k) and (m, l) matrices of samples, one sample per column."""
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return (np.array([draw(rows(n, n)) for _ in range(k)]).T,
+            np.array([draw(rows(m, m)) for _ in range(l)]).T)
+
+
+@settings(max_examples=300)
+@given(sample_matrices())
+@example((np.array([[1.0]]), np.array([[1.0]])))  # n = m = 1
+@example((np.array([[1.0]]), np.array([[0.0], [2.0]])))
+@example((np.full((5, 2), 3.0), np.full((7, 3), 3.0)))  # all tied, constant
+@example((np.full((4, 1), 3.0), np.array([[1.0], [2.0], [3.0], [3.0], [9.0]])))
+@example((np.array([[-0.0], [0.0], [1.0]]), np.array([[0.0, -0.0], [-0.0, 0.0]])))
+def test_ks_weight_matrix_equals_per_pair_loop(case):
+    xs, ys = case
+    stats = hdp.ks_statistics(*hdp._sorted_columns(xs), *hdp._sorted_columns(ys))
+    weights = hdp.ks_pvalues(stats, len(xs), len(ys))
+    pairs = [(i, j) for i in range(xs.shape[1]) for j in range(ys.shape[1])]
+    assert stats.tolist() == [[ref.ks_statistic(xs[:, i], ys[:, j]) for j in range(ys.shape[1])]
+                              for i in range(xs.shape[1])]
+    assert weights.tolist() == [[hdp.ks_pvalue(xs[:, i], ys[:, j]) for j in range(ys.shape[1])]
+                                for i in range(xs.shape[1])]
+    assert all(weights[i, j] == ref.ks_pvalue(xs[:, i], ys[:, j]) for i, j in pairs)
+
+
+def test_ks_keeps_its_input_checks():
+    for a, b in (([], [1.0]), ([1.0], [])):
+        with pytest.raises(ValueError):
+            hdp.ks_pvalue(a, b)
