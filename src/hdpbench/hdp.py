@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 from .datasets import DefectDataset
 from .learner import TrainConfig, predict_proba, train_logistic
@@ -123,32 +124,6 @@ def select_top_metrics(d: DefectDataset, fraction: float = SELECTION_FRACTION) -
     return [d.schema.metric_names[j] for j in order[:keep]]
 
 
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the asymptotic Kolmogorov distribution."""
-    if lam <= 0:
-        return 1.0
-    if lam < 1.18:
-        # dual theta series converges fast for small arguments
-        total = 0.0
-        k = 1
-        while True:
-            term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8 * lam * lam))
-            total += term
-            if term < 1e-16 * max(total, 1e-300) or k > 100:
-                break
-            k += 1
-        return min(1.0, max(0.0, 1.0 - math.sqrt(2 * math.pi) / lam * total))
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 101):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-16:
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def _sorted_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column of an (n, m) matrix sorted ascending, one row per column,
     and each sorted value's right-side count within its own row."""
@@ -188,8 +163,7 @@ def ks_statistics(
 def ks_pvalues(stats: np.ndarray, n: int, m: int) -> np.ndarray:
     """Asymptotic KS p-values of statistics between samples of n and m
     values, with effective size n*m/(n+m)."""
-    lam = math.sqrt(n * m / (n + m)) * np.asarray(stats, dtype=float)
-    return np.array([[kolmogorov_sf(v) for v in row] for row in lam.tolist()]).reshape(lam.shape)
+    return special.kolmogorov(math.sqrt(n * m / (n + m)) * np.asarray(stats, dtype=float))
 
 
 def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:

@@ -11,6 +11,8 @@ order and takes the same order statistics, so tests compare the two with
 plan's KS weights as one matrix. ``ks_statistic`` sorts both samples on
 every call, and ``match_metrics`` / ``hdp1_predict`` rank the source's
 metrics and fill the weight matrix one pair at a time, as hdp1 did before.
+``kolmogorov_sf`` is the hand-written series hdp1 used for the p-values
+before ``scipy.special.kolmogorov``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy import special
 
 from hdpbench import hdp
 from hdpbench.datasets import DefectDataset
@@ -86,6 +89,32 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     ])
 
 
+def kolmogorov_sf(lam: float) -> float:
+    """Survival function of the asymptotic Kolmogorov distribution."""
+    if lam <= 0:
+        return 1.0
+    if lam < 1.18:
+        # dual theta series converges fast for small arguments
+        total = 0.0
+        k = 1
+        while True:
+            term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8 * lam * lam))
+            total += term
+            if term < 1e-16 * max(total, 1e-300) or k > 100:
+                break
+            k += 1
+        return min(1.0, max(0.0, 1.0 - math.sqrt(2 * math.pi) / lam * total))
+    total = 0.0
+    sign = 1.0
+    for k in range(1, 101):
+        term = math.exp(-2.0 * k * k * lam * lam)
+        total += sign * term
+        if term < 1e-16:
+            break
+        sign = -sign
+    return min(1.0, max(0.0, 2.0 * total))
+
+
 def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
     x = np.sort(np.asarray(a, dtype=float))
     y = np.sort(np.asarray(b, dtype=float))
@@ -101,7 +130,7 @@ def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
     d = ks_statistic(a, b)
     n, m = len(a), len(b)
     effective = n * m / (n + m)
-    return hdp.kolmogorov_sf(math.sqrt(effective) * d)
+    return float(special.kolmogorov(math.sqrt(effective) * d))
 
 
 def match_metrics(
