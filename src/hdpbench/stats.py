@@ -15,17 +15,17 @@ from scipy.stats import rankdata
 
 ALPHA = 0.05
 NEGLIGIBLE_DELTA = 0.147  # |delta| below this is a negligible effect
-_EXACT_LIMIT = 12  # enumerate 2^n sign assignments up to this many nonzero diffs
+_EXACT_LIMIT = 12  # exact null distribution up to this many nonzero diffs
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
     """Two-sided Wilcoxon signed-rank p-value for paired samples.
 
     Zero differences are dropped and tied |differences| share averaged
-    ranks. The p-value is exact (full sign enumeration) for up to 12
-    remaining pairs; beyond that a normal approximation with tie and
-    continuity corrections keeps the two paths within 0.02 of each other
-    at the crossover. All-zero differences give p = 1.
+    ranks. The p-value is exact for up to 12 remaining pairs, counting the
+    2^n sign assignments by rank sum; beyond that a normal approximation
+    with tie and continuity corrections keeps the two paths within 0.02 of
+    each other at the crossover. All-zero differences give p = 1.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -39,10 +39,16 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
     ranks = rankdata(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     if n <= _EXACT_LIMIT:
-        signs = (np.arange(2**n, dtype=np.uint32)[:, None] >> np.arange(n)) & 1
-        sums = signs @ ranks
-        p_ge = float(np.mean(sums >= w_plus - 1e-9))
-        p_le = float(np.mean(sums <= w_plus + 1e-9))
+        # averaged ranks are multiples of 1/2, so doubled ranks are integers:
+        # count the sign assignments reaching each doubled rank sum
+        doubled = np.rint(2 * ranks).astype(np.int64)
+        counts = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
+        counts[0] = 1
+        for r in doubled:
+            counts[r:] = counts[r:] + counts[:-r]
+        w2 = int(doubled[diffs > 0].sum())
+        p_ge = int(counts[w2:].sum()) / 2**n
+        p_le = int(counts[: w2 + 1].sum()) / 2**n
         return min(1.0, 2.0 * min(p_ge, p_le))
     mu = n * (n + 1) / 4.0
     _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
