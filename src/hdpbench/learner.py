@@ -19,18 +19,25 @@ _SCORE_CLIP = 36.0  # |affine score| cap; past this the sigmoid saturates in flo
 
 @dataclass(frozen=True)
 class StandardizationParams:
+    """Per-column centre and scale. The centre is ``means + offsets``, kept
+    as two floats: ``offsets`` is the mean of the residuals ``X - means``,
+    which the rounded mean cannot absorb. Offsets default to 0."""
+
     means: np.ndarray
     stds: np.ndarray
+    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
         stds = np.asarray(self.stds, dtype=float)
-        if means.shape != stds.shape or means.ndim != 1:
-            raise ValueError("means/stds must be 1-d arrays of equal length")
+        offsets = np.zeros_like(means) if self.offsets is None else np.asarray(self.offsets, dtype=float)
+        if means.shape != stds.shape or means.shape != offsets.shape or means.ndim != 1:
+            raise ValueError("means/stds/offsets must be 1-d arrays of equal length")
         if np.any(stds < 0):
             raise ValueError("standard deviations must be non-negative")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stds", stds)
+        object.__setattr__(self, "offsets", offsets)
 
 
 @dataclass(frozen=True)
@@ -68,32 +75,37 @@ class LogisticModel:
 def zscore_fit(X: np.ndarray) -> StandardizationParams:
     """Per-column mean and sample (n-1) standard deviation; needs >= 2 rows.
 
-    A constant column records std exactly 0 (mean rounding would otherwise
-    leave a spurious tiny deviation).
+    The rounded mean can sit a whole ulp from a column's values, e.g.
+    [100, 100 - ulp] has a mean on one of the two, so each column is centred
+    on the rounded mean plus the mean of its residuals, and the deviation is
+    measured from that centre. A constant column records std exactly 0 (mean
+    rounding would otherwise leave a spurious tiny deviation).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("zscore_fit needs a 2-d matrix with at least 2 rows")
     means = X.mean(axis=0)
-    stds = X.std(axis=0, ddof=1)
+    residuals = X - means
+    offsets = residuals.mean(axis=0)
+    deviations = residuals - offsets
+    stds = np.sqrt((deviations * deviations).sum(axis=0) / (X.shape[0] - 1))
     # squared deviations below ~1e-154 are subnormal and lose digits:
     # measure such columns in units of their largest deviation
     tiny = (stds > 0) & (stds < 1e-150)
     if tiny.any():
-        deviations = X[:, tiny] - means[tiny]
-        scale = np.abs(deviations).max(axis=0)
-        stds[tiny] = (deviations / scale).std(axis=0, ddof=1) * scale
+        scale = np.abs(deviations[:, tiny]).max(axis=0)
+        stds[tiny] = (deviations[:, tiny] / scale).std(axis=0, ddof=1) * scale
     stds[(X == X[0]).all(axis=0)] = 0.0
-    return StandardizationParams(means, stds)
+    return StandardizationParams(means, stds, offsets)
 
 
 def zscore_apply(params: StandardizationParams, X: np.ndarray) -> np.ndarray:
-    """(x - mean) / std per cell; columns with std 0 map to 0."""
+    """(x - mean - offset) / std per cell; columns with std 0 map to 0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.means.shape[0]:
         raise ValueError("column count does not match standardization params")
     safe = np.where(params.stds > 0, params.stds, 1.0)
-    Z = (X - params.means) / safe
+    Z = (X - params.means - params.offsets) / safe
     Z[:, params.stds == 0] = 0.0
     return Z
 

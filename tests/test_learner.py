@@ -52,6 +52,7 @@ def test_zscore_constant_column_maps_to_zero():
 @given(st.lists(st.lists(st.floats(-100, 100), min_size=3, max_size=3),
                 min_size=2, max_size=20))
 @example(rows=[[0.0, 0.0, 0.0], [0.0, 0.0, 8.592352368730386e-160]])  # subnormal squares
+@example(rows=[[0.0, 0.0, 100.0], [0.0, 0.0, 99.99999999999999]])  # the mean is one of the two
 def test_zscore_round_trip_normalizes(rows):
     X = np.array(rows)
     z = zscore_apply(zscore_fit(X), X)
