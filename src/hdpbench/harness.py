@@ -287,8 +287,7 @@ def _run_on_datasets(
     hdp1_outcomes: dict[tuple[str, str], hdp.HdpOutcome] = {}
     if need_hdp1:
         # hdp1's sorts and metric selection depend on one dataset: do them once
-        names = sorted({p.source for p in all_plans} | {p.target for p in all_plans})
-        profiles = {name: hdp.DatasetProfile(datasets[name]) for name in names}
+        profiles = {name: hdp.DatasetProfile(d) for name, d in datasets.items()}
         hdp1_outcomes = {
             (p.source, p.target): _recorded(hdp.hdp1_predict, profiles[p.source], profiles[p.target])
             for p in all_plans
