@@ -125,12 +125,10 @@ def test_ks_weight_matrix_equals_per_pair_loop(case):
     xs, ys = case
     stats = hdp.ks_statistics(*hdp._sorted_columns(xs), *hdp._sorted_columns(ys))
     weights = hdp.ks_pvalues(stats, len(xs), len(ys))
-    pairs = [(i, j) for i in range(xs.shape[1]) for j in range(ys.shape[1])]
-    assert stats.tolist() == [[ref.ks_statistic(xs[:, i], ys[:, j]) for j in range(ys.shape[1])]
-                              for i in range(xs.shape[1])]
-    assert weights.tolist() == [[hdp.ks_pvalue(xs[:, i], ys[:, j]) for j in range(ys.shape[1])]
-                                for i in range(xs.shape[1])]
-    assert all(weights[i, j] == ref.ks_pvalue(xs[:, i], ys[:, j]) for i, j in pairs)
+    for i in range(xs.shape[1]):
+        for j in range(ys.shape[1]):
+            assert stats[i, j] == ref.ks_statistic(xs[:, i], ys[:, j])
+            assert weights[i, j] == hdp.ks_pvalue(xs[:, i], ys[:, j]) == ref.ks_pvalue(xs[:, i], ys[:, j])
 
 
 def test_ks_keeps_its_input_checks():
