@@ -20,6 +20,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations, product
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -133,7 +134,7 @@ class MethodResult:
     """Per-(method, plan) outcome: measure values and predicted-label variants."""
 
     values: dict[str, tuple[float | None, str | None]]
-    variant_labels: dict[str, str]  # variant name -> '0'/'1' string per module
+    variant_labels: dict[str, np.ndarray]  # variant name -> bool flag per module
 
 
 @dataclass
@@ -141,8 +142,8 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: list[ResultRow]
     target_groups: dict[str, str]
-    target_truth: dict[str, str]  # target -> '0'/'1' truth string
-    predictions: dict[tuple[str, str, str], str]  # (variant, source, target) -> labels
+    target_truth: dict[str, np.ndarray]  # target -> bool defect flag per module
+    predictions: dict[tuple[str, str, str], np.ndarray]  # (variant, source, target) -> flags
     n_plans_total: int = 0
 
     @cached_property
@@ -153,15 +154,6 @@ class ExperimentResult:
         for row in self.rows:
             seen.setdefault((row.source, row.target), None)
         return list(seen)
-
-
-def _bits(flags: Iterable[bool]) -> str:
-    return "".join("1" if f else "0" for f in flags)
-
-
-def _flags(bits: str) -> np.ndarray:
-    """Inverse of ``_bits``: a '0'/'1' label string as a bool vector."""
-    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
 
 
 def _measure_value(
@@ -192,7 +184,7 @@ def _evaluate_udp(
         pred = fn[method](target)
         return MethodResult(
             {m: _measure_value(pred, m, target, efforts, effort_fraction) for m in measure_ids},
-            {method: _bits(pred.predicted)},
+            {method: pred.predicted},
         )
     if method == "manual":
         # size ranking: larger-first for the classification measures,
@@ -203,7 +195,7 @@ def _evaluate_udp(
             m: _measure_value(down if m in NPM_MEASURES else up, m, target, efforts, effort_fraction)
             for m in measure_ids
         }
-        return MethodResult(values, {"manual": _bits(down.predicted)})
+        return MethodResult(values, {"manual": down.predicted})
     if method == "bestmetric":
         oracle_cache: dict[str, udp.BestMetric] = {}
 
@@ -218,8 +210,8 @@ def _evaluate_udp(
             pred = oracle("f1" if m in ("precision", "recall") else m).predictions
             values[m] = _measure_value(pred, m, target, efforts, effort_fraction)
         variants = {
-            "bestmetric-auc": _bits(oracle("auc").predictions.predicted),
-            "bestmetric-f1": _bits(oracle("f1").predictions.predicted),
+            "bestmetric-auc": oracle("auc").predictions.predicted,
+            "bestmetric-f1": oracle("f1").predictions.predicted,
         }
         return MethodResult(values, variants)
     raise ValueError(f"unknown unsupervised method {method!r}")
@@ -238,7 +230,7 @@ def _evaluate_hdp_outcome(
     pred = outcome.predictions
     return MethodResult(
         {m: _measure_value(pred, m, target, efforts, effort_fraction) for m in measure_ids},
-        {method: _bits(pred.predicted)},
+        {method: pred.predicted},
     )
 
 
@@ -322,18 +314,18 @@ def _run_on_datasets(
             cell[(method, p.source, p.target)] = udp_cache[(method, p.target)]
 
     rows: list[ResultRow] = []
-    predictions: dict[tuple[str, str, str], str] = {}
+    predictions: dict[tuple[str, str, str], np.ndarray] = {}
     for p in plans:
         for method in cfg.methods:
             res = cell[(method, p.source, p.target)]
             for measure in cfg.measures:
                 value, reason = res.values[measure]
                 rows.append(ResultRow(method, p.source, p.target, measure, value, reason))
-            for variant, bits in res.variant_labels.items():
-                predictions[(variant, p.source, p.target)] = bits
+            for variant, flags in res.variant_labels.items():
+                predictions[(variant, p.source, p.target)] = flags
 
     target_groups = {t: datasets[t].schema.group_name for t in targets}
-    target_truth = {t: _bits(datasets[t].labels) for t in targets}
+    target_truth = {t: datasets[t].labels for t in targets}
     return ExperimentResult(
         config=cfg,
         rows=rows,
@@ -367,7 +359,9 @@ def _format_value(value: float | None) -> str:
 
 
 def method_failures(result: ExperimentResult) -> dict[str, int]:
-    """Distinct failed plans per method (every measure row shares the failure)."""
+    """Plans per method with at least one row that records a failure: the
+    method's own failure on the plan, or a measure the target leaves
+    undefined (``NoDefects``, ``SingleClassTruth``)."""
     failed: dict[str, set[tuple[str, str]]] = {}
     for row in result.rows:
         if row.failure is not None:
@@ -396,41 +390,40 @@ def _summary_text(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bits(flags: np.ndarray) -> str:
+    """A bool flag vector as its '0'/'1' label text."""
+    return np.where(flags, b"1", b"0").tobytes().decode("ascii")
+
+
+def _write_csv(path: Path, columns: tuple[str, ...], records: Iterable[Sequence[str]]) -> Path:
+    """Write the header ``columns``, then ``records``: the writer that ``_csv_records`` reads."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(records)
+    path.write_text(buffer.getvalue())
+    return path
+
+
 def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write the results directory: config echo, flat results file,
     prediction/truth label files, and the run summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    results_path = out / "results.csv"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for row in result.rows:
-        writer.writerow(
-            [row.method, row.source, row.target, row.measure,
-             _format_value(row.value), row.failure or ""]
-        )
-    results_path.write_text(buffer.getvalue())
-
-    pred_path = out / "predictions.csv"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(PREDICTION_COLUMNS)
-    for (variant, source, target), bits in sorted(result.predictions.items()):
-        writer.writerow([variant, source, target, bits])
-    pred_path.write_text(buffer.getvalue())
-
-    targets_path = out / "targets.csv"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TARGET_COLUMNS)
-    for target in sorted(result.target_truth):
-        writer.writerow([target, result.target_groups[target], result.target_truth[target]])
-    targets_path.write_text(buffer.getvalue())
-
     config_path = out / "config.ini"
     config_path.write_text(_config_lines(result.config))
+    results_path = _write_csv(out / "results.csv", RESULT_COLUMNS, (
+        [row.method, row.source, row.target, row.measure,
+         _format_value(row.value), row.failure or ""]
+        for row in result.rows
+    ))
+    pred_path = _write_csv(out / "predictions.csv", PREDICTION_COLUMNS, (
+        [*key, _bits(result.predictions[key])] for key in sorted(result.predictions)
+    ))
+    targets_path = _write_csv(out / "targets.csv", TARGET_COLUMNS, (
+        [t, result.target_groups[t], _bits(result.target_truth[t])]
+        for t in sorted(result.target_truth)
+    ))
     summary_path = out / "summary.txt"
     summary_path.write_text(_summary_text(result))
     return [config_path, results_path, pred_path, targets_path, summary_path]
@@ -451,48 +444,64 @@ def _csv_records(path: Path, columns: tuple[str, ...]) -> Iterable[tuple[int, li
             yield reader.line_num, record
 
 
-def _check_labels(bits: str, n_modules: int | None, where: str) -> None:
-    """A label string is only '0'/'1', one per module of its target."""
+def _flags(bits: str, n_modules: int | None, where: str) -> np.ndarray:
+    """The bool flag vector of a label text that holds only '0'/'1', one
+    label per module of its target."""
     if bits.strip("01"):
         raise ValueError(f"{where}: labels must contain only 0 and 1")
     if n_modules is not None and len(bits) != n_modules:
         raise ValueError(f"{where}: {len(bits)} labels for a target of {n_modules} modules")
+    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
 
 
 def load_results(results_dir: str | Path) -> ExperimentResult:
     """Reconstruct an ExperimentResult from an exported results directory.
 
-    The label files are checked: exact headers, only '0'/'1' labels, and
-    every prediction as long as its target's truth."""
+    The files are checked: exact headers; only '0'/'1' labels, and every
+    prediction as long as its target's truth; in results.csv, a known
+    target, a numeric value and no repeat on each row, and a row for every
+    configured method and measure on each plan."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
-    rows = []
-    for _, record in _csv_records(results_dir / "results.csv", RESULT_COLUMNS):
-        method, source, target, measure, value, failure = record
-        rows.append(
-            ResultRow(method, source, target, measure,
-                      float(value) if value else None, failure or None)
-        )
     target_groups = {}
     target_truth = {}
     path = results_dir / "targets.csv"
     for line, (target, group, bits) in _csv_records(path, TARGET_COLUMNS):
-        _check_labels(bits, None, f"{path}:{line}")
         target_groups[target] = group
-        target_truth[target] = bits
+        target_truth[target] = _flags(bits, None, f"{path}:{line}")
     predictions = {}
     path = results_dir / "predictions.csv"
     for line, (variant, source, target, bits) in _csv_records(path, PREDICTION_COLUMNS):
         if target not in target_truth:
             raise ValueError(f"{path}:{line}: target {target!r} is not in targets.csv")
-        _check_labels(bits, len(target_truth[target]), f"{path}:{line}")
-        predictions[(variant, source, target)] = bits
-    path = results_dir / "summary.txt"
-    totals = [line for line in path.read_text().splitlines() if line.startswith("plans_total:")]
+        predictions[(variant, source, target)] = _flags(
+            bits, len(target_truth[target]), f"{path}:{line}"
+        )
+    rows = []
+    cells: dict[tuple[str, str, str, str], int] = {}  # -> line
+    path = results_dir / "results.csv"
+    for line, (method, source, target, measure, value, failure) in _csv_records(path, RESULT_COLUMNS):
+        if target not in target_groups:
+            raise ValueError(f"{path}:{line}: target {target!r} is not in targets.csv")
+        cell = (method, source, target, measure)
+        if (first := cells.setdefault(cell, line)) != line:
+            raise ValueError(f"{path}:{line}: repeats line {first} ({' '.join(cell)})")
+        try:
+            number = float(value) if value else None
+        except ValueError:
+            raise ValueError(f"{path}:{line}: value {value!r} is not a number") from None
+        rows.append(ResultRow(method, source, target, measure, number, failure or None))
+    summary = results_dir / "summary.txt"
+    totals = [line for line in summary.read_text().splitlines() if line.startswith("plans_total:")]
     if not totals:
-        raise ValueError(f"{path}: missing plans_total line")
+        raise ValueError(f"{summary}: missing plans_total line")
     n_total = int(totals[0].split(":")[1])
-    return ExperimentResult(cfg, rows, target_groups, target_truth, predictions, n_total)
+    result = ExperimentResult(cfg, rows, target_groups, target_truth, predictions, n_total)
+    for source, target in result.plans:
+        for method, measure in product(cfg.methods, cfg.measures):
+            if (method, source, target, measure) not in cells:
+                raise ValueError(f"{path}: plan {source} => {target} has no {method} {measure} row")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +514,12 @@ def _variants_of(method: str) -> list[str]:
     return [method]
 
 
-def _variant_categories(methods: Sequence[str]) -> dict[str, str]:
-    return {v: method_category(m) for m in methods for v in _variants_of(m)}
+def _variant_sides(methods: Sequence[str]) -> tuple[list[str], list[str]]:
+    """The hdp and the udp prediction variants of ``methods``, in config order."""
+    sides: dict[str, list[str]] = {"hdp": [], "udp": []}
+    for m in methods:
+        sides[method_category(m)].extend(_variants_of(m))
+    return sides["hdp"], sides["udp"]
 
 
 def _value_index(result: ExperimentResult):
@@ -591,7 +604,7 @@ def wtl_matrix(
     measure: str,
     first: str,
     second: str,
-    index=None,
+    index: dict[tuple[str, str, str, str], float | None],
 ) -> stats.WtlRecord:
     """Per-target win/tie/loss of ``first`` against ``second`` for a measure.
 
@@ -600,7 +613,6 @@ def wtl_matrix(
     within this (measure, method pair) family. Lower-is-better measures are
     negated so 'win' always means 'performs better'.
     """
-    index = index if index is not None else _value_index(result)
     orient = 1.0 if measures.HIGHER_IS_BETTER[measure] else -1.0
     by_target = _targets_sources(result)
     paired: dict[str, tuple[list[float], list[float]]] = {}
@@ -648,27 +660,15 @@ def _report_wtl(result: ExperimentResult, index) -> str:
 
 
 def _report_diversity(result: ExperimentResult) -> str:
-    cfg = result.config
-    variants = [v for m in cfg.methods for v in _variants_of(m)]
-    category = _variant_categories(cfg.methods)
-    plans = result.plans
+    hdp_vars, udp_vars = _variant_sides(result.config.methods)
     groups = sorted(set(result.target_groups.values()))
     sections = (
-        ("hdp vs hdp", "hdp", "hdp"),
-        ("udp vs udp", "udp", "udp"),
-        ("hdp vs udp", "hdp", "udp"),
+        ("hdp vs hdp", list(combinations(hdp_vars, 2))),
+        ("udp vs udp", list(combinations(udp_vars, 2))),
+        ("hdp vs udp", list(product(hdp_vars, udp_vars))),
     )
-    truth = {t: _flags(bits) for t, bits in result.target_truth.items()}
-    flags = {key: _flags(bits) for key, bits in result.predictions.items()}
     out = ["mcnemar diversity on defective modules: significant plans / comparable plans", ""]
-    for title, cat_a, cat_b in sections:
-        if cat_a == cat_b:
-            side_a = [v for v in variants if category[v] == cat_a]
-            pairs = [(a, b) for i, a in enumerate(side_a) for b in side_a[i + 1 :]]
-        else:
-            side_a = [v for v in variants if category[v] == cat_a]
-            side_b = [v for v in variants if category[v] == cat_b]
-            pairs = [(a, b) for a in side_a for b in side_b]
+    for title, pairs in sections:
         if not pairs:
             continue
         out.append(f"== {title} ==")
@@ -676,14 +676,14 @@ def _report_diversity(result: ExperimentResult) -> str:
         for a, b in pairs:
             sig = {g: 0 for g in groups}
             total = {g: 0 for g in groups}
-            for source, target in plans:
-                flags_a = flags.get((a, source, target))
-                flags_b = flags.get((b, source, target))
+            for source, target in result.plans:
+                flags_a = result.predictions.get((a, source, target))
+                flags_b = result.predictions.get((b, source, target))
                 if flags_a is None or flags_b is None:
                     continue
                 group = result.target_groups[target]
                 total[group] += 1
-                table = stats.diversity_table(flags_a, flags_b, truth[target])
+                table = stats.diversity_table(flags_a, flags_b, result.target_truth[target])
                 if stats.mcnemar(table) < stats.ALPHA:
                     sig[group] += 1
             cells = [f"{sig[g]}/{total[g]}" for g in groups]
@@ -695,28 +695,24 @@ def _report_diversity(result: ExperimentResult) -> str:
 
 
 def _report_unidentified(result: ExperimentResult) -> str:
-    cfg = result.config
-    variants = [v for m in cfg.methods for v in _variants_of(m)]
-    category = _variant_categories(cfg.methods)
-    hdp_vars = [v for v in variants if category[v] == "hdp"]
-    udp_vars = [v for v in variants if category[v] == "udp"]
+    hdp_vars, udp_vars = _variant_sides(result.config.methods)
+    variants = hdp_vars + udp_vars
     out = [
         "defective modules no method identifies (plans where every method has predictions)",
         "",
     ]
     rows = []
     for source, target in sorted(result.plans):
-        bits = {v: result.predictions.get((v, source, target)) for v in variants}
-        if any(b is None for b in bits.values()):
-            continue
+        flags = [result.predictions.get((v, source, target)) for v in variants]
         truth = result.target_truth[target]
-        defective = [i for i, t in enumerate(truth) if t == "1"]
-        if not defective:
+        n = int(np.count_nonzero(truth))
+        if any(f is None for f in flags) or not n:
             continue
-        missed_hdp = sum(all(bits[v][i] == "0" for v in hdp_vars) for i in defective) if hdp_vars else 0
-        missed_udp = sum(all(bits[v][i] == "0" for v in udp_vars) for i in defective) if udp_vars else 0
-        missed_all = sum(all(bits[v][i] == "0" for v in variants) for i in defective)
-        n = len(defective)
+        hdp_flags, udp_flags = flags[: len(hdp_vars)], flags[len(hdp_vars) :]
+        missed_hdp, missed_udp, missed_all = (
+            int(np.count_nonzero(truth & ~np.any(side, axis=0))) if side else 0
+            for side in (hdp_flags, udp_flags, flags)
+        )
         rows.append([
             f"{source} => {target}",
             str(missed_hdp), f"{100 * missed_hdp / n:.2f}%",

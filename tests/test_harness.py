@@ -257,9 +257,12 @@ def test_export_round_trip(synth_result, tmp_path):
     export_results(result, out)
     loaded = load_results(out)
     assert loaded.rows == result.rows
-    assert loaded.predictions == result.predictions
+    # labels are bool arrays, which == compares element-wise
+    for field in ("predictions", "target_truth"):
+        want, got = getattr(result, field), getattr(loaded, field)
+        assert sorted(got) == sorted(want)
+        assert all(np.array_equal(got[key], want[key]) for key in want), field
     assert loaded.target_groups == result.target_groups
-    assert loaded.target_truth == result.target_truth
     assert loaded.n_plans_total == result.n_plans_total
 
 
@@ -324,6 +327,42 @@ def test_load_results_requires_plans_total(exported):
              lambda text: "".join(l for l in text.splitlines(True) if not l.startswith("plans_total:")))
     with pytest.raises(ValueError, match="summary.txt: missing plans_total line"):
         load_results(exported)
+
+
+def _edit_results(exported, edit):
+    """Apply ``edit`` to the list of results.csv lines (header first)."""
+    _rewrite(exported / "results.csv",
+             lambda text: "\n".join(edit(text.splitlines())) + "\n")
+
+
+def _set_field(line, column, value):
+    fields = line.split(",")
+    fields[harness.RESULT_COLUMNS.index(column)] = value
+    return ",".join(fields)
+
+
+# without these checks the reports raised KeyError (unknown target, missing
+# cell) or load_results raised with no location (a value that is not a number)
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0], _set_field(lines[1], "target", "nowhere"), *lines[2:]],
+     r"results.csv:2: target 'nowhere' is not in targets.csv"),
+    (lambda lines: [*lines[:2], *lines[1:]], r"results.csv:3: repeats line 2 \(\S+ \S+ \S+ \S+\)$"),
+    (lambda lines: [lines[0], _set_field(lines[1], "value", "x"), *lines[2:]],
+     r"results.csv:2: value 'x' is not a number"),
+    (lambda lines: [lines[0], *lines[2:]], r"results.csv: plan \S+ => \S+ has no \S+ \S+ row"),
+], ids=["unknown-target", "repeated-row", "value-not-a-number", "missing-cell"])
+def test_load_results_rejects_malformed_result_rows(exported, edit, message):
+    _edit_results(exported, edit)
+    with pytest.raises(ValueError, match=message):
+        load_results(exported)
+
+
+def test_cli_report_on_a_malformed_results_file_exits_1(exported, capsys):
+    _edit_results(exported, lambda lines: [*lines[:1], *lines[2:]])
+    assert cli.main(["report", str(exported)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "results.csv: plan " in err
+    assert "Traceback" not in err
 
 
 def test_absent_values_serialize_as_empty_field(tmp_path):
@@ -503,6 +542,61 @@ def test_diversity_denominator_counts_group_plans(synth_result):
     )
     assert line.count("/3") == 4
     assert "/12" in line  # summary column over all plans
+
+
+def _write_results_dir(out, truth, predictions, failed):
+    """A hand-written results directory for methods hdp1, cla and manual on
+    measure f1. ``truth``: target -> labels; ``predictions``: (variant,
+    source, target) -> labels; ``failed``: the (method, source, target)
+    cells that recorded a failure instead of a value."""
+    out.mkdir()
+    (out / "config.ini").write_text(
+        "[experiment]\nmanifest = manifest.ini\nmethods = hdp1 cla manual\nmeasures = f1\n"
+        "effort_fraction = 0.2\nscenario = scenario1\nseed = 0\n"
+    )
+    plans = sorted({(s, t) for _, s, t in predictions})
+    rows = ["method,source,target,measure,value,failure"]
+    for source, target in plans:
+        for method in ("hdp1", "cla", "manual"):
+            cell = ",NoMatchedMetrics" if (method, source, target) in failed else "0.5,"
+            rows.append(f"{method},{source},{target},f1,{cell}")
+    (out / "results.csv").write_text("\n".join(rows) + "\n")
+    (out / "predictions.csv").write_text("variant,source,target,labels\n" + "".join(
+        f"{v},{s},{t},{bits}\n" for (v, s, t), bits in sorted(predictions.items())))
+    (out / "targets.csv").write_text("target,group,labels\n" + "".join(
+        f"{t},g_{t},{bits}\n" for t, bits in sorted(truth.items())))
+    (out / "summary.txt").write_text(f"experiment summary\nplans_total: {len(plans)}\n")
+    return out
+
+
+def test_unidentified_counts_on_hand_built_predictions(tmp_path):
+    # t1's defective modules are 0, 1, 3 and 5; t2 has none
+    truth = {"t1": "110101", "t2": "000"}
+    predictions = {
+        # hdp1 finds 0 only (module 2 is a false alarm): 1, 3, 5 missed
+        ("hdp1", "s1", "t1"): "101000",
+        # cla and manual together find 1 and 3: 0 and 5 missed
+        ("cla", "s1", "t1"): "010000",
+        ("manual", "s1", "t1"): "000100",
+        # s2 => t1 has no hdp1 prediction, so the plan is skipped
+        ("cla", "s2", "t1"): "000000",
+        ("manual", "s2", "t1"): "000000",
+        # t2 has no defective module, so the plan is skipped
+        ("hdp1", "s1", "t2"): "000",
+        ("cla", "s1", "t2"): "000",
+        ("manual", "s1", "t2"): "000",
+    }
+    out = _write_results_dir(tmp_path / "hand", truth, predictions, {("hdp1", "s2", "t1")})
+    text = build_report(load_results(out))["report_unidentified.txt"]
+    table = text.splitlines()[2:]
+    assert [c.strip() for c in table[0].split("|")] == [
+        "source => target", "=0 by HDP", "proportion", "=0 by UM", "proportion",
+        "=0 by ALL", "proportion",
+    ]
+    # one data row: only module 5 is missed by every method
+    assert [[c.strip() for c in row.split("|")] for row in table[2:]] == [
+        ["s1 => t1", "3", "75.00%", "2", "50.00%", "1", "25.00%"],
+    ]
 
 
 def test_satisfactory_cells_are_two_decimal_percentages(synth_result):
