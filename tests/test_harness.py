@@ -329,6 +329,45 @@ def test_load_results_requires_plans_total(exported):
         load_results(exported)
 
 
+def test_load_results_rejects_a_plans_total_that_is_not_an_integer(exported):
+    # int() used to fail with a message that named neither file nor line
+    _rewrite(exported / "summary.txt", lambda text: text.replace("plans_total: ", "plans_total: x", 1))
+    with pytest.raises(ValueError, match=r"summary.txt:\d+: plans_total 'x\d+' is not an integer"):
+        load_results(exported)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("garbage\n", r"c.ini:1: no \[section\] header before this line"),
+    ("[experiment]\nmanifest = m.ini\ngarbage\n", r"c.ini:3: not a 'key = value' line"),
+    ("[experiment]\nmanifest = m.ini\n[experiment]\n", r"c.ini:3: repeats section \[experiment\]"),
+    ("[experiment]\nmanifest = m.ini\nseed = 1\nseed = 2\n", r"c.ini:4: repeats 'seed' in \[experiment\]"),
+    ("[experiment]\nmanifest = m.ini\nseed = x\n", r"c.ini: seed = 'x' is not an integer"),
+    ("[experiment]\nmanifest = m.ini\neffort_fraction = 1/5\n",
+     r"c.ini: effort_fraction = '1/5' is not a number"),
+])
+def test_load_config_names_the_file_on_malformed_input(tmp_path, text, message):
+    (tmp_path / "c.ini").write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(tmp_path / "c.ini")
+
+
+def test_cli_report_on_a_garbage_config_exits_1(exported, capsys):
+    (exported / "config.ini").write_text("garbage\n")
+    assert cli.main(["report", str(exported)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config.ini:1: no [section] header" in err
+    assert "Traceback" not in err
+
+
+def test_cli_run_on_a_manifest_without_a_section_header_exits_1(tmp_path, capsys):
+    (tmp_path / "m.ini").write_text("loc_metric = loc\n")
+    (tmp_path / "c.ini").write_text("[experiment]\nmanifest = m.ini\noutput_dir = out\n")
+    assert cli.main(["run", str(tmp_path / "c.ini")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "m.ini:1: no [section] header" in err
+    assert "Traceback" not in err
+
+
 def _edit_results(exported, edit):
     """Apply ``edit`` to the list of results.csv lines (header first)."""
     _rewrite(exported / "results.csv",

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from hdpbench import measures
 from hdpbench.learner import zscore_apply, zscore_fit
@@ -9,12 +14,12 @@ from hdpbench.udp import (
     best_metric_oracle,
     cla_predict,
     clami_predict,
-    connectivity_matrix,
     manual_rank,
-    normalized_laplacian,
     spectral_predict,
 )
 from helpers import make_dataset
+import reference_udp
+from reference_udp import connectivity_matrix, normalized_laplacian
 
 # ---------------------------------------------------------------------------
 # CLA
@@ -177,6 +182,147 @@ def test_spectral_scores_are_normalized_row_sums_and_permutation_invariant():
 def test_spectral_needs_two_modules():
     with pytest.raises(ValueError):
         spectral_predict(make_dataset("t", [[1.0, 2.0]], [1]))
+
+
+def components(d):
+    """Connected components of the modules of nonzero degree, and the
+    zero-degree modules, read from the dense similarity matrix."""
+    w = connectivity_matrix(d)
+    linked = w.sum(axis=1) > 0
+    n_components, _ = connected_components(w[np.ix_(linked, linked)] > 0, directed=False)
+    return n_components, np.flatnonzero(~linked).tolist()
+
+
+@pytest.mark.parametrize("high_first", [True, False])
+def test_spectral_two_components_split_by_component(high_first):
+    d = block_dataset()
+    if not high_first:
+        d = make_dataset("b", d.values[::-1], d.labels[::-1])
+    assert components(d) == (2, [])
+    assert spectral_predict(d).predicted.tolist() == d.labels.tolist()
+
+
+THREE_GROUPS = [  # three groups of three rows, 120 degrees apart once z-scored
+    [[16.6, 29.4], [15.0, 28.7], [13.6, 27.7]],  # middle row sums
+    [[29.8, 18.3], [30.0, 20.0], [29.8, 21.7]],  # the largest
+    [[13.6, 12.3], [15.0, 11.3], [16.6, 10.6]],  # the smallest
+]
+
+
+@pytest.mark.parametrize("order, defective", [
+    ((0, 1, 2), [0]),  # the middle group against the other two: it has the larger mean
+    ((1, 2, 0), [1]),
+    ((2, 0, 1), [0, 1]),  # the smallest group against the rest: the rest is defective
+])
+def test_spectral_three_components_first_linked_component_against_the_rest(order, defective):
+    d = make_dataset("t", [row for g in order for row in THREE_GROUPS[g]], [0] * 9)
+    assert components(d) == (3, [])
+    expected = [g in defective for g in order for _ in range(3)]
+    assert spectral_predict(d).predicted.tolist() == expected
+
+
+def test_spectral_zero_degree_module_is_never_defective():
+    d = make_dataset("t", [[2, 8], [8, 1], [9, 9], [2, 4], [5, 6]], [0] * 5)
+    assert components(d) == (1, [1])
+    # the dense split put the zero-degree module on the defective side
+    assert reference_udp.spectral_predict(d).predicted.tolist() == [False, True, True, False, True]
+    assert spectral_predict(d).predicted.tolist() == [False, False, True, False, True]
+
+
+def test_spectral_zero_fiedler_entry_joins_neither_cluster():
+    # modules 0-1-2 form a path that swapping the first two metrics mirrors
+    # (0 <-> 2); modules 3 and 4 have zero degree. Every value is a small
+    # integer and each column's standard deviation a power of two, so the
+    # mirror symmetry holds exactly and the middle module's Fiedler entry is 0.
+    values = np.column_stack([[-4, 0, 4, -4, 4], [4, 0, -4, -4, 4], [1, 2, 1, -3, -1]])
+    d = make_dataset("t", values, [0] * 5)
+    w = connectivity_matrix(d)
+    assert components(d) == (1, [3, 4])
+    assert w[0, 1] == w[1, 2] > 0 and w[0, 2] == 0
+    preds = spectral_predict(d)
+    # the middle module has the largest row sum of the path; it joins
+    # neither end, and the two ends have equal means, so nothing is defective
+    assert preds.scores[1] > preds.scores[0] == preds.scores[2]
+    assert not preds.predicted.any()
+    # the dense split put the middle module on the ">= 0" side
+    assert reference_udp.spectral_predict(d).predicted.tolist() == [False, False, True, False, False]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectral_tiny_inputs_run_without_warnings(n):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        d = make_dataset("t", rng.normal(size=(n, 3)), [0] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preds = spectral_predict(d)
+        # two z-scored rows point in opposite directions and three rows have
+        # at most one positive pair: the linked pair, if any, splits in two
+        n_components, isolated = components(d)
+        linked = [i for i in range(n) if i not in isolated]
+        if not linked:
+            assert not preds.predicted.any()
+        else:
+            assert n == 3 and n_components == 1 and len(linked) == 2
+            top = max(linked, key=lambda i: preds.scores[i])
+            assert preds.predicted.tolist() == [i == top for i in range(n)]
+
+
+def connected_dataset(n=60, seed=11):
+    rng = np.random.default_rng(seed)
+    d = make_dataset("t", rng.lognormal(1.0, 0.7, size=(n, 5)), rng.random(n) < 0.3)
+    assert components(d) == (1, [])
+    return d
+
+
+def test_spectral_repeat_calls_are_byte_identical():
+    for d in (connected_dataset(), block_dataset()):
+        first = spectral_predict(d)
+        for _ in range(3):
+            again = spectral_predict(d)
+            assert again.scores.tobytes() == first.scores.tobytes()
+            assert again.predicted.tobytes() == first.predicted.tobytes()
+
+
+def test_spectral_row_permutation_permutes_labels():
+    rng = np.random.default_rng(12)
+    for d in (connected_dataset(), block_dataset()):
+        base = spectral_predict(d)
+        assert base.predicted.any()
+        for _ in range(5):
+            perm = rng.permutation(d.n_modules)
+            moved = spectral_predict(make_dataset("t", d.values[perm], d.labels[perm]))
+            assert moved.predicted.tolist() == base.predicted[perm].tolist()
+            assert np.allclose(moved.scores, base.scores[perm], atol=1e-12)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random metric tables whose similarity graph is connected, with a simple
+    Fiedler eigenvalue and no Fiedler entry near 0, so that the split is
+    well defined."""
+    n = draw(st.integers(4, 40))
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.lognormal(1.0, draw(st.floats(0.3, 1.5)), size=(n, m))
+    else:
+        values = rng.normal(size=(n, m))
+    d = make_dataset("t", values, rng.random(n) < 0.3)
+    assume(components(d) == (1, []))
+    eigenvalues, vectors = np.linalg.eigh(normalized_laplacian(connectivity_matrix(d)))
+    fiedler = vectors[:, 1]
+    assume(eigenvalues[2] - eigenvalues[1] > 1e-6)
+    assume(np.abs(fiedler).min() > 1e-6 * np.abs(fiedler).max())
+    return d
+
+
+@given(connected_graphs())
+def test_spectral_matches_the_dense_oracle_on_connected_graphs(d):
+    preds = spectral_predict(d)
+    oracle = reference_udp.spectral_predict(d)
+    assert preds.scores.tobytes() == oracle.scores.tobytes()
+    assert preds.predicted.tolist() == oracle.predicted.tolist()
 
 
 # ---------------------------------------------------------------------------
