@@ -6,11 +6,22 @@ the rows into the benchmark's report tables: Scott-Knott rankings,
 win/tie/loss matrices, McNemar diversity counts, unidentified-defective
 counts, and satisfactory ratios.
 
+``METHODS`` is the one table of the built-in methods: each ``Method`` gives a
+method's category, how it is called, and the label variants it exports. A
+registered external method is a heterogeneous method on the plan's source
+and target datasets. Every call goes through one guard (``_predict``): an
+exception, a failed ``hdp.HdpOutcome`` or a prediction that is not one label
+per target module becomes the method's failure on that plan, recorded in
+every measure's row, and the run goes on. One function (``_score``) scores
+the measures with ``measures.compute_measure`` and picks out the variants.
+
 Unsupervised methods ignore the source project: each runs once per target,
-and its result is copied to every plan of that target so the rows align
-one-for-one with the heterogeneous methods' rows. hdp1 sorts each dataset's
-columns and ranks a source's metrics once per dataset (``hdp.DatasetProfile``);
-per plan it keeps only the KS weight matrix, the assignment and the fit.
+and its result, a failure included, is copied to every plan of that target so
+the rows align one-for-one with the heterogeneous methods' rows. hdp1 sorts
+each dataset's columns and ranks a source's metrics once per dataset
+(``hdp.DatasetProfile``); per plan it keeps only the KS weight matrix, the
+assignment and the fit. scenario2 first runs hdp1 on every plan and keeps the
+plans where it succeeds.
 """
 
 from __future__ import annotations
@@ -18,10 +29,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,18 +46,58 @@ from .datasets import (
     read_ini,
 )
 
-SCENARIOS = ("scenario1", "scenario2")
-NPM_MEASURES = ("precision", "recall", "f1", "auc")
+# scenario -> the method whose failed plans it leaves out
+SCENARIOS = {"scenario1": None, "scenario2": "hdp1"}
 
-METHOD_CATEGORY = {
-    "hdp1": "hdp",
-    "hdp5": "hdp",
-    "cla": "udp",
-    "clami": "udp",
-    "spectral": "udp",
-    "manual": "udp",
-    "bestmetric": "udp",
+
+@dataclass(frozen=True)
+class Method:
+    """A method's category, how it is called, and the label variants it exports.
+
+    - ``category``: "hdp" learns from each plan's source; "udp" ignores the
+      source, so it runs, and is scored, once per target.
+    - ``function`` and ``inputs``: the call is ``function`` of the ``hdp``
+      module ("hdp") or the ``udp`` module ("udp") on the named inputs:
+      ``source``, ``target``, ``effort_fraction`` and ``choice``. The
+      function is looked up in its module at each call, never stored, so a
+      replaced module binding (a tracer's, a test's) is the one that runs.
+      ``profiled`` passes ``hdp.DatasetProfile``s as source and target.
+    - ``choice``: measure -> the ``choice`` input of the call whose
+      prediction that measure scores; one call is made per distinct choice.
+      Without it, one call serves every measure.
+    - ``variants``: exported label variant -> the measure whose prediction
+      it is. By default a method exports its f1 prediction under its own name.
+    """
+
+    category: str
+    function: str
+    inputs: tuple[str, ...]
+    profiled: bool = False
+    choice: dict[str, str] | None = None
+    variants: dict[str, str] | None = None
+
+
+METHODS = {
+    "hdp1": Method("hdp", "hdp1_predict", ("source", "target"), profiled=True),
+    "hdp5": Method("hdp", "hdp5_predict", ("source", "target")),
+    "cla": Method("udp", "cla_predict", ("target",)),
+    "clami": Method("udp", "clami_predict", ("target",)),
+    "spectral": Method("udp", "spectral_predict", ("target",)),
+    # size ranking: larger-first for the classification measures,
+    # smaller-first for the effort-aware ones
+    "manual": Method("udp", "manual_rank", ("target", "choice"), choice={
+        m: "down" if m in ("precision", "recall", "f1", "auc") else "up"
+        for m in measures.MEASURE_IDS
+    }),
+    # precision and recall ride on the F1-oriented metric choice
+    "bestmetric": Method(
+        "udp", "best_metric_oracle", ("target", "choice", "effort_fraction"),
+        choice={m: "f1" if m in ("precision", "recall") else m for m in measures.MEASURE_IDS},
+        variants={"bestmetric-auc": "auc", "bestmetric-f1": "f1"},
+    ),
 }
+# a registered method: hdp.external_methods()[name](source, target)
+_REGISTERED = Method("hdp", "", ("source", "target"))
 
 RESULT_COLUMNS = ("method", "source", "target", "measure", "value", "failure")
 PREDICTION_COLUMNS = ("variant", "source", "target", "labels")
@@ -71,18 +122,29 @@ class ExperimentConfig:
         if not 0 < self.effort_fraction <= 1:
             raise ValueError("effort fraction must be in (0, 1]")
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}")
+            raise ValueError(f"scenario must be one of {tuple(SCENARIOS)}")
         unknown = [m for m in self.measures if m not in measures.MEASURE_IDS]
         if unknown:
             raise ValueError(f"unknown measures: {unknown}")
+        for key in ("methods", "measures"):
+            names = getattr(self, key)
+            repeated = [n for n in dict.fromkeys(names) if names.count(n) > 1]
+            if repeated:
+                raise ValueError(f"repeated {key}: {repeated}")
 
 
-def method_category(name: str) -> str:
-    if name in METHOD_CATEGORY:
-        return METHOD_CATEGORY[name]
+def _method(name: str) -> Method:
+    """The table entry of a built-in method, or the entry of a registered one."""
+    if name in METHODS:
+        return METHODS[name]
     if name in hdp.external_methods():
-        return "hdp"
+        return _REGISTERED
     raise ValueError(f"unknown method {name!r}")
+
+
+def _variants(name: str) -> dict[str, str]:
+    """Exported label variant -> the measure whose prediction it is."""
+    return _method(name).variants or {name: "f1"}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -115,7 +177,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     output_dir = section.get("output_dir", "results")
     if not Path(output_dir).is_absolute():
         output_dir = str(path.parent / output_dir)
-    return ExperimentConfig(
+    fields = dict(
         manifest=manifest,
         output_dir=output_dir,
         methods=_split("methods", hdp.BUILTIN_METHOD_NAMES),
@@ -124,6 +186,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         scenario=section.get("scenario", "scenario1"),
         seed=_number("seed", int, 0),
     )
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -138,10 +204,13 @@ class ResultRow:
 
 @dataclass
 class MethodResult:
-    """Per-(method, plan) outcome: measure values and predicted-label variants."""
+    """One method's outcome on one plan, or on one target for an unsupervised
+    method: a (value, failure) per measure, the exported label variants, and
+    the method's own failure, if it failed."""
 
     values: dict[str, tuple[float | None, str | None]]
     variant_labels: dict[str, np.ndarray]  # variant name -> bool flag per module
+    failure: str | None = None
 
 
 @dataclass
@@ -163,102 +232,51 @@ class ExperimentResult:
         return list(seen)
 
 
-def _measure_value(
-    pred: udp.Prediction,
-    measure: str,
-    target: DefectDataset,
-    efforts: np.ndarray,
-    effort_fraction: float,
-) -> tuple[float | None, str | None]:
-    return measures.compute_measure(
-        measure, pred.scores, pred.predicted, efforts, target.labels, effort_fraction
-    )
-
-
-def _failed(measure_ids: Sequence[str], reason: str) -> MethodResult:
-    return MethodResult({m: (None, reason) for m in measure_ids}, {})
-
-
-def _evaluate_udp(
-    method: str,
-    target: DefectDataset,
-    efforts: np.ndarray,
-    measure_ids: Sequence[str],
-    effort_fraction: float,
-) -> MethodResult:
-    if method in ("cla", "clami", "spectral"):
-        fn = {"cla": udp.cla_predict, "clami": udp.clami_predict, "spectral": udp.spectral_predict}
-        pred = fn[method](target)
-        return MethodResult(
-            {m: _measure_value(pred, m, target, efforts, effort_fraction) for m in measure_ids},
-            {method: pred.predicted},
-        )
-    if method == "manual":
-        # size ranking: larger-first for the classification measures,
-        # smaller-first for the effort-aware ones
-        down = udp.manual_rank(target, "down")
-        up = udp.manual_rank(target, "up")
-        values = {
-            m: _measure_value(down if m in NPM_MEASURES else up, m, target, efforts, effort_fraction)
-            for m in measure_ids
-        }
-        return MethodResult(values, {"manual": down.predicted})
-    if method == "bestmetric":
-        oracle_cache: dict[str, udp.BestMetric] = {}
-
-        def oracle(measure_id: str) -> udp.BestMetric:
-            if measure_id not in oracle_cache:
-                oracle_cache[measure_id] = udp.best_metric_oracle(target, measure_id, effort_fraction)
-            return oracle_cache[measure_id]
-
-        values = {}
-        for m in measure_ids:
-            # precision/recall ride on the F1-oriented metric choice
-            pred = oracle("f1" if m in ("precision", "recall") else m).predictions
-            values[m] = _measure_value(pred, m, target, efforts, effort_fraction)
-        variants = {
-            "bestmetric-auc": oracle("auc").predictions.predicted,
-            "bestmetric-f1": oracle("f1").predictions.predicted,
-        }
-        return MethodResult(values, variants)
-    raise ValueError(f"unknown unsupervised method {method!r}")
-
-
-def _evaluate_hdp_outcome(
-    method: str,
-    outcome: hdp.HdpOutcome,
-    target: DefectDataset,
-    efforts: np.ndarray,
-    measure_ids: Sequence[str],
-    effort_fraction: float,
-) -> MethodResult:
-    if not outcome.ok:
-        return _failed(measure_ids, outcome.failure)
-    pred = outcome.predictions
-    return MethodResult(
-        {m: _measure_value(pred, m, target, efforts, effort_fraction) for m in measure_ids},
-        {method: pred.predicted},
-    )
-
-
-def _recorded(predict: Callable[..., hdp.HdpOutcome], *args) -> hdp.HdpOutcome:
-    """``predict(*args)`` for one plan, with any exception kept as its failure."""
+def _predict(
+    name: str, inputs: dict[str, object], measure_ids: Sequence[str], n_modules: int
+) -> dict[str, udp.Prediction] | str:
+    """``name``'s prediction for each measure it is scored on or exports, or
+    the reason it failed: its own (a failed ``HdpOutcome``), an exception, or
+    a prediction that is not one label per target module."""
+    method = _method(name)
+    if method is _REGISTERED:
+        fn = hdp.external_methods()[name]
+    else:
+        fn = getattr(hdp if method.category == "hdp" else udp, method.function)
+    calls: dict[str | None, udp.Prediction] = {}
+    wanted = [*measure_ids, *_variants(name).values()]
+    choices = {m: method.choice[m] if method.choice else None for m in wanted}
     try:
-        return predict(*args)
-    except Exception as exc:  # a single bad plan must not abort the run
-        return hdp.HdpOutcome(failure=f"error: {exc}")
+        for choice in dict.fromkeys(choices.values()):
+            args = {**inputs, "choice": choice}
+            output = fn(*(args[k] for k in method.inputs))
+            if isinstance(output, hdp.HdpOutcome) and not output.ok:
+                return output.failure
+            # an HdpOutcome or udp.BestMetric holds its Prediction
+            pred = output if isinstance(output, udp.Prediction) else output.predictions
+            if len(pred.scores) != n_modules:
+                return "error: prediction count mismatch"
+            calls[choice] = pred
+    except Exception as exc:  # one bad method call must not abort the run
+        return f"error: {exc}"
+    return {m: calls[choice] for m, choice in choices.items()}
 
 
-def _run_hdp_method(
-    method: str, source: DefectDataset, target: DefectDataset
-) -> hdp.HdpOutcome:
-    """hdp5 or an external method on one plan."""
-    if method == "hdp5":
-        return hdp.hdp5_predict(source, target)
-    outcome = hdp.external_methods()[method](source, target)
-    if outcome.ok and len(outcome.predictions.scores) != target.n_modules:
-        return hdp.HdpOutcome(failure="error: prediction count mismatch")
-    return outcome
+def _score(
+    name: str, output: dict[str, udp.Prediction] | str, target: DefectDataset,
+    efforts: np.ndarray, measure_ids: Sequence[str], effort_fraction: float,
+) -> MethodResult:
+    """Score ``_predict``'s output on every measure of ``measure_ids`` and
+    pick out the method's exported variants; a failure fills every measure."""
+    if isinstance(output, str):
+        return MethodResult({m: (None, output) for m in measure_ids}, {}, output)
+    values = {
+        m: measures.compute_measure(
+            m, output[m].scores, output[m].predicted, efforts, target.labels, effort_fraction
+        )
+        for m in measure_ids
+    }
+    return MethodResult(values, {v: output[m].predicted for v, m in _variants(name).items()})
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -269,78 +287,50 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     datasets = {d.name: d for d in load_manifest_datasets(cfg.manifest)}
     for m in cfg.methods:
-        method_category(m)  # validates names
+        _method(m)  # validates names
     all_plans = enumerate_combinations(list(datasets.values()))
-    return _run_on_datasets(cfg, datasets, all_plans)
+    # hdp1's sorts and metric selection depend on one dataset: do them once
+    profile = cache(lambda name: hdp.DatasetProfile(datasets[name]))
+    efforts = {name: effort_values(d) for name, d in datasets.items()}
+    results: dict[tuple[str, str, str], MethodResult] = {}
 
-
-def _run_on_datasets(
-    cfg: ExperimentConfig,
-    datasets: dict[str, DefectDataset],
-    all_plans: list[CombinationPlan],
-) -> ExperimentResult:
-    hdp_methods = [m for m in cfg.methods if method_category(m) == "hdp"]
-    udp_methods = [m for m in cfg.methods if method_category(m) == "udp"]
-
-    need_hdp1 = cfg.scenario == "scenario2" or "hdp1" in cfg.methods
-    hdp1_outcomes: dict[tuple[str, str], hdp.HdpOutcome] = {}
-    if need_hdp1:
-        # hdp1's sorts and metric selection depend on one dataset: do them once
-        profiles = {name: hdp.DatasetProfile(d) for name, d in datasets.items()}
-        hdp1_outcomes = {
-            (p.source, p.target): _recorded(hdp.hdp1_predict, profiles[p.source], profiles[p.target])
-            for p in all_plans
-        }
+    def run(name: str, plan: CombinationPlan) -> MethodResult:
+        """``name`` on ``plan``, run and scored once per plan, or once per
+        target for an unsupervised method."""
+        method = _method(name)
+        key = (name, plan.source if method.category == "hdp" else "", plan.target)
+        if key not in results:
+            target = datasets[plan.target]
+            inputs = {"source": datasets[plan.source], "target": target,
+                      "effort_fraction": cfg.effort_fraction}
+            if method.profiled:
+                inputs.update(source=profile(plan.source), target=profile(plan.target))
+            # scenario2's filter method writes no rows unless it is configured
+            measure_ids = cfg.measures if name in cfg.methods else ()
+            output = _predict(name, inputs, measure_ids, target.n_modules)
+            results[key] = _score(
+                name, output, target, efforts[plan.target], measure_ids, cfg.effort_fraction
+            )
+        return results[key]
 
     plans = all_plans
-    if cfg.scenario == "scenario2":
-        plans = [p for p in all_plans if hdp1_outcomes[(p.source, p.target)].ok]
-
-    targets = sorted({p.target for p in plans})
-    efforts = {t: effort_values(datasets[t]) for t in targets}
-    udp_cache: dict[tuple[str, str], MethodResult] = {}
-    for method in udp_methods:
-        for t in targets:
-            udp_cache[(method, t)] = _evaluate_udp(
-                method, datasets[t], efforts[t], cfg.measures, cfg.effort_fraction
-            )
-
-    cell: dict[tuple[str, str, str], MethodResult] = {}
-    for method in hdp_methods:
-        for p in plans:
-            if method == "hdp1":
-                outcome = hdp1_outcomes[(p.source, p.target)]
-            else:
-                outcome = _recorded(_run_hdp_method, method, datasets[p.source], datasets[p.target])
-            cell[(method, p.source, p.target)] = _evaluate_hdp_outcome(
-                method, outcome, datasets[p.target], efforts[p.target],
-                cfg.measures, cfg.effort_fraction,
-            )
-    for method in udp_methods:
-        for p in plans:
-            cell[(method, p.source, p.target)] = udp_cache[(method, p.target)]
+    if SCENARIOS[cfg.scenario] is not None:
+        plans = [p for p in all_plans if run(SCENARIOS[cfg.scenario], p).failure is None]
 
     rows: list[ResultRow] = []
     predictions: dict[tuple[str, str, str], np.ndarray] = {}
-    for p in plans:
-        for method in cfg.methods:
-            res = cell[(method, p.source, p.target)]
-            for measure in cfg.measures:
-                value, reason = res.values[measure]
-                rows.append(ResultRow(method, p.source, p.target, measure, value, reason))
-            for variant, flags in res.variant_labels.items():
-                predictions[(variant, p.source, p.target)] = flags
+    for p, method in product(plans, cfg.methods):
+        res = run(method, p)
+        for measure in cfg.measures:
+            value, reason = res.values[measure]
+            rows.append(ResultRow(method, p.source, p.target, measure, value, reason))
+        for variant, flags in res.variant_labels.items():
+            predictions[(variant, p.source, p.target)] = flags
 
+    targets = sorted({p.target for p in plans})
     target_groups = {t: datasets[t].schema.group_name for t in targets}
     target_truth = {t: datasets[t].labels for t in targets}
-    return ExperimentResult(
-        config=cfg,
-        rows=rows,
-        target_groups=target_groups,
-        target_truth=target_truth,
-        predictions=predictions,
-        n_plans_total=len(all_plans),
-    )
+    return ExperimentResult(cfg, rows, target_groups, target_truth, predictions, len(all_plans))
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +513,11 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
 # report generation
 
 
-def _variants_of(method: str) -> list[str]:
-    if method == "bestmetric":
-        return ["bestmetric-auc", "bestmetric-f1"]
-    return [method]
-
-
 def _variant_sides(methods: Sequence[str]) -> tuple[list[str], list[str]]:
     """The hdp and the udp prediction variants of ``methods``, in config order."""
     sides: dict[str, list[str]] = {"hdp": [], "udp": []}
     for m in methods:
-        sides[method_category(m)].extend(_variants_of(m))
+        sides[_method(m).category].extend(_variants(m))
     return sides["hdp"], sides["udp"]
 
 
@@ -657,8 +641,8 @@ def wtl_matrix(
 
 def _report_wtl(result: ExperimentResult, index) -> str:
     cfg = result.config
-    hdp_methods = [m for m in cfg.methods if method_category(m) == "hdp"]
-    udp_methods = [m for m in cfg.methods if method_category(m) == "udp"]
+    hdp_methods = [m for m in cfg.methods if _method(m).category == "hdp"]
+    udp_methods = [m for m in cfg.methods if _method(m).category == "udp"]
     out = [f"win/tie/loss per target: rows vs columns ({cfg.scenario})", ""]
     if not hdp_methods or not udp_methods:
         out.append("needs at least one heterogeneous and one unsupervised method")

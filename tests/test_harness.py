@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdpbench import cli, harness, hdp
+from hdpbench import cli, harness, hdp, udp
 from hdpbench.harness import (
     ExperimentConfig,
     ResultRow,
@@ -75,6 +75,15 @@ def test_config_validation():
         ExperimentConfig(manifest="m", output_dir="o", scenario="scenario3")
     with pytest.raises(ValueError):
         ExperimentConfig(manifest="m", output_dir="o", measures=("f1", "mcc"))
+    # a repeat wrote repeated rows, which load_results then rejected
+    with pytest.raises(ValueError, match=r"repeated methods: \['cla'\]"):
+        ExperimentConfig(manifest="m", output_dir="o", methods=("hdp1", "cla", "cla"))
+    with pytest.raises(ValueError, match=r"repeated measures: \['f1'\]"):
+        ExperimentConfig(manifest="m", output_dir="o", measures=("f1", "auc", "f1"))
+
+
+def test_the_method_table_holds_every_built_in_method():
+    assert tuple(harness.METHODS) == hdp.BUILTIN_METHOD_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +167,17 @@ def test_scenario2_drops_failing_plans(tmp_path):
     assert result.n_plans_total == 2
     assert result.plans == []
     assert result.rows == []
+
+
+def test_scenario2_filters_on_hdp1_when_it_is_not_a_configured_method(stub_manifest, tmp_path):
+    base = dict(manifest=str(stub_manifest), output_dir=str(tmp_path), measures=("f1",))
+    hdp1 = run_experiment(ExperimentConfig(**base, methods=("hdp1",)))
+    matched = [(r.source, r.target) for r in hdp1.rows if r.failure is None]
+    result = run_experiment(ExperimentConfig(**base, methods=("hdp5", "cla"), scenario="scenario2"))
+    assert 0 < len(matched) < len(hdp1.plans)
+    assert result.plans == matched
+    assert {r.method for r in result.rows} == {"hdp5", "cla"}
+    assert {v for v, _, _ in result.predictions} == {"hdp5", "cla"}
 
 
 def test_unsupervised_rows_align_per_plan(synth_result):
@@ -245,6 +265,89 @@ def test_external_prediction_count_mismatch_becomes_failure_row(tmp_path):
     cla_rows = [r for r in result.rows if r.method == "cla"]
     assert len(cla_rows) == 2 * 2 and all(r.failure is None for r in cla_rows)
     assert not any(variant == "short" for variant, _, _ in result.predictions)
+
+
+def add_one_module_group(manifest):
+    """Add a group whose one dataset, ``solo``, has a single module."""
+    (manifest.parent / "solo.csv").write_text("solo_loc,solo_x,bug\n12.0,3.0,1\n")
+    with manifest.open("a") as fh:
+        fh.write("\n[grp_solo]\nloc_metric = solo_loc\ngranularity = file\nfiles = solo.csv\n")
+    return manifest
+
+
+def test_unsupervised_failure_fills_its_target_and_spares_the_rest(tmp_path):
+    # spectral used to raise out of run_experiment, which then wrote nothing
+    manifest = add_one_module_group(two_dataset_manifest(tmp_path))
+
+    def run(methods):
+        return run_experiment(ExperimentConfig(
+            manifest=str(manifest), output_dir=str(tmp_path / "out"),
+            methods=methods, measures=("f1", "auc", "popt"),
+        ))
+
+    result = run(("hdp5", "cla", "spectral", "manual"))
+    spectral = [r for r in result.rows if r.method == "spectral"]
+    assert len(spectral) == 6 * 3
+    for r in spectral:
+        if r.target == "solo":
+            assert r.value is None and r.failure == "error: spectral clustering needs at least 2 modules"
+        else:
+            assert r.failure is None
+    assert sorted((s, t) for v, s, t in result.predictions if v == "spectral") == [
+        (s, t) for s, t in sorted(result.plans) if t != "solo"
+    ]
+    without = run(("hdp5", "cla", "manual"))
+    assert [r for r in result.rows if r.method != "spectral"] == without.rows
+    kept = {key: flags for key, flags in result.predictions.items() if key[0] != "spectral"}
+    assert sorted(kept) == sorted(without.predictions)
+    assert all(np.array_equal(flags, without.predictions[key]) for key, flags in kept.items())
+
+
+def test_unsupervised_exception_fails_every_plan_of_every_target(tmp_path, monkeypatch):
+    def broken(d, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(udp, "cla_predict", broken)
+    manifest = two_dataset_manifest(tmp_path)
+    cfg = ExperimentConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"),
+                           methods=("hdp5", "cla"), measures=("f1", "auc"))
+    result = run_experiment(cfg)
+    cla_rows = [r for r in result.rows if r.method == "cla"]
+    assert len(cla_rows) == 2 * 2
+    assert all(r.value is None and r.failure == "error: boom" for r in cla_rows)
+    assert not any(variant == "cla" for variant, _, _ in result.predictions)
+    assert harness.method_failures(result) == {"cla": 2}
+
+
+# the benchmark's tracer times a method by replacing its module binding, so
+# the harness must call each method through its module, never a stored copy
+COUNTED = {
+    udp: ("cla_predict", "clami_predict", "spectral_predict", "manual_rank", "best_metric_oracle"),
+    hdp: ("hdp1_predict", "hdp5_predict"),
+}
+
+
+def test_methods_are_called_through_their_module_bindings(synth_dir, monkeypatch):
+    calls = dict.fromkeys([name for names in COUNTED.values() for name in names], 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, names in COUNTED.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    result = run_experiment(load_config(synth_dir / "config.ini"))
+    n_plans, n_targets = len(result.plans), len({t for _, t in result.plans})
+    assert (n_plans, n_targets) == (12, 4)
+    assert calls == {
+        "cla_predict": n_targets, "clami_predict": n_targets, "spectral_predict": n_targets,
+        "manual_rank": 2 * n_targets,  # larger-first and smaller-first
+        "best_metric_oracle": 6 * n_targets,  # f1 (also precision, recall), auc, acc, popt, pmi20, ifa
+        "hdp1_predict": n_plans, "hdp5_predict": n_plans,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +447,14 @@ def test_load_results_rejects_a_plans_total_that_is_not_an_integer(exported):
     ("[experiment]\nmanifest = m.ini\nseed = x\n", r"c.ini: seed = 'x' is not an integer"),
     ("[experiment]\nmanifest = m.ini\neffort_fraction = 1/5\n",
      r"c.ini: effort_fraction = '1/5' is not a number"),
+    ("[experiment]\nmanifest = m.ini\nscenario = bogus\n",
+     r"c.ini: scenario must be one of \('scenario1', 'scenario2'\)"),
+    ("[experiment]\nmanifest = m.ini\neffort_fraction = 1.5\n",
+     r"c.ini: effort fraction must be in \(0, 1\]"),
+    ("[experiment]\nmanifest = m.ini\nmeasures = f1 mcc\n", r"c.ini: unknown measures: \['mcc'\]"),
+    ("[experiment]\nmanifest = m.ini\nmethods =\n", r"c.ini: methods and measures must be non-empty"),
+    ("[experiment]\nmanifest = m.ini\nmethods = hdp1 cla cla\n", r"c.ini: repeated methods: \['cla'\]"),
+    ("[experiment]\nmanifest = m.ini\nmeasures = f1 auc f1\n", r"c.ini: repeated measures: \['f1'\]"),
 ])
 def test_load_config_names_the_file_on_malformed_input(tmp_path, text, message):
     (tmp_path / "c.ini").write_text(text)
@@ -704,6 +815,23 @@ def test_cli_run_reports_failures_with_exit_2(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "c.ini")]) == 2
     err = capsys.readouterr().err
     assert "hdp1: 2" in err
+
+
+def test_cli_run_records_an_unsupervised_failure_and_report_rebuilds(tmp_path, capsys):
+    manifest = add_one_module_group(two_dataset_manifest(tmp_path))
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nmanifest = {manifest.name}\noutput_dir = out\n"
+        "methods = hdp5 cla spectral\nmeasures = f1 popt\n"
+    )
+    assert cli.main(["run", str(tmp_path / "c.ini")]) == 2
+    assert "  spectral: 2" in capsys.readouterr().err
+    out = tmp_path / "out"
+    results = (out / "results.csv").read_text()
+    assert results.count(",error: spectral clustering needs at least 2 modules") == 2 * 2
+    before = {p.name: p.read_bytes() for p in out.glob("report_*.txt")}
+    assert len(before) == 5
+    assert cli.main(["report", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("report_*.txt")} == before
 
 
 def test_cli_stats(tmp_path, capsys):
