@@ -20,6 +20,7 @@ from .harness import (
     export_results,
     load_config,
     load_results,
+    register_external_method,
     run_experiment,
     write_report,
 )
@@ -33,7 +34,6 @@ from .hdp import (
     hdp5_predict,
     ks_pvalue,
     match_metrics,
-    register_external_method,
     select_top_metrics,
 )
 from .learner import LogisticModel, TrainConfig, predict_proba, train_logistic, zscore_apply, zscore_fit

@@ -81,20 +81,18 @@ class MetricSchema:
 
 @dataclass(frozen=True)
 class DefectDataset:
-    """One project's metric matrix, binary labels, and module identifiers."""
+    """One project's metric matrix and binary labels, one row per module."""
 
     name: str
     schema: MetricSchema
     values: np.ndarray          # shape (n_modules, n_metrics), float
     labels: np.ndarray          # shape (n_modules,), bool, True = defective
-    module_ids: tuple[str, ...]
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         labels = np.asarray(self.labels, dtype=bool)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "module_ids", tuple(self.module_ids))
         n = values.shape[0] if values.ndim == 2 else 0
         if n == 0:
             raise ZeroModules(f"dataset {self.name!r} has no modules")
@@ -103,8 +101,8 @@ class DefectDataset:
                 f"dataset {self.name!r}: {values.shape[1] if values.ndim == 2 else '?'} "
                 f"columns vs {len(self.schema.metric_names)} schema metrics"
             )
-        if labels.shape != (n,) or len(self.module_ids) != n:
-            raise SchemaMismatch(f"dataset {self.name!r}: row/label/id count mismatch")
+        if labels.shape != (n,):
+            raise SchemaMismatch(f"dataset {self.name!r}: row/label count mismatch")
         if not np.all(np.isfinite(values)):
             raise NonNumericMetric(f"dataset {self.name!r} contains non-finite metric values")
         values.setflags(write=False)
@@ -171,10 +169,10 @@ def _build_dataset(
     elif tuple(metric_names) != schema.metric_names:
         if len(metric_names) != len(schema.metric_names):
             raise SchemaMismatch(
-                f"{name}: {len(metric_names)} metric columns vs "
-                f"{len(schema.metric_names)} in schema {schema.group_name!r}"
+                f"{len(metric_names)} metric columns vs "
+                f"{len(schema.metric_names)} in group {schema.group_name!r}"
             )
-        raise SchemaMismatch(f"{name}: metric names do not match schema {schema.group_name!r}")
+        raise SchemaMismatch(f"metric names do not match group {schema.group_name!r}")
 
     if not rows:
         raise ZeroModules(f"{name}: no data rows")
@@ -196,8 +194,7 @@ def _build_dataset(
                     f"{name}: non-numeric cell {cell!r} in metric {metric_names[c]!r}, row {r + 1}"
                 ) from None
             c += 1
-    module_ids = tuple(f"{name}#{i}" for i in range(len(rows)))
-    return DefectDataset(name, schema, values, labels, module_ids)
+    return DefectDataset(name, schema, values, labels)
 
 
 def _parse_arff(text: str) -> tuple[list[str], list[list[str]]]:
@@ -246,6 +243,8 @@ def load_dataset(
     defective/isDefective (case-insensitive); arff-subset files use the last
     attribute as the class. When no schema is supplied, one is derived from
     the header with ``loc_metric`` (or a known LOC name) as the LOC column.
+    A schema error (a header that does not match ``schema``, an unknown
+    ``loc_metric``) names the file.
     """
     path = Path(path)
     if format is None:
@@ -267,8 +266,11 @@ def load_dataset(
     if schema is not None:
         group_name = schema.group_name
         granularity = schema.granularity
-    return _build_dataset(name, header, rows, schema, group_name, granularity, loc_metric,
-                          label_index=label_index)
+    try:
+        return _build_dataset(name, header, rows, schema, group_name, granularity, loc_metric,
+                              label_index=label_index)
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
 
 
 def dataset_stats(d: DefectDataset) -> tuple[int, int, float]:
@@ -360,18 +362,22 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
 
 
 def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
-    """Load every dataset listed in a manifest, one schema per group per file header."""
+    """Load every dataset listed in a manifest. A group's schema comes from
+    its first file's header; each later file of the group must have the
+    same metric columns, or ``SchemaMismatch`` names that file."""
     datasets = []
     for group in read_manifest(path):
+        schema = None
         for file in group.files:
-            datasets.append(
-                load_dataset(
-                    file,
-                    group_name=group.name,
-                    granularity=group.granularity,
-                    loc_metric=group.loc_metric,
-                )
+            d = load_dataset(
+                file,
+                schema,
+                group_name=group.name,
+                granularity=group.granularity,
+                loc_metric=group.loc_metric,
             )
+            schema = d.schema
+            datasets.append(d)
     seen: set[str] = set()
     for d in datasets:
         if d.name in seen:

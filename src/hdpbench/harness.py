@@ -7,13 +7,15 @@ win/tie/loss matrices, McNemar diversity counts, unidentified-defective
 counts, and satisfactory ratios.
 
 ``METHODS`` is the one table of the built-in methods: each ``Method`` gives a
-method's category, how it is called, and the label variants it exports. A
-registered external method is a heterogeneous method on the plan's source
-and target datasets. Every call goes through one guard (``_predict``): an
-exception, a failed ``hdp.HdpOutcome`` or a prediction that is not one label
-per target module becomes the method's failure on that plan, recorded in
-every measure's row, and the run goes on. One function (``_score``) scores
-the measures with ``measures.compute_measure`` and picks out the variants.
+method's category, how it is called, and the label variants it exports. Any
+other name is a method registered here (``register_external_method``): a
+heterogeneous method on the plan's source and target datasets that exports
+its own name, so the reports read only the table, never the registry. Every
+call goes through one guard (``_predict``): an exception, a failed
+``hdp.HdpOutcome`` or a prediction that is not one label per target module
+becomes the method's failure on that plan, recorded in every measure's row,
+and the run goes on. One function (``_score``) scores the measures with
+``measures.compute_measure`` and picks out the variants.
 
 Unsupervised methods ignore the source project: each runs once per target,
 and its result, a failure included, is copied to every plan of that target so
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import combinations, product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -96,8 +98,12 @@ METHODS = {
         variants={"bestmetric-auc": "auc", "bestmetric-f1": "f1"},
     ),
 }
-# a registered method: hdp.external_methods()[name](source, target)
+# a registered method: _EXTERNAL_METHODS[name](source, target)
 _REGISTERED = Method("hdp", "", ("source", "target"))
+
+ExternalMethod = Callable[[DefectDataset, DefectDataset], hdp.HdpOutcome]
+
+_EXTERNAL_METHODS: dict[str, ExternalMethod] = {}
 
 RESULT_COLUMNS = ("method", "source", "target", "measure", "value", "failure")
 PREDICTION_COLUMNS = ("variant", "source", "target", "labels")
@@ -108,7 +114,7 @@ TARGET_COLUMNS = ("target", "group", "labels")
 class ExperimentConfig:
     manifest: str
     output_dir: str
-    methods: tuple[str, ...] = hdp.BUILTIN_METHOD_NAMES
+    methods: tuple[str, ...] = tuple(METHODS)
     measures: tuple[str, ...] = measures.MEASURE_IDS
     effort_fraction: float = 0.2
     scenario: str = "scenario1"
@@ -134,17 +140,43 @@ class ExperimentConfig:
 
 
 def _method(name: str) -> Method:
-    """The table entry of a built-in method, or the entry of a registered one."""
-    if name in METHODS:
-        return METHODS[name]
-    if name in hdp.external_methods():
-        return _REGISTERED
-    raise ValueError(f"unknown method {name!r}")
+    """The table entry of a built-in method; any other name is a registered one."""
+    return METHODS.get(name, _REGISTERED)
 
 
 def _variants(name: str) -> dict[str, str]:
     """Exported label variant -> the measure whose prediction it is."""
     return _method(name).variants or {name: "f1"}
+
+
+# the names a built-in method writes rows or label variants under
+_RESERVED_NAMES = frozenset(METHODS).union(*map(_variants, METHODS))
+
+
+def register_external_method(name: str, fn: ExternalMethod) -> str:
+    """Register a pluggable heterogeneous method under a unique name.
+
+    The callable receives (source, target) datasets and returns an
+    HdpOutcome holding a Prediction in target row order (or a failure);
+    it participates in harness runs identically to built-ins and exports
+    its labels under its own name. Effort-aware measures use the target's
+    clamped LOC column as effort. A built-in method's name or a variant
+    one exports is refused.
+    """
+    if name in _RESERVED_NAMES:
+        raise ValueError(f"method name {name!r} is reserved")
+    if name in _EXTERNAL_METHODS:
+        raise ValueError(f"method {name!r} already registered")
+    _EXTERNAL_METHODS[name] = fn
+    return name
+
+
+def unregister_external_method(name: str) -> None:
+    _EXTERNAL_METHODS.pop(name, None)
+
+
+def external_methods() -> dict[str, ExternalMethod]:
+    return dict(_EXTERNAL_METHODS)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -180,7 +212,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     fields = dict(
         manifest=manifest,
         output_dir=output_dir,
-        methods=_split("methods", hdp.BUILTIN_METHOD_NAMES),
+        methods=_split("methods", tuple(METHODS)),
         measures=_split("measures", measures.MEASURE_IDS),
         effort_fraction=_number("effort_fraction", float, 0.2),
         scenario=section.get("scenario", "scenario1"),
@@ -240,7 +272,7 @@ def _predict(
     a prediction that is not one label per target module."""
     method = _method(name)
     if method is _REGISTERED:
-        fn = hdp.external_methods()[name]
+        fn = _EXTERNAL_METHODS[name]
     else:
         fn = getattr(hdp if method.category == "hdp" else udp, method.function)
     calls: dict[str | None, udp.Prediction] = {}
@@ -285,9 +317,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Per-plan method failures are recorded in the rows; the run itself never
     aborts on a single plan. Output is deterministic.
     """
-    datasets = {d.name: d for d in load_manifest_datasets(cfg.manifest)}
     for m in cfg.methods:
-        _method(m)  # validates names
+        if m not in METHODS and m not in _EXTERNAL_METHODS:
+            raise ValueError(f"unknown method {m!r}")
+    datasets = {d.name: d for d in load_manifest_datasets(cfg.manifest)}
     all_plans = enumerate_combinations(list(datasets.values()))
     # hdp1's sorts and metric selection depend on one dataset: do them once
     profile = cache(lambda name: hdp.DatasetProfile(datasets[name]))

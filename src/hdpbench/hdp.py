@@ -1,10 +1,10 @@
-"""Heterogeneous defect predictors and the external-method plugin hook.
+"""Heterogeneous defect predictors.
 
 Two methods are built in: metric selection + distribution matching +
 maximum-weight bipartite matching feeding a logistic model, and the
 distribution-characteristics re-representation that maps every module to a
-fixed 14-statistic vector. Further heterogeneous methods plug in through
-``register_external_method`` and run in the harness like the built-ins.
+fixed 14-statistic vector. Both return an ``HdpOutcome``, as a registered
+external method does (``harness.register_external_method``).
 """
 
 from __future__ import annotations
@@ -12,21 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
 from .datasets import DefectDataset
-from .learner import TrainConfig, predict_proba, train_logistic
+from .learner import predict_proba, train_logistic
 from .udp import Prediction
 
 SELECTION_FRACTION = 0.15
 MATCH_CUTOFF = 0.05
 GAIN_RATIO_BINS = 10
-
-BUILTIN_METHOD_NAMES = ("hdp1", "hdp5", "cla", "clami", "spectral", "manual", "bestmetric")
-_RESERVED_NAMES = frozenset(BUILTIN_METHOD_NAMES) | {"truth"}
 
 
 @dataclass(frozen=True)
@@ -318,22 +315,17 @@ def match_metrics(
     return MetricMatch(tuple(pairs))
 
 
-def hdp1_predict(
-    source: DatasetProfile,
-    target: DatasetProfile,
-    cutoff: float = MATCH_CUTOFF,
-    cfg: TrainConfig = TrainConfig(),
-) -> HdpOutcome:
+def hdp1_predict(source: DatasetProfile, target: DatasetProfile) -> HdpOutcome:
     """KS matching of the source's selected metrics, then a logistic model on
     the matched columns. Fails with NoMatchedMetrics when no metric pair
-    survives the cutoff; the failure is recorded, not fatal."""
-    match = match_metrics(source, target, cutoff)
+    survives ``MATCH_CUTOFF``; the failure is recorded, not fatal."""
+    match = match_metrics(source, target)
     if not match.pairs:
         return HdpOutcome(failure="NoMatchedMetrics")
     s, t = source.dataset, target.dataset
     source_cols = [s.schema.metric_index(name) for name, _, _ in match.pairs]
     target_cols = [t.schema.metric_index(name) for _, name, _ in match.pairs]
-    model = train_logistic(s.values[:, source_cols], s.labels, cfg)
+    model = train_logistic(s.values[:, source_cols], s.labels)
     scores = predict_proba(model, t.values[:, target_cols])
     return HdpOutcome(predictions=Prediction(scores, scores > 0.5))
 
@@ -416,44 +408,12 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     ])
 
 
-def hdp5_predict(
-    source: DefectDataset,
-    target: DefectDataset,
-    cfg: TrainConfig = TrainConfig(),
-) -> HdpOutcome:
+def hdp5_predict(source: DefectDataset, target: DefectDataset) -> HdpOutcome:
     """Re-represent every module by its distribution characteristics and
     train the classifier on the source vectors; always succeeds."""
     x_source = np.vstack([distribution_vector(row) for row in source.values])
     x_target = np.vstack([distribution_vector(row) for row in target.values])
-    model = train_logistic(x_source, source.labels, cfg)
+    model = train_logistic(x_source, source.labels)
     scores = predict_proba(model, x_target)
     return HdpOutcome(predictions=Prediction(scores, scores > 0.5))
 
-
-ExternalMethod = Callable[[DefectDataset, DefectDataset], HdpOutcome]
-
-_EXTERNAL_METHODS: dict[str, ExternalMethod] = {}
-
-
-def register_external_method(name: str, fn: ExternalMethod) -> str:
-    """Register a pluggable heterogeneous method under a unique name.
-
-    The callable receives (source, target) datasets and returns an
-    HdpOutcome holding a Prediction in target row order (or a failure);
-    it participates in harness runs identically to built-ins. Effort-aware
-    measures use the target's clamped LOC column as effort.
-    """
-    if name in _RESERVED_NAMES:
-        raise ValueError(f"method name {name!r} is reserved")
-    if name in _EXTERNAL_METHODS:
-        raise ValueError(f"method {name!r} already registered")
-    _EXTERNAL_METHODS[name] = fn
-    return name
-
-
-def unregister_external_method(name: str) -> None:
-    _EXTERNAL_METHODS.pop(name, None)
-
-
-def external_methods() -> dict[str, ExternalMethod]:
-    return dict(_EXTERNAL_METHODS)

@@ -149,12 +149,12 @@ class SkRanking:
 _SK_FACTOR = math.pi / (2.0 * (math.pi - 2.0))
 
 
-def scott_knott(samples: Mapping[str, Sequence[float]], alpha: float = ALPHA) -> SkRanking:
+def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
     """Recursive mean-based grouping of methods into distinct ranks.
 
     Methods are ordered by mean; the split maximizing the between-group sum
     of squares is accepted when the lambda statistic exceeds the chi-square
-    critical value at ``alpha`` with k/(pi - 2) degrees of freedom, then
+    critical value at ``ALPHA`` with k/(pi - 2) degrees of freedom, then
     both halves are partitioned recursively. The error variance of a
     treatment mean is pooled once over all methods.
     """
@@ -189,7 +189,7 @@ def scott_knott(samples: Mapping[str, Sequence[float]], alpha: float = ALPHA) ->
             if sigma02 > 0:
                 lam = _SK_FACTOR * best_b0 / sigma02
                 # chdtri is the chi-square inverse survival function
-                if lam > special.chdtri(k / (math.pi - 2.0), alpha):
+                if lam > special.chdtri(k / (math.pi - 2.0), ALPHA):
                     partition(group[:best_split])
                     partition(group[best_split:])
                     return

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import measures
 from .datasets import DefectDataset, effort_values
-from .learner import TrainConfig, predict_proba, train_logistic, zscore_apply, zscore_fit
+from .learner import predict_proba, train_logistic, zscore_apply, zscore_fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +59,7 @@ def cla_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> Prediction
     return Prediction(k.astype(float), labels)
 
 
-def clami_predict(
-    d: DefectDataset,
-    cutoff_percentile: float = 50.0,
-    cfg: TrainConfig = TrainConfig(),
-) -> Prediction:
+def clami_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> Prediction:
     """CLA labeling plus metric and instance selection, then a logistic fit.
 
     A violation is a cell whose magnitude disagrees with its module's CLA
@@ -82,7 +78,7 @@ def clami_predict(
     survivor_labels = labels[survivors]
     if not (survivor_labels.any() and not survivor_labels.all()):
         return cla_predict(d, cutoff_percentile)
-    model = train_logistic(d.values[survivors][:, kept], survivor_labels, cfg)
+    model = train_logistic(d.values[survivors][:, kept], survivor_labels)
     scores = predict_proba(model, d.values[:, kept])
     return Prediction(scores, scores > 0.5)
 

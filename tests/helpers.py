@@ -79,8 +79,7 @@ def make_dataset(
     if metric_names is None:
         metric_names = tuple(f"{name}_m{j}" for j in range(values.shape[1]))
     schema = MetricSchema(group, metric_names, metric_names[loc_index], granularity)
-    ids = tuple(f"{name}#{i}" for i in range(values.shape[0]))
-    return DefectDataset(name, schema, values, np.asarray(labels, dtype=bool), ids)
+    return DefectDataset(name, schema, values, np.asarray(labels, dtype=bool))
 
 
 def stub_metric_names(tag: str, count: int) -> tuple[str, ...]:

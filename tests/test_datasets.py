@@ -200,3 +200,23 @@ def test_manifest_missing_key(tmp_path):
     manifest.write_text("[g]\ngranularity = file\n")
     with pytest.raises(DatasetError):
         read_manifest(manifest)
+
+
+@pytest.mark.parametrize("one, two, loc, message", [
+    ("a_loc,a1,bug", "a_loc,zz1,zz2,bug", "a_loc", r"two\.csv: 3 metric columns vs 2 in group 'g'"),
+    ("a_loc,a1,bug", "a_loc,zz1,bug", "a_loc", r"two\.csv: metric names do not match group 'g'"),
+    ("b_loc,a1,bug", "b_loc,a1,bug", "a_loc",
+     r"one\.csv: loc metric 'a_loc' not among metrics of group 'g'"),
+], ids=["column-count", "metric-names", "loc-metric"])
+def test_manifest_schema_errors_name_the_file(tmp_path, one, two, loc, message):
+    for name, header in (("one", one), ("two", two), ("three", "h_loc,h1,bug")):
+        cells = ",".join(["1"] * header.count(","))
+        write_csv(tmp_path, f"{header}\n{cells},0\n", f"{name}.csv")
+    manifest = tmp_path / "manifest.ini"
+    manifest.write_text(
+        f"[g]\nloc_metric = {loc}\ngranularity = file\nfiles = one.csv two.csv\n\n"
+        "[h]\nloc_metric = h_loc\ngranularity = file\nfiles = three.csv\n"
+    )
+    with pytest.raises(SchemaMismatch, match=message) as caught:
+        load_manifest_datasets(manifest)
+    assert str(caught.value).startswith(str(tmp_path))

@@ -9,10 +9,12 @@ from hdpbench.harness import (
     export_results,
     load_config,
     load_results,
+    register_external_method,
     run_experiment,
+    unregister_external_method,
     write_report,
 )
-from hdpbench.hdp import HdpOutcome, register_external_method, unregister_external_method
+from hdpbench.hdp import HdpOutcome
 from hdpbench.udp import Prediction
 import reference_hdp
 from helpers import write_benchmark_stub_files, write_synthetic_benchmark
@@ -61,7 +63,7 @@ def test_load_config_and_defaults(tmp_path):
     cfg_path.write_text(f"[experiment]\nmanifest = {manifest.name}\n")
     cfg = load_config(cfg_path)
     assert cfg.manifest == str(manifest)
-    assert cfg.methods == hdp.BUILTIN_METHOD_NAMES
+    assert cfg.methods == tuple(harness.METHODS)
     assert cfg.effort_fraction == 0.2
     assert cfg.scenario == "scenario1"
 
@@ -82,8 +84,12 @@ def test_config_validation():
         ExperimentConfig(manifest="m", output_dir="o", measures=("f1", "auc", "f1"))
 
 
-def test_the_method_table_holds_every_built_in_method():
-    assert tuple(harness.METHODS) == hdp.BUILTIN_METHOD_NAMES
+@pytest.mark.parametrize("name", [*harness.METHODS, "bestmetric-auc", "bestmetric-f1"])
+def test_built_in_method_and_variant_names_are_reserved(name):
+    # a registered bestmetric-f1 would overwrite bestmetric's f1 labels
+    with pytest.raises(ValueError, match=f"method name '{name}' is reserved"):
+        register_external_method(name, lambda source, target: None)
+    assert name not in harness.external_methods()
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +796,34 @@ def test_report_is_pure_function_of_exported_data(synth_result, tmp_path):
     assert direct == reloaded
 
 
+@pytest.fixture
+def registered_run(tmp_path):
+    """A run of a registered method ``ext`` and cla, exported to ``out``; the
+    method is unregistered again before the test body runs. Returns the
+    directory and the reports built from the run itself."""
+    manifest = two_dataset_manifest(tmp_path)
+
+    def ext(source, target):
+        return HdpOutcome(predictions=udp.cla_predict(target))
+
+    register_external_method("ext", ext)
+    try:
+        cfg = ExperimentConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"),
+                               methods=("ext", "cla"), measures=("f1", "auc"))
+        result = run_experiment(cfg)
+        export_results(result, cfg.output_dir)
+        report = build_report(result)
+    finally:
+        unregister_external_method("ext")
+    return tmp_path / "out", report
+
+
+def test_reports_of_a_registered_method_rebuild_without_the_registry(registered_run):
+    out, direct = registered_run
+    assert "ext vs cla" in direct["report_diversity.txt"]
+    assert build_report(load_results(out)) == direct
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -804,6 +838,27 @@ def test_cli_run_and_report(synth_dir, capsys):
     assert code == 0
     after = {p.name: p.read_bytes() for p in results_dir.glob("report_*.txt")}
     assert before == after
+
+
+def test_cli_report_rebuilds_a_run_of_a_registered_method(registered_run, capsys):
+    out, direct = registered_run
+    assert cli.main(["report", str(out)]) == 0
+    assert {p.name: p.read_text() for p in out.glob("report_*.txt")} == direct
+
+
+def test_cli_run_on_a_group_with_two_headers_exits_1(tmp_path, capsys):
+    (tmp_path / "one.csv").write_text("a_loc,a1,bug\n1,2,0\n3,4,1\n")
+    (tmp_path / "two.csv").write_text("a_loc,zz1,zz2,bug\n1,2,3,0\n4,5,6,1\n")
+    (tmp_path / "three.csv").write_text("h_loc,h1,bug\n1,2,0\n3,4,1\n")
+    (tmp_path / "m.ini").write_text(
+        "[g]\nloc_metric = a_loc\ngranularity = file\nfiles = one.csv two.csv\n\n"
+        "[h]\nloc_metric = h_loc\ngranularity = file\nfiles = three.csv\n"
+    )
+    (tmp_path / "c.ini").write_text("[experiment]\nmanifest = m.ini\noutput_dir = out\n")
+    assert cli.main(["run", str(tmp_path / "c.ini")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "two.csv: " in err and "group 'g'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_reports_failures_with_exit_2(tmp_path, capsys):

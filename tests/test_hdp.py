@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import kolmogorov
 
-from hdpbench import hdp
+from hdpbench import harness
+from hdpbench.harness import register_external_method, unregister_external_method
 from hdpbench.hdp import (
     DatasetProfile,
     HdpOutcome,
@@ -21,9 +22,7 @@ from hdpbench.hdp import (
     match_from_weights,
     max_weight_assignment,
     match_metrics,
-    register_external_method,
     select_top_metrics,
-    unregister_external_method,
 )
 from hdpbench.learner import predict_proba, train_logistic
 import reference_hdp
@@ -419,11 +418,11 @@ def test_register_and_duplicate():
 
     name = register_external_method("constant-half", constant)
     try:
-        assert name in hdp.external_methods()
+        assert name in harness.external_methods()
         with pytest.raises(ValueError):
             register_external_method("constant-half", constant)
         with pytest.raises(ValueError):
             register_external_method("hdp1", constant)
     finally:
         unregister_external_method("constant-half")
-    assert "constant-half" not in hdp.external_methods()
+    assert "constant-half" not in harness.external_methods()
