@@ -147,19 +147,22 @@ def normalize_label(raw: str) -> bool:
 
 
 def _build_dataset(
-    name: str,
+    path: Path,
     header: list[str],
-    rows: list[list[str]],
+    rows: list[tuple[int, list[str]]],
     schema: MetricSchema | None,
     group_name: str,
     granularity: str,
     loc_metric: str | None,
     label_index: int | None = None,
 ) -> DefectDataset:
+    """The dataset named after ``path``'s stem; ``rows`` pairs each row's
+    cells with its 1-based line number in the file, which row errors name
+    along with the path."""
     if label_index is None:
         matches = [i for i, h in enumerate(header) if h.strip().lower() in LABEL_COLUMN_NAMES]
         if not matches:
-            raise MissingLabelColumn(f"{name}: no label column among {header}")
+            raise MissingLabelColumn(f"{path}: no label column among {header}")
         label_index = matches[0]
     metric_names = [h.strip() for i, h in enumerate(header) if i != label_index]
     if schema is None:
@@ -175,14 +178,17 @@ def _build_dataset(
         raise SchemaMismatch(f"metric names do not match group {schema.group_name!r}")
 
     if not rows:
-        raise ZeroModules(f"{name}: no data rows")
+        raise ZeroModules(f"{path}: no data rows")
     n_cols = len(header)
     values = np.empty((len(rows), n_cols - 1), dtype=float)
     labels = np.empty(len(rows), dtype=bool)
-    for r, row in enumerate(rows):
+    for r, (line, row) in enumerate(rows):
         if len(row) != n_cols:
-            raise DatasetError(f"{name}: row {r + 1} has {len(row)} cells, expected {n_cols}")
-        labels[r] = normalize_label(row[label_index])
+            raise DatasetError(f"{path}:{line}: {len(row)} cells, expected {n_cols}")
+        try:
+            labels[r] = normalize_label(row[label_index])
+        except DatasetError as exc:
+            raise DatasetError(f"{path}:{line}: {exc}") from None
         c = 0
         for i, cell in enumerate(row):
             if i == label_index:
@@ -191,28 +197,35 @@ def _build_dataset(
                 values[r, c] = float(cell)
             except ValueError:
                 raise NonNumericMetric(
-                    f"{name}: non-numeric cell {cell!r} in metric {metric_names[c]!r}, row {r + 1}"
+                    f"{path}:{line}: non-numeric cell {cell!r} in metric {metric_names[c]!r}"
                 ) from None
             c += 1
-    return DefectDataset(name, schema, values, labels)
+    non_finite = np.argwhere(~np.isfinite(values))
+    if len(non_finite):
+        r, c = non_finite[0]
+        raise NonNumericMetric(
+            f"{path}:{rows[r][0]}: non-finite value in metric {metric_names[c]!r}"
+        )
+    return DefectDataset(path.stem, schema, values, labels)
 
 
-def _parse_arff(text: str) -> tuple[list[str], list[list[str]]]:
-    """Return (attribute names, data rows) from an arff-subset document.
+def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Return (attribute names, (line number, data row) pairs) from an
+    arff-subset document.
 
     Only the @attribute/@data structure is honored; the last attribute is
     the class.
     """
     header: list[str] = []
-    rows: list[list[str]] = []
+    rows: list[tuple[int, list[str]]] = []
     in_data = False
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("%"):
             continue
         lower = line.lower()
         if in_data:
-            rows.append([c.strip() for c in line.split(",")])
+            rows.append((number, [c.strip() for c in line.split(",")]))
         elif lower.startswith("@attribute"):
             rest = line[len("@attribute"):].strip()
             if rest.startswith(("'", '"')):
@@ -250,13 +263,13 @@ def load_dataset(
     if format is None:
         format = "arff-subset" if path.suffix.lower() == ".arff" else "csv"
     text = path.read_text()
-    name = path.stem
     if format == "csv":
         reader = csv.reader(text.splitlines())
-        table = [row for row in reader if row and any(c.strip() for c in row)]
+        # reader.line_num is the line in the file where the row just read ends
+        table = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
         if not table:
-            raise ZeroModules(f"{name}: empty file")
-        header, rows = table[0], table[1:]
+            raise ZeroModules(f"{path}: empty file")
+        header, rows = table[0][1], table[1:]
         label_index = None
     elif format == "arff-subset":
         header, rows = _parse_arff(text)
@@ -267,7 +280,7 @@ def load_dataset(
         group_name = schema.group_name
         granularity = schema.granularity
     try:
-        return _build_dataset(name, header, rows, schema, group_name, granularity, loc_metric,
+        return _build_dataset(path, header, rows, schema, group_name, granularity, loc_metric,
                               label_index=label_index)
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None

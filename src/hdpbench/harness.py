@@ -60,13 +60,14 @@ class Method:
       source, so it runs, and is scored, once per target.
     - ``function`` and ``inputs``: the call is ``function`` of the ``hdp``
       module ("hdp") or the ``udp`` module ("udp") on the named inputs:
-      ``source``, ``target``, ``effort_fraction`` and ``choice``. The
+      ``source``, ``target`` and ``effort_fraction``. The
       function is looked up in its module at each call, never stored, so a
       replaced module binding (a tracer's, a test's) is the one that runs.
       ``profiled`` passes ``hdp.DatasetProfile``s as source and target.
-    - ``choice``: measure -> the ``choice`` input of the call whose
-      prediction that measure scores; one call is made per distinct choice.
-      Without it, one call serves every measure.
+    - ``choice``: the call returns one prediction per choice, keyed by
+      choice, and this maps each measure to the key of the prediction it
+      scores. Without it, the call's one prediction serves every measure.
+      Either way the method is called once per plan (per target for "udp").
     - ``variants``: exported label variant -> the measure whose prediction
       it is. By default a method exports its f1 prediction under its own name.
     """
@@ -87,13 +88,13 @@ METHODS = {
     "spectral": Method("udp", "spectral_predict", ("target",)),
     # size ranking: larger-first for the classification measures,
     # smaller-first for the effort-aware ones
-    "manual": Method("udp", "manual_rank", ("target", "choice"), choice={
+    "manual": Method("udp", "manual_rank", ("target",), choice={
         m: "down" if m in ("precision", "recall", "f1", "auc") else "up"
         for m in measures.MEASURE_IDS
     }),
     # precision and recall ride on the F1-oriented metric choice
     "bestmetric": Method(
-        "udp", "best_metric_oracle", ("target", "choice", "effort_fraction"),
+        "udp", "best_metric_oracle", ("target", "effort_fraction"),
         choice={m: "f1" if m in ("precision", "recall") else m for m in measures.MEASURE_IDS},
         variants={"bestmetric-auc": "auc", "bestmetric-f1": "f1"},
     ),
@@ -275,23 +276,19 @@ def _predict(
         fn = _EXTERNAL_METHODS[name]
     else:
         fn = getattr(hdp if method.category == "hdp" else udp, method.function)
-    calls: dict[str | None, udp.Prediction] = {}
     wanted = [*measure_ids, *_variants(name).values()]
-    choices = {m: method.choice[m] if method.choice else None for m in wanted}
     try:
-        for choice in dict.fromkeys(choices.values()):
-            args = {**inputs, "choice": choice}
-            output = fn(*(args[k] for k in method.inputs))
-            if isinstance(output, hdp.HdpOutcome) and not output.ok:
-                return output.failure
-            # an HdpOutcome or udp.BestMetric holds its Prediction
-            pred = output if isinstance(output, udp.Prediction) else output.predictions
-            if len(pred.scores) != n_modules:
-                return "error: prediction count mismatch"
-            calls[choice] = pred
+        output = fn(*(inputs[k] for k in method.inputs))
+        if isinstance(output, hdp.HdpOutcome) and not output.ok:
+            return output.failure
+        chosen = {m: output[method.choice[m]] if method.choice else output for m in wanted}
+        # an HdpOutcome or udp.BestMetric holds its Prediction
+        preds = {m: p if isinstance(p, udp.Prediction) else p.predictions for m, p in chosen.items()}
+        if any(len(p.scores) != n_modules for p in preds.values()):
+            return "error: prediction count mismatch"
     except Exception as exc:  # one bad method call must not abort the run
         return f"error: {exc}"
-    return {m: calls[choice] for m, choice in choices.items()}
+    return preds
 
 
 def _score(

@@ -38,9 +38,6 @@ class MetricMatch:
         if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
             raise ValueError("matched metrics must be unique on both sides")
 
-    def total_weight(self) -> float:
-        return sum(p[2] for p in self.pairs)
-
 
 @dataclass(frozen=True)
 class HdpOutcome:

@@ -11,6 +11,10 @@ Every function takes per-module vectors in target row order: float
 positive float ``efforts`` and bool ``actual`` truth. Vectors of unequal
 length are rejected rather than broadcast. ``compute_measure`` evaluates
 one measure by id and turns undefined cases into absent values.
+``RankingScorer`` scores many rankings of one target on the six core
+measures, with one ordering per ranking and the target's totals computed
+once; it adds in the same order as the per-measure functions, so both give
+the same floats.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
+
+from .stats import average_ranks
 
 #: Canonical measure order; the first two exist for the satisfactory-ratio
 #: analysis, the remaining six are the benchmark's headline measures.
@@ -131,7 +136,12 @@ def auc(scores: Sequence[float], actual: Sequence[bool]) -> float | None:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)  # tied scores share the average rank
+    return _auc_from_ranks(average_ranks(scores), labels, n_pos, n_neg)
+
+
+def _auc_from_ranks(ranks: np.ndarray, labels: np.ndarray, n_pos: int, n_neg: int) -> float:
+    """Mann-Whitney AUC from average ranks (ascending in score); tied
+    scores share a rank, so a tie counts 0.5."""
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
@@ -174,13 +184,23 @@ def effort_curve(
             order = np.lexsort((-efforts, density))
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
+    return EffortCurve(*_curve_points(
+        np.cumsum(efforts[order]), efforts.sum(), np.cumsum(actual[order]), n_defective
+    ))
+
+
+def _curve_points(
+    cum_efforts: np.ndarray, total_effort: float, cum_defects: np.ndarray, n_defective: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """An effort curve's x and y from the running sums of the ranked
+    efforts and defect flags."""
     # cumsum adds left to right, so each point is the running sum of the
     # ranked efforts; running float sums can overshoot 1 by an ulp before
     # the last point
-    x = np.concatenate(([0.0], np.minimum(1.0, np.cumsum(efforts[order]) / efforts.sum())))
-    y = np.concatenate(([0.0], np.minimum(1.0, np.cumsum(actual[order]) / n_defective)))
+    x = np.concatenate(([0.0], np.minimum(1.0, cum_efforts / total_effort)))
+    y = np.concatenate(([0.0], np.minimum(1.0, cum_defects / n_defective)))
     x[-1] = y[-1] = 1.0
-    return EffortCurve(x, y)
+    return x, y
 
 
 def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]) -> float:
@@ -192,6 +212,10 @@ def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[boo
     area_m = effort_curve(scores, efforts, actual, "by_score").area()
     area_opt = effort_curve(scores, efforts, actual, "optimal").area()
     area_worst = effort_curve(scores, efforts, actual, "worst").area()
+    return _popt_from_areas(area_m, area_opt, area_worst)
+
+
+def _popt_from_areas(area_m: float, area_opt: float, area_worst: float) -> float:
     denom = area_opt - area_worst
     if denom <= 0:
         return 1.0
@@ -199,16 +223,30 @@ def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[boo
     return min(1.0, max(0.0, value))
 
 
-def _inspected(scores: np.ndarray, efforts: np.ndarray, effort_fraction: float) -> np.ndarray:
-    """Ranked indices inspectable within the budget; the module crossing it is excluded."""
+def _check_fraction(effort_fraction: float) -> None:
     if not 0 < effort_fraction <= 1:
         raise ValueError("effort fraction must be in (0, 1]")
+
+
+def _budget(efforts: np.ndarray, effort_fraction: float) -> float:
+    """The effort inspectable within the fraction, with a relative slack
+    of 1e-9 so that rounding does not exclude a module that fits exactly."""
+    return effort_fraction * float(efforts.sum()) * (1 + 1e-9)
+
+
+def _inspected(scores: np.ndarray, efforts: np.ndarray, effort_fraction: float) -> np.ndarray:
+    """Ranked indices inspectable within the budget; the module crossing it is excluded."""
+    _check_fraction(effort_fraction)
     _check_efforts(efforts)
     order = _by_score(scores)
-    budget = effort_fraction * float(efforts.sum()) * (1 + 1e-9)
+    return order[: _n_inspected(np.cumsum(efforts[order]), _budget(efforts, effort_fraction))]
+
+
+def _n_inspected(cum_efforts: np.ndarray, budget: float) -> int:
+    """Length of the ranked prefix that fits the budget."""
     # positive efforts make the running total increasing, so the prefix
     # ends before the first running total above the budget
-    return order[: np.searchsorted(np.cumsum(efforts[order]), budget, side="right")]
+    return int(np.searchsorted(cum_efforts, budget, side="right"))
 
 
 def acc_at(
@@ -271,3 +309,55 @@ def compute_measure(
     except NoDefects:
         return None, "NoDefects"
     raise ValueError(f"unknown measure {measure!r}")
+
+
+class RankingScorer:
+    """Scores rankings of one target on the six core measures.
+
+    The target's efforts and truth, their totals, the inspection budget and
+    the optimal and worst P_opt areas are computed once, at construction.
+    ``score`` then reads F1, ACC, P_opt, PMI and IFA from one ordering of the
+    modules and AUC from their average ranks, with the same arithmetic, in
+    the same order, as ``compute_measure``.
+    """
+
+    def __init__(self, efforts: Sequence[float], actual: Sequence[bool], effort_fraction: float = 0.2):
+        self.efforts, self.actual = _vectors((efforts, float), (actual, bool))
+        _check_efforts(self.efforts)
+        _check_fraction(effort_fraction)
+        self.n_pos = int(self.actual.sum())
+        self.n_neg = len(self.actual) - self.n_pos
+        self.total_effort = self.efforts.sum()
+        self.budget = _budget(self.efforts, effort_fraction)
+        if self.n_pos:  # the optimal and worst orderings ignore the scores
+            self.area_opt = effort_curve(self.efforts, self.efforts, self.actual, "optimal").area()
+            self.area_worst = effort_curve(self.efforts, self.efforts, self.actual, "worst").area()
+
+    def score(self, order: np.ndarray, ranks: np.ndarray, n_flagged: int) -> dict[str, float | None]:
+        """The core measures of one ranking, None where undefined.
+
+        ``order`` visits the modules by score descending, ties in module
+        order; ``ranks`` are the scores' average ranks, ascending; the first
+        ``n_flagged`` modules of ``order`` are the ones labelled defective.
+        """
+        n, n_pos = len(order), self.n_pos
+        ranked_actual = self.actual[order]
+        cum_defects = np.cumsum(ranked_actual)
+        cum_efforts = np.cumsum(self.efforts[order])
+        tp = int(cum_defects[n_flagged - 1]) if n_flagged else 0
+        fn = n_pos - tp
+        cm = ConfusionMatrix(tp=tp, fp=n_flagged - tp, tn=n - n_flagged - fn, fn=fn)
+        n_inspected = _n_inspected(cum_efforts, self.budget)
+        values: dict[str, float | None] = dict.fromkeys(CORE_MEASURES)
+        values["f1"] = prf1(cm)["f1"]
+        values["pmi20"] = n_inspected / n
+        if self.n_neg and n_pos:
+            values["auc"] = _auc_from_ranks(ranks, self.actual, n_pos, self.n_neg)
+        if n_pos:
+            values["acc"] = (int(cum_defects[n_inspected - 1]) if n_inspected else 0) / n_pos
+            x, y = _curve_points(cum_efforts, self.total_effort, cum_defects, n_pos)
+            values["popt"] = _popt_from_areas(
+                float(np.trapezoid(y, x)), self.area_opt, self.area_worst
+            )
+            values["ifa"] = float(np.argmax(ranked_actual))
+        return values

@@ -11,11 +11,28 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
 
 ALPHA = 0.05
 NEGLIGIBLE_DELTA = 0.147  # |delta| below this is a negligible effect
 _EXACT_LIMIT = 12  # exact null distribution up to this many nonzero diffs
+
+
+def average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks of a vector, tied values sharing the mean of their
+    positions, as ``scipy.stats.rankdata`` gives them by default. A run of
+    tied values over sorted positions [start, end) ranks (start + end + 1) / 2,
+    a multiple of 1/2 and so exact. Any NaN makes every rank NaN."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    if np.isnan(values).any():
+        return np.full(n, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    run_starts = np.flatnonzero(np.concatenate(([n > 0], ordered[1:] != ordered[:-1])))
+    run_ends = np.append(run_starts[1:], n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((run_starts + run_ends + 1) / 2, run_ends - run_starts)
+    return ranks
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
@@ -36,7 +53,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(diffs)
     if n == 0:
         return 1.0
-    ranks = rankdata(np.abs(diffs))
+    ranks = average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     if n <= _EXACT_LIMIT:
         # averaged ranks are multiples of 1/2, so doubled ranks are integers:

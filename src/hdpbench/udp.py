@@ -1,11 +1,13 @@
 """Unsupervised defect predictors.
 
 All five methods share the assumption that defective modules tend to have
-larger metric values. Every method returns one ``Prediction``: a score
-vector (higher means inspect earlier) and a defective-flag vector, both in
-the target's row order. Inspection effort is not part of it; the measures
-take the target's LOC column with values <= 0 clamped to 1
-(``datasets.effort_values``).
+larger metric values. A ``Prediction`` is a score vector (higher means
+inspect earlier) and a defective-flag vector, both in the target's row
+order. ``cla``, ``clami`` and ``spectral`` return one; ``manual_rank``
+returns one per ranking direction and ``best_metric_oracle`` one winner per
+core measure, each from a single call per target. Inspection effort is not
+part of a prediction; the measures take the target's LOC column with values
+<= 0 clamped to 1 (``datasets.effort_values``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from . import measures
 from .datasets import DefectDataset, effort_values
 from .learner import predict_proba, train_logistic, zscore_apply, zscore_fit
+from .stats import average_ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,26 +200,25 @@ def spectral_predict(d: DefectDataset) -> Prediction:
     return Prediction(row_sums, predicted)
 
 
-def _top_half(scores: np.ndarray) -> np.ndarray:
-    """Defective flags for the top ceil(n/2) modules of the stable
-    descending ranking (ties keep module order)."""
-    order = np.argsort(-scores, kind="stable")
-    predicted = np.zeros(len(scores), dtype=bool)
-    predicted[order[: (len(scores) + 1) // 2]] = True
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """Indices by score descending; ties keep module order."""
+    return np.argsort(-scores, kind="stable")
+
+
+def _top_half(order: np.ndarray) -> np.ndarray:
+    """Defective flags for the first ceil(n/2) modules of ``order``."""
+    predicted = np.zeros(len(order), dtype=bool)
+    predicted[order[: (len(order) + 1) // 2]] = True
     return predicted
 
 
-def manual_rank(d: DefectDataset, direction: str = "down") -> Prediction:
-    """Size-only ranking: ``down`` scores by LOC (larger first), ``up`` by
-    1/LOC (smaller first); the top half of the ranking is labeled defective."""
+def manual_rank(d: DefectDataset) -> dict[str, Prediction]:
+    """Size-only rankings: ``down`` scores by LOC (larger first), ``up`` by
+    1/LOC (smaller first); the top half of each stable descending ranking
+    (ties keep module order) is labeled defective."""
     loc = effort_values(d)
-    if direction == "down":
-        scores = loc.astype(float)
-    elif direction == "up":
-        scores = 1.0 / loc
-    else:
-        raise ValueError("direction must be 'down' or 'up'")
-    return Prediction(scores, _top_half(scores))
+    rankings = {"down": loc.astype(float), "up": 1.0 / loc}
+    return {key: Prediction(s, _top_half(_descending(s))) for key, s in rankings.items()}
 
 
 class BestMetric(NamedTuple):
@@ -225,40 +227,43 @@ class BestMetric(NamedTuple):
     value: float | None
 
 
-def best_metric_oracle(
-    d: DefectDataset, measure: str, effort_fraction: float = 0.2
-) -> BestMetric:
-    """Target-side oracle: the single metric (and ranking direction) whose
-    top-half ranking scores best on the given measure against true labels.
+def best_metric_oracle(d: DefectDataset, effort_fraction: float = 0.2) -> dict[str, BestMetric]:
+    """Target-side oracle: for each core measure, the single metric (and
+    ranking direction) whose top-half ranking scores best on that measure
+    against true labels.
 
     Both directions are tried per metric because the winning metric is
     direction-dependent; ties fall back to schema order with descending
-    preferred. The LOC column is clamped like every effort computation.
+    preferred. A measure undefined on every candidate (e.g. no defective
+    modules) keeps the first metric's descending ranking with value None.
+    The LOC column is clamped like every effort computation.
+
+    One pass scores every candidate on all six measures: one stable
+    ordering per candidate, and average ranks once per metric. The
+    ascending candidate's ranks are n + 1 minus the descending one's, which
+    is exact because average ranks are multiples of 1/2.
     """
-    if measure not in measures.CORE_MEASURES:
-        raise ValueError(f"measure must be one of {measures.CORE_MEASURES}")
-    higher_better = measures.HIGHER_IS_BETTER[measure]
     efforts = effort_values(d)
-    best = None  # (metric, scores, predicted, value)
-    best_quality = -np.inf
+    scorer = measures.RankingScorer(efforts, d.labels, effort_fraction)
+    n = d.n_modules
+    n_flagged = (n + 1) // 2
+    best: dict[str, tuple] = {}  # measure -> (quality, metric, scores, order, value)
     for name in d.schema.metric_names:
         column = efforts if name == d.schema.loc_metric else d.column(name)
-        for sign in (1.0, -1.0):
+        ranks = average_ranks(column)
+        for sign, signed_ranks in ((1.0, ranks), (-1.0, n + 1 - ranks)):
             scores = sign * column
-            predicted = _top_half(scores)
-            value, _ = measures.compute_measure(
-                measure, scores, predicted, efforts, d.labels, effort_fraction
-            )
-            if value is None:
-                continue
-            quality = value if higher_better else -value
-            if quality > best_quality:
-                best_quality = quality
-                best = (name, scores, predicted, value)
-    if best is None:
-        # every candidate was undefined (e.g. no defective modules): keep
-        # the first metric's descending ranking so output cardinality holds
-        scores = d.column(d.schema.metric_names[0])
-        best = (d.schema.metric_names[0], scores, _top_half(scores), None)
-    name, scores, predicted, value = best
-    return BestMetric(name, Prediction(scores, predicted), value)
+            order = _descending(scores)
+            for measure, value in scorer.score(order, signed_ranks, n_flagged).items():
+                if value is None:
+                    continue
+                quality = value if measures.HIGHER_IS_BETTER[measure] else -value
+                if quality > best.get(measure, (-np.inf,))[0]:
+                    best[measure] = (quality, name, scores, order, value)
+    first = d.schema.metric_names[0]
+    fallback = (None, first, d.column(first), _descending(d.column(first)), None)
+    results = {}
+    for measure in measures.CORE_MEASURES:
+        _, name, scores, order, value = best.get(measure, fallback)
+        results[measure] = BestMetric(name, Prediction(scores, _top_half(order)), value)
+    return results

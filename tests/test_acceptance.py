@@ -247,13 +247,13 @@ def test_criterion_09_method_invariants():
         labels = rng.random(n) < 0.4
         d = make_dataset("t", values, labels)
         cla_base = udp.cla_predict(d).predicted.tolist()
-        manual_base = udp.manual_rank(d, "down").predicted.tolist()
+        manual_base = udp.manual_rank(d)["down"].predicted.tolist()
         warped = np.column_stack([
             transforms[(trial + j) % len(transforms)](values[:, j]) for j in range(m)
         ])
         d2 = make_dataset("t", warped, labels)
         assert udp.cla_predict(d2).predicted.tolist() == cla_base
-        assert udp.manual_rank(d2, "down").predicted.tolist() == manual_base
+        assert udp.manual_rank(d2)["down"].predicted.tolist() == manual_base
 
     worst = 0.0
     for trial in range(20):

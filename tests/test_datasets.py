@@ -76,6 +76,39 @@ def test_non_numeric_metric_cell(tmp_path):
         load_dataset(write_csv(tmp_path, "m1,bug\noops,1\n"))
 
 
+# a blank line sits between the header and the rows, so the row index and
+# the line number differ
+@pytest.mark.parametrize("rows, error, message", [
+    ("1,0\n2\n", DatasetError, ":4: 1 cells, expected 2"),
+    ("1,0\noops,1\n", NonNumericMetric, ":4: non-numeric cell 'oops' in metric 'm1'"),
+    ("1,0\n2,maybe\n", DatasetError, ":4: unrecognized label value 'maybe'"),
+    ("1,0\n-inf,1\n", NonNumericMetric, ":4: non-finite value in metric 'm1'"),
+], ids=["short-row", "non-numeric", "label", "non-finite"])
+def test_csv_row_errors_name_the_path_and_the_line(tmp_path, rows, error, message):
+    path = write_csv(tmp_path, "m1,bug\n\n" + rows)
+    with pytest.raises(error) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}{message}"
+
+
+def test_arff_row_errors_name_the_path_and_the_line(tmp_path):
+    text = (
+        "% a comment line\n"
+        "@relation demo\n"
+        "@attribute loc numeric\n"
+        "@attribute class {Y,N}\n"
+        "@data\n"
+        "10,Y\n"
+        "\n"
+        "% skipped\n"
+        "x,N\n"
+    )
+    path = write_csv(tmp_path, text, "demo.arff")
+    with pytest.raises(NonNumericMetric) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}:9: non-numeric cell 'x' in metric 'loc'"
+
+
 def test_schema_metric_count_mismatch(tmp_path):
     schema = MetricSchema("g", ("a", "b", "c"), "a", "file")
     with pytest.raises(SchemaMismatch):

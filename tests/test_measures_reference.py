@@ -13,7 +13,15 @@ from scipy.stats import rankdata
 
 import reference_measures as ref
 from hdpbench.datasets import effort_values
-from hdpbench.measures import CORE_MEASURES, HIGHER_IS_BETTER, MEASURE_IDS, compute_measure, effort_curve
+from hdpbench.measures import (
+    CORE_MEASURES,
+    HIGHER_IS_BETTER,
+    MEASURE_IDS,
+    RankingScorer,
+    compute_measure,
+    effort_curve,
+)
+from hdpbench.stats import average_ranks
 from hdpbench.udp import Prediction, best_metric_oracle
 
 # LOC values <= 0 are clamped to effort 1; few distinct efforts make equal
@@ -71,6 +79,37 @@ def test_rankdata_equals_loop_average_ranks(values):
     assert np.array_equal(rankdata(values), ref.average_ranks(values))
 
 
+TIED_VALUES = st.lists(
+    st.integers(-4, 4).map(lambda v: v / 3.0) | st.sampled_from([0.0, -0.0, 1e300, -1e-300]),
+    min_size=0, max_size=60,
+)
+
+
+@given(TIED_VALUES)
+def test_average_ranks_equal_rankdata(values):
+    values = np.array(values, dtype=float)
+    ranks = average_ranks(values)
+    assert ranks.dtype == np.float64
+    assert np.array_equal(ranks, rankdata(values))
+    assert np.array_equal(ranks, ref.average_ranks(values))
+    # the descending ranks mirror the ascending ones exactly
+    assert np.array_equal(average_ranks(-values), len(values) + 1 - ranks)
+
+
+@given(prediction_cases())
+def test_ranking_scorer_equals_compute_measure_on_the_top_half(case):
+    scores, _, efforts, actual, fraction = case
+    n = len(scores)
+    order = np.argsort(-scores, kind="stable")
+    predicted = np.zeros(n, dtype=bool)
+    predicted[order[: (n + 1) // 2]] = True
+    values = RankingScorer(efforts, actual, fraction).score(order, rankdata(scores), (n + 1) // 2)
+    assert tuple(values) == CORE_MEASURES
+    for measure in CORE_MEASURES:
+        expected, _ = compute_measure(measure, scores, predicted, efforts, actual, fraction)
+        assert values[measure] == expected, measure
+
+
 def brute_force_best_metric(d, measure, effort_fraction):
     """Score every (metric, direction) candidate with compute_measure."""
     efforts = effort_values(d)
@@ -110,8 +149,10 @@ def test_best_metric_oracle_equals_brute_force(data):
     labels = data.draw(labels_of(n))
     fraction = data.draw(FRACTIONS)
     d = make_dataset("t", np.column_stack([loc, *others]), labels)
+    results = best_metric_oracle(d, fraction)  # one call scores all six measures
+    assert tuple(results) == CORE_MEASURES
     for measure in CORE_MEASURES:
-        result = best_metric_oracle(d, measure, fraction)
+        result = results[measure]
         metric, pred, value = brute_force_best_metric(d, measure, fraction)
         assert (result.metric, result.value) == (metric, value), measure
         assert np.array_equal(result.predictions.scores, pred.scores), measure

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
 from hdpbench.stats import (
     ContingencyTable,
+    average_ranks,
     bh_adjust,
     cliffs_delta,
     compare_pair,
@@ -22,6 +23,18 @@ from hdpbench.stats import (
     wilcoxon_signed_rank,
 )
 from hdpbench.udp import Prediction
+
+# ---------------------------------------------------------------------------
+# average ranks
+
+
+def test_average_ranks_hand_trace_and_nan():
+    assert average_ranks([3.0, 1.0, 3.0, 2.0, 3.0]).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+    assert average_ranks([]).tolist() == []
+    # like rankdata, one NaN makes every rank NaN
+    with_nan = [2.0, np.nan, 1.0]
+    assert np.isnan(average_ranks(with_nan)).all() and np.isnan(rankdata(with_nan)).all()
+
 
 # ---------------------------------------------------------------------------
 # Wilcoxon signed-rank

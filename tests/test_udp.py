@@ -331,18 +331,17 @@ def test_spectral_matches_the_dense_oracle_on_connected_graphs(d):
 
 def test_manual_down_and_up():
     d = make_dataset("t", [[100], [50], [200], [10]], [0, 0, 1, 0])
-    down = manual_rank(d, "down")
-    assert down.predicted.tolist() == [True, False, True, False]
-    up = manual_rank(d, "up")
-    assert up.predicted.tolist() == [False, True, False, True]
+    preds = manual_rank(d)
+    assert preds["down"].predicted.tolist() == [True, False, True, False]
+    assert preds["up"].predicted.tolist() == [False, True, False, True]
 
 
 def test_manual_down_reversed_equals_up_for_distinct_loc():
     rng = np.random.default_rng(6)
     loc = rng.permutation(np.arange(1, 12)).astype(float)
     d = make_dataset("t", loc[:, None], rng.random(11) < 0.5)
-    down = manual_rank(d, "down").scores
-    up = manual_rank(d, "up").scores
+    down = manual_rank(d)["down"].scores
+    up = manual_rank(d)["up"].scores
     down_order = sorted(range(11), key=lambda i: -down[i])
     up_order = sorted(range(11), key=lambda i: -up[i])
     assert down_order == up_order[::-1]
@@ -350,7 +349,7 @@ def test_manual_down_reversed_equals_up_for_distinct_loc():
 
 def test_manual_clamps_zero_loc_effort():
     d = make_dataset("t", [[0.0], [5.0]], [0, 1])
-    preds = manual_rank(d, "up")
+    preds = manual_rank(d)["up"]
     assert preds.scores.tolist() == [1.0, 0.2]  # 1 / clamped LOC, finite
 
 
@@ -359,15 +358,14 @@ def test_manual_invariant_under_monotone_loc_transform():
     for _ in range(30):
         loc = rng.integers(1, 500, size=13).astype(float)
         d = make_dataset("t", loc[:, None], rng.random(13) < 0.4)
-        base = manual_rank(d, "down").predicted.tolist()
+        base = manual_rank(d)["down"].predicted.tolist()
         d2 = make_dataset("t", (3 * loc + 2)[:, None], d.labels)
-        assert manual_rank(d2, "down").predicted.tolist() == base
+        assert manual_rank(d2)["down"].predicted.tolist() == base
 
 
-def test_manual_rejects_unknown_direction():
+def test_manual_returns_both_directions():
     d = make_dataset("t", [[1.0], [2.0]], [0, 1])
-    with pytest.raises(ValueError):
-        manual_rank(d, "sideways")
+    assert list(manual_rank(d)) == ["down", "up"]
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +379,61 @@ def test_oracle_picks_perfectly_separating_metric():
         [9, 1, 8, 2, 7, 3],                 # separates perfectly
     ]).astype(float)
     d = make_dataset("t", values, labels)
-    result = best_metric_oracle(d, "auc")
+    result = best_metric_oracle(d)["auc"]
     assert result.metric == "t_m1"
     assert result.value == 1.0
 
 
 def test_oracle_single_metric_dataset():
     d = make_dataset("t", [[5.0], [1.0], [3.0]], [1, 0, 1])
-    assert best_metric_oracle(d, "f1").metric == "t_m0"
+    assert best_metric_oracle(d)["f1"].metric == "t_m0"
 
 
-def test_oracle_rejects_unknown_measure():
+def test_oracle_scores_the_core_measures_and_checks_the_fraction():
     d = make_dataset("t", [[1.0], [2.0]], [0, 1])
-    with pytest.raises(ValueError):
-        best_metric_oracle(d, "precision")
+    assert tuple(best_metric_oracle(d)) == measures.CORE_MEASURES
+    for fraction in (0.0, 1.5):
+        with pytest.raises(ValueError, match="effort fraction"):
+            best_metric_oracle(d, fraction)
+
+
+def test_oracle_without_defects_falls_back_on_the_undefined_measures():
+    # the first metric is LOC, with a 0 that efforts clamp to 1; the
+    # fallback ranks the column as it is, unclamped
+    d = make_dataset("t", [[0.0, 5.0], [3.0, 1.0], [2.0, 4.0]], [0, 0, 0])
+    result = best_metric_oracle(d)
+    for measure in ("auc", "acc", "popt", "ifa"):
+        assert result[measure].metric == "t_m0" and result[measure].value is None, measure
+        assert result[measure].predictions.scores.tolist() == [0.0, 3.0, 2.0]
+        assert result[measure].predictions.predicted.tolist() == [False, True, True]
+    assert result["f1"].value == 0.0 and result["f1"].metric == "t_m0"
+    # PMI is defined without defects; the smallest share inspected wins
+    assert result["pmi20"].value is not None
+
+
+def test_oracle_single_class_target_has_no_auc():
+    d = make_dataset("t", [[4.0, 1.0], [2.0, 3.0], [1.0, 2.0]], [1, 1, 1])
+    result = best_metric_oracle(d)
+    assert result["auc"].value is None and result["auc"].metric == "t_m0"
+    assert result["auc"].predictions.predicted.tolist() == [True, True, False]
+    assert result["acc"].value is not None and result["ifa"].value == 0.0
+
+
+def test_oracle_ties_keep_schema_order_and_prefer_descending():
+    # a constant column ties every module: both its directions score alike
+    # and AUC 0.5; the perfectly separating m1 beats it only where strictly
+    # better, and the constant LOC column comes first in schema order
+    d = make_dataset("t", [[5.0, 9.0], [5.0, 1.0], [5.0, 8.0], [5.0, 2.0]], [1, 0, 1, 0])
+    result = best_metric_oracle(d)
+    assert (result["auc"].metric, result["auc"].value) == ("t_m1", 1.0)
+    assert result["auc"].predictions.scores.tolist() == [9.0, 1.0, 8.0, 2.0]
+    # PMI: every candidate inspects the same share, so LOC descending stays
+    assert result["pmi20"].metric == "t_m0"
+    assert result["pmi20"].predictions.scores.tolist() == [5.0] * 4
+    assert result["pmi20"].predictions.predicted.tolist() == [True, True, False, False]
+    # tied scores: the constant column's AUC is exactly 0.5 either way
+    flat = make_dataset("t", [[5.0], [5.0], [5.0]], [1, 0, 0])
+    assert best_metric_oracle(flat)["auc"].value == 0.5
 
 
 def test_oracle_beats_or_ties_manual_ranking():
@@ -407,9 +446,8 @@ def test_oracle_beats_or_ties_manual_ranking():
         d = make_dataset("t", values, labels)
         efforts = effort_values(d)
         for measure_id in measures.CORE_MEASURES:
-            oracle_value = best_metric_oracle(d, measure_id).value
-            for direction in ("down", "up"):
-                manual = manual_rank(d, direction)
+            oracle_value = best_metric_oracle(d)[measure_id].value
+            for manual in manual_rank(d).values():
                 manual_value, _ = measures.compute_measure(
                     measure_id, manual.scores, manual.predicted, efforts, d.labels, 0.2
                 )
@@ -428,8 +466,8 @@ def test_every_method_returns_one_prediction_per_module():
         cla_predict(d),
         clami_predict(d),
         spectral_predict(d),
-        manual_rank(d, "down"),
-        best_metric_oracle(d, "auc").predictions,
+        *manual_rank(d).values(),
+        *(best.predictions for best in best_metric_oracle(d).values()),
     ):
         assert isinstance(preds, Prediction)
         assert preds.scores.dtype == np.float64 and preds.predicted.dtype == bool
