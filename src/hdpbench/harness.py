@@ -264,6 +264,15 @@ class ExperimentResult:
             seen.setdefault((row.source, row.target), None)
         return list(seen)
 
+    @cached_property
+    def targets_sources(self) -> dict[str, list[str]]:
+        """Each target's sources, both sorted by name; computed once, though
+        the reports read it for every measure and method pair."""
+        by_target: dict[str, list[str]] = {}
+        for source, target in self.plans:
+            by_target.setdefault(target, []).append(source)
+        return {t: sorted(s) for t, s in sorted(by_target.items())}
+
 
 def _predict(
     name: str, inputs: dict[str, object], measure_ids: Sequence[str], n_modules: int
@@ -558,13 +567,6 @@ def _value_index(result: ExperimentResult):
     return index
 
 
-def _targets_sources(result: ExperimentResult) -> dict[str, list[str]]:
-    by_target: dict[str, list[str]] = {}
-    for source, target in result.plans:
-        by_target.setdefault(target, []).append(source)
-    return {t: sorted(s) for t, s in sorted(by_target.items())}
-
-
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -597,7 +599,7 @@ def _scott_knott_section(
 
 def _report_scott_knott(result: ExperimentResult, index) -> str:
     cfg = result.config
-    by_target = _targets_sources(result)
+    by_target = result.targets_sources
     groups = sorted(set(result.target_groups.values()))
     out = [f"scott-knott rankings ({cfg.scenario})", ""]
     for measure in cfg.measures:
@@ -643,7 +645,7 @@ def wtl_matrix(
     negated so 'win' always means 'performs better'.
     """
     orient = 1.0 if measures.HIGHER_IS_BETTER[measure] else -1.0
-    by_target = _targets_sources(result)
+    by_target = result.targets_sources
     paired: dict[str, tuple[list[float], list[float]]] = {}
     for target, sources in by_target.items():
         xs, ys = [], []

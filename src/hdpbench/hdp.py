@@ -360,33 +360,47 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     at zero standard deviation. The mode breaks frequency ties toward the
     smallest value; kurtosis is excess kurtosis. Variance is the population
     variance, the median of an even-length row is the mean of the middle
-    pair, and the quartiles follow numpy's default linear rule. The row is
-    sorted once; mode, median and quartiles are read from the sorted values.
+    pair, and the quartiles follow numpy's default linear rule.
+
+    The row is sorted once; mode, median and quartiles are read from the
+    sorted values. A row with no repeated value skips the run scan: its mode
+    is the smallest value, with frequency 1. The sums, the minimum and the
+    maximum are the ufunc reductions ``np.mean``, ``np.sum``, ``min`` and
+    ``max`` call (``np.add.reduce``, ``np.minimum.reduce``,
+    ``np.maximum.reduce``), called directly and in the same order, so every
+    float equals theirs.
     """
     x = np.asarray(module_row, dtype=float)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("module row must be a non-empty 1-d vector")
     n = len(x)
-    s = np.sort(x)
-    run_bounds = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
-    run_lengths = run_bounds[1:] - run_bounds[:-1]
-    top = int(np.argmax(run_lengths))  # the first longest run holds the smallest value
+    s = x.copy()
+    s.sort()
     ordered = s.tolist()
-    mode = ordered[run_bounds[top]]
-    mode_freq = int(run_lengths[top])
+    new_value = s[1:] != s[:-1]
+    if np.count_nonzero(new_value) == n - 1:
+        mode, mode_freq = ordered[0], 1
+    else:
+        edges = np.ones(n + 1, dtype=bool)
+        edges[1:n] = new_value
+        run_bounds = edges.nonzero()[0]
+        run_lengths = run_bounds[1:] - run_bounds[:-1]
+        top = int(run_lengths.argmax())  # the first longest run holds the smallest value
+        mode = ordered[run_bounds[top]]
+        mode_freq = int(run_lengths[top])
     half = n // 2
     median = ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2
     # np.mean is an add.reduce divided by n; the sums below add in that order
-    mean = float(x.sum()) / n
-    minimum = float(x.min())
-    maximum = float(x.max())
-    harmonic = n / float(np.sum(1.0 / x)) if minimum > 0 else 0.0
+    mean = float(np.add.reduce(x)) / n
+    minimum = float(np.minimum.reduce(x))
+    maximum = float(np.maximum.reduce(x))
+    harmonic = n / float(np.add.reduce(1.0 / x)) if minimum > 0 else 0.0
     dev = x - mean
-    variance = float((dev**2).sum()) / n
+    variance = float(np.add.reduce(dev**2)) / n
     std = math.sqrt(variance)
     cv = std / mean if mean != 0 else 0.0
-    skew = float((dev**3).sum()) / n / std**3 if std > 0 else 0.0
-    kurt = float((dev**4).sum()) / n / std**4 - 3.0 if std > 0 else 0.0
+    skew = float(np.add.reduce(dev**3)) / n / std**3 if std > 0 else 0.0
+    kurt = float(np.add.reduce(dev**4)) / n / std**4 - 3.0 if std > 0 else 0.0
     return np.array([
         mode,
         median,

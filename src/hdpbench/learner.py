@@ -3,7 +3,9 @@
 Every supervised method in the benchmark trains the same classifier:
 L2-regularized log-loss minimized by Newton's method with backtracking
 line search from zero initialization, so fits are deterministic,
-dependency-free and converge to the gradient-norm tolerance.
+dependency-free and converge to the gradient-norm tolerance. Each Newton
+iterate computes its margin ``Z @ w + b``, its log-loss and its sigmoid
+once.
 """
 
 from __future__ import annotations
@@ -114,20 +116,21 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(t, -_SCORE_CLIP, _SCORE_CLIP)))
 
 
-def _loss(w: np.ndarray, b: float, Z: np.ndarray, y: np.ndarray, l2: float) -> float:
-    t = Z @ w + b
+def _log_loss(t: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float) -> float:
+    """Mean log-loss of the margins ``t = Z @ w + b`` plus the L2 penalty on
+    the weights (bias unpenalized)."""
     # log(1 + exp(-s*t)) computed stably via logaddexp
     signed = np.where(y > 0.5, t, -t)
     return float(np.mean(np.logaddexp(0.0, -signed))) + 0.5 * l2 * float(w @ w)
 
 
-def _loss_and_grad(w: np.ndarray, b: float, Z: np.ndarray, y: np.ndarray, l2: float):
-    """Mean log-loss with L2 penalty on the weights (bias unpenalized)."""
-    loss = _loss(w, b, Z, y, l2)
-    resid = _sigmoid(Z @ w + b) - y
+def _gradient(p: np.ndarray, w: np.ndarray, Z: np.ndarray, y: np.ndarray, l2: float):
+    """Gradient of ``_log_loss`` in the weights and the bias, from the
+    sigmoid ``p`` of the margins."""
+    resid = p - y
     grad_w = Z.T @ resid / len(y) + l2 * w
     grad_b = float(np.mean(resid))
-    return loss, grad_w, grad_b
+    return grad_w, grad_b
 
 
 def _newton_fit(Z: np.ndarray, y: np.ndarray, cfg: TrainConfig):
@@ -140,33 +143,40 @@ def _newton_fit(Z: np.ndarray, y: np.ndarray, cfg: TrainConfig):
     non-increasing. Stops when the gradient norm falls below the tolerance
     or after ``max_iters`` Newton steps. Returns (weights, bias,
     per-iteration losses).
+
+    Each iterate's margin ``Z @ w + b`` and log-loss are computed once, by
+    the line search that accepts it, and its sigmoid once, for both the
+    gradient and the Hessian.
     """
     n, d = Z.shape
+    l2 = cfg.l2_strength
     A = np.hstack([Z, np.ones((n, 1))])
-    penalty = np.diag(np.append(np.full(d, cfg.l2_strength), 0.0))
+    penalty = np.diag(np.append(np.full(d, l2), 0.0))
     w = np.zeros(d)
     b = 0.0
-    loss, gw, gb = _loss_and_grad(w, b, Z, y, cfg.l2_strength)
+    t = Z @ w + b
+    loss = _log_loss(t, w, y, l2)
     losses = [loss]
     for _ in range(cfg.max_iters):
+        p = _sigmoid(t)
+        gw, gb = _gradient(p, w, Z, y, l2)
         gnorm2 = float(gw @ gw) + gb * gb
         if math.sqrt(gnorm2) < cfg.tolerance:
             break
-        p = _sigmoid(Z @ w + b)
         hessian = (A.T * (p * (1.0 - p))) @ A / n + penalty
         grad = np.append(gw, gb)
         step = np.linalg.solve(hessian, grad)
         slope = float(grad @ step)
-        t = 1.0
+        scale = 1.0
         while True:
-            w_new = w - t * step[:d]
-            b_new = b - t * float(step[d])
-            new_loss = _loss(w_new, b_new, Z, y, cfg.l2_strength)
-            if new_loss <= loss - 1e-4 * t * slope or t < 1e-16:
+            w_new = w - scale * step[:d]
+            b_new = b - scale * float(step[d])
+            t = Z @ w_new + b_new
+            new_loss = _log_loss(t, w_new, y, l2)
+            if new_loss <= loss - 1e-4 * scale * slope or scale < 1e-16:
                 break
-            t *= 0.5
-        w, b = w_new, b_new
-        loss, gw, gb = _loss_and_grad(w, b, Z, y, cfg.l2_strength)
+            scale *= 0.5
+        w, b, loss = w_new, b_new, new_loss
         losses.append(loss)
     return w, b, losses
 

@@ -86,7 +86,7 @@ def clami_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> Predicti
     return Prediction(scores, scores > 0.5)
 
 
-_COMPONENT_BLOCK = 1 << 22  # similarity cells one block of the component search copies
+_COMPONENT_BLOCK = 1 << 18  # similarity cells one block of the component search copies: 2 MiB
 _DEFLATION_SHIFT = 3.0  # moves A's top eigenvalue from 1 to -2, below all others
 
 

@@ -56,6 +56,20 @@ def has_negative_zero(values) -> bool:
     return any(v == 0 and math.copysign(1.0, v) < 0 for v in values)
 
 
+# rows at numpy's 8-value pairwise-summation block and the promise, nasa37
+# and aeeem metric counts: distinct rows take the mode shortcut, tied rows
+# the run scan
+def distinct_row(width: int) -> list[float]:
+    """Distinct non-integer values in scrambled order."""
+    return [(7919 * v % 101) / 3 + 0.5 for v in range(width)]
+
+
+def tied_row(width: int) -> list[float]:
+    """Repeated integers 1, 2, 3 and 5; at widths 8 and 20 two or more of
+    them tie for the mode."""
+    return [float(v * v % 7 + 1) for v in range(width)]
+
+
 @settings(max_examples=300)
 @given(rows())
 @example([7.0])
@@ -67,6 +81,14 @@ def has_negative_zero(values) -> bool:
 @example([0.0, 1.0, 2.0])
 @example([-1.0, 1.0, 2.0])
 @example([1e-3, 1e6, 5.0, 1e6])
+@example(distinct_row(8))
+@example(distinct_row(20))
+@example(distinct_row(37))
+@example(distinct_row(61))
+@example(tied_row(8))
+@example(tied_row(20))
+@example(tied_row(37))
+@example(tied_row(61))
 def test_distribution_vector_equals_reference(row):
     got = hdp.distribution_vector(row)
     want = ref.distribution_vector(row)

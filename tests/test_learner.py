@@ -9,7 +9,8 @@ from hdpbench.learner import (
     LogisticModel,
     StandardizationParams,
     TrainConfig,
-    _loss_and_grad,
+    _gradient,
+    _log_loss,
     _newton_fit,
     _sigmoid,
     predict_proba,
@@ -17,7 +18,14 @@ from hdpbench.learner import (
     zscore_apply,
     zscore_fit,
 )
+import reference_learner
 from reference_learner import _gd_fit
+
+
+def _loss_and_grad(w, b, Z, y, l2):
+    """The loss and the gradient at (w, b), from the functions the fitter runs."""
+    t = Z @ w + b
+    return (_log_loss(t, w, y, l2), *_gradient(_sigmoid(t), w, Z, y, l2))
 
 
 def test_zscore_fit_simple_column():
@@ -262,3 +270,27 @@ def test_backtracking_damps_a_newton_step_that_would_raise_the_loss():
     assert np.all(np.diff(losses) <= 1e-15)
     _, gw, gb = _loss_and_grad(w, b, Z, y, cfg.l2_strength)
     assert math.sqrt(float(gw @ gw) + gb * gb) < cfg.tolerance
+
+
+# separable, with two points near the boundary: the line search halves the
+# Newton step twice in each of two iterates, the most that a random search
+# over such inputs found
+BACKTRACKING_X = [[-41.8, -41.9], [1.8, -2.7], [-93.2, -95.2], [-6.3, 1.1], [-4.2, -1.2],
+                  [-19.8, -83.5], [-0.0, -1.3], [-1.9, -0.5], [-9.8, 0.1], [9.6, 2.5]]
+BACKTRACKING_Y = [0, 1, 0, 0, 0, 1, 1, 1, 0, 1]
+
+
+@given(fit_inputs(), st.sampled_from([TrainConfig(), TrainConfig(max_iters=2)]))
+@example((np.array(BACKTRACKING_X), np.array(BACKTRACKING_Y, dtype=bool)), TrainConfig())
+@example((np.array(CAPPED_X)[:, None], np.array(CAPPED_Y, dtype=bool)), TrainConfig())
+@example((np.array(CAPPED_X)[:, None], np.array(CAPPED_Y, dtype=bool)), TrainConfig(max_iters=2))
+@example((np.column_stack([np.linspace(-5, 5, 12), np.full(12, 7.0)]),  # a constant column
+          np.arange(12) % 3 == 0), TrainConfig())
+def test_newton_fit_equals_the_reference_loop(data, cfg):
+    X, y = data
+    Z = zscore_apply(zscore_fit(X), X)
+    w, b, losses = _newton_fit(Z, y.astype(float), cfg)
+    ref_w, ref_b, ref_losses = reference_learner._newton_fit(Z, y.astype(float), cfg)
+    assert np.array_equal(w, ref_w) and w.tobytes() == ref_w.tobytes()
+    assert b == ref_b and np.float64(b).tobytes() == np.float64(ref_b).tobytes()
+    assert losses == ref_losses and np.array(losses).tobytes() == np.array(ref_losses).tobytes()

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from hdpbench import measures
+from hdpbench import measures, udp
 from hdpbench.learner import zscore_apply, zscore_fit
 from hdpbench.datasets import effort_values
 from hdpbench.udp import (
@@ -219,6 +219,24 @@ def test_spectral_three_components_first_linked_component_against_the_rest(order
     assert components(d) == (3, [])
     expected = [g in defective for g in order for _ in range(3)]
     assert spectral_predict(d).predicted.tolist() == expected
+
+
+@pytest.mark.parametrize("d", [
+    block_dataset(),
+    make_dataset("t", [row for g in (2, 0, 1) for row in THREE_GROUPS[g]], [0] * 9),
+], ids=["two components", "three components"])
+def test_spectral_component_search_does_not_depend_on_the_block_size(monkeypatch, d):
+    """One frontier row per block and all rows in one block reach the same
+    component from every start, so the split is the same."""
+    n = d.n_modules
+    w = connectivity_matrix(d)
+    searches = []
+    for cells in (1, n * n):
+        monkeypatch.setattr(udp, "_COMPONENT_BLOCK", cells)
+        reached = [udp._component_of(w, start, n).tolist() for start in range(n)]
+        searches.append((reached, spectral_predict(d).predicted.tolist()))
+    assert searches[0] == searches[1]
+    assert components(d)[0] > 1 and not all(searches[0][0][0])
 
 
 def test_spectral_zero_degree_module_is_never_defective():
