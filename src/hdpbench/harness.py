@@ -264,15 +264,6 @@ class ExperimentResult:
             seen.setdefault((row.source, row.target), None)
         return list(seen)
 
-    @cached_property
-    def targets_sources(self) -> dict[str, list[str]]:
-        """Each target's sources, both sorted by name; computed once, though
-        the reports read it for every measure and method pair."""
-        by_target: dict[str, list[str]] = {}
-        for source, target in self.plans:
-            by_target.setdefault(target, []).append(source)
-        return {t: sorted(s) for t, s in sorted(by_target.items())}
-
 
 def _predict(
     name: str, inputs: dict[str, object], measure_ids: Sequence[str], n_modules: int
@@ -567,6 +558,13 @@ def _value_index(result: ExperimentResult):
     return index
 
 
+def _targets_sources(result: ExperimentResult) -> dict[str, list[str]]:
+    by_target: dict[str, list[str]] = {}
+    for source, target in result.plans:
+        by_target.setdefault(target, []).append(source)
+    return {t: sorted(s) for t, s in sorted(by_target.items())}
+
+
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -597,9 +595,8 @@ def _scott_knott_section(
     return lines
 
 
-def _report_scott_knott(result: ExperimentResult, index) -> str:
+def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
     cfg = result.config
-    by_target = result.targets_sources
     groups = sorted(set(result.target_groups.values()))
     out = [f"scott-knott rankings ({cfg.scenario})", ""]
     for measure in cfg.measures:
@@ -631,7 +628,7 @@ def _report_scott_knott(result: ExperimentResult, index) -> str:
 
 
 def wtl_matrix(
-    result: ExperimentResult,
+    by_target: dict[str, list[str]],
     measure: str,
     first: str,
     second: str,
@@ -640,12 +637,12 @@ def wtl_matrix(
     """Per-target win/tie/loss of ``first`` against ``second`` for a measure.
 
     For each target, the paired samples are the two methods' values over
-    all sources sharing that target; raw Wilcoxon p-values are BH-corrected
+    the target's sources in ``by_target`` (from ``_targets_sources``, which
+    ``build_report`` computes once); raw Wilcoxon p-values are BH-corrected
     within this (measure, method pair) family. Lower-is-better measures are
     negated so 'win' always means 'performs better'.
     """
     orient = 1.0 if measures.HIGHER_IS_BETTER[measure] else -1.0
-    by_target = result.targets_sources
     paired: dict[str, tuple[list[float], list[float]]] = {}
     for target, sources in by_target.items():
         xs, ys = [], []
@@ -671,7 +668,7 @@ def wtl_matrix(
     return stats.WtlRecord(win, tie, loss)
 
 
-def _report_wtl(result: ExperimentResult, index) -> str:
+def _report_wtl(result: ExperimentResult, index, by_target) -> str:
     cfg = result.config
     hdp_methods = [m for m in cfg.methods if _method(m).category == "hdp"]
     udp_methods = [m for m in cfg.methods if _method(m).category == "udp"]
@@ -683,7 +680,7 @@ def _report_wtl(result: ExperimentResult, index) -> str:
         out.append(f"== {measure} ==")
         rows = []
         for h in hdp_methods:
-            cells = [str(wtl_matrix(result, measure, h, u, index)) for u in udp_methods]
+            cells = [str(wtl_matrix(by_target, measure, h, u, index)) for u in udp_methods]
             rows.append([h, *cells])
         out.append(_table(["method", *udp_methods], rows))
         out.append("")
@@ -804,9 +801,10 @@ def build_report(result: ExperimentResult) -> dict[str, str]:
     if len(methods) < 2:
         raise ValueError("reports need results from at least two methods")
     index = _value_index(result)
+    by_target = _targets_sources(result)
     return {
-        "report_scottknott.txt": _report_scott_knott(result, index),
-        "report_wtl.txt": _report_wtl(result, index),
+        "report_scottknott.txt": _report_scott_knott(result, index, by_target),
+        "report_wtl.txt": _report_wtl(result, index, by_target),
         "report_diversity.txt": _report_diversity(result),
         "report_unidentified.txt": _report_unidentified(result),
         "report_satisfactory.txt": _report_satisfactory(result, index),

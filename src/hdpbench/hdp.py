@@ -363,12 +363,10 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     pair, and the quartiles follow numpy's default linear rule.
 
     The row is sorted once; mode, median and quartiles are read from the
-    sorted values. A row with no repeated value skips the run scan: its mode
-    is the smallest value, with frequency 1. The sums, the minimum and the
-    maximum are the ufunc reductions ``np.mean``, ``np.sum``, ``min`` and
-    ``max`` call (``np.add.reduce``, ``np.minimum.reduce``,
-    ``np.maximum.reduce``), called directly and in the same order, so every
-    float equals theirs.
+    sorted values. The sums, the minimum and the maximum are the ufunc
+    reductions ``np.mean``, ``np.sum``, ``min`` and ``max`` call
+    (``np.add.reduce``, ``np.minimum.reduce``, ``np.maximum.reduce``),
+    called directly and in the same order, so every float equals theirs.
     """
     x = np.asarray(module_row, dtype=float)
     if x.ndim != 1 or len(x) == 0:
@@ -377,17 +375,13 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     s = x.copy()
     s.sort()
     ordered = s.tolist()
-    new_value = s[1:] != s[:-1]
-    if np.count_nonzero(new_value) == n - 1:
-        mode, mode_freq = ordered[0], 1
-    else:
-        edges = np.ones(n + 1, dtype=bool)
-        edges[1:n] = new_value
-        run_bounds = edges.nonzero()[0]
-        run_lengths = run_bounds[1:] - run_bounds[:-1]
-        top = int(run_lengths.argmax())  # the first longest run holds the smallest value
-        mode = ordered[run_bounds[top]]
-        mode_freq = int(run_lengths[top])
+    edges = np.ones(n + 1, dtype=bool)  # where a run of equal sorted values starts or ends
+    edges[1:n] = s[1:] != s[:-1]
+    run_bounds = edges.nonzero()[0]
+    run_lengths = run_bounds[1:] - run_bounds[:-1]
+    top = int(run_lengths.argmax())  # the first longest run holds the smallest value
+    mode = ordered[run_bounds[top]]
+    mode_freq = int(run_lengths[top])
     half = n // 2
     median = ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2
     # np.mean is an add.reduce divided by n; the sums below add in that order

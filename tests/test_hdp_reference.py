@@ -57,8 +57,8 @@ def has_negative_zero(values) -> bool:
 
 
 # rows at numpy's 8-value pairwise-summation block and the promise, nasa37
-# and aeeem metric counts: distinct rows take the mode shortcut, tied rows
-# the run scan
+# and aeeem metric counts: distinct rows have only runs of one value, tied
+# rows longer runs and ties for the mode
 def distinct_row(width: int) -> list[float]:
     """Distinct non-integer values in scrambled order."""
     return [(7919 * v % 101) / 3 + 0.5 for v in range(width)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from hdpbench import learner
 from hdpbench.learner import (
     LogisticModel,
     StandardizationParams,
@@ -274,7 +275,7 @@ def test_backtracking_damps_a_newton_step_that_would_raise_the_loss():
 
 # separable, with two points near the boundary: the line search halves the
 # Newton step twice in each of two iterates, the most that a random search
-# over such inputs found
+# over fit_inputs-like data at the default tolerance found
 BACKTRACKING_X = [[-41.8, -41.9], [1.8, -2.7], [-93.2, -95.2], [-6.3, 1.1], [-4.2, -1.2],
                   [-19.8, -83.5], [-0.0, -1.3], [-1.9, -0.5], [-9.8, 0.1], [9.6, 2.5]]
 BACKTRACKING_Y = [0, 1, 0, 0, 0, 1, 1, 1, 0, 1]
@@ -288,9 +289,44 @@ BACKTRACKING_Y = [0, 1, 0, 0, 0, 1, 1, 1, 0, 1]
           np.arange(12) % 3 == 0), TrainConfig())
 def test_newton_fit_equals_the_reference_loop(data, cfg):
     X, y = data
-    Z = zscore_apply(zscore_fit(X), X)
-    w, b, losses = _newton_fit(Z, y.astype(float), cfg)
-    ref_w, ref_b, ref_losses = reference_learner._newton_fit(Z, y.astype(float), cfg)
+    assert_same_fit_as_the_reference(zscore_apply(zscore_fit(X), X), y.astype(float), cfg)
+
+
+def assert_same_fit_as_the_reference(Z, y, cfg):
+    w, b, losses = _newton_fit(Z, y, cfg)
+    ref_w, ref_b, ref_losses = reference_learner._newton_fit(Z, y, cfg)
     assert np.array_equal(w, ref_w) and w.tobytes() == ref_w.tobytes()
     assert b == ref_b and np.float64(b).tobytes() == np.float64(ref_b).tobytes()
     assert losses == ref_losses and np.array(losses).tobytes() == np.array(ref_losses).tobytes()
+
+
+def test_newton_fit_equals_the_reference_loop_down_to_the_scale_floor(monkeypatch):
+    """Once the gradient norm nears 1e-8, a Newton step lowers the loss by
+    less than the loss's rounding, and the line search halves until the
+    rounding lets a step through. A tolerance below that keeps the fit
+    there: on this input the halvings per iterate climb to 54, where
+    ``scale < 1e-16`` ends the search and the loss may rise. So the halving
+    factor, the floor and the loss reused after deep backtracking all count
+    toward the equality."""
+    X = np.array([[3.0], [1.0], [6.0], [-2.0]])
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+    Z = zscore_apply(zscore_fit(X), X)
+    cfg = TrainConfig(max_iters=40, tolerance=1e-300)
+    trials = [0]  # log-loss evaluations: the start, then each iterate's line search
+
+    def next_iterate(t):
+        trials.append(0)
+        return _sigmoid(t)
+
+    def line_search_trial(*args):
+        trials[-1] += 1
+        return _log_loss(*args)
+
+    monkeypatch.setattr(learner, "_sigmoid", next_iterate)
+    monkeypatch.setattr(learner, "_log_loss", line_search_trial)
+    assert_same_fit_as_the_reference(Z, y, cfg)
+    assert trials[0] == 1 and len(trials) - 1 == cfg.max_iters
+    assert max(trials) - 1 == 54  # 2.0**-54 is the first scale below 1e-16
+    losses = _newton_fit(Z, y, cfg)[2]
+    # only the floor accepts a step that fails the Armijo test
+    assert any(later > earlier for earlier, later in zip(losses, losses[1:]))
