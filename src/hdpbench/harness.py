@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import combinations, product
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -486,7 +487,7 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
 
     The files are checked: exact headers; only '0'/'1' labels, and every
     prediction as long as its target's truth; in results.csv, a known
-    target, a numeric value and no repeat on each row, and a row for every
+    target, a finite numeric value and no repeat on each row, and a row for every
     configured method and measure on each plan."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
@@ -517,6 +518,8 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
             number = float(value) if value else None
         except ValueError:
             raise ValueError(f"{path}:{line}: value {value!r} is not a number") from None
+        if number is not None and not math.isfinite(number):
+            raise ValueError(f"{path}:{line}: value {value!r} is not a finite number")
         rows.append(ResultRow(method, source, target, measure, number, failure or None))
     summary = results_dir / "summary.txt"
     totals = [
@@ -551,18 +554,47 @@ def _variant_sides(methods: Sequence[str]) -> tuple[list[str], list[str]]:
     return sides["hdp"], sides["udp"]
 
 
-def _value_index(result: ExperimentResult):
-    index: dict[tuple[str, str, str, str], float | None] = {}
-    for row in result.rows:
-        index[(row.method, row.source, row.target, row.measure)] = row.value
-    return index
-
-
 def _targets_sources(result: ExperimentResult) -> dict[str, list[str]]:
     by_target: dict[str, list[str]] = {}
     for source, target in result.plans:
         by_target.setdefault(target, []).append(source)
     return {t: sorted(s) for t, s in sorted(by_target.items())}
+
+
+def _target_slices(by_target: dict[str, list[str]]) -> dict[str, slice]:
+    """Each target's plans as a slice of the plan order of ``by_target``:
+    targets sorted, each target's sources sorted."""
+    slices, start = {}, 0
+    for target, sources in by_target.items():
+        slices[target] = slice(start, start + len(sources))
+        start += len(sources)
+    return slices
+
+
+def _value_table(
+    result: ExperimentResult, by_target: dict[str, list[str]]
+) -> dict[tuple[str, str], list[float | None]]:
+    """(method, measure) -> its value on every plan in the plan order of
+    ``by_target``, None where the value is absent; one pass over the rows."""
+    position = {}
+    for target, sources in by_target.items():
+        for source in sources:
+            position[(source, target)] = len(position)
+    table: dict[tuple[str, str], list[float | None]] = {}
+    for row in result.rows:
+        key = (row.method, row.measure)
+        if key not in table:
+            table[key] = [None] * len(position)
+        table[key][position[(row.source, row.target)]] = row.value
+    return table
+
+
+def _group_slices(result: ExperimentResult, slices: dict[str, slice]) -> dict[str, list[slice]]:
+    """Each dataset group, sorted, -> the plan slices of its targets."""
+    groups: dict[str, list[slice]] = {g: [] for g in sorted(set(result.target_groups.values()))}
+    for target, part in slices.items():
+        groups[result.target_groups[target]].append(part)
+    return groups
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -595,32 +627,18 @@ def _scott_knott_section(
     return lines
 
 
-def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
+def _report_scott_knott(result: ExperimentResult, table, group_slices) -> str:
     cfg = result.config
-    groups = sorted(set(result.target_groups.values()))
     out = [f"scott-knott rankings ({cfg.scenario})", ""]
     for measure in cfg.measures:
         out.append(f"== {measure} ==")
-        samples = {
-            m: [
-                v
-                for t, sources in by_target.items()
-                for s in sources
-                if (v := index[(m, s, t, measure)]) is not None
-            ]
-            for m in cfg.methods
-        }
+        columns = {m: table[(m, measure)] for m in cfg.methods}
+        samples = {m: [v for v in column if v is not None] for m, column in columns.items()}
         out.extend(_scott_knott_section(samples, "all subjects"))
-        for group in groups:
+        for group, parts in group_slices.items():
             samples = {
-                m: [
-                    v
-                    for t, sources in by_target.items()
-                    if result.target_groups[t] == group
-                    for s in sources
-                    if (v := index[(m, s, t, measure)]) is not None
-                ]
-                for m in cfg.methods
+                m: [v for part in parts for v in column[part] if v is not None]
+                for m, column in columns.items()
             }
             out.extend(_scott_knott_section(samples, f"group: {group}"))
         out.append("")
@@ -628,47 +646,38 @@ def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
 
 
 def wtl_matrix(
-    by_target: dict[str, list[str]],
-    measure: str,
-    first: str,
-    second: str,
-    index: dict[tuple[str, str, str, str], float | None],
+    first: Sequence[float | None],
+    second: Sequence[float | None],
+    slices: Collection[slice],
+    higher_is_better: bool,
 ) -> stats.WtlRecord:
-    """Per-target win/tie/loss of ``first`` against ``second`` for a measure.
+    """Per-target win/tie/loss of the values ``first`` against ``second``.
 
-    For each target, the paired samples are the two methods' values over
-    the target's sources in ``by_target`` (from ``_targets_sources``, which
-    ``build_report`` computes once); raw Wilcoxon p-values are BH-corrected
-    within this (measure, method pair) family. Lower-is-better measures are
+    Both are value-table columns (``_value_table``) and ``slices`` holds one
+    slice per target (``_target_slices``). For each target the paired
+    samples are the plans where both values are present; raw Wilcoxon
+    p-values are BH-corrected within this (measure, method pair) family, and
+    a target with fewer than two pairs is a tie. Lower-is-better values are
     negated so 'win' always means 'performs better'.
     """
-    orient = 1.0 if measures.HIGHER_IS_BETTER[measure] else -1.0
-    paired: dict[str, tuple[list[float], list[float]]] = {}
-    for target, sources in by_target.items():
+    orient = 1.0 if higher_is_better else -1.0
+    testable = []
+    for part in slices:
         xs, ys = [], []
-        for s in sources:
-            a = index[(first, s, target, measure)]
-            b = index[(second, s, target, measure)]
+        for a, b in zip(first[part], second[part]):
             if a is not None and b is not None:
                 xs.append(orient * a)
                 ys.append(orient * b)
-        paired[target] = (xs, ys)
-    testable = [t for t, (xs, _) in paired.items() if len(xs) >= 2]
-    raw = [stats.wilcoxon_signed_rank(*paired[t]) for t in testable]
-    adjusted = dict(zip(testable, stats.bh_adjust(raw))) if testable else {}
-    win = tie = loss = 0
-    for target, (xs, ys) in paired.items():
-        if target in adjusted:
-            outcome = stats.compare_pair(xs, ys, adjusted_p=adjusted[target])
-        else:
-            outcome = "tie"
-        win += outcome == "win"
-        tie += outcome == "tie"
-        loss += outcome == "loss"
-    return stats.WtlRecord(win, tie, loss)
+        if len(xs) >= 2:
+            testable.append((xs, ys))
+    raw = [stats.wilcoxon_signed_rank(xs, ys) for xs, ys in testable]
+    adjusted = stats.bh_adjust(raw) if testable else []
+    outcomes = [stats.compare_pair(xs, ys, adjusted_p=p) for (xs, ys), p in zip(testable, adjusted)]
+    win, loss = outcomes.count("win"), outcomes.count("loss")
+    return stats.WtlRecord(win, len(slices) - win - loss, loss)
 
 
-def _report_wtl(result: ExperimentResult, index, by_target) -> str:
+def _report_wtl(result: ExperimentResult, table, slices) -> str:
     cfg = result.config
     hdp_methods = [m for m in cfg.methods if _method(m).category == "hdp"]
     udp_methods = [m for m in cfg.methods if _method(m).category == "udp"]
@@ -678,44 +687,64 @@ def _report_wtl(result: ExperimentResult, index, by_target) -> str:
         return "\n".join(out) + "\n"
     for measure in cfg.measures:
         out.append(f"== {measure} ==")
+        higher = measures.HIGHER_IS_BETTER[measure]
         rows = []
         for h in hdp_methods:
-            cells = [str(wtl_matrix(by_target, measure, h, u, index)) for u in udp_methods]
+            cells = [
+                str(wtl_matrix(table[(h, measure)], table[(u, measure)], slices.values(), higher))
+                for u in udp_methods
+            ]
             rows.append([h, *cells])
         out.append(_table(["method", *udp_methods], rows))
         out.append("")
     return "\n".join(out) + "\n"
 
 
-def _report_diversity(result: ExperimentResult) -> str:
+def _report_diversity(result: ExperimentResult, by_target) -> str:
     hdp_vars, udp_vars = _variant_sides(result.config.methods)
+    variants = hdp_vars + udp_vars
     groups = sorted(set(result.target_groups.values()))
     sections = (
         ("hdp vs hdp", list(combinations(hdp_vars, 2))),
         ("udp vs udp", list(combinations(udp_vars, 2))),
         ("hdp vs udp", list(product(hdp_vars, udp_vars))),
     )
+    pairs = [pair for _, section in sections for pair in section]
+    first = [variants.index(a) for a, _ in pairs]
+    second = [variants.index(b) for _, b in pairs]
+    # [pair, group] -> significant plans, comparable plans
+    sig = np.zeros((len(pairs), len(groups)), dtype=np.int64)
+    total = np.zeros_like(sig)
+    for target, sources in by_target.items():
+        truth = result.target_truth[target]
+        # flags[plan, variant] on the defective modules; a variant without a
+        # prediction on a plan is all False there and leaves the plan out
+        flags = np.zeros((len(sources), len(variants), np.count_nonzero(truth)), dtype=np.int64)
+        present = np.zeros((len(sources), len(variants)), dtype=bool)
+        for i, source in enumerate(sources):
+            for j, variant in enumerate(variants):
+                labels = result.predictions.get((variant, source, target))
+                if labels is not None:
+                    flags[i, j] = labels[truth]
+                    present[i, j] = True
+        hits = flags.sum(axis=2)
+        both = (flags @ flags.transpose(0, 2, 1))[:, first, second]  # n_cc of every pair and plan
+        comparable = present[:, first] & present[:, second]
+        p = stats.mcnemar_pvalues(hits[:, first] - both, hits[:, second] - both)
+        g = groups.index(result.target_groups[target])
+        total[:, g] += comparable.sum(axis=0)
+        sig[:, g] += (comparable & (p < stats.ALPHA)).sum(axis=0)
+    counts = dict(zip(pairs, zip(sig.tolist(), total.tolist())))
     out = ["mcnemar diversity on defective modules: significant plans / comparable plans", ""]
-    for title, pairs in sections:
-        if not pairs:
+    for title, section in sections:
+        if not section:
             continue
         out.append(f"== {title} ==")
         rows = []
-        for a, b in pairs:
-            sig = {g: 0 for g in groups}
-            total = {g: 0 for g in groups}
-            for source, target in result.plans:
-                flags_a = result.predictions.get((a, source, target))
-                flags_b = result.predictions.get((b, source, target))
-                if flags_a is None or flags_b is None:
-                    continue
-                group = result.target_groups[target]
-                total[group] += 1
-                table = stats.diversity_table(flags_a, flags_b, result.target_truth[target])
-                if stats.mcnemar(table) < stats.ALPHA:
-                    sig[group] += 1
-            cells = [f"{sig[g]}/{total[g]}" for g in groups]
-            cells.append(f"{sum(sig.values())}/{sum(total.values())}")
+        for a, b in section:
+            pair_sig, pair_total = counts[(a, b)]
+            cells = [f"{s}/{t}" for s, t in zip(pair_sig, pair_total)]
+            cells.append(f"{sum(pair_sig)}/{sum(pair_total)}")
             rows.append([f"{a} vs {b}", *cells])
         out.append(_table(["comparison", *groups, "summary"], rows))
         out.append("")
@@ -758,26 +787,24 @@ def _report_unidentified(result: ExperimentResult) -> str:
     return "\n".join(out) + "\n"
 
 
-def _report_satisfactory(result: ExperimentResult, index) -> str:
+def _report_satisfactory(result: ExperimentResult, table, group_slices) -> str:
     cfg = result.config
     out = ["satisfactory ratio per dataset group (SC1: precision & recall > 75%;"
            " SC2: recall > 70% & precision > 50%)", ""]
     if "precision" not in cfg.measures or "recall" not in cfg.measures:
         out.append("requires the precision and recall measures in the configuration")
         return "\n".join(out) + "\n"
-    groups = sorted(set(result.target_groups.values()))
     rows = []
     for method in cfg.methods:
+        precision, recall = table[(method, "precision")], table[(method, "recall")]
         cells = []
-        for group in groups:
-            pairs = []
-            for source, target in result.plans:
-                if result.target_groups[target] != group:
-                    continue
-                precision = index[(method, source, target, "precision")]
-                recall = index[(method, source, target, "recall")]
-                if precision is not None and recall is not None:
-                    pairs.append((precision, recall))
+        for parts in group_slices.values():
+            pairs = [
+                (p, r)
+                for part in parts
+                for p, r in zip(precision[part], recall[part])
+                if p is not None and r is not None
+            ]
             for criterion in ("SC1", "SC2"):
                 if pairs:
                     cells.append(f"{stats.satisfactory_ratio(pairs, criterion):.2f}%")
@@ -785,7 +812,7 @@ def _report_satisfactory(result: ExperimentResult, index) -> str:
                     cells.append("n/a")
         rows.append([method, *cells])
     headers = ["method"]
-    for group in groups:
+    for group in group_slices:
         headers.extend([f"{group} SC1", f"{group} SC2"])
     out.append(_table(headers, rows))
     return "\n".join(out) + "\n"
@@ -800,14 +827,16 @@ def build_report(result: ExperimentResult) -> dict[str, str]:
     methods = set(row.method for row in result.rows)
     if len(methods) < 2:
         raise ValueError("reports need results from at least two methods")
-    index = _value_index(result)
     by_target = _targets_sources(result)
+    slices = _target_slices(by_target)
+    table = _value_table(result, by_target)
+    group_slices = _group_slices(result, slices)
     return {
-        "report_scottknott.txt": _report_scott_knott(result, index, by_target),
-        "report_wtl.txt": _report_wtl(result, index, by_target),
-        "report_diversity.txt": _report_diversity(result),
+        "report_scottknott.txt": _report_scott_knott(result, table, group_slices),
+        "report_wtl.txt": _report_wtl(result, table, slices),
+        "report_diversity.txt": _report_diversity(result, by_target),
         "report_unidentified.txt": _report_unidentified(result),
-        "report_satisfactory.txt": _report_satisfactory(result, index),
+        "report_satisfactory.txt": _report_satisfactory(result, table, group_slices),
     }
 
 

@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +38,20 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     return ranks
 
 
+@cache
+def _exact_null(doubled: tuple[int, ...]) -> tuple[int, ...]:
+    """Cumulative null distribution of the doubled rank sum: entry k counts
+    the 2^n sign assignments of ``doubled`` (sorted doubled ranks) whose sum
+    is below k. The counts depend only on the multiset of ranks, so the
+    sorted tuple is the key; there are fewer than 2^_EXACT_LIMIT tie
+    patterns, which bounds the cache."""
+    counts = np.zeros(sum(doubled) + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled:
+        counts[r:] = counts[r:] + counts[:-r]
+    return (0, *np.cumsum(counts).tolist())
+
+
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
     """Two-sided Wilcoxon signed-rank p-value for paired samples.
 
@@ -42,35 +59,39 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
     ranks. The p-value is exact for up to 12 remaining pairs, counting the
     2^n sign assignments by rank sum; beyond that a normal approximation
     with tie and continuity corrections keeps the two paths within 0.02 of
-    each other at the crossover. All-zero differences give p = 1.
+    each other at the crossover. All-zero differences give p = 1; a NaN or
+    infinite value raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) == 0:
         raise ValueError("x and y must be equal-length non-empty vectors")
-    diffs = x - y
-    diffs = diffs[diffs != 0]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("wilcoxon_signed_rank needs finite values")
+    diffs = [d for d in (x - y).tolist() if d != 0]
     n = len(diffs)
     if n == 0:
         return 1.0
-    ranks = average_ranks(np.abs(diffs))
-    w_plus = float(ranks[diffs > 0].sum())
+    # averaged ranks are multiples of 1/2, so doubled ranks are integers: a
+    # run of tied |differences| over sorted positions [start, end) has the
+    # doubled rank start + end + 1, and every count and sum below is exact
+    doubled: list[int] = []  # per sorted position
+    tie_term = w2 = 0  # sum of t^3 - t over runs; doubled rank sum of the positive diffs
+    for _, run in groupby(sorted((abs(d), d > 0) for d in diffs), key=itemgetter(0)):
+        positive = [p for _, p in run]
+        t = len(positive)
+        r = 2 * len(doubled) + t + 1
+        doubled += [r] * t
+        w2 += r * sum(positive)
+        tie_term += t**3 - t
     if n <= _EXACT_LIMIT:
-        # averaged ranks are multiples of 1/2, so doubled ranks are integers:
-        # count the sign assignments reaching each doubled rank sum
-        doubled = np.rint(2 * ranks).astype(np.int64)
-        counts = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
-        counts[0] = 1
-        for r in doubled:
-            counts[r:] = counts[r:] + counts[:-r]
-        w2 = int(doubled[diffs > 0].sum())
-        p_ge = int(counts[w2:].sum()) / 2**n
-        p_le = int(counts[: w2 + 1].sum()) / 2**n
+        below = _exact_null(tuple(doubled))
+        p_ge = (2**n - below[w2]) / 2**n
+        p_le = below[w2 + 1] / 2**n
         return min(1.0, 2.0 * min(p_ge, p_le))
     mu = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
-    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    z = max(abs(w_plus - mu) - 0.5, 0.0) / math.sqrt(sigma2)
+    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - float(tie_term) / 48.0
+    z = max(abs(w2 / 2 - mu) - 0.5, 0.0) / math.sqrt(sigma2)
     return math.erfc(z / math.sqrt(2.0))
 
 
@@ -234,17 +255,26 @@ class ContingencyTable:
         return self.n_cc + self.n_cw + self.n_wc + self.n_ww
 
 
-def mcnemar(ct: ContingencyTable) -> float:
-    """Asymptotic McNemar p-value without continuity correction.
+def mcnemar_pvalues(n_cw, n_wc) -> np.ndarray:
+    """Asymptotic McNemar p-values without continuity correction, one per
+    element of the integer discordant counts ``n_cw`` and ``n_wc``.
 
     chi^2 = (n_cw - n_wc)^2 / (n_cw + n_wc) on 1 degree of freedom; zero
     discordant counts give p = 1.
     """
-    discordant = ct.n_cw + ct.n_wc
-    if discordant == 0:
-        return 1.0
-    stat = (ct.n_cw - ct.n_wc) ** 2 / discordant
-    return float(special.chdtrc(1, stat))  # the chi-square survival function
+    n_cw = np.asarray(n_cw, dtype=np.int64)
+    n_wc = np.asarray(n_wc, dtype=np.int64)
+    discordant = n_cw + n_wc
+    # integer counts convert exactly, so the quotient is the correctly
+    # rounded one, as with Python ints
+    stat = (n_cw - n_wc) ** 2 / np.maximum(discordant, 1)
+    # chdtrc is the chi-square survival function
+    return np.where(discordant == 0, 1.0, special.chdtrc(1, stat))
+
+
+def mcnemar(ct: ContingencyTable) -> float:
+    """``mcnemar_pvalues`` of one contingency table."""
+    return float(mcnemar_pvalues(ct.n_cw, ct.n_wc))
 
 
 def diversity_table(

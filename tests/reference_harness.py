@@ -1,0 +1,197 @@
+"""Earlier report sections of ``hdpbench.harness``, kept as reference oracles.
+
+Each section here reads a dict keyed by (method, source, target, measure)
+and makes one statistics call per target, plan or pair: Scott-Knott and
+win/tie/loss samples come from dict lookups, each plan pair gets its own
+``diversity_table`` and scalar McNemar test, and each Wilcoxon call ranks and
+counts its null distribution again. The harness builds the same sections
+from one value table, one array pass per target and a cached Wilcoxon null;
+tests require byte-equal text. Wilcoxon and McNemar come from
+``reference_stats``, so the oracles share none of the new arithmetic.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations, product
+
+import reference_stats
+from hdpbench import measures, stats
+from hdpbench.harness import (
+    ExperimentResult,
+    _method,
+    _scott_knott_section,
+    _table,
+    _targets_sources,
+    _variant_sides,
+)
+
+
+def _value_index(result: ExperimentResult):
+    index: dict[tuple[str, str, str, str], float | None] = {}
+    for row in result.rows:
+        index[(row.method, row.source, row.target, row.measure)] = row.value
+    return index
+
+
+def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
+    cfg = result.config
+    groups = sorted(set(result.target_groups.values()))
+    out = [f"scott-knott rankings ({cfg.scenario})", ""]
+    for measure in cfg.measures:
+        out.append(f"== {measure} ==")
+        samples = {
+            m: [
+                v
+                for t, sources in by_target.items()
+                for s in sources
+                if (v := index[(m, s, t, measure)]) is not None
+            ]
+            for m in cfg.methods
+        }
+        out.extend(_scott_knott_section(samples, "all subjects"))
+        for group in groups:
+            samples = {
+                m: [
+                    v
+                    for t, sources in by_target.items()
+                    if result.target_groups[t] == group
+                    for s in sources
+                    if (v := index[(m, s, t, measure)]) is not None
+                ]
+                for m in cfg.methods
+            }
+            out.extend(_scott_knott_section(samples, f"group: {group}"))
+        out.append("")
+    return "\n".join(out) + "\n"
+
+
+def wtl_matrix(
+    by_target: dict[str, list[str]],
+    measure: str,
+    first: str,
+    second: str,
+    index: dict[tuple[str, str, str, str], float | None],
+) -> stats.WtlRecord:
+    orient = 1.0 if measures.HIGHER_IS_BETTER[measure] else -1.0
+    paired: dict[str, tuple[list[float], list[float]]] = {}
+    for target, sources in by_target.items():
+        xs, ys = [], []
+        for s in sources:
+            a = index[(first, s, target, measure)]
+            b = index[(second, s, target, measure)]
+            if a is not None and b is not None:
+                xs.append(orient * a)
+                ys.append(orient * b)
+        paired[target] = (xs, ys)
+    testable = [t for t, (xs, _) in paired.items() if len(xs) >= 2]
+    raw = [reference_stats.wilcoxon_signed_rank(*paired[t]) for t in testable]
+    adjusted = dict(zip(testable, stats.bh_adjust(raw))) if testable else {}
+    win = tie = loss = 0
+    for target, (xs, ys) in paired.items():
+        if target in adjusted:
+            outcome = stats.compare_pair(xs, ys, adjusted_p=adjusted[target])
+        else:
+            outcome = "tie"
+        win += outcome == "win"
+        tie += outcome == "tie"
+        loss += outcome == "loss"
+    return stats.WtlRecord(win, tie, loss)
+
+
+def _report_wtl(result: ExperimentResult, index, by_target) -> str:
+    cfg = result.config
+    hdp_methods = [m for m in cfg.methods if _method(m).category == "hdp"]
+    udp_methods = [m for m in cfg.methods if _method(m).category == "udp"]
+    out = [f"win/tie/loss per target: rows vs columns ({cfg.scenario})", ""]
+    if not hdp_methods or not udp_methods:
+        out.append("needs at least one heterogeneous and one unsupervised method")
+        return "\n".join(out) + "\n"
+    for measure in cfg.measures:
+        out.append(f"== {measure} ==")
+        rows = []
+        for h in hdp_methods:
+            cells = [str(wtl_matrix(by_target, measure, h, u, index)) for u in udp_methods]
+            rows.append([h, *cells])
+        out.append(_table(["method", *udp_methods], rows))
+        out.append("")
+    return "\n".join(out) + "\n"
+
+
+def _report_diversity(result: ExperimentResult) -> str:
+    hdp_vars, udp_vars = _variant_sides(result.config.methods)
+    groups = sorted(set(result.target_groups.values()))
+    sections = (
+        ("hdp vs hdp", list(combinations(hdp_vars, 2))),
+        ("udp vs udp", list(combinations(udp_vars, 2))),
+        ("hdp vs udp", list(product(hdp_vars, udp_vars))),
+    )
+    out = ["mcnemar diversity on defective modules: significant plans / comparable plans", ""]
+    for title, pairs in sections:
+        if not pairs:
+            continue
+        out.append(f"== {title} ==")
+        rows = []
+        for a, b in pairs:
+            sig = {g: 0 for g in groups}
+            total = {g: 0 for g in groups}
+            for source, target in result.plans:
+                flags_a = result.predictions.get((a, source, target))
+                flags_b = result.predictions.get((b, source, target))
+                if flags_a is None or flags_b is None:
+                    continue
+                group = result.target_groups[target]
+                total[group] += 1
+                table = stats.diversity_table(flags_a, flags_b, result.target_truth[target])
+                if reference_stats.mcnemar(table) < stats.ALPHA:
+                    sig[group] += 1
+            cells = [f"{sig[g]}/{total[g]}" for g in groups]
+            cells.append(f"{sum(sig.values())}/{sum(total.values())}")
+            rows.append([f"{a} vs {b}", *cells])
+        out.append(_table(["comparison", *groups, "summary"], rows))
+        out.append("")
+    return "\n".join(out) + "\n"
+
+
+def _report_satisfactory(result: ExperimentResult, index) -> str:
+    cfg = result.config
+    out = ["satisfactory ratio per dataset group (SC1: precision & recall > 75%;"
+           " SC2: recall > 70% & precision > 50%)", ""]
+    if "precision" not in cfg.measures or "recall" not in cfg.measures:
+        out.append("requires the precision and recall measures in the configuration")
+        return "\n".join(out) + "\n"
+    groups = sorted(set(result.target_groups.values()))
+    rows = []
+    for method in cfg.methods:
+        cells = []
+        for group in groups:
+            pairs = []
+            for source, target in result.plans:
+                if result.target_groups[target] != group:
+                    continue
+                precision = index[(method, source, target, "precision")]
+                recall = index[(method, source, target, "recall")]
+                if precision is not None and recall is not None:
+                    pairs.append((precision, recall))
+            for criterion in ("SC1", "SC2"):
+                if pairs:
+                    cells.append(f"{stats.satisfactory_ratio(pairs, criterion):.2f}%")
+                else:
+                    cells.append("n/a")
+        rows.append([method, *cells])
+    headers = ["method"]
+    for group in groups:
+        headers.extend([f"{group} SC1", f"{group} SC2"])
+    out.append(_table(headers, rows))
+    return "\n".join(out) + "\n"
+
+
+def report_sections(result: ExperimentResult) -> dict[str, str]:
+    """The sections above, named as in ``harness.build_report``'s bundle."""
+    index = _value_index(result)
+    by_target = _targets_sources(result)
+    return {
+        "report_scottknott.txt": _report_scott_knott(result, index, by_target),
+        "report_wtl.txt": _report_wtl(result, index, by_target),
+        "report_diversity.txt": _report_diversity(result),
+        "report_satisfactory.txt": _report_satisfactory(result, index),
+    }

@@ -1,17 +1,23 @@
-"""Earlier implementation of stats' exact Wilcoxon path, kept as a reference oracle.
+"""Earlier implementations of stats' Wilcoxon and McNemar, kept as reference oracles.
 
 ``hdpbench.stats.wilcoxon_signed_rank`` counts the null distribution of the
-rank sum over doubled (integer) ranks. This version builds the 2^n x n sign
-matrix and reads the tail shares from every sign assignment's rank sum.
-Both count the same assignments, so tests compare them with ``==``.
+rank sum over doubled (integer) ranks, once per tie pattern. ``wilcoxon_exact``
+builds the 2^n x n sign matrix and reads the tail shares from every sign
+assignment's rank sum; ``wilcoxon_signed_rank`` here is the counted version
+before the cache. All count the same assignments, so tests compare them with
+``==``. ``mcnemar`` is the scalar form that ``stats.mcnemar_pvalues`` replaced.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
+from scipy import special
 from scipy.stats import rankdata
+
+from hdpbench.stats import _EXACT_LIMIT, ContingencyTable, average_ranks
 
 
 def wilcoxon_exact(x: Sequence[float], y: Sequence[float]) -> float:
@@ -28,3 +34,46 @@ def wilcoxon_exact(x: Sequence[float], y: Sequence[float]) -> float:
     p_ge = float(np.mean(sums >= w_plus - 1e-9))
     p_le = float(np.mean(sums <= w_plus + 1e-9))
     return min(1.0, 2.0 * min(p_ge, p_le))
+
+
+def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
+    """The counted Wilcoxon before its exact null was cached: it ranks with
+    numpy and counts the doubled rank sums on every call. Tests compare the
+    cached version with it under ``==``, on both the exact and the normal path."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or len(x) == 0:
+        raise ValueError("x and y must be equal-length non-empty vectors")
+    diffs = x - y
+    diffs = diffs[diffs != 0]
+    n = len(diffs)
+    if n == 0:
+        return 1.0
+    ranks = average_ranks(np.abs(diffs))
+    w_plus = float(ranks[diffs > 0].sum())
+    if n <= _EXACT_LIMIT:
+        # averaged ranks are multiples of 1/2, so doubled ranks are integers:
+        # count the sign assignments reaching each doubled rank sum
+        doubled = np.rint(2 * ranks).astype(np.int64)
+        counts = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
+        counts[0] = 1
+        for r in doubled:
+            counts[r:] = counts[r:] + counts[:-r]
+        w2 = int(doubled[diffs > 0].sum())
+        p_ge = int(counts[w2:].sum()) / 2**n
+        p_le = int(counts[: w2 + 1].sum()) / 2**n
+        return min(1.0, 2.0 * min(p_ge, p_le))
+    mu = n * (n + 1) / 4.0
+    _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
+    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(tie_counts**3 - tie_counts)) / 48.0
+    z = max(abs(w_plus - mu) - 0.5, 0.0) / math.sqrt(sigma2)
+    return math.erfc(z / math.sqrt(2.0))
+
+
+def mcnemar(ct: ContingencyTable) -> float:
+    """The scalar McNemar p-value on Python ints, before the array form."""
+    discordant = ct.n_cw + ct.n_wc
+    if discordant == 0:
+        return 1.0
+    stat = (ct.n_cw - ct.n_wc) ** 2 / discordant
+    return float(special.chdtrc(1, stat))  # the chi-square survival function

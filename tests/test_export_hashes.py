@@ -3,6 +3,16 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "export_hashes.py"
 
+# the five reports of demo seed 7 with the default configuration; a change
+# that alters any report text must name the change and update these
+DEMO_7_REPORTS = {
+    "report_diversity.txt": "4d639451f1e30dedfc8acaaccac86ccf85b2e74256023021badf20ebf1abf388",
+    "report_satisfactory.txt": "719a13f2d33cec2b9c96b83e3372a04e284d5a1f75997808804a5c7f8f61b141",
+    "report_scottknott.txt": "8c51d917c5c9c26c6fba1df1c6c122f2e8c13bca7ab40eea6dfe69ef9d3a7d0c",
+    "report_unidentified.txt": "d8122ac44e9f757fa421e3dd153480c682b3d14f6fe46e83aeea29a31f90bd8d",
+    "report_wtl.txt": "3b277e446b4519c7db69cbb96f149970c233e785a56f029de1b03fae867d0ec8",
+}
+
 
 def _load_script():
     spec = importlib.util.spec_from_file_location("export_hashes", SCRIPT)
@@ -15,9 +25,9 @@ def test_export_hashes_repeat_and_rebuilt_reports_match(capsys):
     script = _load_script()
     first = script.export_hashes("demo", 7)
     assert script.export_hashes("demo", 7) == first
-    reports = [name for name in first if name.startswith("report_")]
-    assert len(first) == 15 and len(reports) == 5
-    assert all(first[f"rebuilt/{name}"] == first[name] for name in reports)
+    reports = {name: first[name] for name in first if name.startswith("report_")}
+    assert len(first) == 15 and reports == DEMO_7_REPORTS
+    assert all(first[f"rebuilt/{name}"] == digest for name, digest in DEMO_7_REPORTS.items())
     assert script.main(["--workload", "demo", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{digest}  {name}" for name, digest in first.items()]

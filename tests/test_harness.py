@@ -505,8 +505,14 @@ def _set_field(line, column, value):
     (lambda lines: [*lines[:2], *lines[1:]], r"results.csv:3: repeats line 2 \(\S+ \S+ \S+ \S+\)$"),
     (lambda lines: [lines[0], _set_field(lines[1], "value", "x"), *lines[2:]],
      r"results.csv:2: value 'x' is not a number"),
+    # a NaN or infinite value used to reach the reports, where a NaN
+    # Wilcoxon rank failed with "negative dimensions are not allowed"
+    (lambda lines: [lines[0], _set_field(lines[1], "value", "nan"), *lines[2:]],
+     r"results.csv:2: value 'nan' is not a finite number"),
+    (lambda lines: [lines[0], lines[1], _set_field(lines[2], "value", "-inf"), *lines[3:]],
+     r"results.csv:3: value '-inf' is not a finite number"),
     (lambda lines: [lines[0], *lines[2:]], r"results.csv: plan \S+ => \S+ has no \S+ \S+ row"),
-], ids=["unknown-target", "repeated-row", "value-not-a-number", "missing-cell"])
+], ids=["unknown-target", "repeated-row", "value-not-a-number", "value-nan", "value-inf", "missing-cell"])
 def test_load_results_rejects_malformed_result_rows(exported, edit, message):
     _edit_results(exported, edit)
     with pytest.raises(ValueError, match=message):

@@ -44,6 +44,17 @@ def test_wilcoxon_identical_samples():
     assert wilcoxon_signed_rank([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
 
 
+@pytest.mark.parametrize("x, y", [
+    ([1.0, float("nan"), 3.0], [0.0, 1.0, 2.0]),
+    ([1.0, 2.0, 3.0], [0.0, float("inf"), 2.0]),
+    ([float("-inf"), 2.0], [float("-inf"), 1.0]),  # -inf - -inf is NaN
+])
+def test_wilcoxon_rejects_non_finite_values(x, y):
+    # a NaN difference used to become a NaN rank, cast to an integer count index
+    with pytest.raises(ValueError, match="^wilcoxon_signed_rank needs finite values$"):
+        wilcoxon_signed_rank(x, y)
+
+
 def test_wilcoxon_five_positive_differences():
     assert wilcoxon_signed_rank([1, 2, 3, 4, 5], [0, 1, 2, 3, 4]) == pytest.approx(2 / 32)
 

@@ -1,8 +1,10 @@
-"""Bit-exact agreement of the counted exact Wilcoxon path with the enumeration.
+"""Bit-exact agreement of stats' Wilcoxon and McNemar with the earlier code.
 
 ``reference_stats.wilcoxon_exact`` enumerates all 2^n sign assignments;
-``hdpbench.stats.wilcoxon_signed_rank`` counts them by doubled rank sum.
-Every comparison uses ``==``.
+``hdpbench.stats.wilcoxon_signed_rank`` counts them by doubled rank sum, once
+per tie pattern, and ``reference_stats.wilcoxon_signed_rank`` counts them on
+every call. ``reference_stats.mcnemar`` is the scalar McNemar test on Python
+ints. Every comparison uses ``==``.
 """
 
 import numpy as np
@@ -18,8 +20,8 @@ WIDE = st.floats(-1e6, 1e6, allow_nan=False)
 
 
 @st.composite
-def paired(draw):
-    n = draw(st.integers(1, stats._EXACT_LIMIT))
+def paired(draw, max_size=stats._EXACT_LIMIT):
+    n = draw(st.integers(1, max_size))
     values = draw(st.sampled_from([TIED, WIDE, TIED | WIDE]))
     x = draw(st.lists(values, min_size=n, max_size=n))
     # some pairs are equal, so their zero differences are dropped
@@ -41,3 +43,32 @@ def test_exact_wilcoxon_equals_enumeration(case):
     want = ref.wilcoxon_exact(x, y)
     assert got == want
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _same(got: float, want: float) -> bool:
+    return got == want and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=500)
+@given(paired(max_size=20))
+@example(([1.0] * 20, [0.0] * 20))  # one 20-way tie on the normal path
+@example(([1.0, 2.0] * 10, [0.0, 3.0] * 10))  # two ties of ten, both signs
+@example(([float(v) for v in range(1, 14)], [0.0] * 13))  # the first normal-path size
+def test_cached_wilcoxon_equals_the_uncached_reference(case):
+    x, y = case
+    want = ref.wilcoxon_signed_rank(x, y)
+    # the first call may fill the cache and the second reads it
+    assert _same(stats.wilcoxon_signed_rank(x, y), want)
+    assert _same(stats.wilcoxon_signed_rank(x, y), want)
+    if sum(a != b for a, b in zip(x, y)) <= stats._EXACT_LIMIT:
+        assert _same(want, ref.wilcoxon_exact(x, y))
+
+
+def test_mcnemar_pvalues_equal_the_scalar_forms_on_every_count_up_to_60():
+    n_cw, n_wc = (grid.ravel() for grid in np.meshgrid(np.arange(61), np.arange(61)))
+    got = stats.mcnemar_pvalues(n_cw, n_wc).tolist()
+    tables = [stats.ContingencyTable(0, int(a), int(b), 0) for a, b in zip(n_cw, n_wc)]
+    assert got == [ref.mcnemar(t) for t in tables]
+    assert got == [stats.mcnemar(t) for t in tables]
+    # and in any array shape
+    assert stats.mcnemar_pvalues(n_cw.reshape(61, 61), n_wc.reshape(61, 61)).ravel().tolist() == got
