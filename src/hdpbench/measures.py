@@ -2,25 +2,25 @@
 ACC, PMI, Popt, and IFA.
 
 Effort-aware measures charge inspection cost proportional to module LOC:
-modules are visited in score order and the budget is a fraction of the
-total effort. The module that would cross the budget is excluded, which
-makes ACC and PMI consistent with each other.
+modules are visited in score order (``score_order``) and the budget is a
+fraction of the total effort. The module that would cross the budget is
+excluded, which makes ACC and PMI consistent with each other.
 
 Every function takes per-module vectors in target row order: float
 ``scores`` (higher means inspect earlier), bool ``predicted`` flags,
 positive float ``efforts`` and bool ``actual`` truth. Vectors of unequal
-length are rejected rather than broadcast. ``compute_measure`` evaluates
-one measure by id and turns undefined cases into absent values.
-``RankingScorer`` scores many rankings of one target on the six core
-measures, with one ordering per ranking and the target's totals computed
-once; it adds in the same order as the per-measure functions, so both give
-the same floats.
+length are rejected rather than broadcast. ``RankingScorer``, a target's
+checked record, is the one implementation of the effort-aware measures:
+the functions below read one value from it, and bestmetric scores each
+candidate ranking of a target with one. ``compute_measure`` evaluates one
+measure by id and turns undefined cases into absent values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,8 +98,8 @@ class EffortCurve:
 def _vectors(*columns: tuple[Sequence, type]) -> tuple[np.ndarray, ...]:
     """Each (values, dtype) pair as a 1-d array; all must have one length,
     since numpy would broadcast a length-1 vector against a length-n one."""
-    arrays = tuple(np.asarray(values, dtype=dtype) for values, dtype in columns)
-    if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays}) > 1:
+    arrays = tuple([np.asarray(values, dtype=dtype) for values, dtype in columns])
+    if arrays[0].ndim != 1 or len({a.shape for a in arrays}) > 1:
         raise ValueError(
             f"per-module vectors must be 1-d and of equal length, got shapes "
             f"{[a.shape for a in arrays]}"
@@ -110,12 +110,9 @@ def _vectors(*columns: tuple[Sequence, type]) -> tuple[np.ndarray, ...]:
 def confusion(predicted: Sequence[bool], actual: Sequence[bool]) -> ConfusionMatrix:
     """Counts with defective as the positive class."""
     predicted, actual = _vectors((predicted, bool), (actual, bool))
-    return ConfusionMatrix(
-        tp=int(np.sum(predicted & actual)),
-        fp=int(np.sum(predicted & ~actual)),
-        tn=int(np.sum(~predicted & ~actual)),
-        fn=int(np.sum(~predicted & actual)),
-    )
+    tp = int(np.count_nonzero(predicted & actual))
+    n_flagged, n_pos = int(np.count_nonzero(predicted)), int(np.count_nonzero(actual))
+    return ConfusionMatrix(tp, n_flagged - tp, len(actual) - n_flagged - n_pos + tp, n_pos - tp)
 
 
 def prf1(cm: ConfusionMatrix) -> dict[str, float]:
@@ -139,18 +136,14 @@ def auc(scores: Sequence[float], actual: Sequence[bool]) -> float | None:
     return _auc_from_ranks(average_ranks(scores), labels, n_pos, n_neg)
 
 
-def _auc_from_ranks(ranks: np.ndarray, labels: np.ndarray, n_pos: int, n_neg: int) -> float:
-    """Mann-Whitney AUC from average ranks (ascending in score); tied
-    scores share a rank, so a tie counts 0.5."""
-    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+def _auc_from_ranks(ranks: np.ndarray, positives: np.ndarray, n_pos: int, n_neg: int) -> float:
+    """Mann-Whitney AUC from average ranks (ascending in score) and the
+    positives, as a mask or as their indices in row order (the same ranks
+    summed in the same order); tied scores share a rank, so a tie counts 0.5."""
+    return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def _check_efforts(efforts: np.ndarray) -> None:
-    if np.any(efforts <= 0):
-        raise ValueError("efforts must be positive")
-
-
-def _by_score(scores: np.ndarray) -> np.ndarray:
+def score_order(scores: np.ndarray) -> np.ndarray:
     """Indices by score descending; ties keep module order."""
     return np.argsort(-scores, kind="stable")
 
@@ -169,38 +162,17 @@ def effort_curve(
     descending with ties in module order.
     """
     scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
-    _check_efforts(efforts)
-    n_defective = int(actual.sum())
-    if n_defective == 0:
-        raise NoDefects("effort curve needs at least one defective module")
-    if ordering == "by_score":
-        order = _by_score(scores)
-    elif ordering in ("optimal", "worst"):
-        density = actual / efforts
-        # lexsort sorts by its last key first and is stable
-        if ordering == "optimal":
-            order = np.lexsort((efforts, -density))
-        else:
-            order = np.lexsort((-efforts, density))
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return EffortCurve(*_curve_points(
-        np.cumsum(efforts[order]), efforts.sum(), np.cumsum(actual[order]), n_defective
-    ))
+    record = RankingScorer(efforts, actual)
+    order = score_order(scores) if ordering == "by_score" else record._extreme_order(ordering)
+    return EffortCurve(*record._curve(record._ranked(order)))
 
 
-def _curve_points(
-    cum_efforts: np.ndarray, total_effort: float, cum_defects: np.ndarray, n_defective: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """An effort curve's x and y from the running sums of the ranked
-    efforts and defect flags."""
-    # cumsum adds left to right, so each point is the running sum of the
-    # ranked efforts; running float sums can overshoot 1 by an ulp before
-    # the last point
-    x = np.concatenate(([0.0], np.minimum(1.0, cum_efforts / total_effort)))
-    y = np.concatenate(([0.0], np.minimum(1.0, cum_defects / n_defective)))
-    x[-1] = y[-1] = 1.0
-    return x, y
+def _effort_aware(
+    measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool],
+    effort_fraction: float = 0.2,
+) -> float:
+    scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
+    return RankingScorer(efforts, actual, effort_fraction).effort_aware(measure, score_order(scores))
 
 
 def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]) -> float:
@@ -209,44 +181,7 @@ def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[boo
     1 - (area(optimal) - area(method)) / (area(optimal) - area(worst)),
     with trapezoid areas; degenerate equal optimal/worst areas give 1.
     """
-    area_m = effort_curve(scores, efforts, actual, "by_score").area()
-    area_opt = effort_curve(scores, efforts, actual, "optimal").area()
-    area_worst = effort_curve(scores, efforts, actual, "worst").area()
-    return _popt_from_areas(area_m, area_opt, area_worst)
-
-
-def _popt_from_areas(area_m: float, area_opt: float, area_worst: float) -> float:
-    denom = area_opt - area_worst
-    if denom <= 0:
-        return 1.0
-    value = 1.0 - (area_opt - area_m) / denom
-    return min(1.0, max(0.0, value))
-
-
-def _check_fraction(effort_fraction: float) -> None:
-    if not 0 < effort_fraction <= 1:
-        raise ValueError("effort fraction must be in (0, 1]")
-
-
-def _budget(efforts: np.ndarray, effort_fraction: float) -> float:
-    """The effort inspectable within the fraction, with a relative slack
-    of 1e-9 so that rounding does not exclude a module that fits exactly."""
-    return effort_fraction * float(efforts.sum()) * (1 + 1e-9)
-
-
-def _inspected(scores: np.ndarray, efforts: np.ndarray, effort_fraction: float) -> np.ndarray:
-    """Ranked indices inspectable within the budget; the module crossing it is excluded."""
-    _check_fraction(effort_fraction)
-    _check_efforts(efforts)
-    order = _by_score(scores)
-    return order[: _n_inspected(np.cumsum(efforts[order]), _budget(efforts, effort_fraction))]
-
-
-def _n_inspected(cum_efforts: np.ndarray, budget: float) -> int:
-    """Length of the ranked prefix that fits the budget."""
-    # positive efforts make the running total increasing, so the prefix
-    # ends before the first running total above the budget
-    return int(np.searchsorted(cum_efforts, budget, side="right"))
+    return _effort_aware("popt", scores, efforts, actual)
 
 
 def acc_at(
@@ -256,25 +191,19 @@ def acc_at(
     effort_fraction: float = 0.2,
 ) -> float:
     """Recall of defective modules within the given fraction of total effort."""
-    scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
-    n_defective = int(actual.sum())
-    if n_defective == 0:
-        raise NoDefects("ACC needs at least one defective module")
-    return int(actual[_inspected(scores, efforts, effort_fraction)].sum()) / n_defective
+    return _effort_aware("acc", scores, efforts, actual, effort_fraction)
 
 
 def pmi_at(scores: Sequence[float], efforts: Sequence[float], effort_fraction: float = 0.2) -> float:
     """Proportion of modules inspected within the given fraction of total effort."""
-    scores, efforts = _vectors((scores, float), (efforts, float))
-    return len(_inspected(scores, efforts, effort_fraction)) / len(scores)
+    # PMI never reads the truth
+    return _effort_aware("pmi20", scores, efforts, np.zeros_like(scores, dtype=bool), effort_fraction)
 
 
 def ifa(scores: Sequence[float], actual: Sequence[bool]) -> int:
     """Non-defective modules ranked before the first defective one."""
-    scores, actual = _vectors((scores, float), (actual, bool))
-    if not actual.any():
-        raise NoDefects("IFA needs at least one defective module")
-    return int(np.argmax(actual[_by_score(scores)]))
+    # IFA never reads the efforts
+    return int(_effort_aware("ifa", scores, np.ones_like(scores, dtype=float), actual))
 
 
 def compute_measure(
@@ -286,78 +215,132 @@ def compute_measure(
     effort_fraction: float = 0.2,
 ) -> tuple[float | None, str | None]:
     """Evaluate one measure on per-module vectors in target row order.
-    Efforts must be positive for every measure. Undefined cases yield
-    (None, reason)."""
+    Every measure requires positive efforts and an effort fraction in
+    (0, 1]. Undefined cases yield (None, reason)."""
     scores, predicted, efforts, actual = _vectors(
         (scores, float), (predicted, bool), (efforts, float), (actual, bool)
     )
-    _check_efforts(efforts)
+    record = RankingScorer(efforts, actual, effort_fraction)
     if measure in ("precision", "recall", "f1"):
         return prf1(confusion(predicted, actual))[measure], None
     if measure == "auc":
         value = auc(scores, actual)
         return (value, None) if value is not None else (None, "SingleClassTruth")
     try:
-        if measure == "acc":
-            return acc_at(scores, efforts, actual, effort_fraction), None
-        if measure == "popt":
-            return popt(scores, efforts, actual), None
-        if measure == "pmi20":
-            return pmi_at(scores, efforts, effort_fraction), None
-        if measure == "ifa":
-            return float(ifa(scores, actual)), None
+        return record.effort_aware(measure, score_order(scores)), None
     except NoDefects:
         return None, "NoDefects"
-    raise ValueError(f"unknown measure {measure!r}")
+
+
+class _Ranked(NamedTuple):
+    """A ranking's truth flags, their and its efforts' running sums, and
+    the length of its prefix that fits the inspection budget."""
+
+    actual: np.ndarray
+    cum_defects: np.ndarray
+    cum_efforts: np.ndarray
+    n_inspected: int
 
 
 class RankingScorer:
-    """Scores rankings of one target on the six core measures.
+    """One target's record, and the one implementation of every rule that
+    scores a ranking of its modules.
 
-    The target's efforts and truth, their totals, the inspection budget and
-    the optimal and worst P_opt areas are computed once, at construction.
-    ``score`` then reads F1, ACC, P_opt, PMI and IFA from one ordering of the
-    modules and AUC from their average ranks, with the same arithmetic, in
-    the same order, as ``compute_measure``.
+    The constructor checks the efforts, the truth and the effort fraction,
+    and keeps the totals and the inspection budget. The optimal and worst
+    P_opt areas ignore the scores; they are computed on first use. ACC,
+    P_opt, PMI and IFA all read one ranking's running sums.
     """
 
     def __init__(self, efforts: Sequence[float], actual: Sequence[bool], effort_fraction: float = 0.2):
         self.efforts, self.actual = _vectors((efforts, float), (actual, bool))
-        _check_efforts(self.efforts)
-        _check_fraction(effort_fraction)
-        self.n_pos = int(self.actual.sum())
+        if np.any(self.efforts <= 0):
+            raise ValueError("efforts must be positive")
+        if not 0 < effort_fraction <= 1:
+            raise ValueError("effort fraction must be in (0, 1]")
+        self.positives = np.flatnonzero(self.actual)  # an index array reads faster than a mask
+        self.n_pos = len(self.positives)
         self.n_neg = len(self.actual) - self.n_pos
         self.total_effort = self.efforts.sum()
-        self.budget = _budget(self.efforts, effort_fraction)
-        if self.n_pos:  # the optimal and worst orderings ignore the scores
-            self.area_opt = effort_curve(self.efforts, self.efforts, self.actual, "optimal").area()
-            self.area_worst = effort_curve(self.efforts, self.efforts, self.actual, "worst").area()
+        # a relative slack of 1e-9 keeps rounding from excluding a module
+        # that fits the budget exactly
+        self.budget = effort_fraction * float(self.total_effort) * (1 + 1e-9)
 
-    def score(self, order: np.ndarray, ranks: np.ndarray, n_flagged: int) -> dict[str, float | None]:
+    def effort_aware(self, measure: str, order: np.ndarray) -> float:
+        """ACC, P_opt, PMI or IFA (by id) of the ranking ``order``; raises
+        ``NoDefects`` where the measure needs a defective module."""
+        return self._value(measure, self._ranked(order))
+
+    def score(
+        self, order: np.ndarray, ranks: np.ndarray, predicted: np.ndarray
+    ) -> dict[str, float | None]:
         """The core measures of one ranking, None where undefined.
 
         ``order`` visits the modules by score descending, ties in module
-        order; ``ranks`` are the scores' average ranks, ascending; the first
-        ``n_flagged`` modules of ``order`` are the ones labelled defective.
+        order; ``ranks`` are the scores' average ranks, ascending;
+        ``predicted`` flags the modules labelled defective.
         """
-        n, n_pos = len(order), self.n_pos
-        ranked_actual = self.actual[order]
-        cum_defects = np.cumsum(ranked_actual)
-        cum_efforts = np.cumsum(self.efforts[order])
-        tp = int(cum_defects[n_flagged - 1]) if n_flagged else 0
-        fn = n_pos - tp
-        cm = ConfusionMatrix(tp=tp, fp=n_flagged - tp, tn=n - n_flagged - fn, fn=fn)
-        n_inspected = _n_inspected(cum_efforts, self.budget)
-        values: dict[str, float | None] = dict.fromkeys(CORE_MEASURES)
-        values["f1"] = prf1(cm)["f1"]
-        values["pmi20"] = n_inspected / n
-        if self.n_neg and n_pos:
-            values["auc"] = _auc_from_ranks(ranks, self.actual, n_pos, self.n_neg)
-        if n_pos:
-            values["acc"] = (int(cum_defects[n_inspected - 1]) if n_inspected else 0) / n_pos
-            x, y = _curve_points(cum_efforts, self.total_effort, cum_defects, n_pos)
-            values["popt"] = _popt_from_areas(
-                float(np.trapezoid(y, x)), self.area_opt, self.area_worst
-            )
-            values["ifa"] = float(np.argmax(ranked_actual))
+        f1 = prf1(confusion(predicted, self.actual))["f1"]
+        values: dict[str, float | None] = {"f1": f1, "auc": None}
+        if self.n_neg and self.n_pos:
+            values["auc"] = _auc_from_ranks(ranks, self.positives, self.n_pos, self.n_neg)
+        ranked = self._ranked(order)
+        for measure in ("acc", "popt", "pmi20", "ifa"):
+            try:
+                values[measure] = self._value(measure, ranked)
+            except NoDefects:
+                values[measure] = None
         return values
+
+    def _ranked(self, order: np.ndarray) -> _Ranked:
+        # cumsum adds in ranking order; positive efforts make it increasing, so the
+        # inspected prefix ends before the first running total above the budget.
+        # Array methods skip the np.* wrappers, whose dispatch outweighs small work
+        actual, cum_efforts = self.actual[order], self.efforts[order].cumsum()
+        n_inspected = int(cum_efforts.searchsorted(self.budget, side="right"))
+        return _Ranked(actual, actual.cumsum(), cum_efforts, n_inspected)
+
+    def _extreme_order(self, ordering: str) -> np.ndarray:
+        """The ``optimal`` or ``worst`` ranking by defect density."""
+        density = self.actual / self.efforts
+        # lexsort sorts by its last key first and is stable
+        if ordering == "optimal":
+            return np.lexsort((self.efforts, -density))
+        if ordering == "worst":
+            return np.lexsort((-self.efforts, density))
+        raise ValueError(f"unknown ordering {ordering!r}")
+
+    @cached_property
+    def _extreme_areas(self) -> tuple[float, float]:
+        return tuple(self._area(self._ranked(self._extreme_order(o))) for o in ("optimal", "worst"))
+
+    def _curve(self, ranked: _Ranked) -> tuple[np.ndarray, np.ndarray]:
+        """The effort curve's x and y."""
+        if not self.n_pos:
+            raise NoDefects("effort curve needs at least one defective module")
+        # running float sums can overshoot 1 by an ulp before the last point
+        x = np.concatenate(([0.0], np.minimum(1.0, ranked.cum_efforts / self.total_effort)))
+        y = np.concatenate(([0.0], np.minimum(1.0, ranked.cum_defects / self.n_pos)))
+        x[-1] = y[-1] = 1.0
+        return x, y
+
+    def _area(self, ranked: _Ranked) -> float:
+        x, y = self._curve(ranked)
+        return float(np.trapezoid(y, x))
+
+    def _value(self, measure: str, ranked: _Ranked) -> float:
+        if measure == "popt":
+            area_m = self._area(ranked)
+            area_opt, area_worst = self._extreme_areas
+            denom = area_opt - area_worst
+            return 1.0 if denom <= 0 else min(1.0, max(0.0, 1.0 - (area_opt - area_m) / denom))
+        if measure == "pmi20":
+            return ranked.n_inspected / len(ranked.actual)
+        if measure not in ("acc", "ifa"):
+            raise ValueError(f"unknown measure {measure!r}")
+        if not self.n_pos:
+            raise NoDefects(f"{measure.upper()} needs at least one defective module")
+        if measure == "acc":
+            found = int(ranked.cum_defects[ranked.n_inspected - 1]) if ranked.n_inspected else 0
+            return found / self.n_pos
+        return float(ranked.actual.argmax())

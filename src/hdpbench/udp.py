@@ -3,9 +3,13 @@
 All five methods share the assumption that defective modules tend to have
 larger metric values. A ``Prediction`` is a score vector (higher means
 inspect earlier) and a defective-flag vector, both in the target's row
-order. ``cla``, ``clami`` and ``spectral`` return one; ``manual_rank``
-returns one per ranking direction and ``best_metric_oracle`` one winner per
-core measure, each from a single call per target. Inspection effort is not
+order; NaN scores are rejected. ``cla``, ``clami`` and ``spectral`` return
+one; ``manual_rank`` returns one per ranking direction and
+``best_metric_oracle`` one winner per core measure, each from a single call
+per target. ``manual_rank`` and ``best_metric_oracle`` rank modules with
+``measures.score_order``, the rule the effort-aware measures visit them by,
+and flag the top half of that ranking; ``best_metric_oracle`` scores every
+candidate with one ``measures.RankingScorer``. Inspection effort is not
 part of a prediction; the measures take the target's LOC column with values
 <= 0 clamped to 1 (``datasets.effort_values``).
 """
@@ -27,7 +31,8 @@ from .stats import average_ranks
 @dataclass(frozen=True, eq=False)
 class Prediction:
     """Per-module output in target row order: float64 defect-proneness
-    ``scores`` and bool ``predicted`` flags (True = defective)."""
+    ``scores``, none of them NaN, and bool ``predicted`` flags (True =
+    defective)."""
 
     scores: np.ndarray
     predicted: np.ndarray
@@ -40,6 +45,8 @@ class Prediction:
                 f"scores and predicted must be equal-length vectors, got shapes "
                 f"{scores.shape} and {predicted.shape}"
             )
+        if np.isnan(scores).any():
+            raise ValueError("prediction scores must not be NaN")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "predicted", predicted)
 
@@ -200,11 +207,6 @@ def spectral_predict(d: DefectDataset) -> Prediction:
     return Prediction(row_sums, predicted)
 
 
-def _descending(scores: np.ndarray) -> np.ndarray:
-    """Indices by score descending; ties keep module order."""
-    return np.argsort(-scores, kind="stable")
-
-
 def _top_half(order: np.ndarray) -> np.ndarray:
     """Defective flags for the first ceil(n/2) modules of ``order``."""
     predicted = np.zeros(len(order), dtype=bool)
@@ -218,7 +220,7 @@ def manual_rank(d: DefectDataset) -> dict[str, Prediction]:
     (ties keep module order) is labeled defective."""
     loc = effort_values(d)
     rankings = {"down": loc.astype(float), "up": 1.0 / loc}
-    return {key: Prediction(s, _top_half(_descending(s))) for key, s in rankings.items()}
+    return {key: Prediction(s, _top_half(measures.score_order(s))) for key, s in rankings.items()}
 
 
 class BestMetric(NamedTuple):
@@ -246,24 +248,25 @@ def best_metric_oracle(d: DefectDataset, effort_fraction: float = 0.2) -> dict[s
     efforts = effort_values(d)
     scorer = measures.RankingScorer(efforts, d.labels, effort_fraction)
     n = d.n_modules
-    n_flagged = (n + 1) // 2
-    best: dict[str, tuple] = {}  # measure -> (quality, metric, scores, order, value)
+    best: dict[str, tuple] = {}  # measure -> (quality, metric, scores, predicted, value)
     for name in d.schema.metric_names:
         column = efforts if name == d.schema.loc_metric else d.column(name)
         ranks = average_ranks(column)
         for sign, signed_ranks in ((1.0, ranks), (-1.0, n + 1 - ranks)):
             scores = sign * column
-            order = _descending(scores)
-            for measure, value in scorer.score(order, signed_ranks, n_flagged).items():
+            order = measures.score_order(scores)
+            predicted = _top_half(order)
+            for measure, value in scorer.score(order, signed_ranks, predicted).items():
                 if value is None:
                     continue
                 quality = value if measures.HIGHER_IS_BETTER[measure] else -value
                 if quality > best.get(measure, (-np.inf,))[0]:
-                    best[measure] = (quality, name, scores, order, value)
+                    best[measure] = (quality, name, scores, predicted, value)
     first = d.schema.metric_names[0]
-    fallback = (None, first, d.column(first), _descending(d.column(first)), None)
+    raw = d.column(first)
+    fallback = (None, first, raw, _top_half(measures.score_order(raw)), None)
     results = {}
     for measure in measures.CORE_MEASURES:
-        _, name, scores, order, value = best.get(measure, fallback)
-        results[measure] = BestMetric(name, Prediction(scores, _top_half(order)), value)
+        _, name, scores, predicted, value = best.get(measure, fallback)
+        results[measure] = BestMetric(name, Prediction(scores, predicted), value)
     return results

@@ -3,8 +3,16 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "export_hashes.py"
 
-# the five reports of demo seed 7 with the default configuration; a change
-# that alters any report text must name the change and update these
+# the exported files and the five reports of demo seed 7 with the default
+# configuration; a change that alters any of them must name the change and
+# update these
+DEMO_7_EXPORTS = {
+    "config.ini": "4d6a055a8f5b125a7827da60e0b5d590691f1ac3a083cec8a9bcc8b1a9365781",
+    "results.csv": "8e0d6eca04c6a9954155e1ac28b5058b0e4dcab1398206daf27c70a5ce59bec9",
+    "predictions.csv": "f6fc66ae64e25d73f8c0f074bbfc950d6551ae5f88c40ffce6eaae5ff2be98d4",
+    "targets.csv": "d0803104a1e97d27a95975d3b1f8ffaab3883024dcfa63cdfcbc6a8f88fee269",
+    "summary.txt": "6f132500f779dfb34c2d812136703b93d6a5a515a88f580e23e2ea685f5f07d4",
+}
 DEMO_7_REPORTS = {
     "report_diversity.txt": "4d639451f1e30dedfc8acaaccac86ccf85b2e74256023021badf20ebf1abf388",
     "report_satisfactory.txt": "719a13f2d33cec2b9c96b83e3372a04e284d5a1f75997808804a5c7f8f61b141",
@@ -25,8 +33,9 @@ def test_export_hashes_repeat_and_rebuilt_reports_match(capsys):
     script = _load_script()
     first = script.export_hashes("demo", 7)
     assert script.export_hashes("demo", 7) == first
-    reports = {name: first[name] for name in first if name.startswith("report_")}
-    assert len(first) == 15 and reports == DEMO_7_REPORTS
+    assert len(first) == 15
+    assert {name: first[name] for name in DEMO_7_EXPORTS} == DEMO_7_EXPORTS
+    assert {name: first[name] for name in DEMO_7_REPORTS} == DEMO_7_REPORTS
     assert all(first[f"rebuilt/{name}"] == digest for name, digest in DEMO_7_REPORTS.items())
     assert script.main(["--workload", "demo", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()

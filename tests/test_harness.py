@@ -273,6 +273,37 @@ def test_external_prediction_count_mismatch_becomes_failure_row(tmp_path):
     assert not any(variant == "short" for variant, _, _ in result.predictions)
 
 
+def test_external_nan_scores_become_failure_rows(tmp_path):
+    # NaN AUC values once reached the Wilcoxon test, and build_report raised
+    write_synthetic_benchmark(tmp_path, seed=11, measures="f1 auc")
+
+    def nan_scores(source, target):
+        n = target.n_modules
+        return HdpOutcome(predictions=Prediction(np.full(n, np.nan), np.ones(n, dtype=bool)))
+
+    register_external_method("nan", nan_scores)
+    try:
+        cfg = ExperimentConfig(
+            manifest=str(tmp_path / "manifest.ini"),
+            output_dir=str(tmp_path / "out"),
+            methods=("nan", "cla"),
+            measures=("f1", "auc"),
+        )
+        result = run_experiment(cfg)
+    finally:
+        unregister_external_method("nan")
+    nan_rows = [r for r in result.rows if r.method == "nan"]
+    assert len(nan_rows) == 12 * 2  # every plan, both measures
+    assert all(
+        r.value is None and r.failure == "error: prediction scores must not be NaN"
+        for r in nan_rows
+    )
+    assert not any(variant == "nan" for variant, _, _ in result.predictions)
+    report = build_report(result)
+    export_results(result, cfg.output_dir)
+    assert build_report(load_results(cfg.output_dir)) == report
+
+
 def add_one_module_group(manifest):
     """Add a group whose one dataset, ``solo``, has a single module."""
     (manifest.parent / "solo.csv").write_text("solo_loc,solo_x,bug\n12.0,3.0,1\n")

@@ -7,6 +7,7 @@ from hdpbench.measures import (
     MEASURE_IDS,
     ConfusionMatrix,
     NoDefects,
+    RankingScorer,
     acc_at,
     auc,
     compute_measure,
@@ -105,6 +106,30 @@ def test_measures_reject_non_positive_effort(bad):
         acc_at(scores, efforts, actual)
     with pytest.raises(ValueError, match="efforts must be positive"):
         pmi_at(scores, efforts)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5, float("nan")])
+def test_every_measure_rejects_an_effort_fraction_outside_0_1(fraction):
+    # precision, recall, f1 and auc once returned a value here
+    scores, efforts = preds_from([3, 2, 1], [1.0, 2.0, 2.0])
+    actual = truth_from([1, 0, 1])
+    for measure in MEASURE_IDS:
+        with pytest.raises(ValueError, match=r"effort fraction must be in \(0, 1\]"):
+            compute_measure(measure, scores, actual, efforts, actual, fraction)
+
+
+def test_only_popt_computes_the_extreme_curves(monkeypatch):
+    def fail(self, ordering):
+        raise AssertionError(f"{ordering} curve computed")
+
+    monkeypatch.setattr(RankingScorer, "_extreme_order", fail)
+    scores, efforts = preds_from([3, 2, 1], [1.0, 2.0, 2.0])
+    actual = truth_from([0, 1, 1])
+    for measure in MEASURE_IDS:
+        if measure != "popt":
+            compute_measure(measure, scores, actual, efforts, actual)
+    with pytest.raises(AssertionError, match="optimal curve computed"):
+        compute_measure("popt", scores, actual, efforts, actual)
 
 
 def test_prf1_balanced():
@@ -319,6 +344,14 @@ def test_acc_pmi_monotone_in_fraction():
     pmis = [pmi_at(*preds, f) for f in fractions]
     assert accs == sorted(accs)
     assert pmis == sorted(pmis)
+
+
+def test_budget_has_a_relative_slack_of_1e_9():
+    # three efforts of 0.1 sum to 0.30000000000000004, above 0.3 of the
+    # total 0.9999999999999999: the slack keeps the third module in
+    assert pmi_at(np.arange(10, 0, -1), [0.1] * 10, 0.3) == 0.3
+    # 1e-7 above a budget of 5 is beyond the slack: the second module is out
+    assert pmi_at([3, 2, 1], [5.0, 1e-7, 5.0 - 1e-7], 0.5) == 1 / 3
 
 
 def test_pmi_uniform_efforts():

@@ -6,8 +6,9 @@ the same order and break ties the same way, not merely come close.
 """
 
 import numpy as np
+import pytest
 from helpers import make_dataset
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -17,9 +18,14 @@ from hdpbench.measures import (
     CORE_MEASURES,
     HIGHER_IS_BETTER,
     MEASURE_IDS,
+    NoDefects,
     RankingScorer,
+    acc_at,
     compute_measure,
     effort_curve,
+    ifa,
+    pmi_at,
+    popt,
 )
 from hdpbench.stats import average_ranks
 from hdpbench.udp import Prediction, best_metric_oracle
@@ -62,11 +68,33 @@ def test_compute_measure_equals_loop_reference(case):
 
 
 @given(prediction_cases())
+def test_measure_functions_equal_loop_reference(case):
+    """The public functions score through the same record as compute_measure."""
+    scores, predicted, efforts, actual, fraction = case
+    calls = {
+        "acc": lambda: acc_at(scores, efforts, actual, fraction),
+        "popt": lambda: popt(scores, efforts, actual),
+        "pmi20": lambda: pmi_at(scores, efforts, fraction),
+        "ifa": lambda: ifa(scores, actual),
+    }
+    for measure, call in calls.items():
+        expected, reason = ref.compute_measure(measure, scores, predicted, efforts, actual, fraction)
+        if reason == "NoDefects":
+            with pytest.raises(NoDefects):
+                call()
+        else:
+            assert call() == expected, measure
+    assert type(ifa(scores, actual | True)) is int
+
+
+@given(prediction_cases())
 def test_effort_curve_points_equal_loop_reference(case):
     scores, _, efforts, actual, _ = case
-    if not actual.any():
-        return
     for ordering in ("by_score", "optimal", "worst"):
+        if not actual.any():  # the loop reference raises NoDefects too
+            with pytest.raises(NoDefects):
+                effort_curve(scores, efforts, actual, ordering)
+            continue
         curve = effort_curve(scores, efforts, actual, ordering)
         expected = ref.effort_curve_points(scores, efforts, actual, ordering)
         assert curve.points == expected, ordering
@@ -96,14 +124,24 @@ def test_average_ranks_equal_rankdata(values):
     assert np.array_equal(average_ranks(-values), len(values) + 1 - ranks)
 
 
+# bestmetric's flags: the first ceil(7/2) = 4 modules of the stable
+# descending ranking 1, 3, 4, 0, 5, 2, 6, where modules 3 and 4 tie
+TOP_HALF_CASE = (
+    np.array([0.5, 1.0, -0.25, 0.75, 0.75, 0.0, -1.0]),
+    np.array([True, True, False, True, True, False, False]),
+    np.array([3.0, 1.0, 2.0, 2.0, 9.5, 1.0, 4.0]),
+    np.array([False, True, False, False, True, True, False]),
+    0.2,
+)
+
+
 @given(prediction_cases())
+@example(TOP_HALF_CASE)
 def test_ranking_scorer_equals_compute_measure_on_the_top_half(case):
-    scores, _, efforts, actual, fraction = case
-    n = len(scores)
+    """Arbitrary predicted flags, and bestmetric's top half as an example."""
+    scores, predicted, efforts, actual, fraction = case
     order = np.argsort(-scores, kind="stable")
-    predicted = np.zeros(n, dtype=bool)
-    predicted[order[: (n + 1) // 2]] = True
-    values = RankingScorer(efforts, actual, fraction).score(order, rankdata(scores), (n + 1) // 2)
+    values = RankingScorer(efforts, actual, fraction).score(order, rankdata(scores), predicted)
     assert tuple(values) == CORE_MEASURES
     for measure in CORE_MEASURES:
         expected, _ = compute_measure(measure, scores, predicted, efforts, actual, fraction)

@@ -504,3 +504,6 @@ def test_prediction_converts_and_checks_shapes():
         Prediction([[0.5, 0.2]], [[True, False]])  # 2-d
     with pytest.raises(ValueError):
         Prediction(0.5, True)  # 0-d
+    with pytest.raises(ValueError, match="prediction scores must not be NaN"):
+        Prediction([0.5, np.nan], [True, False])
+    assert Prediction([np.inf, -np.inf], [True, False]).scores.tolist() == [np.inf, -np.inf]
