@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import combinations, product
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .datasets import (
     load_manifest_datasets,
     read_ini,
 )
+from .measures import EFFORT_FRACTION
 
 # scenario -> the method whose failed plans it leaves out
 SCENARIOS = {"scenario1": None, "scenario2": "hdp1"}
@@ -118,7 +119,7 @@ class ExperimentConfig:
     output_dir: str
     methods: tuple[str, ...] = tuple(METHODS)
     measures: tuple[str, ...] = measures.MEASURE_IDS
-    effort_fraction: float = 0.2
+    effort_fraction: float = EFFORT_FRACTION  # by name: ``measures`` here is the field above
     scenario: str = "scenario1"
     seed: int = 0
 
@@ -191,14 +192,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "manifest" not in section:
         raise ValueError(f"{path}: missing manifest entry")
 
-    def _split(key: str, default: tuple[str, ...]) -> tuple[str, ...]:
-        if key not in section:
-            return default
-        return tuple(section[key].replace(",", " ").split())
-
-    def _number(key: str, kind: type, default):
-        if key not in section:
-            return default
+    def _parse(key: str, kind: type):
+        if kind is tuple:
+            return tuple(section[key].replace(",", " ").split())
         try:
             return kind(section[key])
         except ValueError:
@@ -211,23 +207,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
     output_dir = section.get("output_dir", "results")
     if not Path(output_dir).is_absolute():
         output_dir = str(path.parent / output_dir)
-    fields = dict(
-        manifest=manifest,
-        output_dir=output_dir,
-        methods=_split("methods", tuple(METHODS)),
-        measures=_split("measures", measures.MEASURE_IDS),
-        effort_fraction=_number("effort_fraction", float, 0.2),
-        scenario=section.get("scenario", "scenario1"),
-        seed=_number("seed", int, 0),
-    )
+    fields = dict(manifest=manifest, output_dir=output_dir)
+    # a key the section leaves out keeps ExperimentConfig's default
+    kinds = dict(methods=tuple, measures=tuple, effort_fraction=float, scenario=str, seed=int)
+    fields.update((key, _parse(key, kind)) for key, kind in kinds.items() if key in section)
     try:
         return ExperimentConfig(**fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     method: str
     source: str
     target: str

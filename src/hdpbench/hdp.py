@@ -18,9 +18,11 @@ import numpy as np
 from scipy import special
 
 from .datasets import DefectDataset
-from .learner import predict_proba, train_logistic
+from .learner import DECISION_THRESHOLD, predict_proba, train_logistic
 from .udp import Prediction
 
+# hdp1's fixed settings: the share of source metrics kept by gain ratio, the
+# KS p-value a matched pair must exceed, and the gain-ratio bins
 SELECTION_FRACTION = 0.15
 MATCH_CUTOFF = 0.05
 GAIN_RATIO_BINS = 10
@@ -61,17 +63,19 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
-def equal_frequency_bins(feature: np.ndarray, n_bins: int = 10) -> np.ndarray:
+def equal_frequency_bins(feature: np.ndarray) -> np.ndarray:
     """Bin indices from order-statistic cut points (duplicates merged).
 
-    The cut for the k/n_bins quantile is the lower order statistic
-    ``sort(x)[floor((n - 1) * (k / n_bins))]``, with the index computed in
-    floating point as numpy's ``quantile(method="lower")`` does (so n = 91
-    cuts the 0.7 quantile at index 62, not 63). Binning therefore depends
-    only on ranks and is invariant under strictly monotone transforms.
+    With b = GAIN_RATIO_BINS, the cut for the k/b quantile is the lower
+    order statistic ``sort(x)[floor((n - 1) * (k / b))]``, with the index
+    computed in floating point as numpy's ``quantile(method="lower")`` does
+    (so n = 91 cuts the 0.7 quantile at index 62, not 63). Binning
+    therefore depends only on ranks and is invariant under strictly
+    monotone transforms.
     """
     x = np.asarray(feature, dtype=float)
-    index = np.floor((len(x) - 1) * (np.arange(1, n_bins) / n_bins)).astype(np.intp)
+    fractions = np.arange(1, GAIN_RATIO_BINS) / GAIN_RATIO_BINS
+    index = np.floor((len(x) - 1) * fractions).astype(np.intp)
     order_stats = np.sort(x)[index]
     cuts = order_stats[np.concatenate(([True], order_stats[1:] != order_stats[:-1]))]
     return np.searchsorted(cuts, x, side="right")
@@ -88,7 +92,7 @@ def gain_ratio(feature: Sequence[float], labels: Sequence[bool]) -> float:
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("feature/labels must be equal-length with >= 2 samples")
     # row b holds the (clean, defective) counts of bin b
-    bins = equal_frequency_bins(x, GAIN_RATIO_BINS)
+    bins = equal_frequency_bins(x)
     table = np.bincount(2 * bins + y, minlength=2 * GAIN_RATIO_BINS).reshape(-1, 2)
     bin_counts = table.sum(axis=1)
     intrinsic = _entropy(bin_counts)
@@ -105,16 +109,14 @@ def gain_ratio(feature: Sequence[float], labels: Sequence[bool]) -> float:
     return min(1.0, max(0.0, (h_labels - conditional) / intrinsic))
 
 
-def select_top_metrics(d: DefectDataset, fraction: float = SELECTION_FRACTION) -> list[str]:
-    """Metric names ranked by gain ratio, top ceil(fraction * m) kept.
+def select_top_metrics(d: DefectDataset) -> list[str]:
+    """Metric names ranked by gain ratio, top ceil(SELECTION_FRACTION * m) kept.
 
     Ties keep schema order.
     """
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
     ratios = np.array([gain_ratio(d.values[:, j], d.labels) for j in range(d.values.shape[1])])
     order = np.argsort(-ratios, kind="stable")
-    keep = max(1, math.ceil(fraction * len(ratios) - 1e-9))
+    keep = max(1, math.ceil(SELECTION_FRACTION * len(ratios) - 1e-9))
     return [d.schema.metric_names[j] for j in order[:keep]]
 
 
@@ -266,12 +268,9 @@ def max_weight_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
 
 
 def match_from_weights(
-    weights: np.ndarray,
-    source_names: Sequence[str],
-    target_names: Sequence[str],
-    cutoff: float = MATCH_CUTOFF,
+    weights: np.ndarray, source_names: Sequence[str], target_names: Sequence[str]
 ) -> MetricMatch:
-    """Maximum-total-weight matching over edges whose weight exceeds the cutoff.
+    """Maximum-total-weight matching over edges whose weight exceeds ``MATCH_CUTOFF``.
 
     Edges at or below the cutoff are zeroed before the assignment is solved
     and dropped from the returned pairs; an empty matching is a valid
@@ -279,35 +278,30 @@ def match_from_weights(
     one ``max_weight_assignment`` picks by its tie rule.
     """
     weights = np.asarray(weights, dtype=float)
-    usable = np.where(weights > cutoff, weights, 0.0)
+    usable = np.where(weights > MATCH_CUTOFF, weights, 0.0)
     if not np.any(usable > 0):
         return MetricMatch(())
     pairs = [
         (source_names[i], target_names[j], float(weights[i, j]))
         for i, j in max_weight_assignment(usable)
-        if weights[i, j] > cutoff
+        if weights[i, j] > MATCH_CUTOFF
     ]
     return MetricMatch(tuple(pairs))
 
 
-def match_metrics(
-    source: DatasetProfile,
-    target: DatasetProfile,
-    cutoff: float = MATCH_CUTOFF,
-) -> MetricMatch:
+def match_metrics(source: DatasetProfile, target: DatasetProfile) -> MetricMatch:
     """Maximum-total-weight matching of the source's selected metrics to the
     target's metrics, where an edge weight is the KS p-value of the two columns.
 
-    Edges with weight <= cutoff are removed before solving (a high p-value
-    means the distributions are similar). The pairs come in source schema order.
+    Edges with weight <= ``MATCH_CUTOFF`` are removed before solving (a high
+    p-value means the distributions are similar). The pairs come in source
+    schema order.
     """
     schema = source.dataset.schema
     rows = [schema.metric_index(name) for name in source.selected]
     stats = ks_statistics(source.columns[rows], source.counts[rows], target.columns, target.counts)
     weights = ks_pvalues(stats, source.dataset.n_modules, target.dataset.n_modules)
-    match = match_from_weights(
-        weights, list(source.selected), list(target.dataset.schema.metric_names), cutoff
-    )
+    match = match_from_weights(weights, source.selected, target.dataset.schema.metric_names)
     pairs = sorted(match.pairs, key=lambda p: schema.metric_index(p[0]))
     return MetricMatch(tuple(pairs))
 
@@ -324,7 +318,7 @@ def hdp1_predict(source: DatasetProfile, target: DatasetProfile) -> HdpOutcome:
     target_cols = [t.schema.metric_index(name) for _, name, _ in match.pairs]
     model = train_logistic(s.values[:, source_cols], s.labels)
     scores = predict_proba(model, t.values[:, target_cols])
-    return HdpOutcome(predictions=Prediction(scores, scores > 0.5))
+    return HdpOutcome(predictions=Prediction(scores, scores > DECISION_THRESHOLD))
 
 
 DISTRIBUTION_STATS = (
@@ -420,5 +414,5 @@ def hdp5_predict(source: DefectDataset, target: DefectDataset) -> HdpOutcome:
     x_target = np.vstack([distribution_vector(row) for row in target.values])
     model = train_logistic(x_source, source.labels)
     scores = predict_proba(model, x_target)
-    return HdpOutcome(predictions=Prediction(scores, scores > 0.5))
+    return HdpOutcome(predictions=Prediction(scores, scores > DECISION_THRESHOLD))
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: A module is labelled defective when its predicted probability exceeds this
+DECISION_THRESHOLD = 0.5
 _PRIOR_CLIP = 1e-7
 _SCORE_CLIP = 36.0  # |affine score| cap; past this the sigmoid saturates in float64
 

@@ -30,6 +30,8 @@ from .stats import average_ranks
 #: analysis, the remaining six are the benchmark's headline measures.
 MEASURE_IDS = ("precision", "recall", "f1", "auc", "acc", "popt", "pmi20", "ifa")
 CORE_MEASURES = ("f1", "auc", "acc", "popt", "pmi20", "ifa")
+#: The inspection budget of ACC and PMI@20%, as a fraction of total effort
+EFFORT_FRACTION = 0.2
 HIGHER_IS_BETTER = {
     "precision": True,
     "recall": True,
@@ -169,7 +171,7 @@ def effort_curve(
 
 def _effort_aware(
     measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool],
-    effort_fraction: float = 0.2,
+    effort_fraction: float = EFFORT_FRACTION,
 ) -> float:
     scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
     return RankingScorer(efforts, actual, effort_fraction).effort_aware(measure, score_order(scores))
@@ -185,16 +187,16 @@ def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[boo
 
 
 def acc_at(
-    scores: Sequence[float],
-    efforts: Sequence[float],
-    actual: Sequence[bool],
-    effort_fraction: float = 0.2,
+    scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool],
+    effort_fraction: float = EFFORT_FRACTION,
 ) -> float:
     """Recall of defective modules within the given fraction of total effort."""
     return _effort_aware("acc", scores, efforts, actual, effort_fraction)
 
 
-def pmi_at(scores: Sequence[float], efforts: Sequence[float], effort_fraction: float = 0.2) -> float:
+def pmi_at(
+    scores: Sequence[float], efforts: Sequence[float], effort_fraction: float = EFFORT_FRACTION
+) -> float:
     """Proportion of modules inspected within the given fraction of total effort."""
     # PMI never reads the truth
     return _effort_aware("pmi20", scores, efforts, np.zeros_like(scores, dtype=bool), effort_fraction)
@@ -207,12 +209,8 @@ def ifa(scores: Sequence[float], actual: Sequence[bool]) -> int:
 
 
 def compute_measure(
-    measure: str,
-    scores: Sequence[float],
-    predicted: Sequence[bool],
-    efforts: Sequence[float],
-    actual: Sequence[bool],
-    effort_fraction: float = 0.2,
+    measure: str, scores: Sequence[float], predicted: Sequence[bool],
+    efforts: Sequence[float], actual: Sequence[bool], effort_fraction: float = EFFORT_FRACTION,
 ) -> tuple[float | None, str | None]:
     """Evaluate one measure on per-module vectors in target row order.
     Every measure requires positive efforts and an effort fraction in
@@ -246,14 +244,20 @@ class RankingScorer:
     """One target's record, and the one implementation of every rule that
     scores a ranking of its modules.
 
-    The constructor checks the efforts, the truth and the effort fraction,
-    and keeps the totals and the inspection budget. The optimal and worst
-    P_opt areas ignore the scores; they are computed on first use. ACC,
-    P_opt, PMI and IFA all read one ranking's running sums.
+    The constructor checks the efforts, the truth (at least one module)
+    and the effort fraction, and keeps the totals and the inspection
+    budget. The optimal and worst P_opt areas ignore the scores; they are
+    computed on first use. ACC, P_opt, PMI and IFA all read one ranking's
+    running sums.
     """
 
-    def __init__(self, efforts: Sequence[float], actual: Sequence[bool], effort_fraction: float = 0.2):
+    def __init__(
+        self, efforts: Sequence[float], actual: Sequence[bool],
+        effort_fraction: float = EFFORT_FRACTION,
+    ):
         self.efforts, self.actual = _vectors((efforts, float), (actual, bool))
+        if not len(self.actual):
+            raise ValueError("per-module vectors must not be empty")
         if np.any(self.efforts <= 0):
             raise ValueError("efforts must be positive")
         if not 0 < effort_fraction <= 1:

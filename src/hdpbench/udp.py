@@ -24,8 +24,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import measures
 from .datasets import DefectDataset, effort_values
-from .learner import predict_proba, train_logistic, zscore_apply, zscore_fit
-from .stats import average_ranks
+from .learner import DECISION_THRESHOLD, predict_proba, train_logistic, zscore_apply, zscore_fit
+from .stats import _ranks_and_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,25 +51,23 @@ class Prediction:
         object.__setattr__(self, "predicted", predicted)
 
 
-def _cla_parts(d: DefectDataset, cutoff_percentile: float):
-    """Per-metric percentile cutoffs, per-module K counts, and CLA labels."""
-    if not 0 < cutoff_percentile < 100:
-        raise ValueError("cutoff percentile must be in (0, 100)")
-    cutoffs = np.percentile(d.values, cutoff_percentile, axis=0)
+def _cla_parts(d: DefectDataset):
+    """Per-metric median cutoffs, per-module K counts, and CLA labels."""
+    # np.percentile, not np.median: the two can round an even-length midpoint apart
+    cutoffs = np.percentile(d.values, 50.0, axis=0)
     k = (d.values > cutoffs).sum(axis=1)
     labels = k > np.median(k)
     return cutoffs, k, labels
 
 
-def cla_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> Prediction:
+def cla_predict(d: DefectDataset) -> Prediction:
     """Cluster-and-label by magnitude: K = number of metrics above their
-    percentile cutoff; modules with K strictly above the median K are
-    labeled defective."""
-    _, k, labels = _cla_parts(d, cutoff_percentile)
+    median; modules with K strictly above the median K are labeled defective."""
+    _, k, labels = _cla_parts(d)
     return Prediction(k.astype(float), labels)
 
 
-def clami_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> Prediction:
+def clami_predict(d: DefectDataset) -> Prediction:
     """CLA labeling plus metric and instance selection, then a logistic fit.
 
     A violation is a cell whose magnitude disagrees with its module's CLA
@@ -79,7 +77,7 @@ def clami_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> Predicti
     trained on the survivors and scored on all modules. If either class
     vanishes after filtering, the CLA output is returned unchanged.
     """
-    cutoffs, _, labels = _cla_parts(d, cutoff_percentile)
+    cutoffs, k, labels = _cla_parts(d)
     above = d.values > cutoffs
     violations = np.where(labels[:, None], ~above, above)
     per_metric = violations.sum(axis=0)
@@ -87,10 +85,10 @@ def clami_predict(d: DefectDataset, cutoff_percentile: float = 50.0) -> Predicti
     survivors = ~violations[:, kept].any(axis=1)
     survivor_labels = labels[survivors]
     if not (survivor_labels.any() and not survivor_labels.all()):
-        return cla_predict(d, cutoff_percentile)
+        return Prediction(k.astype(float), labels)
     model = train_logistic(d.values[survivors][:, kept], survivor_labels)
     scores = predict_proba(model, d.values[:, kept])
-    return Prediction(scores, scores > 0.5)
+    return Prediction(scores, scores > DECISION_THRESHOLD)
 
 
 _COMPONENT_BLOCK = 1 << 18  # similarity cells one block of the component search copies: 2 MiB
@@ -229,7 +227,9 @@ class BestMetric(NamedTuple):
     value: float | None
 
 
-def best_metric_oracle(d: DefectDataset, effort_fraction: float = 0.2) -> dict[str, BestMetric]:
+def best_metric_oracle(
+    d: DefectDataset, effort_fraction: float = measures.EFFORT_FRACTION
+) -> dict[str, BestMetric]:
     """Target-side oracle: for each core measure, the single metric (and
     ranking direction) whose top-half ranking scores best on that measure
     against true labels.
@@ -240,10 +240,11 @@ def best_metric_oracle(d: DefectDataset, effort_fraction: float = 0.2) -> dict[s
     modules) keeps the first metric's descending ranking with value None.
     The LOC column is clamped like every effort computation.
 
-    One pass scores every candidate on all six measures: one stable
-    ordering per candidate, and average ranks once per metric. The
-    ascending candidate's ranks are n + 1 minus the descending one's, which
-    is exact because average ranks are multiples of 1/2.
+    One pass scores every candidate on all six measures: average ranks once
+    per metric, whose stable argsort is the ascending candidate's ordering,
+    and one more sort for the descending one. The ascending candidate's
+    ranks are n + 1 minus the descending one's, which is exact because
+    average ranks are multiples of 1/2.
     """
     efforts = effort_values(d)
     scorer = measures.RankingScorer(efforts, d.labels, effort_fraction)
@@ -251,10 +252,12 @@ def best_metric_oracle(d: DefectDataset, effort_fraction: float = 0.2) -> dict[s
     best: dict[str, tuple] = {}  # measure -> (quality, metric, scores, predicted, value)
     for name in d.schema.metric_names:
         column = efforts if name == d.schema.loc_metric else d.column(name)
-        ranks = average_ranks(column)
-        for sign, signed_ranks in ((1.0, ranks), (-1.0, n + 1 - ranks)):
-            scores = sign * column
-            order = measures.score_order(scores)
+        ranks, ascending = _ranks_and_order(column)
+        candidates = (
+            (column, measures.score_order(column), ranks),
+            (-column, ascending, n + 1 - ranks),
+        )
+        for scores, order, signed_ranks in candidates:
             predicted = _top_half(order)
             for measure, value in scorer.score(order, signed_ranks, predicted).items():
                 if value is None:

@@ -133,9 +133,7 @@ def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
     return float(special.kolmogorov(math.sqrt(effective) * d))
 
 
-def match_metrics(
-    source: DefectDataset, target: DefectDataset, cutoff: float = hdp.MATCH_CUTOFF
-) -> hdp.MetricMatch:
+def match_metrics(source: DefectDataset, target: DefectDataset) -> hdp.MetricMatch:
     selected = hdp.select_top_metrics(source)
     target_names = target.schema.metric_names
     weights = np.zeros((len(selected), len(target_names)))
@@ -143,7 +141,7 @@ def match_metrics(
         s_col = source.column(s_name)
         for j, t_name in enumerate(target_names):
             weights[i, j] = ks_pvalue(s_col, target.column(t_name))
-    match = hdp.match_from_weights(weights, list(selected), list(target_names), cutoff)
+    match = hdp.match_from_weights(weights, list(selected), list(target_names))
     pairs = sorted(match.pairs, key=lambda p: source.schema.metric_index(p[0]))
     return hdp.MetricMatch(tuple(pairs))
 

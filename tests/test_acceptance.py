@@ -165,9 +165,7 @@ def test_criterion_06_matching_optimality():
         r = int(rng.integers(1, 8))
         c = int(rng.integers(1, 8))
         weights = rng.random((r, c))
-        match = match_from_weights(
-            weights, [f"s{i}" for i in range(r)], [f"t{j}" for j in range(c)], cutoff=0.05
-        )
+        match = match_from_weights(weights, [f"s{i}" for i in range(r)], [f"t{j}" for j in range(c)])
         if weights.shape[0] > weights.shape[1]:
             flipped = weights.T
         else:

@@ -66,6 +66,8 @@ def test_load_config_and_defaults(tmp_path):
     assert cfg.methods == tuple(harness.METHODS)
     assert cfg.effort_fraction == 0.2
     assert cfg.scenario == "scenario1"
+    # every default comes from ExperimentConfig
+    assert cfg == ExperimentConfig(str(manifest), str(tmp_path / "results"))
 
 
 def test_config_validation():
@@ -949,3 +951,6 @@ def test_cli_bad_input_exits_nonzero(tmp_path, capsys):
 def test_result_row_shape():
     row = ResultRow("m", "s", "t", "f1", 0.5, None)
     assert row.value == 0.5 and row.failure is None
+    assert ResultRow._fields == harness.RESULT_COLUMNS
+    assert row == ResultRow("m", "s", "t", "f1", 0.5, None)
+    assert row != ResultRow("m", "s", "t", "f1", 0.25, None)

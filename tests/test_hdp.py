@@ -83,8 +83,8 @@ def test_select_top_metrics_ceil_rule():
     rng = np.random.default_rng(2)
     values = rng.random((30, 20))
     d = make_dataset("d", values, rng.random(30) < 0.5)
-    assert len(select_top_metrics(d, 0.15)) == 3
-    assert len(select_top_metrics(d, 1.0)) == 20
+    # 0.15 * 20 is 3.0000000000000004: the 1e-9 slack keeps 3, not 4
+    assert len(select_top_metrics(d)) == 3
 
 
 def test_select_top_metrics_finds_label_copy():
@@ -93,7 +93,7 @@ def test_select_top_metrics_finds_label_copy():
     values = rng.random((40, 4))
     values[:, 2] = labels.astype(float)
     d = make_dataset("d", values, labels)
-    assert select_top_metrics(d, 0.15)[0] == "d_m2"
+    assert select_top_metrics(d)[0] == "d_m2"
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_matching_total_weight_is_optimal():
         w = rng.random((r, c))
         names_r = [f"s{i}" for i in range(r)]
         names_c = [f"t{j}" for j in range(c)]
-        match = match_from_weights(w, names_r, names_c, cutoff=0.05)
+        match = match_from_weights(w, names_r, names_c)
         assert total_weight(match) == pytest.approx(
             brute_force_matching_weight(w, 0.05), abs=1e-12
         )
@@ -177,7 +177,7 @@ def test_matching_is_injective():
     rng = np.random.default_rng(7)
     for _ in range(20):
         w = rng.random((5, 5))
-        match = match_from_weights(w, list("abcde"), list("vwxyz"), cutoff=0.05)
+        match = match_from_weights(w, list("abcde"), list("vwxyz"))
         sources = [p[0] for p in match.pairs]
         targets = [p[1] for p in match.pairs]
         assert len(set(sources)) == len(sources)
@@ -188,7 +188,7 @@ def test_matching_is_injective():
 def test_sub_cutoff_edges_do_not_displace_real_ones():
     # greedy-on-total would prefer the two 0.05 edges and keep nothing
     w = np.array([[0.06, 0.05], [0.05, 0.0]])
-    match = match_from_weights(w, ["s0", "s1"], ["t0", "t1"], cutoff=0.05)
+    match = match_from_weights(w, ["s0", "s1"], ["t0", "t1"])
     assert match.pairs == (("s0", "t0", 0.06),)
 
 
@@ -212,7 +212,7 @@ def test_match_metrics_identical_distribution():
     col = rng.normal(size=50)
     src = make_dataset("s", np.column_stack([col]), rng.random(50) < 0.5)
     tgt = make_dataset("t", np.column_stack([col]), rng.random(50) < 0.5)
-    match = match_metrics(DatasetProfile(src), DatasetProfile(tgt), cutoff=0.05)
+    match = match_metrics(DatasetProfile(src), DatasetProfile(tgt))
     assert match.pairs == (("s_m0", "t_m0", 1.0),)
 
 
@@ -220,7 +220,7 @@ def test_match_metrics_all_below_cutoff():
     rng = np.random.default_rng(9)
     src = make_dataset("s", np.column_stack([rng.normal(0, 1, 40)]), rng.random(40) < 0.5)
     tgt = make_dataset("t", np.column_stack([rng.normal(1000, 1, 40)]), rng.random(40) < 0.5)
-    assert match_metrics(DatasetProfile(src), DatasetProfile(tgt), cutoff=0.05).pairs == ()
+    assert match_metrics(DatasetProfile(src), DatasetProfile(tgt)).pairs == ()
 
 
 def test_metric_match_rejects_duplicates():

@@ -112,10 +112,11 @@ def test_gain_ratio_equals_reference(case):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-@given(rows(min_size=1, max_size=200), st.sampled_from([2, 4, 10]))
-@example([float(v) for v in range(91)], 10)  # floor(90 * 0.7) is 62 in floating point
-def test_equal_frequency_bins_equal_reference(feature, n_bins):
-    assert np.array_equal(hdp.equal_frequency_bins(feature, n_bins), ref.equal_frequency_bins(feature, n_bins))
+@given(rows(min_size=1, max_size=200))
+@example([float(v) for v in range(91)])  # floor(90 * 0.7) is 62 in floating point
+def test_equal_frequency_bins_equal_reference(feature):
+    want = ref.equal_frequency_bins(feature, hdp.GAIN_RATIO_BINS)
+    assert np.array_equal(hdp.equal_frequency_bins(feature), want)
 
 
 def test_kernels_keep_their_input_checks():

@@ -118,6 +118,16 @@ def test_every_measure_rejects_an_effort_fraction_outside_0_1(fraction):
             compute_measure(measure, scores, actual, efforts, actual, fraction)
 
 
+@pytest.mark.parametrize("score", [
+    *[lambda m=m: compute_measure(m, [], [], [], []) for m in MEASURE_IDS],
+    lambda: pmi_at([], []),
+], ids=[*MEASURE_IDS, "pmi_at"])
+def test_empty_vectors_are_rejected(score):
+    # pmi20 once divided by zero modules
+    with pytest.raises(ValueError, match="^per-module vectors must not be empty$"):
+        score()
+
+
 def test_only_popt_computes_the_extreme_curves(monkeypatch):
     def fail(self, ordering):
         raise AssertionError(f"{ordering} curve computed")
