@@ -29,7 +29,7 @@ def main() -> None:
         failures = harness.method_failures(result)
         print(
             f"{scenario}: {len(result.plans)}/{result.n_plans_total} plans, "
-            f"{len(result.rows)} rows, failures={failures or 'none'}"
+            f"{len(result.plans) * len(result.values)} rows, failures={failures or 'none'}"
         )
         print(f"  reports in {scenario_cfg.output_dir}/")
 

@@ -1,10 +1,10 @@
 """Reproducible experiment harness.
 
 Runs every configured method over every heterogeneous (source, target)
-combination, records one row per (method, combination, measure), and turns
-the rows into the benchmark's report tables: Scott-Knott rankings,
-win/tie/loss matrices, McNemar diversity counts, unidentified-defective
-counts, and satisfactory ratios.
+combination, records one value per (method, measure) and combination in one
+table (``ExperimentResult``), and reads the table into the report tables:
+Scott-Knott rankings, win/tie/loss matrices, McNemar diversity counts,
+unidentified-defective counts, and satisfactory ratios.
 
 ``METHODS`` is the one table of the built-in methods: each ``Method`` gives a
 method's category, how it is called, and the label variants it exports. Any
@@ -31,11 +31,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, product, repeat
+from operator import not_
 from pathlib import Path
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -239,21 +241,55 @@ class MethodResult:
 
 @dataclass
 class ExperimentResult:
+    """A run's results as one value table.
+
+    ``plans`` is the report's plan order: targets sorted, each target's
+    sources sorted. ``values[(method, measure)]`` holds the value on every
+    plan in that order, NaN where it is absent, and ``failures[(method,
+    measure)]`` the recorded failure, "" where there is none; both have one
+    entry per configured (method, measure), in config order. results.csv
+    writes one block of rows per plan, each method x measure in config order,
+    and its k-th block is plan ``row_order[k]``.
+    """
+
     config: ExperimentConfig
-    rows: list[ResultRow]
+    plans: list[tuple[str, str]]  # (source, target)
+    values: dict[tuple[str, str], np.ndarray]
+    failures: dict[tuple[str, str], np.ndarray]
+    row_order: np.ndarray
     target_groups: dict[str, str]
     target_truth: dict[str, np.ndarray]  # target -> bool defect flag per module
     predictions: dict[tuple[str, str, str], np.ndarray]  # (variant, source, target) -> flags
     n_plans_total: int = 0
 
-    @cached_property
-    def plans(self) -> list[tuple[str, str]]:
-        """Distinct (source, target) pairs in row order; rows are never
-        changed after construction, so this is computed once."""
-        seen: dict[tuple[str, str], None] = {}
-        for row in self.rows:
-            seen.setdefault((row.source, row.target), None)
-        return list(seen)
+    @classmethod
+    def from_blocks(
+        cls, config: ExperimentConfig, plans: Sequence[tuple[str, str]], values, failures,
+        target_groups: dict[str, str], target_truth: dict[str, np.ndarray],
+        predictions: dict[tuple[str, str, str], np.ndarray], n_plans_total: int,
+    ) -> ExperimentResult:
+        """The result of ``plans`` in results.csv order, whose rows of
+        ``values`` (NaN where absent) and ``failures`` ("" where none) hold
+        each plan's block: one entry per method x measure in config order."""
+        cells = list(product(config.methods, config.measures))
+        order = sorted(range(len(plans)), key=lambda k: plans[k][::-1])
+        # one contiguous row per cell, in report plan order
+        value_table = np.array(values, dtype=float).reshape(len(plans), len(cells))[order].T.copy()
+        failure_table = np.array(failures, dtype=object).reshape(len(plans), len(cells))[order].T.copy()
+        return cls(config, [plans[k] for k in order], dict(zip(cells, value_table)),
+                   dict(zip(cells, failure_table)), np.argsort(order), target_groups, target_truth,
+                   predictions, n_plans_total)
+
+    def rows(self) -> Iterator[ResultRow]:
+        """The results.csv rows, in its order, computed from the table."""
+        columns = [(*cell, values.tolist(), failures.tolist())
+                   for (cell, values), failures in zip(self.values.items(), self.failures.values())]
+        for k in self.row_order.tolist():
+            source, target = self.plans[k]
+            for method, measure, values, failures in columns:
+                value = values[k]
+                yield ResultRow(method, source, target, measure,
+                                None if math.isnan(value) else value, failures[k] or None)
 
 
 def _predict(
@@ -338,20 +374,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if SCENARIOS[cfg.scenario] is not None:
         plans = [p for p in all_plans if run(SCENARIOS[cfg.scenario], p).failure is None]
 
-    rows: list[ResultRow] = []
+    values: list[float] = []
+    failures: list[str] = []
     predictions: dict[tuple[str, str, str], np.ndarray] = {}
     for p, method in product(plans, cfg.methods):
         res = run(method, p)
         for measure in cfg.measures:
             value, reason = res.values[measure]
-            rows.append(ResultRow(method, p.source, p.target, measure, value, reason))
+            values.append(math.nan if value is None else value)
+            failures.append(reason or "")
         for variant, flags in res.variant_labels.items():
             predictions[(variant, p.source, p.target)] = flags
 
     targets = sorted({p.target for p in plans})
     target_groups = {t: datasets[t].schema.group_name for t in targets}
     target_truth = {t: datasets[t].labels for t in targets}
-    return ExperimentResult(cfg, rows, target_groups, target_truth, predictions, len(all_plans))
+    return ExperimentResult.from_blocks(
+        cfg, [(p.source, p.target) for p in plans], values, failures,
+        target_groups, target_truth, predictions, len(all_plans),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +421,10 @@ def method_failures(result: ExperimentResult) -> dict[str, int]:
     """Plans per method with at least one row that records a failure: the
     method's own failure on the plan, or a measure the target leaves
     undefined (``NoDefects``, ``SingleClassTruth``)."""
-    failed: dict[str, set[tuple[str, str]]] = {}
-    for row in result.rows:
-        if row.failure is not None:
-            failed.setdefault(row.method, set()).add((row.source, row.target))
-    return {m: len(v) for m, v in sorted(failed.items())}
+    failed = {m: np.zeros(len(result.plans), dtype=bool) for m in result.config.methods}
+    for (method, _), reasons in result.failures.items():
+        failed[method] |= reasons != ""
+    return {m: n for m, plans in sorted(failed.items()) if (n := int(plans.sum()))}
 
 
 def _summary_text(result: ExperimentResult) -> str:
@@ -397,14 +437,10 @@ def _summary_text(result: ExperimentResult) -> str:
         f"targets: {len(result.target_groups)}",
         f"methods: {' '.join(cfg.methods)}",
         f"measures: {' '.join(cfg.measures)}",
-        f"rows: {len(result.rows)}",
+        f"rows: {len(result.plans) * len(result.values)}",
         "failure_plans_per_method:",
     ]
-    failures = method_failures(result)
-    if failures:
-        lines.extend(f"  {m}: {n}" for m, n in failures.items())
-    else:
-        lines.append("  none")
+    lines += [f"  {m}: {n}" for m, n in method_failures(result).items()] or ["  none"]
     return "\n".join(lines) + "\n"
 
 
@@ -414,7 +450,7 @@ def _bits(flags: np.ndarray) -> str:
 
 
 def _write_csv(path: Path, columns: tuple[str, ...], records: Iterable[Sequence[str]]) -> Path:
-    """Write the header ``columns``, then ``records``: the writer that ``_csv_records`` reads."""
+    """Write the header ``columns``, then ``records``: the writer that ``_csv_columns`` reads."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
@@ -433,7 +469,7 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     results_path = _write_csv(out / "results.csv", RESULT_COLUMNS, (
         [row.method, row.source, row.target, row.measure,
          _format_value(row.value), row.failure or ""]
-        for row in result.rows
+        for row in result.rows()
     ))
     pred_path = _write_csv(out / "predictions.csv", PREDICTION_COLUMNS, (
         [*key, _bits(result.predictions[key])] for key in sorted(result.predictions)
@@ -447,29 +483,128 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     return [config_path, results_path, pred_path, targets_path, summary_path]
 
 
-def _csv_records(path: Path, columns: tuple[str, ...]) -> Iterable[tuple[int, list[str]]]:
-    """(line number, fields) of each record after the exact header ``columns``."""
-    with path.open() as fh:
+def _csv_columns(path: Path, columns: tuple[str, ...]) -> list[Sequence[str]]:
+    """The fields of each column of the records after the exact header
+    ``columns``; an error names its record's line (``_line``)."""
+    width = len(columns)
+    with path.open(newline="") as fh:
+        text = fh.read()
+    if (plain := _plain_columns(text, columns)) is not None:
+        return plain
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if tuple(header := next(reader, [])) != columns:
+        raise ValueError(f"{path}:1: expected header {','.join(columns)}, got {header}")
+    records = list(reader)
+    if set(map(len, records)) - {width}:
+        k = _first(len(record) != width for record in records)
+        raise ValueError(f"{path}:{_line(path, k)}: expected {width} fields, got {len(records[k])}")
+    return list(zip(*records)) or [()] * width
+
+
+def _plain_columns(text: str, columns: tuple[str, ...]) -> list[list[str]] | None:
+    """``_csv_columns`` of a CSV text that ``csv.reader`` would read as one
+    record per line and its fields between commas, split without it: the
+    exact header ``columns``, at least one record, no quote, carriage return
+    or NUL, and ``len(columns) - 1`` commas on every line. Any other text
+    gives None. Every export without such a character in a failure reason
+    is such a text, and splitting it skips csv.reader's list per record."""
+    header, _, body = text.partition("\n")
+    lines = body.removesuffix("\n").split("\n") if body else []
+    width = len(columns)
+    if (not lines or header != ",".join(columns) or any(c in text for c in '"\r\0')
+            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+        return None
+    fields = ",".join(lines).split(",")
+    return [fields[c::width] for c in range(width)]
+
+
+def _line(path: Path, k: int) -> int:
+    """The line on which the ``k``-th record after the header of the CSV
+    file ``path`` ends, as ``csv.reader`` counts it; the file is read again
+    only for an error message."""
+    with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header) != columns:
-            raise ValueError(f"{path}:1: expected header {','.join(columns)}, got {header}")
-        for record in reader:
-            if len(record) != len(columns):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(columns)} fields, got {len(record)}"
-                )
-            yield reader.line_num, record
+        for _ in range(k + 2):
+            next(reader)
+        return reader.line_num
 
 
-def _flags(bits: str, n_modules: int | None, where: str) -> np.ndarray:
-    """The bool flag vector of a label text that holds only '0'/'1', one
-    label per module of its target."""
-    if bits.strip("01"):
-        raise ValueError(f"{where}: labels must contain only 0 and 1")
-    if n_modules is not None and len(bits) != n_modules:
-        raise ValueError(f"{where}: {len(bits)} labels for a target of {n_modules} modules")
-    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
+def _first(flags: Iterable[object]) -> int:
+    """The index of the first true flag."""
+    return next(k for k, flag in enumerate(flags) if flag)
+
+
+def _flags(path: Path, bits: Sequence[str], n_modules: list[int] | None = None) -> list[np.ndarray]:
+    """The bool flag vector of each label text, which must hold only '0'/'1'
+    and, where ``n_modules`` is given, as many labels as its target has modules."""
+    text, lengths = "".join(bits), list(map(len, bits))
+    if text.strip("01"):
+        k = _first(labels.strip("01") for labels in bits)
+        raise ValueError(f"{path}:{_line(path, k)}: labels must contain only 0 and 1")
+    if n_modules is not None and lengths != n_modules:
+        k = _first(map(int.__ne__, lengths, n_modules))
+        raise ValueError(
+            f"{path}:{_line(path, k)}: {lengths[k]} labels for a target of {n_modules[k]} modules"
+        )
+    flags = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
+    ends = np.cumsum(lengths).tolist()
+    return [flags[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _result_blocks(
+    path: Path, cfg: ExperimentConfig, targets: Collection[str]
+) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
+    """results.csv's plans in order of first appearance and their value and
+    failure blocks (``ExperimentResult.from_blocks``), filled by position:
+    plan index x cell index, where a cell is a configured (method, measure).
+
+    Every row must name a known target and a configured method and measure,
+    repeat no earlier row's cell and hold a finite number or no value, and
+    every plan must have every cell. One count per position finds both a
+    repeat (above 1) and a missing cell (0).
+    """
+    methods, sources, target_ids, measure_ids, texts, failures = _csv_columns(path, RESULT_COLUMNS)
+    checks = (("target", target_ids, targets, "is not in targets.csv"),
+              ("method", methods, cfg.methods, "is not configured"),
+              ("measure", measure_ids, cfg.measures, "is not configured"))
+    for noun, names, known, complaint in checks:
+        if unknown := set(names).difference(known):
+            k = _first(name in unknown for name in names)
+            raise ValueError(f"{path}:{_line(path, k)}: {noun} {names[k]!r} {complaint}")
+    cells = list(product(cfg.methods, cfg.measures))
+    cell_ids = {cell: c for c, cell in enumerate(cells)}
+    plans = list(dict.fromkeys(zip(sources, target_ids)))
+    starts = {plan: p * len(cells) for p, plan in enumerate(plans)}
+    positions = np.fromiter(map(int.__add__, map(starts.__getitem__, zip(sources, target_ids)),
+                                map(cell_ids.__getitem__, zip(methods, measure_ids))),
+                            np.intp, len(texts))
+    fills = np.bincount(positions, minlength=len(plans) * len(cells))
+    if (fills > 1).any():
+        seen: set[int] = set()
+        k = _first(at in seen or seen.add(at) for at in positions.tolist())
+        cell = " ".join((methods[k], sources[k], target_ids[k], measure_ids[k]))
+        first = _line(path, _first(positions == positions[k]))
+        raise ValueError(f"{path}:{_line(path, k)}: repeats line {first} ({cell})")
+    try:
+        numbers = np.array([float(text) if text else math.nan for text in texts])
+    except ValueError:
+        for k, text in enumerate(texts):
+            try:
+                float(text or 0)
+            except ValueError:
+                raise ValueError(f"{path}:{_line(path, k)}: value {text!r} is not a number") from None
+    if not (finite := np.isfinite(numbers) | np.fromiter(map(not_, texts), bool, len(texts))).all():
+        k = _first(~finite)
+        raise ValueError(f"{path}:{_line(path, k)}: value {texts[k]!r} is not a finite number")
+    if not fills.all():
+        plan, cell = divmod(_first(fills == 0), len(cells))
+        (source, target), (method, measure) = plans[plan], cells[cell]
+        raise ValueError(f"{path}: plan {source} => {target} has no {method} {measure} row")
+    values = np.empty(len(positions))
+    values[positions] = numbers
+    blocks = np.empty(len(positions), dtype=object)
+    blocks[positions] = failures
+    return plans, values, blocks
 
 
 def load_results(results_dir: str | Path) -> ExperimentResult:
@@ -477,40 +612,24 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
 
     The files are checked: exact headers; only '0'/'1' labels, and every
     prediction as long as its target's truth; in results.csv, a known
-    target, a finite numeric value and no repeat on each row, and a row for every
-    configured method and measure on each plan."""
+    target, a configured method and measure, a finite numeric value and no
+    repeat on each row, and a row for every configured method and measure
+    on each plan. With one fault in the files, the error names it and its
+    line; with several, it names one of them."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
-    target_groups = {}
-    target_truth = {}
     path = results_dir / "targets.csv"
-    for line, (target, group, bits) in _csv_records(path, TARGET_COLUMNS):
-        target_groups[target] = group
-        target_truth[target] = _flags(bits, None, f"{path}:{line}")
-    predictions = {}
+    targets, groups, bits = _csv_columns(path, TARGET_COLUMNS)
+    target_groups = dict(zip(targets, groups))
+    target_truth = dict(zip(targets, _flags(path, bits)))
     path = results_dir / "predictions.csv"
-    for line, (variant, source, target, bits) in _csv_records(path, PREDICTION_COLUMNS):
-        if target not in target_truth:
-            raise ValueError(f"{path}:{line}: target {target!r} is not in targets.csv")
-        predictions[(variant, source, target)] = _flags(
-            bits, len(target_truth[target]), f"{path}:{line}"
-        )
-    rows = []
-    cells: dict[tuple[str, str, str, str], int] = {}  # -> line
-    path = results_dir / "results.csv"
-    for line, (method, source, target, measure, value, failure) in _csv_records(path, RESULT_COLUMNS):
-        if target not in target_groups:
-            raise ValueError(f"{path}:{line}: target {target!r} is not in targets.csv")
-        cell = (method, source, target, measure)
-        if (first := cells.setdefault(cell, line)) != line:
-            raise ValueError(f"{path}:{line}: repeats line {first} ({' '.join(cell)})")
-        try:
-            number = float(value) if value else None
-        except ValueError:
-            raise ValueError(f"{path}:{line}: value {value!r} is not a number") from None
-        if number is not None and not math.isfinite(number):
-            raise ValueError(f"{path}:{line}: value {value!r} is not a finite number")
-        rows.append(ResultRow(method, source, target, measure, number, failure or None))
+    variants, sources, pred_targets, bits = _csv_columns(path, PREDICTION_COLUMNS)
+    if unknown := set(pred_targets).difference(target_truth):
+        k = _first(target in unknown for target in pred_targets)
+        raise ValueError(f"{path}:{_line(path, k)}: target {pred_targets[k]!r} is not in targets.csv")
+    n_modules = [len(target_truth[target]) for target in pred_targets]
+    predictions = dict(zip(zip(variants, sources, pred_targets), _flags(path, bits, n_modules)))
+    plans, values, failures = _result_blocks(results_dir / "results.csv", cfg, target_groups)
     summary = results_dir / "summary.txt"
     totals = [
         (line, text.split(":", 1)[1].strip())
@@ -524,12 +643,9 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
         n_total = int(total)
     except ValueError:
         raise ValueError(f"{summary}:{line}: plans_total {total!r} is not an integer") from None
-    result = ExperimentResult(cfg, rows, target_groups, target_truth, predictions, n_total)
-    for source, target in result.plans:
-        for method, measure in product(cfg.methods, cfg.measures):
-            if (method, source, target, measure) not in cells:
-                raise ValueError(f"{path}: plan {source} => {target} has no {method} {measure} row")
-    return result
+    return ExperimentResult.from_blocks(
+        cfg, plans, values, failures, target_groups, target_truth, predictions, n_total
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -544,47 +660,16 @@ def _variant_sides(methods: Sequence[str]) -> tuple[list[str], list[str]]:
     return sides["hdp"], sides["udp"]
 
 
-def _targets_sources(result: ExperimentResult) -> dict[str, list[str]]:
-    by_target: dict[str, list[str]] = {}
-    for source, target in result.plans:
-        by_target.setdefault(target, []).append(source)
-    return {t: sorted(s) for t, s in sorted(by_target.items())}
+def _target_slices(result: ExperimentResult) -> dict[str, slice]:
+    """Each target, sorted, -> its plans as a slice of the report's plan order."""
+    targets = [target for _, target in result.plans]
+    return {t: slice(bisect_left(targets, t), bisect_right(targets, t)) for t in dict.fromkeys(targets)}
 
 
-def _target_slices(by_target: dict[str, list[str]]) -> dict[str, slice]:
-    """Each target's plans as a slice of the plan order of ``by_target``:
-    targets sorted, each target's sources sorted."""
-    slices, start = {}, 0
-    for target, sources in by_target.items():
-        slices[target] = slice(start, start + len(sources))
-        start += len(sources)
-    return slices
-
-
-def _value_table(
-    result: ExperimentResult, by_target: dict[str, list[str]]
-) -> dict[tuple[str, str], list[float | None]]:
-    """(method, measure) -> its value on every plan in the plan order of
-    ``by_target``, None where the value is absent; one pass over the rows."""
-    position = {}
-    for target, sources in by_target.items():
-        for source in sources:
-            position[(source, target)] = len(position)
-    table: dict[tuple[str, str], list[float | None]] = {}
-    for row in result.rows:
-        key = (row.method, row.measure)
-        if key not in table:
-            table[key] = [None] * len(position)
-        table[key][position[(row.source, row.target)]] = row.value
-    return table
-
-
-def _group_slices(result: ExperimentResult, slices: dict[str, slice]) -> dict[str, list[slice]]:
-    """Each dataset group, sorted, -> the plan slices of its targets."""
-    groups: dict[str, list[slice]] = {g: [] for g in sorted(set(result.target_groups.values()))}
-    for target, part in slices.items():
-        groups[result.target_groups[target]].append(part)
-    return groups
+def _group_plans(result: ExperimentResult) -> dict[str, np.ndarray]:
+    """Each dataset group, sorted, -> the positions of its targets' plans."""
+    groups = np.array([result.target_groups[target] for _, target in result.plans])
+    return {g: np.flatnonzero(groups == g) for g in sorted(set(result.target_groups.values()))}
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -599,9 +684,9 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _scott_knott_section(
-    samples: dict[str, list[float]], title: str
-) -> list[str]:
+def _scott_knott_section(columns: dict[str, np.ndarray], title: str) -> list[str]:
+    """The ranking of each method's values in ``columns``, absent (NaN) values left out."""
+    samples = {m: column[~np.isnan(column)] for m, column in columns.items()}
     usable = {m: v for m, v in samples.items() if len(v) >= 2}
     excluded = sorted(set(samples) - set(usable))
     lines = [f"[{title}]"]
@@ -617,57 +702,50 @@ def _scott_knott_section(
     return lines
 
 
-def _report_scott_knott(result: ExperimentResult, table, group_slices) -> str:
+def _report_scott_knott(result: ExperimentResult, group_plans) -> str:
     cfg = result.config
     out = [f"scott-knott rankings ({cfg.scenario})", ""]
     for measure in cfg.measures:
         out.append(f"== {measure} ==")
-        columns = {m: table[(m, measure)] for m in cfg.methods}
-        samples = {m: [v for v in column if v is not None] for m, column in columns.items()}
-        out.extend(_scott_knott_section(samples, "all subjects"))
-        for group, parts in group_slices.items():
-            samples = {
-                m: [v for part in parts for v in column[part] if v is not None]
-                for m, column in columns.items()
-            }
+        columns = {m: result.values[(m, measure)] for m in cfg.methods}
+        out.extend(_scott_knott_section(columns, "all subjects"))
+        for group, plans in group_plans.items():
+            samples = {m: column[plans] for m, column in columns.items()}
             out.extend(_scott_knott_section(samples, f"group: {group}"))
         out.append("")
     return "\n".join(out) + "\n"
 
 
 def wtl_matrix(
-    first: Sequence[float | None],
-    second: Sequence[float | None],
+    first: np.ndarray,
+    second: np.ndarray,
     slices: Collection[slice],
     higher_is_better: bool,
 ) -> stats.WtlRecord:
     """Per-target win/tie/loss of the values ``first`` against ``second``.
 
-    Both are value-table columns (``_value_table``) and ``slices`` holds one
-    slice per target (``_target_slices``). For each target the paired
-    samples are the plans where both values are present; raw Wilcoxon
-    p-values are BH-corrected within this (measure, method pair) family, and
-    a target with fewer than two pairs is a tie. Lower-is-better values are
-    negated so 'win' always means 'performs better'.
+    Both are value-table columns (``ExperimentResult.values``, NaN where
+    absent) and ``slices`` holds one slice per target (``_target_slices``).
+    For each target the paired samples are the plans where both values are
+    present; raw Wilcoxon p-values are BH-corrected within this (measure,
+    method pair) family, and a target with fewer than two pairs is a tie.
+    Lower-is-better values are negated so 'win' always means 'performs better'.
     """
     orient = 1.0 if higher_is_better else -1.0
-    testable = []
-    for part in slices:
-        xs, ys = [], []
-        for a, b in zip(first[part], second[part]):
-            if a is not None and b is not None:
-                xs.append(orient * a)
-                ys.append(orient * b)
-        if len(xs) >= 2:
-            testable.append((xs, ys))
-    raw = [stats.wilcoxon_signed_rank(xs, ys) for xs, ys in testable]
-    adjusted = stats.bh_adjust(raw) if testable else []
-    outcomes = [stats.compare_pair(xs, ys, adjusted_p=p) for (xs, ys), p in zip(testable, adjusted)]
+    both = ~(np.isnan(first) | np.isnan(second))
+    # every plan's pair in plan order; a target's pairs lie between the
+    # running pair counts at its slice's ends
+    xs, ys = (orient * first[both]).tolist(), (orient * second[both]).tolist()
+    ends = [0, *np.cumsum(both).tolist()]
+    parts = [(a, b) for a, b in ((ends[p.start], ends[p.stop]) for p in slices) if b - a >= 2]
+    raw = [stats.wilcoxon_signed_rank(xs[a:b], ys[a:b]) for a, b in parts]
+    adjusted = stats.bh_adjust(raw) if parts else []
+    outcomes = [stats.compare_pair(xs[a:b], ys[a:b], adjusted_p=p) for (a, b), p in zip(parts, adjusted)]
     win, loss = outcomes.count("win"), outcomes.count("loss")
     return stats.WtlRecord(win, len(slices) - win - loss, loss)
 
 
-def _report_wtl(result: ExperimentResult, table, slices) -> str:
+def _report_wtl(result: ExperimentResult, slices) -> str:
     cfg = result.config
     hdp_methods = [m for m in cfg.methods if _method(m).category == "hdp"]
     udp_methods = [m for m in cfg.methods if _method(m).category == "udp"]
@@ -677,20 +755,15 @@ def _report_wtl(result: ExperimentResult, table, slices) -> str:
         return "\n".join(out) + "\n"
     for measure in cfg.measures:
         out.append(f"== {measure} ==")
-        higher = measures.HIGHER_IS_BETTER[measure]
-        rows = []
-        for h in hdp_methods:
-            cells = [
-                str(wtl_matrix(table[(h, measure)], table[(u, measure)], slices.values(), higher))
-                for u in udp_methods
-            ]
-            rows.append([h, *cells])
+        higher, value = measures.HIGHER_IS_BETTER[measure], result.values
+        rows = [[h, *(str(wtl_matrix(value[(h, measure)], value[(u, measure)], slices.values(), higher))
+                      for u in udp_methods)] for h in hdp_methods]
         out.append(_table(["method", *udp_methods], rows))
         out.append("")
     return "\n".join(out) + "\n"
 
 
-def _report_diversity(result: ExperimentResult, by_target) -> str:
+def _report_diversity(result: ExperimentResult, slices) -> str:
     hdp_vars, udp_vars = _variant_sides(result.config.methods)
     variants = hdp_vars + udp_vars
     groups = sorted(set(result.target_groups.values()))
@@ -705,7 +778,8 @@ def _report_diversity(result: ExperimentResult, by_target) -> str:
     # [pair, group] -> significant plans, comparable plans
     sig = np.zeros((len(pairs), len(groups)), dtype=np.int64)
     total = np.zeros_like(sig)
-    for target, sources in by_target.items():
+    for target, part in slices.items():
+        sources = [source for source, _ in result.plans[part]]
         truth = result.target_truth[target]
         # flags[plan, variant] on the defective modules; a variant without a
         # prediction on a plan is all False there and leaves the plan out
@@ -777,7 +851,7 @@ def _report_unidentified(result: ExperimentResult) -> str:
     return "\n".join(out) + "\n"
 
 
-def _report_satisfactory(result: ExperimentResult, table, group_slices) -> str:
+def _report_satisfactory(result: ExperimentResult, group_plans) -> str:
     cfg = result.config
     out = ["satisfactory ratio per dataset group (SC1: precision & recall > 75%;"
            " SC2: recall > 70% & precision > 50%)", ""]
@@ -786,23 +860,17 @@ def _report_satisfactory(result: ExperimentResult, table, group_slices) -> str:
         return "\n".join(out) + "\n"
     rows = []
     for method in cfg.methods:
-        precision, recall = table[(method, "precision")], table[(method, "recall")]
+        precision, recall = result.values[(method, "precision")], result.values[(method, "recall")]
+        present = ~(np.isnan(precision) | np.isnan(recall))
         cells = []
-        for parts in group_slices.values():
-            pairs = [
-                (p, r)
-                for part in parts
-                for p, r in zip(precision[part], recall[part])
-                if p is not None and r is not None
-            ]
-            for criterion in ("SC1", "SC2"):
-                if pairs:
-                    cells.append(f"{stats.satisfactory_ratio(pairs, criterion):.2f}%")
-                else:
-                    cells.append("n/a")
+        for plans in group_plans.values():
+            kept = plans[present[plans]]
+            pairs = list(zip(precision[kept].tolist(), recall[kept].tolist()))
+            cells += [f"{stats.satisfactory_ratio(pairs, criterion):.2f}%" if pairs else "n/a"
+                      for criterion in ("SC1", "SC2")]
         rows.append([method, *cells])
     headers = ["method"]
-    for group in group_slices:
+    for group in group_plans:
         headers.extend([f"{group} SC1", f"{group} SC2"])
     out.append(_table(headers, rows))
     return "\n".join(out) + "\n"
@@ -814,19 +882,16 @@ def build_report(result: ExperimentResult) -> dict[str, str]:
     Pure function of the exported result data; regenerating from a loaded
     results directory reproduces the bundle byte-for-byte.
     """
-    methods = set(row.method for row in result.rows)
-    if len(methods) < 2:
+    if not result.plans or len(result.config.methods) < 2:
         raise ValueError("reports need results from at least two methods")
-    by_target = _targets_sources(result)
-    slices = _target_slices(by_target)
-    table = _value_table(result, by_target)
-    group_slices = _group_slices(result, slices)
+    slices = _target_slices(result)
+    group_plans = _group_plans(result)
     return {
-        "report_scottknott.txt": _report_scott_knott(result, table, group_slices),
-        "report_wtl.txt": _report_wtl(result, table, slices),
-        "report_diversity.txt": _report_diversity(result, by_target),
+        "report_scottknott.txt": _report_scott_knott(result, group_plans),
+        "report_wtl.txt": _report_wtl(result, slices),
+        "report_diversity.txt": _report_diversity(result, slices),
         "report_unidentified.txt": _report_unidentified(result),
-        "report_satisfactory.txt": _report_satisfactory(result, table, group_slices),
+        "report_satisfactory.txt": _report_satisfactory(result, group_plans),
     }
 
 

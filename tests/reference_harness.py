@@ -8,29 +8,170 @@ counts its null distribution again. The harness builds the same sections
 from one value table, one array pass per target and a cached Wilcoxon null;
 tests require byte-equal text. Wilcoxon and McNemar come from
 ``reference_stats``, so the oracles share none of the new arithmetic.
+
+``load_results`` and ``value_table`` are the loader and the report table
+from before ``ExperimentResult`` held the table: the loader parses one
+``ResultRow`` per line, keys every cell in a dict and checks every plan's
+cells again; ``value_table`` builds the (method, measure) -> plan-order
+lists from those rows.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from dataclasses import replace
 from itertools import combinations, product
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 import reference_stats
 from hdpbench import measures, stats
 from hdpbench.harness import (
+    PREDICTION_COLUMNS,
+    RESULT_COLUMNS,
+    TARGET_COLUMNS,
+    ExperimentConfig,
     ExperimentResult,
+    ResultRow,
     _method,
     _scott_knott_section,
     _table,
-    _targets_sources,
     _variant_sides,
+    load_config,
 )
+
+
+def _csv_records(path: Path, columns: tuple[str, ...]):
+    """(line number, fields) of each record after the exact header ``columns``."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != columns:
+            raise ValueError(f"{path}:1: expected header {','.join(columns)}, got {header}")
+        for record in reader:
+            if len(record) != len(columns):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(columns)} fields, got {len(record)}"
+                )
+            yield reader.line_num, record
+
+
+def _flags(bits: str, n_modules: int | None, where: str):
+    if bits.strip("01"):
+        raise ValueError(f"{where}: labels must contain only 0 and 1")
+    if n_modules is not None and len(bits) != n_modules:
+        raise ValueError(f"{where}: {len(bits)} labels for a target of {n_modules} modules")
+    return [c == "1" for c in bits]
+
+
+class LoadedRows(NamedTuple):
+    config: ExperimentConfig
+    rows: list[ResultRow]
+    plans: list[tuple[str, str]]  # in row order
+    target_groups: dict[str, str]
+    target_truth: dict[str, list[bool]]
+    predictions: dict[tuple[str, str, str], list[bool]]
+    n_plans_total: int
+
+
+def load_results(results_dir) -> LoadedRows:
+    """The loader's checks, one row at a time, with the rejection of a row
+    whose method or measure is not configured."""
+    results_dir = Path(results_dir)
+    cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
+    target_groups = {}
+    target_truth = {}
+    path = results_dir / "targets.csv"
+    for line, (target, group, bits) in _csv_records(path, TARGET_COLUMNS):
+        target_groups[target] = group
+        target_truth[target] = _flags(bits, None, f"{path}:{line}")
+    predictions = {}
+    path = results_dir / "predictions.csv"
+    for line, (variant, source, target, bits) in _csv_records(path, PREDICTION_COLUMNS):
+        if target not in target_truth:
+            raise ValueError(f"{path}:{line}: target {target!r} is not in targets.csv")
+        predictions[(variant, source, target)] = _flags(
+            bits, len(target_truth[target]), f"{path}:{line}"
+        )
+    rows = []
+    cells: dict[tuple[str, str, str, str], int] = {}  # -> line
+    path = results_dir / "results.csv"
+    for line, (method, source, target, measure, value, failure) in _csv_records(path, RESULT_COLUMNS):
+        if target not in target_groups:
+            raise ValueError(f"{path}:{line}: target {target!r} is not in targets.csv")
+        if method not in cfg.methods:
+            raise ValueError(f"{path}:{line}: method {method!r} is not configured")
+        if measure not in cfg.measures:
+            raise ValueError(f"{path}:{line}: measure {measure!r} is not configured")
+        cell = (method, source, target, measure)
+        if (first := cells.setdefault(cell, line)) != line:
+            raise ValueError(f"{path}:{line}: repeats line {first} ({' '.join(cell)})")
+        try:
+            number = float(value) if value else None
+        except ValueError:
+            raise ValueError(f"{path}:{line}: value {value!r} is not a number") from None
+        if number is not None and not math.isfinite(number):
+            raise ValueError(f"{path}:{line}: value {value!r} is not a finite number")
+        rows.append(ResultRow(method, source, target, measure, number, failure or None))
+    summary = results_dir / "summary.txt"
+    totals = [
+        (line, text.split(":", 1)[1].strip())
+        for line, text in enumerate(summary.read_text().splitlines(), 1)
+        if text.startswith("plans_total:")
+    ]
+    if not totals:
+        raise ValueError(f"{summary}: missing plans_total line")
+    line, total = totals[0]
+    try:
+        n_total = int(total)
+    except ValueError:
+        raise ValueError(f"{summary}:{line}: plans_total {total!r} is not an integer") from None
+    plans = list(dict.fromkeys((row.source, row.target) for row in rows))
+    for source, target in plans:
+        for method, measure in product(cfg.methods, cfg.measures):
+            if (method, source, target, measure) not in cells:
+                raise ValueError(f"{path}: plan {source} => {target} has no {method} {measure} row")
+    return LoadedRows(cfg, rows, plans, target_groups, target_truth, predictions, n_total)
+
+
+def targets_sources(plans) -> dict[str, list[str]]:
+    """Each target, sorted, -> its sources, sorted: the report's plan order."""
+    by_target: dict[str, list[str]] = {}
+    for source, target in plans:
+        by_target.setdefault(target, []).append(source)
+    return {t: sorted(s) for t, s in sorted(by_target.items())}
+
+
+def value_table(
+    rows, by_target: dict[str, list[str]]
+) -> dict[tuple[str, str], list[float | None]]:
+    """(method, measure) -> its value on every plan in the plan order of
+    ``by_target``, None where the value is absent; one pass over the rows."""
+    position = {}
+    for target, sources in by_target.items():
+        for source in sources:
+            position[(source, target)] = len(position)
+    table: dict[tuple[str, str], list[float | None]] = {}
+    for row in rows:
+        key = (row.method, row.measure)
+        if key not in table:
+            table[key] = [None] * len(position)
+        table[key][position[(row.source, row.target)]] = row.value
+    return table
 
 
 def _value_index(result: ExperimentResult):
     index: dict[tuple[str, str, str, str], float | None] = {}
-    for row in result.rows:
+    for row in result.rows():
         index[(row.method, row.source, row.target, row.measure)] = row.value
     return index
+
+
+def _arrays(samples: dict[str, list[float]]) -> dict[str, np.ndarray]:
+    return {m: np.array(values, dtype=float) for m, values in samples.items()}
 
 
 def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
@@ -48,7 +189,7 @@ def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
             ]
             for m in cfg.methods
         }
-        out.extend(_scott_knott_section(samples, "all subjects"))
+        out.extend(_scott_knott_section(_arrays(samples), "all subjects"))
         for group in groups:
             samples = {
                 m: [
@@ -60,7 +201,7 @@ def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
                 ]
                 for m in cfg.methods
             }
-            out.extend(_scott_knott_section(samples, f"group: {group}"))
+            out.extend(_scott_knott_section(_arrays(samples), f"group: {group}"))
         out.append("")
     return "\n".join(out) + "\n"
 
@@ -188,7 +329,7 @@ def _report_satisfactory(result: ExperimentResult, index) -> str:
 def report_sections(result: ExperimentResult) -> dict[str, str]:
     """The sections above, named as in ``harness.build_report``'s bundle."""
     index = _value_index(result)
-    by_target = _targets_sources(result)
+    by_target = targets_sources(result.plans)
     return {
         "report_scottknott.txt": _report_scott_knott(result, index, by_target),
         "report_wtl.txt": _report_wtl(result, index, by_target),

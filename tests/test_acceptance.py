@@ -300,12 +300,13 @@ def test_criterion_11_full_replication_mode(tmp_path):
     result = harness.run_experiment(cfg)
     assert result.n_plans_total == 962
     assert len(result.plans) == 962
-    assert len(result.rows) == 962 * 7 * 8
+    rows = list(result.rows())
+    assert len(rows) == 962 * 7 * 8
     no_match_plans = {
-        (r.source, r.target) for r in result.rows if r.failure == "NoMatchedMetrics"
+        (r.source, r.target) for r in rows if r.failure == "NoMatchedMetrics"
     }
     assert no_match_plans, "stub data should produce some matching failures"
-    assert all(r.method == "hdp1" for r in result.rows if r.failure == "NoMatchedMetrics")
+    assert all(r.method == "hdp1" for r in rows if r.failure == "NoMatchedMetrics")
     report = harness.build_report(result)
     assert sorted(report) == [
         "report_diversity.txt",

@@ -33,10 +33,14 @@ def test_export_hashes_repeat_and_rebuilt_reports_match(capsys):
     script = _load_script()
     first = script.export_hashes("demo", 7)
     assert script.export_hashes("demo", 7) == first
-    assert len(first) == 15
+    assert len(first) == 19
     assert {name: first[name] for name in DEMO_7_EXPORTS} == DEMO_7_EXPORTS
     assert {name: first[name] for name in DEMO_7_REPORTS} == DEMO_7_REPORTS
     assert all(first[f"rebuilt/{name}"] == digest for name, digest in DEMO_7_REPORTS.items())
+    # a loaded directory exports its files again byte for byte: results.csv
+    # keeps its row order through the table
+    reexported = ("results.csv", "predictions.csv", "targets.csv", "summary.txt")
+    assert all(first[f"reexported/{name}"] == DEMO_7_EXPORTS[name] for name in reexported)
     assert script.main(["--workload", "demo", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{digest}  {name}" for name, digest in first.items()]

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -108,7 +111,7 @@ def test_row_cardinality_two_methods_six_measures(tmp_path):
     )
     result = run_experiment(cfg)
     assert len(result.plans) == 2
-    assert len(result.rows) == 2 * 2 * 6
+    assert len(list(result.rows())) == 2 * 2 * 6
 
 
 def test_failures_occupy_rows(tmp_path):
@@ -120,7 +123,7 @@ def test_failures_occupy_rows(tmp_path):
         measures=("f1", "auc"),
     )
     result = run_experiment(cfg)
-    hdp1_rows = [r for r in result.rows if r.method == "hdp1"]
+    hdp1_rows = [r for r in result.rows() if r.method == "hdp1"]
     assert len(hdp1_rows) == 2 * 2
     assert all(r.failure == "NoMatchedMetrics" and r.value is None for r in hdp1_rows)
     assert harness.method_failures(result) == {"hdp1": 2}
@@ -158,8 +161,8 @@ def test_scenario2_keeps_only_successful_plans(tmp_path):
     kept = set(result.plans)
     assert kept == {("a", "b"), ("b", "a")}
     # no method has rows for the excluded plans
-    assert all((r.source, r.target) in kept for r in result.rows)
-    assert not any(r.failure for r in result.rows)
+    assert all((r.source, r.target) in kept for r in result.rows())
+    assert not any(r.failure for r in result.rows())
 
 
 def test_scenario2_drops_failing_plans(tmp_path):
@@ -174,27 +177,28 @@ def test_scenario2_drops_failing_plans(tmp_path):
     result = run_experiment(cfg)
     assert result.n_plans_total == 2
     assert result.plans == []
-    assert result.rows == []
+    assert list(result.rows()) == []
 
 
 def test_scenario2_filters_on_hdp1_when_it_is_not_a_configured_method(stub_manifest, tmp_path):
     base = dict(manifest=str(stub_manifest), output_dir=str(tmp_path), measures=("f1",))
     hdp1 = run_experiment(ExperimentConfig(**base, methods=("hdp1",)))
-    matched = [(r.source, r.target) for r in hdp1.rows if r.failure is None]
+    matched = [(r.source, r.target) for r in hdp1.rows() if r.failure is None]
     result = run_experiment(ExperimentConfig(**base, methods=("hdp5", "cla"), scenario="scenario2"))
     assert 0 < len(matched) < len(hdp1.plans)
-    assert result.plans == matched
-    assert {r.method for r in result.rows} == {"hdp5", "cla"}
+    # results.csv keeps the enumeration order; the table holds the report's
+    assert [result.plans[k] for k in result.row_order] == matched
+    assert result.plans == sorted(matched, key=lambda plan: plan[::-1])
+    assert {r.method for r in result.rows()} == {"hdp5", "cla"}
     assert {v for v, _, _ in result.predictions} == {"hdp5", "cla"}
 
 
 def test_unsupervised_rows_align_per_plan(synth_result):
     result = synth_result
-    index = {(r.method, r.source, r.target, r.measure): r.value for r in result.rows}
+    column = result.values[("cla", "auc")]
     targets = sorted({t for _, t in result.plans})
     for target in targets:
-        sources = [s for s, t in result.plans if t == target]
-        values = {index[("cla", s, target, "auc")] for s in sources}
+        values = {v for v, (_, t) in zip(column.tolist(), result.plans) if t == target}
         assert len(values) == 1  # source-independent
 
 
@@ -219,9 +223,9 @@ def test_external_method_failure_recorded(tmp_path):
         report = build_report(result)  # dashed external names flow through reports
     finally:
         unregister_external_method("flaky-ext")
-    failures = [r for r in result.rows if r.failure == "SimulatedFailure"]
+    failures = [r for r in result.rows() if r.failure == "SimulatedFailure"]
     assert len(failures) == 2  # one plan, both measures
-    assert len(result.rows) == 2 * 2 * 2
+    assert len(list(result.rows())) == 2 * 2 * 2
     assert "flaky-ext vs cla" in report["report_diversity.txt"]
 
 
@@ -243,7 +247,7 @@ def test_external_exception_becomes_failure_row(tmp_path):
     finally:
         unregister_external_method("broken")
     assert all(
-        r.failure == "error: boom" for r in result.rows if r.method == "broken"
+        r.failure == "error: boom" for r in result.rows() if r.method == "broken"
     )
 
 
@@ -265,12 +269,12 @@ def test_external_prediction_count_mismatch_becomes_failure_row(tmp_path):
         result = run_experiment(cfg)
     finally:
         unregister_external_method("short")
-    short_rows = [r for r in result.rows if r.method == "short"]
+    short_rows = [r for r in result.rows() if r.method == "short"]
     assert len(short_rows) == 2 * 2  # both plans, both measures
     assert all(
         r.value is None and r.failure == "error: prediction count mismatch" for r in short_rows
     )
-    cla_rows = [r for r in result.rows if r.method == "cla"]
+    cla_rows = [r for r in result.rows() if r.method == "cla"]
     assert len(cla_rows) == 2 * 2 and all(r.failure is None for r in cla_rows)
     assert not any(variant == "short" for variant, _, _ in result.predictions)
 
@@ -294,7 +298,7 @@ def test_external_nan_scores_become_failure_rows(tmp_path):
         result = run_experiment(cfg)
     finally:
         unregister_external_method("nan")
-    nan_rows = [r for r in result.rows if r.method == "nan"]
+    nan_rows = [r for r in result.rows() if r.method == "nan"]
     assert len(nan_rows) == 12 * 2  # every plan, both measures
     assert all(
         r.value is None and r.failure == "error: prediction scores must not be NaN"
@@ -325,7 +329,7 @@ def test_unsupervised_failure_fills_its_target_and_spares_the_rest(tmp_path):
         ))
 
     result = run(("hdp5", "cla", "spectral", "manual"))
-    spectral = [r for r in result.rows if r.method == "spectral"]
+    spectral = [r for r in result.rows() if r.method == "spectral"]
     assert len(spectral) == 6 * 3
     for r in spectral:
         if r.target == "solo":
@@ -336,7 +340,7 @@ def test_unsupervised_failure_fills_its_target_and_spares_the_rest(tmp_path):
         (s, t) for s, t in sorted(result.plans) if t != "solo"
     ]
     without = run(("hdp5", "cla", "manual"))
-    assert [r for r in result.rows if r.method != "spectral"] == without.rows
+    assert [r for r in result.rows() if r.method != "spectral"] == list(without.rows())
     kept = {key: flags for key, flags in result.predictions.items() if key[0] != "spectral"}
     assert sorted(kept) == sorted(without.predictions)
     assert all(np.array_equal(flags, without.predictions[key]) for key, flags in kept.items())
@@ -351,7 +355,7 @@ def test_unsupervised_exception_fails_every_plan_of_every_target(tmp_path, monke
     cfg = ExperimentConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"),
                            methods=("hdp5", "cla"), measures=("f1", "auc"))
     result = run_experiment(cfg)
-    cla_rows = [r for r in result.rows if r.method == "cla"]
+    cla_rows = [r for r in result.rows() if r.method == "cla"]
     assert len(cla_rows) == 2 * 2
     assert all(r.value is None and r.failure == "error: boom" for r in cla_rows)
     assert not any(variant == "cla" for variant, _, _ in result.predictions)
@@ -398,7 +402,13 @@ def test_export_round_trip(synth_result, tmp_path):
     out = tmp_path / "exported"
     export_results(result, out)
     loaded = load_results(out)
-    assert loaded.rows == result.rows
+    assert list(loaded.rows()) == list(result.rows())
+    assert loaded.plans == result.plans
+    assert np.array_equal(loaded.row_order, result.row_order)
+    assert list(loaded.values) == list(loaded.failures) == list(result.values)
+    for cell, values in result.values.items():
+        assert loaded.values[cell].tobytes() == values.tobytes(), cell
+        assert np.array_equal(loaded.failures[cell], result.failures[cell]), cell
     # labels are bool arrays, which == compares element-wise
     for field in ("predictions", "target_truth"):
         want, got = getattr(result, field), getattr(loaded, field)
@@ -545,7 +555,13 @@ def _set_field(line, column, value):
     (lambda lines: [lines[0], lines[1], _set_field(lines[2], "value", "-inf"), *lines[3:]],
      r"results.csv:3: value '-inf' is not a finite number"),
     (lambda lines: [lines[0], *lines[2:]], r"results.csv: plan \S+ => \S+ has no \S+ \S+ row"),
-], ids=["unknown-target", "repeated-row", "value-not-a-number", "value-nan", "value-inf", "missing-cell"])
+    # a row outside config.ini's methods and measures used to load silently
+    (lambda lines: [lines[0], _set_field(lines[1], "method", "stray"), *lines[2:]],
+     r"results.csv:2: method 'stray' is not configured"),
+    (lambda lines: [*lines[:3], _set_field(lines[3], "measure", "mcc"), *lines[4:]],
+     r"results.csv:4: measure 'mcc' is not configured"),
+], ids=["unknown-target", "repeated-row", "value-not-a-number", "value-nan", "value-inf", "missing-cell",
+        "stray-method", "stray-measure"])
 def test_load_results_rejects_malformed_result_rows(exported, edit, message):
     _edit_results(exported, edit)
     with pytest.raises(ValueError, match=message):
@@ -558,6 +574,30 @@ def test_cli_report_on_a_malformed_results_file_exits_1(exported, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "results.csv: plan " in err
     assert "Traceback" not in err
+
+
+def test_a_failure_reason_with_a_line_break_round_trips(tmp_path):
+    # read without newline="", the quoted "\r\n" came back as "\n"
+    manifest = two_dataset_manifest(tmp_path)
+
+    def crlf(source, target):
+        raise ValueError("bad\r\nthing")
+
+    register_external_method("crlf", crlf)
+    try:
+        cfg = ExperimentConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"),
+                               methods=("crlf", "cla"), measures=("f1",))
+        result = run_experiment(cfg)
+    finally:
+        unregister_external_method("crlf")
+    export_results(result, cfg.output_dir)
+    loaded = load_results(cfg.output_dir)
+    assert {r.failure for r in result.rows() if r.method == "crlf"} == {"error: bad\r\nthing"}
+    assert list(loaded.rows()) == list(result.rows())
+    # each crlf row spans two lines, which the line numbers count
+    _edit_results(Path(cfg.output_dir), lambda lines: [*lines[:-1], _set_field(lines[-1], "value", "x")])
+    with pytest.raises(ValueError, match=r"results.csv:7: value 'x' is not a number"):
+        load_results(cfg.output_dir)
 
 
 def test_absent_values_serialize_as_empty_field(tmp_path):
@@ -689,7 +729,7 @@ def test_a_dataset_too_small_to_rank_fails_only_as_a_source(tmp_path, monkeypatc
     outcomes, _ = _record_hdp1(monkeypatch)
     cfg = ExperimentConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"),
                            methods=("hdp1",), measures=("f1",))
-    failures = {(r.source, r.target): r.failure for r in run_experiment(cfg).rows}
+    failures = {(r.source, r.target): r.failure for r in run_experiment(cfg).rows()}
     # the gain ratio needs two modules; one module is enough for a KS sample
     assert failures[("one", "two")] == "error: feature/labels must be equal-length with >= 2 samples"
     assert outcomes[("two", "one")].ok
@@ -822,8 +862,14 @@ def test_report_needs_two_methods(tmp_path):
         methods=("cla",),
         measures=("f1",),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reports need results from at least two methods"):
         build_report(run_experiment(cfg))
+    # two methods, but no plan is left to hold their results
+    no_plans = run_experiment(replace(cfg, manifest=str(two_dataset_manifest(tmp_path, disjoint=True)),
+                                      methods=("hdp1", "cla"), scenario="scenario2"))
+    assert no_plans.plans == []
+    with pytest.raises(ValueError, match="reports need results from at least two methods"):
+        build_report(no_plans)
 
 
 def test_report_is_pure_function_of_exported_data(synth_result, tmp_path):

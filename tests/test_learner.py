@@ -300,6 +300,35 @@ def assert_same_fit_as_the_reference(Z, y, cfg):
     assert losses == ref_losses and np.array(losses).tobytes() == np.array(ref_losses).tobytes()
 
 
+# BACKTRACKING_X's damping input with one value moved by bisection, from 3.8
+# (the fifth full Newton step raises the loss) toward 4.18 (it passes with an
+# Armijo ratio of 0.003): here that ratio is 7.9e-4, so the step passes the
+# sufficient-decrease test at 1e-4 and would be halved at 1e-3
+ARMIJO_X = [[4.0, 4.1789], [-2.2, -18.5], [-0.2, 0.7], [-0.5, -0.1], [-16.0, -2.4]]
+ARMIJO_Y = [0.0, 1.0, 0.0, 1.0, 1.0]
+
+
+def test_a_step_just_above_the_sufficient_decrease_is_taken_whole():
+    X = np.array(ARMIJO_X)
+    Z = zscore_apply(zscore_fit(X), X)
+    y = np.array(ARMIJO_Y)
+    cfg = TrainConfig()
+    l2 = cfg.l2_strength
+    # the Armijo ratio of each of the first five Newton steps, taken whole
+    w, b, ratios = np.zeros(2), 0.0, []
+    for _ in range(5):
+        loss, gw, gb = reference_learner._loss_and_grad(w, b, Z, y, l2)
+        p = _sigmoid(Z @ w + b)
+        A = np.hstack([Z, np.ones((len(y), 1))])
+        hessian = (A.T * (p * (1.0 - p))) @ A / len(y) + np.diag([l2, l2, 0.0])
+        grad = np.append(gw, gb)
+        step = np.linalg.solve(hessian, grad)
+        w, b = w - step[:2], b - float(step[2])
+        ratios.append((loss - reference_learner._loss(w, b, Z, y, l2)) / float(grad @ step))
+    assert min(ratios[:4]) > 0.5 and 1e-4 <= ratios[4] < 1e-3
+    assert_same_fit_as_the_reference(Z, y, cfg)
+
+
 def test_newton_fit_equals_the_reference_loop_down_to_the_scale_floor(monkeypatch):
     """Once the gradient norm nears 1e-8, a Newton step lowers the loss by
     less than the loss's rounding, and the line search halves until the

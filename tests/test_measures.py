@@ -364,6 +364,22 @@ def test_budget_has_a_relative_slack_of_1e_9():
     assert pmi_at([3, 2, 1], [5.0, 1e-7, 5.0 - 1e-7], 0.5) == 1 / 3
 
 
+def test_a_running_total_equal_to_the_budget_is_inspected():
+    # efforts[0] is set to the budget that its own total gives, until the
+    # float total reproduces it; the first module's running total is then
+    # exactly the budget, which the search for the inspected prefix includes
+    efforts = np.array([1.0, 4.0])
+    for _ in range(60):
+        budget = RankingScorer(efforts, [True, False]).budget
+        if budget == efforts[0]:
+            break
+        efforts[0] = budget
+    assert RankingScorer(efforts, [True, False]).budget == efforts[0] == 1.00000000125
+    preds = preds_from([2, 1], efforts)
+    assert pmi_at(*preds, 0.2) == 0.5
+    assert acc_at(*preds, truth_from([True, False]), 0.2) == 1.0
+
+
 def test_pmi_uniform_efforts():
     preds = preds_from(np.arange(10), np.ones(10))
     assert pmi_at(*preds, 0.2) == pytest.approx(0.2)
