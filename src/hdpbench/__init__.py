@@ -62,6 +62,7 @@ from .stats import (
     satisfactory_ratio,
     scott_knott,
     wilcoxon_signed_rank,
+    wilcoxon_signed_ranks,
 )
 from .udp import (
     Prediction,

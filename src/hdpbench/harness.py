@@ -450,11 +450,23 @@ def _bits(flags: np.ndarray) -> str:
 
 
 def _write_csv(path: Path, columns: tuple[str, ...], records: Iterable[Sequence[str]]) -> Path:
-    """Write the header ``columns``, then ``records``: the writer that ``_csv_columns`` reads."""
+    """Write the header ``columns``, then ``records``: the writer that ``_csv_columns`` reads.
+
+    csv.writer quotes a field with a comma, a quote or a line feed, but not
+    one whose only line break is a carriage return, where a reader ends the
+    record: a record with a carriage return is written with every field quoted.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
+    records = list(records)
     writer.writerows(records)
+    if "\r" in buffer.getvalue():
+        buffer = io.StringIO()
+        plain = csv.writer(buffer, lineterminator="\n")
+        quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for record in [columns, *records]:
+            (quoted if any("\r" in field for field in record) else plain).writerow(record)
     path.write_text(buffer.getvalue())
     return path
 
@@ -716,33 +728,38 @@ def _report_scott_knott(result: ExperimentResult, group_plans) -> str:
     return "\n".join(out) + "\n"
 
 
-def wtl_matrix(
-    first: np.ndarray,
-    second: np.ndarray,
-    slices: Collection[slice],
-    higher_is_better: bool,
-) -> stats.WtlRecord:
-    """Per-target win/tie/loss of the values ``first`` against ``second``.
+def wtl_records(first: np.ndarray, second: np.ndarray, slices: Collection[slice]) -> list[stats.WtlRecord]:
+    """Per-target win/tie/loss of each row of ``first`` against the same row of ``second``.
 
-    Both are value-table columns (``ExperimentResult.values``, NaN where
-    absent) and ``slices`` holds one slice per target (``_target_slices``).
+    Each row pair is one family: two value-table columns
+    (``ExperimentResult.values``, NaN where absent) of one measure, negated
+    where lower is better so that 'win' always means 'performs better'.
+    ``slices`` holds one slice of the columns per target (``_target_slices``).
     For each target the paired samples are the plans where both values are
-    present; raw Wilcoxon p-values are BH-corrected within this (measure,
-    method pair) family, and a target with fewer than two pairs is a tie.
-    Lower-is-better values are negated so 'win' always means 'performs better'.
+    present. One ``stats.wilcoxon_signed_ranks`` call tests every target of
+    every family; raw p-values are BH-corrected within each family, and a
+    target with fewer than two pairs is a tie.
     """
-    orient = 1.0 if higher_is_better else -1.0
     both = ~(np.isnan(first) | np.isnan(second))
-    # every plan's pair in plan order; a target's pairs lie between the
-    # running pair counts at its slice's ends
-    xs, ys = (orient * first[both]).tolist(), (orient * second[both]).tolist()
-    ends = [0, *np.cumsum(both).tolist()]
-    parts = [(a, b) for a, b in ((ends[p.start], ends[p.stop]) for p in slices) if b - a >= 2]
-    raw = [stats.wilcoxon_signed_rank(xs[a:b], ys[a:b]) for a, b in parts]
-    adjusted = stats.bh_adjust(raw) if parts else []
-    outcomes = [stats.compare_pair(xs[a:b], ys[a:b], adjusted_p=p) for (a, b), p in zip(parts, adjusted)]
-    win, loss = outcomes.count("win"), outcomes.count("loss")
-    return stats.WtlRecord(win, len(slices) - win - loss, loss)
+    xs, ys = first[both], second[both]
+    # every family's pairs in plan order, family after family; a target's
+    # pairs lie between the running pair counts at its slice's ends
+    ends = np.concatenate(([0], np.cumsum(both)))
+    rows = np.arange(len(first))[:, None] * first.shape[1]
+    starts = ends[rows + [p.start for p in slices]]
+    stops = ends[rows + [p.stop for p in slices]]
+    testable = stops - starts >= 2
+    starts, stops = starts[testable].tolist(), stops[testable].tolist()
+    raw = stats.wilcoxon_signed_ranks(xs - ys, starts, stops).tolist()
+    records, lo = [], 0
+    for hi in np.cumsum(testable.sum(axis=1)).tolist():
+        adjusted = stats.bh_adjust(raw[lo:hi]) if hi > lo else []
+        outcomes = [stats.wtl_outcome(p, xs[a:b], ys[a:b])
+                    for p, a, b in zip(adjusted, starts[lo:hi], stops[lo:hi])]
+        win, loss = outcomes.count("win"), outcomes.count("loss")
+        records.append(stats.WtlRecord(win, len(slices) - win - loss, loss))
+        lo = hi
+    return records
 
 
 def _report_wtl(result: ExperimentResult, slices) -> str:
@@ -753,11 +770,14 @@ def _report_wtl(result: ExperimentResult, slices) -> str:
     if not hdp_methods or not udp_methods:
         out.append("needs at least one heterogeneous and one unsupervised method")
         return "\n".join(out) + "\n"
+    families = [(measure, h, u) for measure in cfg.measures for h in hdp_methods for u in udp_methods]
+    orient = {m: 1.0 if measures.HIGHER_IS_BETTER[m] else -1.0 for m in cfg.measures}
+    first = np.array([orient[measure] * result.values[(h, measure)] for measure, h, _ in families])
+    second = np.array([orient[measure] * result.values[(u, measure)] for measure, _, u in families])
+    records = iter(wtl_records(first, second, slices.values()))
     for measure in cfg.measures:
         out.append(f"== {measure} ==")
-        higher, value = measures.HIGHER_IS_BETTER[measure], result.values
-        rows = [[h, *(str(wtl_matrix(value[(h, measure)], value[(u, measure)], slices.values(), higher))
-                      for u in udp_methods)] for h in hdp_methods]
+        rows = [[h, *(str(next(records)) for _ in udp_methods)] for h in hdp_methods]
         out.append(_table(["method", *udp_methods], rows))
         out.append("")
     return "\n".join(out) + "\n"

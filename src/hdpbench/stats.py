@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -58,15 +56,85 @@ def _exact_null(doubled: tuple[int, ...]) -> tuple[int, ...]:
     return (0, *np.cumsum(counts).tolist())
 
 
-def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
-    """Two-sided Wilcoxon signed-rank p-value for paired samples.
+def wilcoxon_signed_ranks(
+    diffs: Sequence[float], starts: Sequence[int], stops: Sequence[int]
+) -> np.ndarray:
+    """Two-sided Wilcoxon signed-rank p-values of many parts of one vector
+    of paired differences, part i being ``diffs[starts[i]:stops[i]]``.
 
     Zero differences are dropped and tied |differences| share averaged
-    ranks. The p-value is exact for up to 12 remaining pairs, counting the
-    2^n sign assignments by rank sum; beyond that a normal approximation
-    with tie and continuity corrections keeps the two paths within 0.02 of
-    each other at the crossover. All-zero differences give p = 1; a NaN or
-    infinite value raises ``ValueError``.
+    ranks. A part's p-value is exact for up to 12 remaining differences,
+    counting the 2^n sign assignments by rank sum; beyond that a normal
+    approximation with tie and continuity corrections keeps the two paths
+    within 0.02 of each other at the crossover. A part without a nonzero
+    difference gives p = 1; a NaN difference raises ``ValueError``.
+
+    One sort ranks every part. Averaged ranks are multiples of 1/2, so
+    doubled ranks are integers: a run of tied |differences| over a part's
+    sorted positions [start, end) has the doubled rank start + end + 1, and
+    rank sums and tie terms are exact integer sums. Only the exact null
+    lookup or the normal formula runs once per part, on Python numbers.
+    """
+    diffs = np.asarray(diffs, dtype=float)
+    starts = np.asarray(starts, dtype=np.int64)
+    stops = np.asarray(stops, dtype=np.int64)
+    if diffs.ndim != 1 or starts.shape != stops.shape or starts.ndim != 1:
+        raise ValueError("need a vector of differences and equal-length part bounds")
+    if np.any((starts < 0) | (starts > stops) | (stops > len(diffs))):
+        raise ValueError("every part must lie within the differences")
+    if np.isnan(diffs).any():
+        raise ValueError("wilcoxon_signed_ranks needs differences that are not NaN")
+    k = len(starts)
+    lengths = stops - starts
+    # each part's differences, part after part, and the part of each
+    part = np.repeat(np.arange(k), lengths)
+    d = diffs[np.arange(len(part)) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)]
+    nonzero = d != 0
+    d, part = d[nonzero], part[nonzero]
+    m = len(d)
+    if m == 0:
+        return np.ones(k)
+    magnitude = np.abs(d)
+    order = np.lexsort((magnitude, part))
+    magnitude, part, positive = magnitude[order], part[order], d[order] > 0
+    n = np.bincount(part, minlength=k)
+    first = np.cumsum(n) - n  # each part's first sorted position
+    run_starts = np.flatnonzero(np.concatenate(
+        ([True], (part[1:] != part[:-1]) | (magnitude[1:] != magnitude[:-1]))))
+    run_ends = np.append(run_starts[1:], m)
+    run_part = part[run_starts]
+    ties = run_ends - run_starts
+    doubled = run_starts + run_ends + 1 - 2 * first[run_part]
+    # the first run of each part that has a nonzero difference
+    part_runs = np.flatnonzero(np.concatenate(([True], run_part[1:] != run_part[:-1])))
+    run_positives = np.add.reduceat(positive.astype(np.int64), run_starts)
+    w2 = np.zeros(k, dtype=np.int64)  # doubled rank sum of the positive differences
+    tie_term = np.zeros(k, dtype=np.int64)  # sum of t^3 - t over runs of t ties
+    w2[n > 0] = np.add.reduceat(doubled * run_positives, part_runs)
+    tie_term[n > 0] = np.add.reduceat(ties**3 - ties, part_runs)
+    ranks = np.repeat(doubled, ties).tolist()  # doubled rank of each sorted position
+    pvalues = []
+    for n_i, w2_i, tie_i, lo in zip(n.tolist(), w2.tolist(), tie_term.tolist(), first.tolist()):
+        if n_i == 0:
+            pvalues.append(1.0)
+        elif n_i <= _EXACT_LIMIT:
+            below = _exact_null(tuple(ranks[lo:lo + n_i]))
+            p_ge = (2**n_i - below[w2_i]) / 2**n_i
+            p_le = below[w2_i + 1] / 2**n_i
+            pvalues.append(min(1.0, 2.0 * min(p_ge, p_le)))
+        else:
+            mu = n_i * (n_i + 1) / 4.0
+            sigma2 = n_i * (n_i + 1) * (2 * n_i + 1) / 24.0 - float(tie_i) / 48.0
+            z = max(abs(w2_i / 2 - mu) - 0.5, 0.0) / math.sqrt(sigma2)
+            pvalues.append(math.erfc(z / math.sqrt(2.0)))
+    return np.array(pvalues)
+
+
+def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
+    """Two-sided Wilcoxon signed-rank p-value for paired samples: the
+    one-part case of ``wilcoxon_signed_ranks`` on the differences x - y.
+    All-zero differences give p = 1; a NaN or infinite value raises
+    ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -74,31 +142,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("x and y must be equal-length non-empty vectors")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("wilcoxon_signed_rank needs finite values")
-    diffs = [d for d in (x - y).tolist() if d != 0]
-    n = len(diffs)
-    if n == 0:
-        return 1.0
-    # averaged ranks are multiples of 1/2, so doubled ranks are integers: a
-    # run of tied |differences| over sorted positions [start, end) has the
-    # doubled rank start + end + 1, and every count and sum below is exact
-    doubled: list[int] = []  # per sorted position
-    tie_term = w2 = 0  # sum of t^3 - t over runs; doubled rank sum of the positive diffs
-    for _, run in groupby(sorted((abs(d), d > 0) for d in diffs), key=itemgetter(0)):
-        positive = [p for _, p in run]
-        t = len(positive)
-        r = 2 * len(doubled) + t + 1
-        doubled += [r] * t
-        w2 += r * sum(positive)
-        tie_term += t**3 - t
-    if n <= _EXACT_LIMIT:
-        below = _exact_null(tuple(doubled))
-        p_ge = (2**n - below[w2]) / 2**n
-        p_le = below[w2 + 1] / 2**n
-        return min(1.0, 2.0 * min(p_ge, p_le))
-    mu = n * (n + 1) / 4.0
-    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - float(tie_term) / 48.0
-    z = max(abs(w2 / 2 - mu) - 0.5, 0.0) / math.sqrt(sigma2)
-    return math.erfc(z / math.sqrt(2.0))
+    return float(wilcoxon_signed_ranks(x - y, [0], [len(x)])[0])
 
 
 def bh_adjust(pvals: Sequence[float]) -> list[float]:
@@ -135,10 +179,9 @@ def compare_pair(
 ) -> str:
     """'win' / 'tie' / 'loss' for the first sample against the second.
 
-    A difference counts only when the (possibly BH-corrected) p-value is
-    below 0.05 and the Cliff's delta effect is not negligible. Pairs with
-    an absent value on either side are dropped; fewer than two surviving
-    pairs is a tie.
+    ``wtl_outcome`` at the Wilcoxon p-value, or at ``adjusted_p`` when it is
+    given (a BH-corrected one, say). Pairs with an absent value on either
+    side are dropped; fewer than two surviving pairs is a tie.
     """
     if len(x) != len(y):
         raise ValueError("paired samples must have equal length")
@@ -148,9 +191,17 @@ def compare_pair(
     xs = [a for a, _ in kept]
     ys = [b for _, b in kept]
     p = wilcoxon_signed_rank(xs, ys) if adjusted_p is None else adjusted_p
+    return wtl_outcome(p, xs, ys)
+
+
+def wtl_outcome(p: float, x: Sequence[float], y: Sequence[float]) -> str:
+    """'win' / 'tie' / 'loss' for the paired sample ``x`` against ``y``
+    at p-value ``p``: a difference counts only when p is below 0.05 and
+    Cliff's delta is not negligible. Cliff's delta is computed only for a
+    significant p."""
     if p >= ALPHA:
         return "tie"
-    delta = cliffs_delta(xs, ys)
+    delta = cliffs_delta(x, y)
     if delta >= NEGLIGIBLE_DELTA:
         return "win"
     if delta <= -NEGLIGIBLE_DELTA:
@@ -193,6 +244,12 @@ class SkRanking:
 _SK_FACTOR = math.pi / (2.0 * (math.pi - 2.0))
 
 
+def _mean(values: np.ndarray) -> float:
+    """``values.mean()`` as a float, bit for bit: numpy's mean is this
+    pairwise sum over the count, without the call's overhead."""
+    return float(np.add.reduce(values)) / len(values)
+
+
 def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
     """Recursive mean-based grouping of methods into distinct ranks.
 
@@ -208,11 +265,11 @@ def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
     for name, vals in arrays.items():
         if vals.ndim != 1 or len(vals) < 2:
             raise ValueError(f"method {name!r} needs at least 2 samples")
-    means = {name: float(vals.mean()) for name, vals in arrays.items()}
+    means = {name: _mean(vals) for name, vals in arrays.items()}
     nu = sum(len(v) - 1 for v in arrays.values())
-    sse = sum(float(((v - v.mean()) ** 2).sum()) for v in arrays.values())
+    sse = sum(float(np.add.reduce((v - means[name]) ** 2)) for name, v in arrays.items())
     mse = sse / nu if nu > 0 else 0.0
-    mean_replication = float(np.mean([len(v) for v in arrays.values()]))
+    mean_replication = sum(len(v) for v in arrays.values()) / len(arrays)
     s2_mean = mse / mean_replication
 
     ordered = sorted(arrays, key=lambda name: (-means[name], name))
@@ -222,14 +279,14 @@ def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
         k = len(group)
         if k >= 2:
             ms = np.array([means[name] for name in group])
-            overall = ms.mean()
+            overall = _mean(ms)
             best_b0, best_split = -1.0, 1
             for split in range(1, k):
                 left, right = ms[:split], ms[split:]
-                b0 = split * (left.mean() - overall) ** 2 + (k - split) * (right.mean() - overall) ** 2
+                b0 = split * (_mean(left) - overall) ** 2 + (k - split) * (_mean(right) - overall) ** 2
                 if b0 > best_b0:
                     best_b0, best_split = b0, split
-            sigma02 = (float(((ms - overall) ** 2).sum()) + nu * s2_mean) / (k + nu)
+            sigma02 = (float(np.add.reduce((ms - overall) ** 2)) + nu * s2_mean) / (k + nu)
             if sigma02 > 0:
                 lam = _SK_FACTOR * best_b0 / sigma02
                 # chdtri is the chi-square inverse survival function

@@ -5,9 +5,10 @@ and makes one statistics call per target, plan or pair: Scott-Knott and
 win/tie/loss samples come from dict lookups, each plan pair gets its own
 ``diversity_table`` and scalar McNemar test, and each Wilcoxon call ranks and
 counts its null distribution again. The harness builds the same sections
-from one value table, one array pass per target and a cached Wilcoxon null;
-tests require byte-equal text. Wilcoxon and McNemar come from
-``reference_stats``, so the oracles share none of the new arithmetic.
+from one value table, one array pass per target and one batched Wilcoxon
+call per report; tests require byte-equal text. Wilcoxon, McNemar and
+Scott-Knott come from ``reference_stats``, so the oracles share none of the
+new arithmetic.
 
 ``load_results`` and ``value_table`` are the loader and the report table
 from before ``ExperimentResult`` held the table: the loader parses one
@@ -37,7 +38,6 @@ from hdpbench.harness import (
     ExperimentResult,
     ResultRow,
     _method,
-    _scott_knott_section,
     _table,
     _variant_sides,
     load_config,
@@ -172,6 +172,23 @@ def _value_index(result: ExperimentResult):
 
 def _arrays(samples: dict[str, list[float]]) -> dict[str, np.ndarray]:
     return {m: np.array(values, dtype=float) for m, values in samples.items()}
+
+
+def _scott_knott_section(columns: dict[str, np.ndarray], title: str) -> list[str]:
+    samples = {m: column[~np.isnan(column)] for m, column in columns.items()}
+    usable = {m: v for m, v in samples.items() if len(v) >= 2}
+    excluded = sorted(set(samples) - set(usable))
+    lines = [f"[{title}]"]
+    if not usable:
+        lines.append("  no method has enough values")
+        return lines
+    ranking = reference_stats.scott_knott(usable)
+    for rank, group in enumerate(ranking.groups, start=1):
+        members = ", ".join(f"{m} (mean {ranking.means[m]:.4f})" for m in group)
+        lines.append(f"  rank {rank}: {members}")
+    if excluded:
+        lines.append(f"  excluded (fewer than 2 values): {', '.join(excluded)}")
+    return lines
 
 
 def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:

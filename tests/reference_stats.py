@@ -1,23 +1,34 @@
-"""Earlier implementations of stats' Wilcoxon and McNemar, kept as reference oracles.
+"""Earlier implementations of stats' Wilcoxon, McNemar and Scott-Knott, kept as reference oracles.
 
-``hdpbench.stats.wilcoxon_signed_rank`` counts the null distribution of the
-rank sum over doubled (integer) ranks, once per tie pattern. ``wilcoxon_exact``
-builds the 2^n x n sign matrix and reads the tail shares from every sign
-assignment's rank sum; ``wilcoxon_signed_rank`` here is the counted version
-before the cache. All count the same assignments, so tests compare them with
-``==``. ``mcnemar`` is the scalar form that ``stats.mcnemar_pvalues`` replaced.
+``hdpbench.stats.wilcoxon_signed_ranks`` ranks many parts in one sort and
+counts the null distribution of the rank sum over doubled (integer) ranks,
+once per tie pattern; ``stats.wilcoxon_signed_rank`` is its one-part case.
+``wilcoxon_exact`` builds the 2^n x n sign matrix and reads the tail shares
+from every sign assignment's rank sum; ``wilcoxon_signed_rank`` here is the
+counted version before the cache. All count the same assignments, so tests
+compare them with ``==``. ``mcnemar`` is the scalar form that
+``stats.mcnemar_pvalues`` replaced. ``scott_knott`` takes every mean with
+``ndarray.mean``, where the package sums over the count; tests require equal
+groups and means under ``==``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
 from scipy.stats import rankdata
 
-from hdpbench.stats import _EXACT_LIMIT, ContingencyTable, average_ranks
+from hdpbench.stats import (
+    _EXACT_LIMIT,
+    _SK_FACTOR,
+    ALPHA,
+    ContingencyTable,
+    SkRanking,
+    average_ranks,
+)
 
 
 def wilcoxon_exact(x: Sequence[float], y: Sequence[float]) -> float:
@@ -77,3 +88,47 @@ def mcnemar(ct: ContingencyTable) -> float:
         return 1.0
     stat = (ct.n_cw - ct.n_wc) ** 2 / discordant
     return float(special.chdtrc(1, stat))  # the chi-square survival function
+
+
+def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
+    """The Scott-Knott grouping before it summed its means itself: every
+    mean here is an ``ndarray.mean`` call."""
+    if not samples:
+        raise ValueError("need at least one method")
+    arrays = {name: np.asarray(vals, dtype=float) for name, vals in samples.items()}
+    for name, vals in arrays.items():
+        if vals.ndim != 1 or len(vals) < 2:
+            raise ValueError(f"method {name!r} needs at least 2 samples")
+    means = {name: float(vals.mean()) for name, vals in arrays.items()}
+    nu = sum(len(v) - 1 for v in arrays.values())
+    sse = sum(float(((v - v.mean()) ** 2).sum()) for v in arrays.values())
+    mse = sse / nu if nu > 0 else 0.0
+    mean_replication = float(np.mean([len(v) for v in arrays.values()]))
+    s2_mean = mse / mean_replication
+
+    ordered = sorted(arrays, key=lambda name: (-means[name], name))
+    groups: list[tuple[str, ...]] = []
+
+    def partition(group: list[str]) -> None:
+        k = len(group)
+        if k >= 2:
+            ms = np.array([means[name] for name in group])
+            overall = ms.mean()
+            best_b0, best_split = -1.0, 1
+            for split in range(1, k):
+                left, right = ms[:split], ms[split:]
+                b0 = split * (left.mean() - overall) ** 2 + (k - split) * (right.mean() - overall) ** 2
+                if b0 > best_b0:
+                    best_b0, best_split = b0, split
+            sigma02 = (float(((ms - overall) ** 2).sum()) + nu * s2_mean) / (k + nu)
+            if sigma02 > 0:
+                lam = _SK_FACTOR * best_b0 / sigma02
+                # chdtri is the chi-square inverse survival function
+                if lam > special.chdtri(k / (math.pi - 2.0), ALPHA):
+                    partition(group[:best_split])
+                    partition(group[best_split:])
+                    return
+        groups.append(tuple(group))
+
+    partition(ordered)
+    return SkRanking(tuple(groups), means)

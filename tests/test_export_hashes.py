@@ -21,6 +21,18 @@ DEMO_7_REPORTS = {
     "report_wtl.txt": "3b277e446b4519c7db69cbb96f149970c233e785a56f029de1b03fae867d0ec8",
 }
 
+# results.csv and the five reports of plans226 seed 3 part 0: with 14 or 15
+# plans per target, many Wilcoxon tests of its win/tie/loss report take the
+# normal approximation, which demo seed 7's three plans per target never reach
+PLANS226_3_0 = {
+    "results.csv": "b14889eb93ce7617f46627dcf50b4b9dfc9f3abe768bfc07c29fb1be6ad797e6",
+    "report_diversity.txt": "8e26a3ca92b99c100a0abcb58e018ebef5f248fd080c0bebff9602a5b63d9d07",
+    "report_satisfactory.txt": "84237ba0c7a84b154a696fc282213e3bb711f9786547f53d129a06dc61f21295",
+    "report_scottknott.txt": "63d1f535747b693203296833d9775214fec5770e102e7582f72540f0c560db57",
+    "report_unidentified.txt": "bb842045251ee6488dc4ae0d1cdc8fc043dbdec9f437a92dbd16db71fb4f3316",
+    "report_wtl.txt": "4e245485a4427b8b122f020edb7f9b2f508392cbbe10a65fc129ab6bba62ac69",
+}
+
 
 def _load_script():
     spec = importlib.util.spec_from_file_location("export_hashes", SCRIPT)
@@ -44,3 +56,10 @@ def test_export_hashes_repeat_and_rebuilt_reports_match(capsys):
     assert script.main(["--workload", "demo", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{digest}  {name}" for name, digest in first.items()]
+
+
+def test_plans226_reports_keep_their_digests():
+    hashes = _load_script().export_hashes("plans226", 3, 0)
+    assert {name: hashes[name] for name in PLANS226_3_0} == PLANS226_3_0
+    reports = [name for name in PLANS226_3_0 if name.startswith("report_")]
+    assert all(hashes[f"rebuilt/{name}"] == PLANS226_3_0[name] for name in reports)

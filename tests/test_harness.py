@@ -600,6 +600,36 @@ def test_a_failure_reason_with_a_line_break_round_trips(tmp_path):
         load_results(cfg.output_dir)
 
 
+def test_a_failure_reason_with_a_bare_carriage_return_round_trips(tmp_path, capsys):
+    # csv.writer left "bad\rthing" unquoted, and the reader ended the record at "\r"
+    manifest = two_dataset_manifest(tmp_path)
+
+    def cr(source, target):
+        raise ValueError("bad\rthing")
+
+    register_external_method("cr", cr)
+    try:
+        cfg = ExperimentConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"),
+                               methods=("cr", "cla"), measures=("f1", "auc"))
+        result = run_experiment(cfg)
+        export_results(result, cfg.output_dir)
+        write_report(build_report(result), cfg.output_dir)
+    finally:
+        unregister_external_method("cr")
+    out = Path(cfg.output_dir)
+    text = (out / "results.csv").read_bytes().decode()
+    assert text.count('"error: bad\rthing"') == 2 * 2
+    # records without a carriage return keep their unquoted form
+    assert "\ncla,one,two,f1," in text
+    before = {p.name: p.read_bytes() for p in out.glob("report_*.txt")}
+    assert cli.main(["report", str(out)]) == 0
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in out.glob("report_*.txt")} == before
+    loaded = load_results(out)
+    assert {r.failure for r in loaded.rows() if r.method == "cr"} == {"error: bad\rthing"}
+    assert list(loaded.rows()) == list(result.rows())
+
+
 def test_absent_values_serialize_as_empty_field(tmp_path):
     manifest = two_dataset_manifest(tmp_path, disjoint=True)
     cfg = ExperimentConfig(

@@ -1,13 +1,16 @@
-"""Bit-exact agreement of stats' Wilcoxon and McNemar with the earlier code.
+"""Bit-exact agreement of stats' Wilcoxon, McNemar and Scott-Knott with the earlier code.
 
 ``reference_stats.wilcoxon_exact`` enumerates all 2^n sign assignments;
-``hdpbench.stats.wilcoxon_signed_rank`` counts them by doubled rank sum, once
-per tie pattern, and ``reference_stats.wilcoxon_signed_rank`` counts them on
-every call. ``reference_stats.mcnemar`` is the scalar McNemar test on Python
-ints. Every comparison uses ``==``.
+``hdpbench.stats.wilcoxon_signed_ranks`` counts them by doubled rank sum for
+many parts at once, once per tie pattern, and
+``reference_stats.wilcoxon_signed_rank`` counts them on every call, one pair
+of samples at a time. ``reference_stats.mcnemar`` is the scalar McNemar test
+on Python ints, and ``reference_stats.scott_knott`` takes its means with
+``ndarray.mean``. Every comparison uses ``==``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -72,3 +75,72 @@ def test_mcnemar_pvalues_equal_the_scalar_forms_on_every_count_up_to_60():
     assert got == [stats.mcnemar(t) for t in tables]
     # and in any array shape
     assert stats.mcnemar_pvalues(n_cw.reshape(61, 61), n_wc.reshape(61, 61)).ravel().tolist() == got
+
+
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def parts(draw):
+    """Differences with parts of 1-15 values between gaps that belong to no part."""
+    values = draw(st.sampled_from([TIED, WIDE, TIED | WIDE]))
+    diffs, starts, stops = [], [], []
+    for _ in range(draw(st.integers(0, 10))):
+        diffs += draw(st.lists(values, max_size=2))
+        n = draw(st.integers(1, 15))
+        # some parts hold only zero differences, of either sign
+        starts.append(len(diffs))
+        kind = draw(st.sampled_from([values, values | ZEROS, ZEROS]))
+        diffs += draw(st.lists(kind, min_size=n, max_size=n))
+        stops.append(len(diffs))
+    diffs += draw(st.lists(values, max_size=2))
+    return diffs, starts, stops
+
+
+@settings(max_examples=400)
+@given(parts())
+@example(([], [], []))  # no part
+@example(([1.0], [], []))  # no part, but differences
+@example(([0.0, -0.0, 1.0], [0, 2], [2, 3]))  # an all-zero part
+@example(([float(v) for v in range(1, 13)] + [float(v) for v in range(1, 14)], [0, 12], [12, 25]))
+@example(([1.0] * 13 + [-1.0, 2.0] * 7, [0, 13], [13, 27]))  # ties on the normal path
+def test_batched_wilcoxon_equals_the_reference_part_by_part(case):
+    diffs, starts, stops = case
+    got = stats.wilcoxon_signed_ranks(diffs, starts, stops)
+    assert got.shape == (len(starts),)
+    for p, a, b in zip(got.tolist(), starts, stops):
+        assert _same(p, ref.wilcoxon_signed_rank(diffs[a:b], [0.0] * (b - a)))
+
+
+def test_batched_wilcoxon_rejects_nan_and_parts_outside_the_differences():
+    with pytest.raises(ValueError, match="not NaN"):
+        stats.wilcoxon_signed_ranks([1.0, float("nan")], [0], [1])
+    for starts, stops in (([-1], [1]), ([1], [0]), ([0], [3])):
+        with pytest.raises(ValueError, match="every part must lie within the differences"):
+            stats.wilcoxon_signed_ranks([1.0, 2.0], starts, stops)
+
+
+@st.composite
+def method_samples(draw):
+    """Tie-heavy samples of 2-226 values for 1-7 methods, some of them shifted apart."""
+    values = draw(st.sampled_from([
+        st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0]),
+        st.integers(0, 3).map(float),
+        st.floats(0, 1),
+    ]))
+    samples = {}
+    for k in range(draw(st.integers(1, 7))):
+        shift = draw(st.sampled_from([0.0, 0.1, 0.7, 3.0]))
+        samples[f"m{k}"] = [v + shift for v in draw(st.lists(values, min_size=2, max_size=226))]
+    return samples
+
+
+@settings(max_examples=300)
+@given(method_samples())
+@example({"a": [0.5, 0.6, 0.7], "b": [0.5, 0.6, 0.7]})
+@example({"a": [1e16, 1.0, 1.0], "b": [0.0, 0.0]})  # a sum that a prefix sum rounds differently
+def test_scott_knott_equals_the_reference(samples):
+    got = stats.scott_knott(samples)
+    want = ref.scott_knott(samples)
+    assert got.groups == want.groups
+    assert got.means == want.means
