@@ -39,11 +39,9 @@ from .hdp import (
 from .learner import LogisticModel, TrainConfig, predict_proba, train_logistic, zscore_apply, zscore_fit
 from .measures import (
     ConfusionMatrix,
-    EffortCurve,
     acc_at,
     auc,
     confusion,
-    effort_curve,
     ifa,
     pmi_at,
     popt,
@@ -55,8 +53,6 @@ from .stats import (
     WtlRecord,
     bh_adjust,
     cliffs_delta,
-    compare_pair,
-    diversity_table,
     mcnemar,
     satisfactory,
     satisfactory_ratio,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -142,7 +143,9 @@ def normalize_label(raw: str) -> bool:
     try:
         count = float(text)
     except ValueError:
-        raise DatasetError(f"unrecognized label value {raw!r}") from None
+        count = math.nan
+    if math.isnan(count):
+        raise DatasetError(f"unrecognized label value {raw!r}")
     return count > 0
 
 
@@ -209,9 +212,9 @@ def _build_dataset(
     return DefectDataset(path.stem, schema, values, labels)
 
 
-def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Return (attribute names, (line number, data row) pairs) from an
-    arff-subset document.
+def _parse_arff(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Return (attribute names, (line number, data row) pairs) from the
+    arff-subset document ``text`` read from ``path``, which header errors name.
 
     Only the @attribute/@data structure is honored; the last attribute is
     the class.
@@ -228,16 +231,19 @@ def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
             rows.append((number, [c.strip() for c in line.split(",")]))
         elif lower.startswith("@attribute"):
             rest = line[len("@attribute"):].strip()
+            if not rest:
+                raise DatasetError(f"{path}:{number}: @attribute without a name")
             if rest.startswith(("'", '"')):
-                quote = rest[0]
-                end = rest.index(quote, 1)
+                end = rest.find(rest[0], 1)
+                if end < 0:
+                    raise DatasetError(f"{path}:{number}: unterminated quoted attribute name")
                 header.append(rest[1:end])
             else:
                 header.append(rest.split()[0])
         elif lower.startswith("@data"):
             in_data = True
     if not header:
-        raise DatasetError("arff file has no @attribute declarations")
+        raise DatasetError(f"{path}: arff file has no @attribute declarations")
     return header, rows
 
 
@@ -272,7 +278,7 @@ def load_dataset(
         header, rows = table[0][1], table[1:]
         label_index = None
     elif format == "arff-subset":
-        header, rows = _parse_arff(text)
+        header, rows = _parse_arff(path, text)
         label_index = len(header) - 1
     else:
         raise ValueError(f"unknown format {format!r}")

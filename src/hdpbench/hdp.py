@@ -162,16 +162,12 @@ def ks_pvalues(stats: np.ndarray, n: int, m: int) -> np.ndarray:
     return special.kolmogorov(math.sqrt(n * m / (n + m)) * np.asarray(stats, dtype=float))
 
 
-def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample KS statistic: the 1 x 1 case of ``ks_statistics``."""
+def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
+    """Asymptotic two-sample KS p-value: the 1 x 1 case of ``ks_statistics``
+    and ``ks_pvalues``."""
     x = _sorted_columns(np.asarray(a, dtype=float)[:, None])
     y = _sorted_columns(np.asarray(b, dtype=float)[:, None])
-    return float(ks_statistics(*x, *y)[0, 0])
-
-
-def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
-    """Asymptotic two-sample KS p-value: the 1 x 1 case of ``ks_pvalues``."""
-    return float(ks_pvalues(np.array([[ks_statistic(a, b)]]), len(a), len(b))[0, 0])
+    return float(ks_pvalues(ks_statistics(*x, *y), len(a), len(b))[0, 0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,43 +59,6 @@ class ConfusionMatrix:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True, eq=False)
-class EffortCurve:
-    """Cumulative effort fractions ``x`` and defect fractions ``y``, from
-    (0,0) to (1,1)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
-            raise ValueError("curve coordinates must be two equal-length vectors of >= 2 points")
-        if (x[0], y[0]) != (0.0, 0.0) or (x[-1], y[-1]) != (1.0, 1.0):
-            raise ValueError("curve must run from (0,0) to (1,1)")
-        if not (
-            np.all(np.diff(x) >= 0)
-            and np.all(np.diff(y) >= 0)
-            and np.all((x >= 0) & (x <= 1))
-            and np.all((y >= 0) & (y <= 1))
-        ):
-            raise ValueError("curve coordinates must be non-decreasing in [0,1]")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.x.tolist(), self.y.tolist()))
-
-    def area(self) -> float:
-        return float(np.trapezoid(self.y, self.x))
-
 
 def _vectors(*columns: tuple[Sequence, type]) -> tuple[np.ndarray, ...]:
     """Each (values, dtype) pair as a 1-d array; all must have one length,
@@ -148,25 +111,6 @@ def _auc_from_ranks(ranks: np.ndarray, positives: np.ndarray, n_pos: int, n_neg:
 def score_order(scores: np.ndarray) -> np.ndarray:
     """Indices by score descending; ties keep module order."""
     return np.argsort(-scores, kind="stable")
-
-
-def effort_curve(
-    scores: Sequence[float],
-    efforts: Sequence[float],
-    actual: Sequence[bool],
-    ordering: str = "by_score",
-) -> EffortCurve:
-    """Cumulative defect-discovery curve over cumulative inspection effort.
-
-    ``optimal`` sorts by actual defect density (label/effort) descending with
-    smaller effort first on ties; ``worst`` is the ascending mirror, larger
-    effort first on ties; ``by_score`` follows the prediction ranking, score
-    descending with ties in module order.
-    """
-    scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
-    record = RankingScorer(efforts, actual)
-    order = score_order(scores) if ordering == "by_score" else record._extreme_order(ordering)
-    return EffortCurve(*record._curve(record._ranked(order)))
 
 
 def _effort_aware(
@@ -305,14 +249,14 @@ class RankingScorer:
         return _Ranked(actual, actual.cumsum(), cum_efforts, n_inspected)
 
     def _extreme_order(self, ordering: str) -> np.ndarray:
-        """The ``optimal`` or ``worst`` ranking by defect density."""
+        """The ``optimal`` ranking, by defect density (label / effort)
+        descending with smaller effort first on ties, or else the ``worst``
+        one: density ascending, larger effort first on ties."""
         density = self.actual / self.efforts
         # lexsort sorts by its last key first and is stable
         if ordering == "optimal":
             return np.lexsort((self.efforts, -density))
-        if ordering == "worst":
-            return np.lexsort((-self.efforts, density))
-        raise ValueError(f"unknown ordering {ordering!r}")
+        return np.lexsort((-self.efforts, density))
 
     @cached_property
     def _extreme_areas(self) -> tuple[float, float]:

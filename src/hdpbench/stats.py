@@ -167,31 +167,9 @@ def cliffs_delta(x: Sequence[float], y: Sequence[float]) -> float:
     y = np.asarray(y, dtype=float)
     if len(x) == 0 or len(y) == 0:
         raise ValueError("both samples must be non-empty")
-    greater = int(np.sum(x[:, None] > y[None, :]))
-    less = int(np.sum(x[:, None] < y[None, :]))
+    greater = np.count_nonzero(x[:, None] > y[None, :])
+    less = np.count_nonzero(x[:, None] < y[None, :])
     return (greater - less) / (len(x) * len(y))
-
-
-def compare_pair(
-    x: Sequence[float | None],
-    y: Sequence[float | None],
-    adjusted_p: float | None = None,
-) -> str:
-    """'win' / 'tie' / 'loss' for the first sample against the second.
-
-    ``wtl_outcome`` at the Wilcoxon p-value, or at ``adjusted_p`` when it is
-    given (a BH-corrected one, say). Pairs with an absent value on either
-    side are dropped; fewer than two surviving pairs is a tie.
-    """
-    if len(x) != len(y):
-        raise ValueError("paired samples must have equal length")
-    kept = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
-    if len(kept) < 2:
-        return "tie"
-    xs = [a for a, _ in kept]
-    ys = [b for _, b in kept]
-    p = wilcoxon_signed_rank(xs, ys) if adjusted_p is None else adjusted_p
-    return wtl_outcome(p, xs, ys)
 
 
 def wtl_outcome(p: float, x: Sequence[float], y: Sequence[float]) -> str:
@@ -219,10 +197,6 @@ class WtlRecord:
         if min(self.win, self.tie, self.loss) < 0:
             raise ValueError("counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.win + self.tie + self.loss
-
     def __str__(self) -> str:
         return f"{self.win}/{self.tie}/{self.loss}"
 
@@ -233,12 +207,6 @@ class SkRanking:
 
     groups: tuple[tuple[str, ...], ...]
     means: dict[str, float]
-
-    def rank_of(self, method: str) -> int:
-        for rank, group in enumerate(self.groups, start=1):
-            if method in group:
-                return rank
-        raise KeyError(method)
 
 
 _SK_FACTOR = math.pi / (2.0 * (math.pi - 2.0))
@@ -313,10 +281,6 @@ class ContingencyTable:
         if min(self.n_cc, self.n_cw, self.n_wc, self.n_ww) < 0:
             raise ValueError("counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.n_cc + self.n_cw + self.n_wc + self.n_ww
-
 
 def mcnemar_pvalues(n_cw, n_wc) -> np.ndarray:
     """Asymptotic McNemar p-values without continuity correction, one per
@@ -338,27 +302,6 @@ def mcnemar_pvalues(n_cw, n_wc) -> np.ndarray:
 def mcnemar(ct: ContingencyTable) -> float:
     """``mcnemar_pvalues`` of one contingency table."""
     return float(mcnemar_pvalues(ct.n_cw, ct.n_wc))
-
-
-def diversity_table(
-    predicted_a: Sequence[bool], predicted_b: Sequence[bool], actual: Sequence[bool]
-) -> ContingencyTable:
-    """Contingency counts restricted to defective modules; a correct
-    prediction is predicting defective. All three vectors are per-module
-    flags in the same row order."""
-    a = np.asarray(predicted_a, dtype=bool)
-    b = np.asarray(predicted_b, dtype=bool)
-    actual = np.asarray(actual, dtype=bool)
-    if a.ndim != 1 or not a.shape == b.shape == actual.shape:
-        raise ValueError(
-            f"predictions and truth must be equal-length vectors, got shapes "
-            f"{a.shape}, {b.shape} and {actual.shape}"
-        )
-    a, b = a[actual], b[actual]
-    n_cc = int(np.count_nonzero(a & b))
-    n_cw = int(np.count_nonzero(a)) - n_cc
-    n_wc = int(np.count_nonzero(b)) - n_cc
-    return ContingencyTable(n_cc, n_cw, n_wc, len(a) - n_cc - n_cw - n_wc)
 
 
 def satisfactory(precision: float, recall: float, criterion: str) -> bool:

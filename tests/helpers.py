@@ -1,14 +1,19 @@
 """Shared test fixtures: in-memory dataset construction, the 34-project
-benchmark stub schemas, and a small synthetic benchmark on disk."""
+benchmark stub schemas, a small synthetic benchmark on disk, and probes of
+the effort curves P_opt integrates and of the diversity report's counts."""
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Mapping, Sequence
+from unittest import mock
 
 import numpy as np
 
+from hdpbench import harness, stats
 from hdpbench.datasets import DefectDataset, MetricSchema
+from hdpbench.measures import RankingScorer, score_order
 
 # (project, schema tag, metric count, modules, defective) for the five
 # public benchmark groups; NASA splits into five metric-set variants.
@@ -189,3 +194,46 @@ def write_synthetic_benchmark(
         f"seed = {seed}\n"
     )
     return config
+
+
+def scorer_curve(
+    scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool], ordering: str,
+) -> tuple[tuple[tuple[float, float], ...], float]:
+    """The (x, y) points and the area of an effort curve that
+    ``RankingScorer`` integrates for P_opt: the ranking ``by_score`` or the
+    ``optimal`` or ``worst`` one."""
+    record = RankingScorer(efforts, actual)
+    if ordering == "by_score":
+        order = score_order(np.asarray(scores, dtype=float))
+    else:
+        order = record._extreme_order(ordering)
+    ranked = record._ranked(order)
+    x, y = record._curve(ranked)
+    return tuple(zip(x.tolist(), y.tolist())), record._area(ranked)
+
+
+def diversity_report(
+    labels: Mapping[str, Sequence[bool]], truth: Sequence[bool]
+) -> tuple[list[int], list[int], list[float], str]:
+    """``harness._report_diversity`` on one plan of one target with truth
+    ``truth``, on which each method of ``labels`` (one whose only label
+    variant is its own name, in config order) predicts its flags.
+
+    Returns the discordant counts n_cw and n_wc that the report passed to
+    ``stats.mcnemar_pvalues`` and the p-values it got, one per method pair
+    in the report's order, and the report's text.
+    """
+    methods = tuple(labels)
+    cfg = harness.ExperimentConfig(manifest="manifest.ini", output_dir="out", methods=methods,
+                                   measures=("f1",))
+    truth = np.asarray(truth, dtype=bool)
+    predictions = {(m, "s", "t"): np.asarray(flags, dtype=bool) for m, flags in labels.items()}
+    result = harness.ExperimentResult.from_blocks(
+        cfg, [("s", "t")], [0.5] * len(methods), [""] * len(methods), {"t": "g"},
+        {"t": truth}, predictions, 1,
+    )
+    calls = []
+    with mock.patch.object(stats, "mcnemar_pvalues", wraps=stats.mcnemar_pvalues) as spy:
+        text = harness._report_diversity(result, harness._target_slices(result))
+        (n_cw, n_wc), = [c.args for c in spy.call_args_list]
+    return n_cw[0].tolist(), n_wc[0].tolist(), stats.mcnemar_pvalues(n_cw, n_wc)[0].tolist(), text

@@ -3,12 +3,12 @@
 Each section here reads a dict keyed by (method, source, target, measure)
 and makes one statistics call per target, plan or pair: Scott-Knott and
 win/tie/loss samples come from dict lookups, each plan pair gets its own
-``diversity_table`` and scalar McNemar test, and each Wilcoxon call ranks and
-counts its null distribution again. The harness builds the same sections
-from one value table, one array pass per target and one batched Wilcoxon
-call per report; tests require byte-equal text. Wilcoxon, McNemar and
-Scott-Knott come from ``reference_stats``, so the oracles share none of the
-new arithmetic.
+loop contingency count and scalar McNemar test, and each Wilcoxon call
+ranks and counts its null distribution again. The harness builds the same
+sections from one value table, one array pass per target and one batched
+Wilcoxon call per report; tests require byte-equal text. Wilcoxon, the
+contingency count, McNemar and Scott-Knott come from ``reference_stats``,
+so the oracles share none of the new arithmetic.
 
 ``load_results`` and ``value_table`` are the loader and the report table
 from before ``ExperimentResult`` held the table: the loader parses one
@@ -247,7 +247,7 @@ def wtl_matrix(
     win = tie = loss = 0
     for target, (xs, ys) in paired.items():
         if target in adjusted:
-            outcome = stats.compare_pair(xs, ys, adjusted_p=adjusted[target])
+            outcome = stats.wtl_outcome(adjusted[target], xs, ys)
         else:
             outcome = "tie"
         win += outcome == "win"
@@ -299,7 +299,7 @@ def _report_diversity(result: ExperimentResult) -> str:
                     continue
                 group = result.target_groups[target]
                 total[group] += 1
-                table = stats.diversity_table(flags_a, flags_b, result.target_truth[target])
+                table = reference_stats.contingency_table(flags_a, flags_b, result.target_truth[target])
                 if reference_stats.mcnemar(table) < stats.ALPHA:
                     sig[group] += 1
             cells = [f"{sig[g]}/{total[g]}" for g in groups]

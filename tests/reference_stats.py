@@ -6,8 +6,12 @@ once per tie pattern; ``stats.wilcoxon_signed_rank`` is its one-part case.
 ``wilcoxon_exact`` builds the 2^n x n sign matrix and reads the tail shares
 from every sign assignment's rank sum; ``wilcoxon_signed_rank`` here is the
 counted version before the cache. All count the same assignments, so tests
-compare them with ``==``. ``mcnemar`` is the scalar form that
-``stats.mcnemar_pvalues`` replaced. ``scott_knott`` takes every mean with
+compare them with ``==``. ``contingency_table`` counts two methods'
+predictions over the defective modules one module at a time, where the
+diversity report takes one integer product, and ``mcnemar`` is the scalar
+form that ``stats.mcnemar_pvalues`` replaced. ``cliffs_delta`` counts its
+boolean matrices with ``np.sum``, where the package calls
+``np.count_nonzero``. ``scott_knott`` takes every mean with
 ``ndarray.mean``, where the package sums over the count; tests require equal
 groups and means under ``==``.
 """
@@ -79,6 +83,27 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
     sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(tie_counts**3 - tie_counts)) / 48.0
     z = max(abs(w_plus - mu) - 0.5, 0.0) / math.sqrt(sigma2)
     return math.erfc(z / math.sqrt(2.0))
+
+
+def contingency_table(
+    predicted_a: Sequence[bool], predicted_b: Sequence[bool], actual: Sequence[bool]
+) -> ContingencyTable:
+    """Counts over the defective modules of ``actual``, one module at a
+    time; a correct prediction is predicting defective."""
+    counts = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+    for a, b, defective in zip(predicted_a, predicted_b, actual, strict=True):
+        if defective:
+            counts[bool(a), bool(b)] += 1
+    return ContingencyTable(*counts.values())
+
+
+def cliffs_delta(x: Sequence[float], y: Sequence[float]) -> float:
+    """Cliff's delta with its comparison counts summed by ``np.sum``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    greater = int(np.sum(x[:, None] > y[None, :]))
+    less = int(np.sum(x[:, None] < y[None, :]))
+    return (greater - less) / (len(x) * len(y))
 
 
 def mcnemar(ct: ContingencyTable) -> float:

@@ -17,6 +17,7 @@ from hdpbench.hdp import match_from_weights
 from helpers import (
     NASA_TAGS,
     benchmark_stub_datasets,
+    diversity_report,
     write_benchmark_stub_files,
     write_synthetic_benchmark,
 )
@@ -58,16 +59,15 @@ def test_criterion_02_mcnemar_worked_examples():
         "m2": [1, 1, 1, 1, 1, 0, 1, 1, 1, 1],
         "m3": [0, 0, 1, 1, 0, 0, 0, 1, 1, 0],
     }
-    truth = np.ones(10, dtype=bool)
-
-    def as_preds(key):
-        return udp.Prediction(table[key], table[key]).predicted
-
-    p12 = stats.mcnemar(stats.diversity_table(as_preds("m1"), as_preds("m2"), truth))
-    p13 = stats.mcnemar(stats.diversity_table(as_preds("m1"), as_preds("m3"), truth))
+    # the diversity report's own count and McNemar call, m1-m3 as three methods
+    n_cw, n_wc, (p12, p13, _), text = diversity_report(
+        {"cla": table["m1"], "clami": table["m2"], "spectral": table["m3"]}, np.ones(10, dtype=bool)
+    )
     elapsed = time.perf_counter() - start
+    assert (n_cw[:2], n_wc[:2]) == ([1, 2], [8, 4])
     assert p12 == pytest.approx(0.0196, abs=1e-3)
     assert p13 == pytest.approx(0.4142, abs=1e-3)
+    assert "cla vs clami      | 1/1 |" in text and "cla vs spectral   | 0/1 |" in text
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 02 PASS mcnemar worked examples (p={p12:.4f}, {p13:.4f}, {elapsed:.3f}s)")
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hdpbench import cli
 from hdpbench.datasets import (
     CombinationPlan,
     DatasetError,
@@ -66,6 +67,14 @@ def test_label_spellings():
         normalize_label("whatever")
 
 
+def test_nan_labels_are_rejected_and_other_counts_kept():
+    for raw in ("nan", "NaN", " -nan "):
+        with pytest.raises(DatasetError, match=f"^unrecognized label value {raw!r}$"):
+            normalize_label(raw)
+    assert normalize_label("inf") and normalize_label("3")
+    assert not normalize_label("-inf") and not normalize_label("-2")
+
+
 def test_missing_label_column(tmp_path):
     with pytest.raises(MissingLabelColumn):
         load_dataset(write_csv(tmp_path, "m1,m2\n1,2\n"))
@@ -82,8 +91,11 @@ def test_non_numeric_metric_cell(tmp_path):
     ("1,0\n2\n", DatasetError, ":4: 1 cells, expected 2"),
     ("1,0\noops,1\n", NonNumericMetric, ":4: non-numeric cell 'oops' in metric 'm1'"),
     ("1,0\n2,maybe\n", DatasetError, ":4: unrecognized label value 'maybe'"),
+    # a NaN count was once read as a clean module
+    ("1,0\n2,nan\n", DatasetError, ":4: unrecognized label value 'nan'"),
+    ("1,0\n2,NaN\n", DatasetError, ":4: unrecognized label value 'NaN'"),
     ("1,0\n-inf,1\n", NonNumericMetric, ":4: non-finite value in metric 'm1'"),
-], ids=["short-row", "non-numeric", "label", "non-finite"])
+], ids=["short-row", "non-numeric", "label", "nan-label", "NaN-label", "non-finite"])
 def test_csv_row_errors_name_the_path_and_the_line(tmp_path, rows, error, message):
     path = write_csv(tmp_path, "m1,bug\n\n" + rows)
     with pytest.raises(error) as caught:
@@ -107,6 +119,36 @@ def test_arff_row_errors_name_the_path_and_the_line(tmp_path):
     with pytest.raises(NonNumericMetric) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}:9: non-numeric cell 'x' in metric 'loc'"
+
+
+ARFF_DATA = "@attribute class {Y,N}\n@data\n10,Y\n"
+
+
+@pytest.mark.parametrize("header, message", [
+    # these raised IndexError, ValueError and a DatasetError without the path
+    ("@relation demo\n@attribute\n", ":2: @attribute without a name"),
+    ("@relation demo\n\n@attribute 'loc numeric\n", ":3: unterminated quoted attribute name"),
+], ids=["bare-attribute", "unterminated-quote"])
+def test_arff_header_errors_name_the_path_and_the_line(tmp_path, header, message):
+    path = write_csv(tmp_path, header + ARFF_DATA, "demo.arff")
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}{message}"
+
+
+def test_arff_without_attributes_names_the_path(tmp_path):
+    path = write_csv(tmp_path, "@relation demo\n@data\n10,Y\n", "demo.arff")
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: arff file has no @attribute declarations"
+
+
+@pytest.mark.parametrize("header", ["@attribute\n", "@attribute 'loc numeric\n", ""])
+def test_cli_stats_on_a_bad_arff_header_exits_1(tmp_path, capsys, header):
+    path = write_csv(tmp_path, "@relation demo\n" + header + "@data\n10,Y\n", "demo.arff")
+    assert cli.main(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "Traceback" not in err
 
 
 def test_schema_metric_count_mismatch(tmp_path):

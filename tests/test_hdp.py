@@ -12,13 +12,14 @@ from hdpbench.hdp import (
     DatasetProfile,
     HdpOutcome,
     MetricMatch,
+    _sorted_columns,
     distribution_vector,
     equal_frequency_bins,
     gain_ratio,
     hdp1_predict,
     hdp5_predict,
     ks_pvalue,
-    ks_statistic,
+    ks_statistics,
     match_from_weights,
     max_weight_assignment,
     match_metrics,
@@ -100,13 +101,19 @@ def test_select_top_metrics_finds_label_copy():
 # Kolmogorov-Smirnov
 
 
+def ks_matrix(xs, ys):
+    """KS statistics of every column of ``xs`` against every column of ``ys``."""
+    return ks_statistics(*_sorted_columns(np.asarray(xs, dtype=float)),
+                         *_sorted_columns(np.asarray(ys, dtype=float)))
+
+
 def test_ks_identical_samples():
-    assert ks_statistic([1, 2, 3], [1, 2, 3]) == 0.0
+    assert ks_matrix([[1], [2], [3]], [[1], [2], [3]]).tolist() == [[0.0]]
     assert ks_pvalue([1, 2, 3], [1, 2, 3]) == 1.0
 
 
 def test_ks_disjoint_supports():
-    assert ks_statistic([1, 2, 3], [10, 11, 12]) == 1.0
+    assert ks_matrix([[1], [2], [3]], [[10], [11], [12]]).tolist() == [[1.0]]
 
 
 def brute_force_ks(a, b):
@@ -120,10 +127,12 @@ def brute_force_ks(a, b):
 
 def test_ks_statistic_matches_ecdf_enumeration():
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        a = rng.normal(size=30)
-        b = rng.normal(0.3, 1.2, size=30)
-        assert ks_statistic(a, b) == pytest.approx(brute_force_ks(a, b), abs=1e-12)
+    for _ in range(5):
+        xs = rng.normal(size=(30, 4))
+        ys = rng.normal(0.3, 1.2, size=(30, 4))
+        stats = ks_matrix(xs, ys)
+        for i, j in itertools.product(range(4), range(4)):
+            assert stats[i, j] == pytest.approx(brute_force_ks(xs[:, i], ys[:, j]), abs=1e-12)
 
 
 def test_ks_symmetry_and_monotone_invariance():

@@ -12,12 +12,12 @@ from hdpbench.measures import (
     auc,
     compute_measure,
     confusion,
-    effort_curve,
     ifa,
     pmi_at,
     popt,
     prf1,
 )
+from helpers import scorer_curve
 
 
 def preds_from(scores, efforts):
@@ -69,8 +69,6 @@ def test_unequal_vectors_rejected_by_every_measure():
         (long, long, flags[:1]),
     ):
         with pytest.raises(ValueError):
-            effort_curve(scores, efforts, actual)
-        with pytest.raises(ValueError):
             popt(scores, efforts, actual)
         with pytest.raises(ValueError):
             acc_at(scores, efforts, actual)
@@ -97,9 +95,6 @@ def test_measures_reject_non_positive_effort(bad):
     for measure in MEASURE_IDS:
         with pytest.raises(ValueError, match="efforts must be positive"):
             compute_measure(measure, scores, actual, efforts, actual)
-    for ordering in ("by_score", "optimal", "worst"):
-        with pytest.raises(ValueError, match="efforts must be positive"):
-            effort_curve(scores, efforts, actual, ordering)
     with pytest.raises(ValueError, match="efforts must be positive"):
         popt(scores, efforts, actual)
     with pytest.raises(ValueError, match="efforts must be positive"):
@@ -222,19 +217,19 @@ def test_auc_invariant_under_increasing_transform():
 
 
 def test_effort_curve_single_defective_module():
-    curve = effort_curve(*preds_from([1.0], [7.0]), truth_from([True]))
-    assert curve.points == ((0.0, 0.0), (1.0, 1.0))
+    points, _ = scorer_curve(*preds_from([1.0], [7.0]), truth_from([True]), "by_score")
+    assert points == ((0.0, 0.0), (1.0, 1.0))
 
 
 def test_effort_curve_three_module_trapezoid():
-    curve = effort_curve(*preds_from([3, 2, 1], [1, 2, 1]), truth_from([1, 0, 1]), "by_score")
-    assert curve.points == ((0.0, 0.0), (0.25, 0.5), (0.75, 0.5), (1.0, 1.0))
-    assert curve.area() == pytest.approx(0.5)
+    points, area = scorer_curve(*preds_from([3, 2, 1], [1, 2, 1]), truth_from([1, 0, 1]), "by_score")
+    assert points == ((0.0, 0.0), (0.25, 0.5), (0.75, 0.5), (1.0, 1.0))
+    assert area == pytest.approx(0.5)
 
 
 def test_effort_curve_needs_defects():
     with pytest.raises(NoDefects):
-        effort_curve(*preds_from([1, 2], [1, 1]), truth_from([0, 0]))
+        scorer_curve(*preds_from([1, 2], [1, 1]), truth_from([0, 0]), "by_score")
 
 
 def test_optimal_curve_dominates_by_score_curve():
@@ -246,11 +241,11 @@ def test_optimal_curve_dominates_by_score_curve():
         labels[int(rng.integers(0, n))] = True
         preds = preds_from(rng.random(n), efforts)
         truth = truth_from(labels)
-        method = effort_curve(*preds, truth, "by_score")
-        optimal = effort_curve(*preds, truth, "optimal")
-        xs_o = [p[0] for p in optimal.points]
-        ys_o = [p[1] for p in optimal.points]
-        for x, y in method.points:
+        method, _ = scorer_curve(*preds, truth, "by_score")
+        optimal, _ = scorer_curve(*preds, truth, "optimal")
+        xs_o = [p[0] for p in optimal]
+        ys_o = [p[1] for p in optimal]
+        for x, y in method:
             assert np.interp(x, xs_o, ys_o) >= y - 1e-12
 
 

@@ -7,7 +7,7 @@ the same order and break ties the same way, not merely come close.
 
 import numpy as np
 import pytest
-from helpers import make_dataset
+from helpers import make_dataset, scorer_curve
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
@@ -22,7 +22,6 @@ from hdpbench.measures import (
     RankingScorer,
     acc_at,
     compute_measure,
-    effort_curve,
     ifa,
     pmi_at,
     popt,
@@ -89,16 +88,18 @@ def test_measure_functions_equal_loop_reference(case):
 
 @given(prediction_cases())
 def test_effort_curve_points_equal_loop_reference(case):
+    """The curves P_opt integrates, point by point, so that the tie rules of
+    the optimal and the worst ranking show even where the areas agree."""
     scores, _, efforts, actual, _ = case
     for ordering in ("by_score", "optimal", "worst"):
         if not actual.any():  # the loop reference raises NoDefects too
             with pytest.raises(NoDefects):
-                effort_curve(scores, efforts, actual, ordering)
+                scorer_curve(scores, efforts, actual, ordering)
             continue
-        curve = effort_curve(scores, efforts, actual, ordering)
+        points, area = scorer_curve(scores, efforts, actual, ordering)
         expected = ref.effort_curve_points(scores, efforts, actual, ordering)
-        assert curve.points == expected, ordering
-        assert curve.area() == ref.area(expected), ordering
+        assert points == expected, ordering
+        assert area == ref.area(expected), ordering
 
 
 @given(st.lists(st.integers(-4, 4).map(lambda v: v / 3.0), min_size=1, max_size=40))

@@ -16,15 +16,15 @@ from hdpbench.stats import (
     average_ranks,
     bh_adjust,
     cliffs_delta,
-    compare_pair,
-    diversity_table,
     mcnemar,
     satisfactory,
     satisfactory_ratio,
     scott_knott,
     wilcoxon_signed_rank,
+    wtl_outcome,
 )
 from hdpbench.udp import Prediction
+from helpers import diversity_report
 
 # ---------------------------------------------------------------------------
 # average ranks
@@ -188,20 +188,25 @@ def test_cliffs_antisymmetry(x, y):
 
 
 # ---------------------------------------------------------------------------
-# compare_pair
+# win/tie/loss outcome
+
+
+def outcome(x, y):
+    """The report's call for one target, at its unadjusted p-value."""
+    return wtl_outcome(wilcoxon_signed_rank(x, y), x, y)
 
 
 def test_compare_identical_is_tie():
     x = list(range(20))
-    assert compare_pair(x, x) == "tie"
+    assert outcome(x, x) == "tie"
 
 
 def test_compare_large_shift_wins():
     rng = np.random.default_rng(5)
     y = rng.random(20).tolist()
     x = [v + 10 for v in y]
-    assert compare_pair(x, y) == "win"
-    assert compare_pair(y, x) == "loss"
+    assert outcome(x, y) == "win"
+    assert outcome(y, x) == "loss"
 
 
 def test_compare_negligible_effect_is_tie():
@@ -209,13 +214,7 @@ def test_compare_negligible_effect_is_tie():
     rng = np.random.default_rng(6)
     y = rng.normal(0, 1, 40)
     x = y + 1e-6
-    assert compare_pair(list(x), list(y), adjusted_p=0.001) == "tie"
-
-
-def test_compare_drops_absent_pairs():
-    x = [1.0, None, 3.0]
-    y = [0.5, 2.0, None]
-    assert compare_pair(x, y) == "tie"  # one surviving pair
+    assert wtl_outcome(0.001, x, y) == "tie"
 
 
 def test_compare_invariant_under_affine_transform():
@@ -223,9 +222,7 @@ def test_compare_invariant_under_affine_transform():
     for _ in range(10):
         y = rng.normal(size=15)
         x = y + rng.normal(0.5, 0.3, size=15)
-        base = compare_pair(list(x), list(y))
-        scaled = compare_pair(list(3 * x + 11), list(3 * y + 11))
-        assert base == scaled
+        assert outcome(x, y) == outcome(3 * x + 11, 3 * y + 11)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,6 @@ def test_scott_knott_clearly_separated_methods():
     }
     ranking = scott_knott(samples)
     assert ranking.groups == (("good",), ("bad",))
-    assert ranking.rank_of("good") == 1
 
 
 def test_scott_knott_identically_distributed_usually_one_group():
@@ -314,16 +310,16 @@ def paper_truth():
 
 
 def test_diversity_counts_for_worked_example():
-    table = diversity_table(paper_preds("method1"), paper_preds("method2"), paper_truth())
-    assert (table.n_cc, table.n_cw, table.n_wc, table.n_ww) == (1, 1, 8, 0)
-    assert table.total == 10
+    n_cw, n_wc, _, _ = diversity_report(
+        {"cla": paper_preds("method1"), "clami": paper_preds("method2")}, paper_truth()
+    )
+    assert (n_cw, n_wc) == ([1], [8])
 
 
 def test_mcnemar_reproduces_worked_p_values():
-    t12 = diversity_table(paper_preds("method1"), paper_preds("method2"), paper_truth())
-    assert mcnemar(t12) == pytest.approx(0.0196, abs=1e-3)
-    t13 = diversity_table(paper_preds("method1"), paper_preds("method3"), paper_truth())
-    assert mcnemar(t13) == pytest.approx(0.4142, abs=1e-3)
+    # method1 against method2, then against method3
+    assert mcnemar(ContingencyTable(1, 1, 8, 0)) == pytest.approx(0.0196, abs=1e-3)
+    assert mcnemar(ContingencyTable(0, 2, 4, 4)) == pytest.approx(0.4142, abs=1e-3)
 
 
 def test_mcnemar_balanced_discordants():
@@ -343,69 +339,16 @@ def test_mcnemar_equals_chi2_sf_on_a_grid():
 
 
 def test_diversity_identical_predictions():
-    table = diversity_table(paper_preds("method1"), paper_preds("method1"), paper_truth())
-    assert table.n_cw == 0 and table.n_wc == 0
+    n_cw, n_wc, p, text = diversity_report(
+        {"cla": paper_preds("method1"), "clami": paper_preds("method1")}, paper_truth()
+    )
+    assert (n_cw, n_wc, p) == ([0], [0], [1.0])
+    assert "cla vs clami | 0/1 |" in text
 
 
 def test_diversity_ignores_non_defective_modules():
-    table = diversity_table([True, False], [False, True], [True, False])
-    assert table.total == 1
-    assert table.n_cw == 1
-
-
-def test_diversity_length_error():
-    one, three = np.ones(1, dtype=bool), np.ones(3, dtype=bool)
-    # a length-1 vector must raise against length-n ones, not broadcast
-    for a, b, truth in ((one, three, three), (three, one, three), (three, three, one),
-                        (three, three, three[:2])):
-        with pytest.raises(ValueError):
-            diversity_table(a, b, truth)
-    with pytest.raises(ValueError):
-        diversity_table(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool),
-                        np.ones((2, 2), dtype=bool))
-
-
-def contingency_from_bits(a: str, b: str, truth: str) -> ContingencyTable:
-    """Loop reference over '0'/'1' label strings, one character per module."""
-    cc = cw = wc = ww = 0
-    for pa, pb, t in zip(a, b, truth):
-        if t != "1":
-            continue
-        if pa == "1" and pb == "1":
-            cc += 1
-        elif pa == "1":
-            cw += 1
-        elif pb == "1":
-            wc += 1
-        else:
-            ww += 1
-    return ContingencyTable(cc, cw, wc, ww)
-
-
-@st.composite
-def label_triples(draw):
-    n = draw(st.integers(0, 40))
-    bits = st.text(alphabet="01", min_size=n, max_size=n)
-    kind = draw(st.sampled_from(["mixed", "all_defective", "none_defective", "identical"]))
-    a = draw(bits)
-    b = a if kind == "identical" else draw(bits)
-    if kind == "all_defective":
-        return a, b, "1" * n
-    if kind == "none_defective":
-        return a, b, "0" * n
-    return a, b, draw(bits)
-
-
-def flags(bits: str) -> np.ndarray:
-    return np.array([c == "1" for c in bits], dtype=bool)
-
-
-@given(label_triples())
-def test_diversity_table_equals_loop_reference(case):
-    a, b, truth = case
-    table = diversity_table(flags(a), flags(b), flags(truth))
-    assert table == contingency_from_bits(a, b, truth)
-    assert table.total == truth.count("1")
+    n_cw, n_wc, _, _ = diversity_report({"cla": [True, False], "clami": [False, True]}, [True, False])
+    assert (n_cw, n_wc) == ([1], [0])
 
 
 # ---------------------------------------------------------------------------

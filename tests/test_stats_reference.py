@@ -5,8 +5,11 @@
 many parts at once, once per tie pattern, and
 ``reference_stats.wilcoxon_signed_rank`` counts them on every call, one pair
 of samples at a time. ``reference_stats.mcnemar`` is the scalar McNemar test
-on Python ints, and ``reference_stats.scott_knott`` takes its means with
-``ndarray.mean``. Every comparison uses ``==``.
+on Python ints, and ``reference_stats.contingency_table`` counts one
+module at a time what the diversity report counts with one integer product.
+``reference_stats.cliffs_delta`` sums its comparisons with ``np.sum``, and
+``reference_stats.scott_knott`` takes its means with ``ndarray.mean``. Every
+comparison uses ``==``.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 import reference_stats as ref
 from hdpbench import stats
+from helpers import diversity_report
 
 # few distinct values give tied |differences| and zero differences
 TIED = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
@@ -75,6 +79,38 @@ def test_mcnemar_pvalues_equal_the_scalar_forms_on_every_count_up_to_60():
     assert got == [stats.mcnemar(t) for t in tables]
     # and in any array shape
     assert stats.mcnemar_pvalues(n_cw.reshape(61, 61), n_wc.reshape(61, 61)).ravel().tolist() == got
+
+
+@st.composite
+def label_triples(draw):
+    """Two methods' flags and the truth over 1-40 modules."""
+    n = draw(st.integers(1, 40))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["mixed", "all_defective", "none_defective", "identical"]))
+    a = draw(bits)
+    b = a if kind == "identical" else draw(bits)
+    if kind == "all_defective":
+        return a, b, [True] * n
+    if kind == "none_defective":
+        return a, b, [False] * n
+    return a, b, draw(bits)
+
+
+@given(label_triples())
+def test_diversity_report_counts_equal_the_loop_count(case):
+    a, b, truth = case
+    n_cw, n_wc, p, _ = diversity_report({"cla": a, "clami": b}, truth)
+    table = ref.contingency_table(a, b, truth)
+    assert (n_cw, n_wc) == ([table.n_cw], [table.n_wc])
+    assert p == [ref.mcnemar(table)]
+
+
+@given(
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=30),
+    st.lists(st.integers(-3, 3).map(float) | st.sampled_from([-0.0, 1e300]), min_size=1, max_size=30),
+)
+def test_cliffs_delta_equals_the_summed_counts(x, y):
+    assert stats.cliffs_delta(x, y) == ref.cliffs_delta(x, y)
 
 
 ZEROS = st.sampled_from([0.0, -0.0])
