@@ -80,7 +80,6 @@ def main() -> None:
         "output_dir = results\n"
         "methods = hdp1 hdp5 cla clami spectral manual bestmetric\n"
         "measures = precision recall f1 auc acc popt pmi20 ifa\n"
-        "effort_fraction = 0.2\n"
         "scenario = scenario1\n"
         "seed = 7\n"
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -157,11 +157,12 @@ def _build_dataset(
     group_name: str,
     granularity: str,
     loc_metric: str | None,
-    label_index: int | None = None,
+    label_index: int | None,
 ) -> DefectDataset:
     """The dataset named after ``path``'s stem; ``rows`` pairs each row's
     cells with its 1-based line number in the file, which row errors name
-    along with the path."""
+    along with the path. A ``label_index`` of None means the first column
+    with a label name."""
     if label_index is None:
         matches = [i for i, h in enumerate(header) if h.strip().lower() in LABEL_COLUMN_NAMES]
         if not matches:
@@ -287,7 +288,7 @@ def load_dataset(
         granularity = schema.granularity
     try:
         return _build_dataset(path, header, rows, schema, group_name, granularity, loc_metric,
-                              label_index=label_index)
+                              label_index)
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
 
@@ -336,7 +337,7 @@ class GroupSpec:
     name: str
     loc_metric: str
     granularity: str
-    files: tuple[Path, ...] = field(default_factory=tuple)
+    files: tuple[Path, ...]
 
 
 def read_ini(path: Path, error: type[ValueError] = DatasetError) -> configparser.ConfigParser:
@@ -362,17 +363,24 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
     """Parse a group manifest: one section per group, key-value entries.
 
     Keys: ``loc_metric``, ``granularity``, ``files`` (whitespace- or
-    comma-separated paths relative to the manifest).
+    comma-separated paths relative to the manifest, at least one). Any other
+    key, or a group without a file, raises ``DatasetError`` naming the
+    manifest and the group.
     """
     path = Path(path)
     parser = read_ini(path)
     groups = []
     for section in parser.sections():
         entries = parser[section]
+        for key in entries:
+            if key not in ("loc_metric", "granularity", "files"):
+                raise DatasetError(f"{path}: unknown key {key!r} in group [{section}]")
         for key in ("loc_metric", "granularity"):
             if key not in entries:
                 raise DatasetError(f"manifest group {section!r} is missing {key!r}")
         raw_files = entries.get("files", "").replace(",", " ").split()
+        if not raw_files:
+            raise DatasetError(f"{path}: group [{section}] lists no file")
         files = tuple(path.parent / f for f in raw_files)
         groups.append(GroupSpec(section, entries["loc_metric"], entries["granularity"], files))
     if not groups:

@@ -50,7 +50,6 @@ from .datasets import (
     load_manifest_datasets,
     read_ini,
 )
-from .measures import EFFORT_FRACTION
 
 # scenario -> the method whose failed plans it leaves out
 SCENARIOS = {"scenario1": None, "scenario2": "hdp1"}
@@ -62,12 +61,12 @@ class Method:
 
     - ``category``: "hdp" learns from each plan's source; "udp" ignores the
       source, so it runs, and is scored, once per target.
-    - ``function`` and ``inputs``: the call is ``function`` of the ``hdp``
-      module ("hdp") or the ``udp`` module ("udp") on the named inputs:
-      ``source``, ``target`` and ``effort_fraction``. The
-      function is looked up in its module at each call, never stored, so a
-      replaced module binding (a tracer's, a test's) is the one that runs.
-      ``profiled`` passes ``hdp.DatasetProfile``s as source and target.
+    - ``function``: the call is ``function`` of the ``hdp`` module on the
+      plan's source and target ("hdp"), or of the ``udp`` module on the
+      target alone ("udp"). The function is looked up in its module at each
+      call, never stored, so a replaced module binding (a tracer's, a
+      test's) is the one that runs. ``profiled`` passes
+      ``hdp.DatasetProfile``s as source and target.
     - ``choice``: the call returns one prediction per choice, keyed by
       choice, and this maps each measure to the key of the prediction it
       scores. Without it, the call's one prediction serves every measure.
@@ -78,33 +77,32 @@ class Method:
 
     category: str
     function: str
-    inputs: tuple[str, ...]
     profiled: bool = False
     choice: dict[str, str] | None = None
     variants: dict[str, str] | None = None
 
 
 METHODS = {
-    "hdp1": Method("hdp", "hdp1_predict", ("source", "target"), profiled=True),
-    "hdp5": Method("hdp", "hdp5_predict", ("source", "target")),
-    "cla": Method("udp", "cla_predict", ("target",)),
-    "clami": Method("udp", "clami_predict", ("target",)),
-    "spectral": Method("udp", "spectral_predict", ("target",)),
+    "hdp1": Method("hdp", "hdp1_predict", profiled=True),
+    "hdp5": Method("hdp", "hdp5_predict"),
+    "cla": Method("udp", "cla_predict"),
+    "clami": Method("udp", "clami_predict"),
+    "spectral": Method("udp", "spectral_predict"),
     # size ranking: larger-first for the classification measures,
     # smaller-first for the effort-aware ones
-    "manual": Method("udp", "manual_rank", ("target",), choice={
+    "manual": Method("udp", "manual_rank", choice={
         m: "down" if m in ("precision", "recall", "f1", "auc") else "up"
         for m in measures.MEASURE_IDS
     }),
     # precision and recall ride on the F1-oriented metric choice
     "bestmetric": Method(
-        "udp", "best_metric_oracle", ("target", "effort_fraction"),
+        "udp", "best_metric_oracle",
         choice={m: "f1" if m in ("precision", "recall") else m for m in measures.MEASURE_IDS},
         variants={"bestmetric-auc": "auc", "bestmetric-f1": "f1"},
     ),
 }
 # a registered method: _EXTERNAL_METHODS[name](source, target)
-_REGISTERED = Method("hdp", "", ("source", "target"))
+_REGISTERED = Method("hdp", "")
 
 ExternalMethod = Callable[[DefectDataset, DefectDataset], hdp.HdpOutcome]
 
@@ -121,7 +119,6 @@ class ExperimentConfig:
     output_dir: str
     methods: tuple[str, ...] = tuple(METHODS)
     measures: tuple[str, ...] = measures.MEASURE_IDS
-    effort_fraction: float = EFFORT_FRACTION  # by name: ``measures`` here is the field above
     scenario: str = "scenario1"
     seed: int = 0
 
@@ -130,8 +127,6 @@ class ExperimentConfig:
         object.__setattr__(self, "measures", tuple(self.measures))
         if not self.methods or not self.measures:
             raise ValueError("methods and measures must be non-empty")
-        if not 0 < self.effort_fraction <= 1:
-            raise ValueError("effort fraction must be in (0, 1]")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {tuple(SCENARIOS)}")
         unknown = [m for m in self.measures if m not in measures.MEASURE_IDS]
@@ -185,12 +180,22 @@ def external_methods() -> dict[str, ExternalMethod]:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a flat key-value experiment config ([experiment] section)."""
+    """Read a flat key-value experiment config ([experiment] section).
+    A key that is not a config field raises ``ValueError`` naming the file."""
     path = Path(path)
     parser = read_ini(path, ValueError)
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
     section = parser["experiment"]
+    # a key the section leaves out keeps ExperimentConfig's default
+    kinds = dict(methods=tuple, measures=tuple, scenario=str, seed=int)
+    for key in section:
+        if key not in ("manifest", "output_dir", "effort_fraction", *kinds):
+            raise ValueError(f"{path}: unknown key {key!r} in [experiment]")
+    # retired: every config.ini exported while the budget was a setting holds it at 0.2
+    fixed = repr(measures.EFFORT_FRACTION)
+    if section.get("effort_fraction", fixed) != fixed:
+        raise ValueError(f"{path}: effort_fraction is fixed at {fixed}")
     if "manifest" not in section:
         raise ValueError(f"{path}: missing manifest entry")
 
@@ -199,9 +204,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             return tuple(section[key].replace(",", " ").split())
         try:
             return kind(section[key])
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise ValueError(f"{path}: {key} = {section[key]!r} is not {noun}") from None
+        except ValueError:  # only int() can fail
+            raise ValueError(f"{path}: {key} = {section[key]!r} is not an integer") from None
 
     manifest = section["manifest"]
     if not Path(manifest).is_absolute():
@@ -210,8 +214,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not Path(output_dir).is_absolute():
         output_dir = str(path.parent / output_dir)
     fields = dict(manifest=manifest, output_dir=output_dir)
-    # a key the section leaves out keeps ExperimentConfig's default
-    kinds = dict(methods=tuple, measures=tuple, effort_fraction=float, scenario=str, seed=int)
     fields.update((key, _parse(key, kind)) for key, kind in kinds.items() if key in section)
     try:
         return ExperimentConfig(**fields)
@@ -293,11 +295,13 @@ class ExperimentResult:
 
 
 def _predict(
-    name: str, inputs: dict[str, object], measure_ids: Sequence[str], n_modules: int
+    name: str, source: DefectDataset | hdp.DatasetProfile,
+    target: DefectDataset | hdp.DatasetProfile, measure_ids: Sequence[str], n_modules: int,
 ) -> dict[str, udp.Prediction] | str:
     """``name``'s prediction for each measure it is scored on or exports, or
     the reason it failed: its own (a failed ``HdpOutcome``), an exception, or
-    a prediction that is not one label per target module."""
+    a prediction that is not one label per target module. An unsupervised
+    method is called on ``target`` alone."""
     method = _method(name)
     if method is _REGISTERED:
         fn = _EXTERNAL_METHODS[name]
@@ -305,7 +309,7 @@ def _predict(
         fn = getattr(hdp if method.category == "hdp" else udp, method.function)
     wanted = [*measure_ids, *_variants(name).values()]
     try:
-        output = fn(*(inputs[k] for k in method.inputs))
+        output = fn(source, target) if method.category == "hdp" else fn(target)
         if isinstance(output, hdp.HdpOutcome) and not output.ok:
             return output.failure
         chosen = {m: output[method.choice[m]] if method.choice else output for m in wanted}
@@ -320,7 +324,7 @@ def _predict(
 
 def _score(
     name: str, output: dict[str, udp.Prediction] | str, target: DefectDataset,
-    efforts: np.ndarray, measure_ids: Sequence[str], effort_fraction: float,
+    efforts: np.ndarray, measure_ids: Sequence[str],
 ) -> MethodResult:
     """Score ``_predict``'s output on every measure of ``measure_ids`` and
     pick out the method's exported variants; a failure fills every measure."""
@@ -328,7 +332,7 @@ def _score(
         return MethodResult({m: (None, output) for m in measure_ids}, {}, output)
     values = {
         m: measures.compute_measure(
-            m, output[m].scores, output[m].predicted, efforts, target.labels, effort_fraction
+            m, output[m].scores, output[m].predicted, efforts, target.labels
         )
         for m in measure_ids
     }
@@ -358,16 +362,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         key = (name, plan.source if method.category == "hdp" else "", plan.target)
         if key not in results:
             target = datasets[plan.target]
-            inputs = {"source": datasets[plan.source], "target": target,
-                      "effort_fraction": cfg.effort_fraction}
-            if method.profiled:
-                inputs.update(source=profile(plan.source), target=profile(plan.target))
+            inputs = ((profile(plan.source), profile(plan.target)) if method.profiled
+                      else (datasets[plan.source], target))
             # scenario2's filter method writes no rows unless it is configured
             measure_ids = cfg.measures if name in cfg.methods else ()
-            output = _predict(name, inputs, measure_ids, target.n_modules)
-            results[key] = _score(
-                name, output, target, efforts[plan.target], measure_ids, cfg.effort_fraction
-            )
+            output = _predict(name, *inputs, measure_ids, target.n_modules)
+            results[key] = _score(name, output, target, efforts[plan.target], measure_ids)
         return results[key]
 
     plans = all_plans
@@ -407,7 +407,6 @@ def _config_lines(cfg: ExperimentConfig) -> str:
         f"manifest = {cfg.manifest}\n"
         f"methods = {' '.join(cfg.methods)}\n"
         f"measures = {' '.join(cfg.measures)}\n"
-        f"effort_fraction = {cfg.effort_fraction!r}\n"
         f"scenario = {cfg.scenario}\n"
         f"seed = {cfg.seed}\n"
     )

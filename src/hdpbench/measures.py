@@ -2,9 +2,9 @@
 ACC, PMI, Popt, and IFA.
 
 Effort-aware measures charge inspection cost proportional to module LOC:
-modules are visited in score order (``score_order``) and the budget is a
-fraction of the total effort. The module that would cross the budget is
-excluded, which makes ACC and PMI consistent with each other.
+modules are visited in score order (``score_order``) and the budget is
+``EFFORT_FRACTION`` of the total effort. The module that would cross the
+budget is excluded, which makes ACC and PMI consistent with each other.
 
 Every function takes per-module vectors in target row order: float
 ``scores`` (higher means inspect earlier), bool ``predicted`` flags,
@@ -114,11 +114,10 @@ def score_order(scores: np.ndarray) -> np.ndarray:
 
 
 def _effort_aware(
-    measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool],
-    effort_fraction: float = EFFORT_FRACTION,
+    measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]
 ) -> float:
     scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
-    return RankingScorer(efforts, actual, effort_fraction).effort_aware(measure, score_order(scores))
+    return RankingScorer(efforts, actual).effort_aware(measure, score_order(scores))
 
 
 def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]) -> float:
@@ -130,20 +129,15 @@ def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[boo
     return _effort_aware("popt", scores, efforts, actual)
 
 
-def acc_at(
-    scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool],
-    effort_fraction: float = EFFORT_FRACTION,
-) -> float:
-    """Recall of defective modules within the given fraction of total effort."""
-    return _effort_aware("acc", scores, efforts, actual, effort_fraction)
+def acc_at(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]) -> float:
+    """Recall of defective modules within ``EFFORT_FRACTION`` of total effort."""
+    return _effort_aware("acc", scores, efforts, actual)
 
 
-def pmi_at(
-    scores: Sequence[float], efforts: Sequence[float], effort_fraction: float = EFFORT_FRACTION
-) -> float:
-    """Proportion of modules inspected within the given fraction of total effort."""
+def pmi_at(scores: Sequence[float], efforts: Sequence[float]) -> float:
+    """Proportion of modules inspected within ``EFFORT_FRACTION`` of total effort."""
     # PMI never reads the truth
-    return _effort_aware("pmi20", scores, efforts, np.zeros_like(scores, dtype=bool), effort_fraction)
+    return _effort_aware("pmi20", scores, efforts, np.zeros_like(scores, dtype=bool))
 
 
 def ifa(scores: Sequence[float], actual: Sequence[bool]) -> int:
@@ -154,15 +148,15 @@ def ifa(scores: Sequence[float], actual: Sequence[bool]) -> int:
 
 def compute_measure(
     measure: str, scores: Sequence[float], predicted: Sequence[bool],
-    efforts: Sequence[float], actual: Sequence[bool], effort_fraction: float = EFFORT_FRACTION,
+    efforts: Sequence[float], actual: Sequence[bool]
 ) -> tuple[float | None, str | None]:
     """Evaluate one measure on per-module vectors in target row order.
-    Every measure requires positive efforts and an effort fraction in
-    (0, 1]. Undefined cases yield (None, reason)."""
+    Every measure requires positive efforts. Undefined cases yield
+    (None, reason)."""
     scores, predicted, efforts, actual = _vectors(
         (scores, float), (predicted, bool), (efforts, float), (actual, bool)
     )
-    record = RankingScorer(efforts, actual, effort_fraction)
+    record = RankingScorer(efforts, actual)
     if measure in ("precision", "recall", "f1"):
         return prf1(confusion(predicted, actual))[measure], None
     if measure == "auc":
@@ -188,31 +182,26 @@ class RankingScorer:
     """One target's record, and the one implementation of every rule that
     scores a ranking of its modules.
 
-    The constructor checks the efforts, the truth (at least one module)
-    and the effort fraction, and keeps the totals and the inspection
-    budget. The optimal and worst P_opt areas ignore the scores; they are
-    computed on first use. ACC, P_opt, PMI and IFA all read one ranking's
+    The constructor checks the efforts and the truth (at least one
+    module), and keeps the totals and the inspection budget. The optimal
+    and worst P_opt areas ignore the scores; they are computed on first
+    use. ACC, P_opt, PMI and IFA all read one ranking's
     running sums.
     """
 
-    def __init__(
-        self, efforts: Sequence[float], actual: Sequence[bool],
-        effort_fraction: float = EFFORT_FRACTION,
-    ):
+    def __init__(self, efforts: Sequence[float], actual: Sequence[bool]):
         self.efforts, self.actual = _vectors((efforts, float), (actual, bool))
         if not len(self.actual):
             raise ValueError("per-module vectors must not be empty")
         if np.any(self.efforts <= 0):
             raise ValueError("efforts must be positive")
-        if not 0 < effort_fraction <= 1:
-            raise ValueError("effort fraction must be in (0, 1]")
         self.positives = np.flatnonzero(self.actual)  # an index array reads faster than a mask
         self.n_pos = len(self.positives)
         self.n_neg = len(self.actual) - self.n_pos
         self.total_effort = self.efforts.sum()
         # a relative slack of 1e-9 keeps rounding from excluding a module
         # that fits the budget exactly
-        self.budget = effort_fraction * float(self.total_effort) * (1 + 1e-9)
+        self.budget = EFFORT_FRACTION * float(self.total_effort) * (1 + 1e-9)
 
     def effort_aware(self, measure: str, order: np.ndarray) -> float:
         """ACC, P_opt, PMI or IFA (by id) of the ranking ``order``; raises

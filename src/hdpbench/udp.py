@@ -227,9 +227,7 @@ class BestMetric(NamedTuple):
     value: float | None
 
 
-def best_metric_oracle(
-    d: DefectDataset, effort_fraction: float = measures.EFFORT_FRACTION
-) -> dict[str, BestMetric]:
+def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
     """Target-side oracle: for each core measure, the single metric (and
     ranking direction) whose top-half ranking scores best on that measure
     against true labels.
@@ -247,7 +245,7 @@ def best_metric_oracle(
     average ranks are multiples of 1/2.
     """
     efforts = effort_values(d)
-    scorer = measures.RankingScorer(efforts, d.labels, effort_fraction)
+    scorer = measures.RankingScorer(efforts, d.labels)
     n = d.n_modules
     best: dict[str, tuple] = {}  # measure -> (quality, metric, scores, predicted, value)
     for name in d.schema.metric_names:

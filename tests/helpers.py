@@ -189,7 +189,6 @@ def write_synthetic_benchmark(
         "output_dir = results\n"
         "methods = hdp1 hdp5 cla clami spectral manual bestmetric\n"
         f"measures = {measures}\n"
-        "effort_fraction = 0.2\n"
         "scenario = scenario1\n"
         f"seed = {seed}\n"
     )

@@ -43,8 +43,8 @@ def test_criterion_01_acc_pmi_worked_example():
     labels[600:630] = True
     preds = preds_from(np.arange(2000, 0, -1), efforts)
     truth = truth_from(labels)
-    acc = measures.acc_at(*preds, truth, 0.2)
-    pmi = measures.pmi_at(*preds, 0.2)
+    acc = measures.acc_at(*preds, truth)
+    pmi = measures.pmi_at(*preds)
     elapsed = time.perf_counter() - start
     assert acc == 0.25
     assert pmi == 0.30

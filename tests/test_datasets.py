@@ -277,6 +277,23 @@ def test_manifest_missing_key(tmp_path):
         read_manifest(manifest)
 
 
+@pytest.mark.parametrize("entry, message", [
+    # the typo used to load nothing for the group, and the run went on without it
+    ("file = y.csv z.csv", r"m\.ini: unknown key 'file' in group \[h\]"),
+    ("files =", r"m\.ini: group \[h\] lists no file"),
+    ("", r"m\.ini: group \[h\] lists no file"),
+], ids=["typo", "empty", "absent"])
+def test_manifest_rejects_an_unknown_key_and_a_group_without_files(tmp_path, entry, message):
+    manifest = tmp_path / "m.ini"
+    manifest.write_text(
+        "[g]\nloc_metric = g_loc\ngranularity = file\nfiles = x.csv\n\n"
+        f"[h]\nloc_metric = h_loc\ngranularity = file\n{entry}\n"
+    )
+    with pytest.raises(DatasetError, match=message) as caught:
+        read_manifest(manifest)
+    assert str(caught.value).startswith(str(manifest))
+
+
 @pytest.mark.parametrize("one, two, loc, message", [
     ("a_loc,a1,bug", "a_loc,zz1,zz2,bug", "a_loc", r"two\.csv: 3 metric columns vs 2 in group 'g'"),
     ("a_loc,a1,bug", "a_loc,zz1,bug", "a_loc", r"two\.csv: metric names do not match group 'g'"),

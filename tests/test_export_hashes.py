@@ -7,7 +7,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "export_hashes.py"
 # configuration; a change that alters any of them must name the change and
 # update these
 DEMO_7_EXPORTS = {
-    "config.ini": "4d6a055a8f5b125a7827da60e0b5d590691f1ac3a083cec8a9bcc8b1a9365781",
+    "config.ini": "104b6e77686515cceaf441dcd57958be8f0945302cfc0deea1ad8fe956262511",
     "results.csv": "8e0d6eca04c6a9954155e1ac28b5058b0e4dcab1398206daf27c70a5ce59bec9",
     "predictions.csv": "f6fc66ae64e25d73f8c0f074bbfc950d6551ae5f88c40ffce6eaae5ff2be98d4",
     "targets.csv": "d0803104a1e97d27a95975d3b1f8ffaab3883024dcfa63cdfcbc6a8f88fee269",

@@ -67,7 +67,6 @@ def test_load_config_and_defaults(tmp_path):
     cfg = load_config(cfg_path)
     assert cfg.manifest == str(manifest)
     assert cfg.methods == tuple(harness.METHODS)
-    assert cfg.effort_fraction == 0.2
     assert cfg.scenario == "scenario1"
     # every default comes from ExperimentConfig
     assert cfg == ExperimentConfig(str(manifest), str(tmp_path / "results"))
@@ -76,8 +75,9 @@ def test_load_config_and_defaults(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(manifest="m", output_dir="o", methods=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(manifest="m", output_dir="o", effort_fraction=0.0)
+    # the inspection budget is measures.EFFORT_FRACTION, not a config field
+    with pytest.raises(TypeError, match="effort_fraction"):
+        ExperimentConfig(manifest="m", output_dir="o", effort_fraction=0.2)
     with pytest.raises(ValueError):
         ExperimentConfig(manifest="m", output_dir="o", scenario="scenario3")
     with pytest.raises(ValueError):
@@ -495,11 +495,17 @@ def test_load_results_rejects_a_plans_total_that_is_not_an_integer(exported):
     ("[experiment]\nmanifest = m.ini\nseed = 1\nseed = 2\n", r"c.ini:4: repeats 'seed' in \[experiment\]"),
     ("[experiment]\nmanifest = m.ini\nseed = x\n", r"c.ini: seed = 'x' is not an integer"),
     ("[experiment]\nmanifest = m.ini\neffort_fraction = 1/5\n",
-     r"c.ini: effort_fraction = '1/5' is not a number"),
+     r"c.ini: effort_fraction is fixed at 0.2"),
+    # a user's 0.3 used to run and report PMI@30% under the name pmi20
+    ("[experiment]\nmanifest = m.ini\neffort_fraction = 0.3\n",
+     r"c.ini: effort_fraction is fixed at 0.2"),
+    # unknown keys used to be ignored: this loaded as scenario1 with every method
+    ("[experiment]\nmanifest = m.ini\nscenaro = scenario2\nmethod = hdp1 cla\n",
+     r"c.ini: unknown key 'scenaro' in \[experiment\]"),
     ("[experiment]\nmanifest = m.ini\nscenario = bogus\n",
      r"c.ini: scenario must be one of \('scenario1', 'scenario2'\)"),
     ("[experiment]\nmanifest = m.ini\neffort_fraction = 1.5\n",
-     r"c.ini: effort fraction must be in \(0, 1\]"),
+     r"c.ini: effort_fraction is fixed at 0.2"),
     ("[experiment]\nmanifest = m.ini\nmeasures = f1 mcc\n", r"c.ini: unknown measures: \['mcc'\]"),
     ("[experiment]\nmanifest = m.ini\nmethods =\n", r"c.ini: methods and measures must be non-empty"),
     ("[experiment]\nmanifest = m.ini\nmethods = hdp1 cla cla\n", r"c.ini: repeated methods: \['cla'\]"),
@@ -509,6 +515,20 @@ def test_load_config_names_the_file_on_malformed_input(tmp_path, text, message):
     (tmp_path / "c.ini").write_text(text)
     with pytest.raises(ValueError, match=message):
         load_config(tmp_path / "c.ini")
+
+
+def test_cli_report_reads_a_config_with_the_retired_effort_fraction_line(
+    synth_result, exported, capsys
+):
+    # every config.ini exported while the budget was a setting holds this line
+    write_report(build_report(synth_result), exported)
+    before = {p.name: p.read_bytes() for p in exported.glob("report_*.txt")}
+    _rewrite(exported / "config.ini",
+             lambda text: text.replace("scenario = ", "effort_fraction = 0.2\nscenario = ", 1))
+    assert "\neffort_fraction = 0.2\n" in (exported / "config.ini").read_text()
+    assert cli.main(["report", str(exported)]) == 0
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in exported.glob("report_*.txt")} == before
 
 
 def test_cli_report_on_a_garbage_config_exits_1(exported, capsys):
@@ -817,7 +837,7 @@ def _write_results_dir(out, truth, predictions, failed):
     out.mkdir()
     (out / "config.ini").write_text(
         "[experiment]\nmanifest = manifest.ini\nmethods = hdp1 cla manual\nmeasures = f1\n"
-        "effort_fraction = 0.2\nscenario = scenario1\nseed = 0\n"
+        "scenario = scenario1\nseed = 0\n"
     )
     plans = sorted({(s, t) for _, s, t in predictions})
     rows = ["method,source,target,measure,value,failure"]

@@ -103,16 +103,6 @@ def test_measures_reject_non_positive_effort(bad):
         pmi_at(scores, efforts)
 
 
-@pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5, float("nan")])
-def test_every_measure_rejects_an_effort_fraction_outside_0_1(fraction):
-    # precision, recall, f1 and auc once returned a value here
-    scores, efforts = preds_from([3, 2, 1], [1.0, 2.0, 2.0])
-    actual = truth_from([1, 0, 1])
-    for measure in MEASURE_IDS:
-        with pytest.raises(ValueError, match=r"effort fraction must be in \(0, 1\]"):
-            compute_measure(measure, scores, actual, efforts, actual, fraction)
-
-
 @pytest.mark.parametrize("score", [
     *[lambda m=m: compute_measure(m, [], [], [], []) for m in MEASURE_IDS],
     lambda: pmi_at([], []),
@@ -321,42 +311,51 @@ def worked_example_preds():
 
 def test_acc_and_pmi_worked_example():
     preds, truth = worked_example_preds()
-    assert acc_at(*preds, truth, 0.2) == 0.25
-    assert pmi_at(*preds, 0.2) == 0.30
+    assert acc_at(*preds, truth) == 0.25
+    assert pmi_at(*preds) == 0.30
 
 
-def test_acc_full_budget():
+# the budget is fixed at 20%; patching the constant checks the prefix rule
+# at other budgets
+
+
+def test_acc_full_budget(monkeypatch):
+    monkeypatch.setattr("hdpbench.measures.EFFORT_FRACTION", 1.0)
     preds, truth = worked_example_preds()
-    assert acc_at(*preds, truth, 1.0) == 1.0
-    assert pmi_at(*preds, 1.0) == 1.0
+    assert acc_at(*preds, truth) == 1.0
+    assert pmi_at(*preds) == 1.0
 
 
-def test_acc_zero_when_first_module_exceeds_budget():
-    preds = preds_from([2, 1], [90, 10])
-    truth = truth_from([True, True])
-    assert acc_at(*preds, truth, 0.2) == 0.0
-    assert pmi_at(*preds, 0.2) == 0.0
-
-
-def test_acc_pmi_monotone_in_fraction():
+def test_acc_pmi_monotone_in_fraction(monkeypatch):
     rng = np.random.default_rng(5)
     preds = preds_from(rng.random(30), rng.integers(1, 20, 30))
     truth = truth_from(rng.random(30) < 0.4)
     if not truth.any():
         truth[0] = True
-    fractions = [0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
-    accs = [acc_at(*preds, truth, f) for f in fractions]
-    pmis = [pmi_at(*preds, f) for f in fractions]
+    accs, pmis = [], []
+    for fraction in [0.1, 0.2, 0.4, 0.6, 0.8, 1.0]:
+        monkeypatch.setattr("hdpbench.measures.EFFORT_FRACTION", fraction)
+        accs.append(acc_at(*preds, truth))
+        pmis.append(pmi_at(*preds))
     assert accs == sorted(accs)
     assert pmis == sorted(pmis)
+    assert accs[-1] == pmis[-1] == 1.0
+
+
+def test_acc_zero_when_first_module_exceeds_budget():
+    preds = preds_from([2, 1], [90, 10])
+    truth = truth_from([True, True])
+    assert acc_at(*preds, truth) == 0.0
+    assert pmi_at(*preds) == 0.0
 
 
 def test_budget_has_a_relative_slack_of_1e_9():
-    # three efforts of 0.1 sum to 0.30000000000000004, above 0.3 of the
-    # total 0.9999999999999999: the slack keeps the third module in
-    assert pmi_at(np.arange(10, 0, -1), [0.1] * 10, 0.3) == 0.3
-    # 1e-7 above a budget of 5 is beyond the slack: the second module is out
-    assert pmi_at([3, 2, 1], [5.0, 1e-7, 5.0 - 1e-7], 0.5) == 1 / 3
+    # twenty efforts of 0.7 total 13.999999999999996, whose 20% is
+    # 2.7999999999999994, below the fourth running total 2.8: the slack
+    # keeps the fourth module in
+    assert pmi_at(np.arange(20, 0, -1), [0.7] * 20) == 0.2
+    # 1e-7 above a budget of 2 is beyond the slack: the second module is out
+    assert pmi_at([3, 2, 1], [2.0, 1e-7, 8.0 - 1e-7]) == 1 / 3
 
 
 def test_a_running_total_equal_to_the_budget_is_inspected():
@@ -371,25 +370,19 @@ def test_a_running_total_equal_to_the_budget_is_inspected():
         efforts[0] = budget
     assert RankingScorer(efforts, [True, False]).budget == efforts[0] == 1.00000000125
     preds = preds_from([2, 1], efforts)
-    assert pmi_at(*preds, 0.2) == 0.5
-    assert acc_at(*preds, truth_from([True, False]), 0.2) == 1.0
+    assert pmi_at(*preds) == 0.5
+    assert acc_at(*preds, truth_from([True, False])) == 1.0
 
 
 def test_pmi_uniform_efforts():
     preds = preds_from(np.arange(10), np.ones(10))
-    assert pmi_at(*preds, 0.2) == pytest.approx(0.2)
+    assert pmi_at(*preds) == pytest.approx(0.2)
 
 
 def test_acc_requires_defects():
     preds = preds_from([1, 2], [1, 1])
     with pytest.raises(NoDefects):
-        acc_at(*preds, truth_from([0, 0]), 0.2)
-
-
-def test_bad_fraction_rejected():
-    preds = preds_from([1], [1])
-    with pytest.raises(ValueError):
-        pmi_at(*preds, 0.0)
+        acc_at(*preds, truth_from([0, 0]))
 
 
 # ---------------------------------------------------------------------------

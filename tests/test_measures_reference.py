@@ -32,7 +32,6 @@ from hdpbench.udp import Prediction, best_metric_oracle
 # LOC values <= 0 are clamped to effort 1; few distinct efforts make equal
 # defect densities common
 LOC_POOL = (-3.0, 0.0, 0.7, 1.0, 2.0, 2.3, 3.0, 4.0, 9.5)
-FRACTIONS = st.sampled_from([0.05, 0.2, 0.5, 1.0]) | st.floats(0.01, 1.0)
 
 
 @st.composite
@@ -54,30 +53,30 @@ def prediction_cases(draw):
     labels = draw(labels_of(n))
     predicted = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     d = make_dataset("t", np.column_stack([loc, scores]), labels)
-    return scores, predicted, effort_values(d), d.labels, draw(FRACTIONS)
+    return scores, predicted, effort_values(d), d.labels
 
 
 @given(prediction_cases())
 def test_compute_measure_equals_loop_reference(case):
-    scores, predicted, efforts, actual, fraction = case
+    scores, predicted, efforts, actual = case
     for measure in MEASURE_IDS:
         assert compute_measure(
-            measure, scores, predicted, efforts, actual, fraction
-        ) == ref.compute_measure(measure, scores, predicted, efforts, actual, fraction), measure
+            measure, scores, predicted, efforts, actual
+        ) == ref.compute_measure(measure, scores, predicted, efforts, actual), measure
 
 
 @given(prediction_cases())
 def test_measure_functions_equal_loop_reference(case):
     """The public functions score through the same record as compute_measure."""
-    scores, predicted, efforts, actual, fraction = case
+    scores, predicted, efforts, actual = case
     calls = {
-        "acc": lambda: acc_at(scores, efforts, actual, fraction),
+        "acc": lambda: acc_at(scores, efforts, actual),
         "popt": lambda: popt(scores, efforts, actual),
-        "pmi20": lambda: pmi_at(scores, efforts, fraction),
+        "pmi20": lambda: pmi_at(scores, efforts),
         "ifa": lambda: ifa(scores, actual),
     }
     for measure, call in calls.items():
-        expected, reason = ref.compute_measure(measure, scores, predicted, efforts, actual, fraction)
+        expected, reason = ref.compute_measure(measure, scores, predicted, efforts, actual)
         if reason == "NoDefects":
             with pytest.raises(NoDefects):
                 call()
@@ -90,7 +89,7 @@ def test_measure_functions_equal_loop_reference(case):
 def test_effort_curve_points_equal_loop_reference(case):
     """The curves P_opt integrates, point by point, so that the tie rules of
     the optimal and the worst ranking show even where the areas agree."""
-    scores, _, efforts, actual, _ = case
+    scores, _, efforts, actual = case
     for ordering in ("by_score", "optimal", "worst"):
         if not actual.any():  # the loop reference raises NoDefects too
             with pytest.raises(NoDefects):
@@ -132,7 +131,6 @@ TOP_HALF_CASE = (
     np.array([True, True, False, True, True, False, False]),
     np.array([3.0, 1.0, 2.0, 2.0, 9.5, 1.0, 4.0]),
     np.array([False, True, False, False, True, True, False]),
-    0.2,
 )
 
 
@@ -140,16 +138,16 @@ TOP_HALF_CASE = (
 @example(TOP_HALF_CASE)
 def test_ranking_scorer_equals_compute_measure_on_the_top_half(case):
     """Arbitrary predicted flags, and bestmetric's top half as an example."""
-    scores, predicted, efforts, actual, fraction = case
+    scores, predicted, efforts, actual = case
     order = np.argsort(-scores, kind="stable")
-    values = RankingScorer(efforts, actual, fraction).score(order, rankdata(scores), predicted)
+    values = RankingScorer(efforts, actual).score(order, rankdata(scores), predicted)
     assert tuple(values) == CORE_MEASURES
     for measure in CORE_MEASURES:
-        expected, _ = compute_measure(measure, scores, predicted, efforts, actual, fraction)
+        expected, _ = compute_measure(measure, scores, predicted, efforts, actual)
         assert values[measure] == expected, measure
 
 
-def brute_force_best_metric(d, measure, effort_fraction):
+def brute_force_best_metric(d, measure):
     """Score every (metric, direction) candidate with compute_measure."""
     efforts = effort_values(d)
     n = d.n_modules
@@ -161,7 +159,7 @@ def brute_force_best_metric(d, measure, effort_fraction):
             order = sorted(range(n), key=lambda i: -scores[i])
             predicted = np.zeros(n, dtype=bool)
             predicted[order[: (n + 1) // 2]] = True
-            value, _ = compute_measure(measure, scores, predicted, efforts, d.labels, effort_fraction)
+            value, _ = compute_measure(measure, scores, predicted, efforts, d.labels)
             if value is None:
                 continue
             quality = value if HIGHER_IS_BETTER[measure] else -value
@@ -186,13 +184,12 @@ def test_best_metric_oracle_equals_brute_force(data):
         for _ in range(m - 1)
     ]
     labels = data.draw(labels_of(n))
-    fraction = data.draw(FRACTIONS)
     d = make_dataset("t", np.column_stack([loc, *others]), labels)
-    results = best_metric_oracle(d, fraction)  # one call scores all six measures
+    results = best_metric_oracle(d)  # one call scores all six measures
     assert tuple(results) == CORE_MEASURES
     for measure in CORE_MEASURES:
         result = results[measure]
-        metric, pred, value = brute_force_best_metric(d, measure, fraction)
+        metric, pred, value = brute_force_best_metric(d, measure)
         assert (result.metric, result.value) == (metric, value), measure
         assert np.array_equal(result.predictions.scores, pred.scores), measure
         assert np.array_equal(result.predictions.predicted, pred.predicted), measure

@@ -6,14 +6,11 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "settable_values.py"
 # every parameter default and config field default in the package; a new
 # setting must be added here on purpose
 SETTABLE = {
-    "main.argv", "_build_dataset.label_index", "load_dataset.schema", "load_dataset.format",
-    "load_dataset.group_name", "load_dataset.granularity", "load_dataset.loc_metric",
-    "read_ini.error", "ExperimentConfig.methods", "ExperimentConfig.measures",
-    "ExperimentConfig.effort_fraction", "ExperimentConfig.scenario", "ExperimentConfig.seed",
-    "_flags.n_modules", "TrainConfig.l2_strength", "TrainConfig.max_iters",
-    "TrainConfig.tolerance", "train_logistic.cfg", "_effort_aware.effort_fraction",
-    "acc_at.effort_fraction", "pmi_at.effort_fraction", "compute_measure.effort_fraction",
-    "RankingScorer.__init__.effort_fraction", "best_metric_oracle.effort_fraction",
+    "main.argv", "load_dataset.schema", "load_dataset.format", "load_dataset.group_name",
+    "load_dataset.granularity", "load_dataset.loc_metric", "read_ini.error",
+    "ExperimentConfig.methods", "ExperimentConfig.measures", "ExperimentConfig.scenario",
+    "ExperimentConfig.seed", "_flags.n_modules", "TrainConfig.l2_strength",
+    "TrainConfig.max_iters", "TrainConfig.tolerance", "train_logistic.cfg",
 }
 
 
@@ -24,10 +21,10 @@ def _load_script():
     return module
 
 
-def test_the_package_has_24_settable_values(capsys):
+def test_the_package_has_16_settable_values(capsys):
     script = _load_script()
     values = script.settable_values()
-    assert len(values) == len(SETTABLE) == 24
+    assert len(values) == len(SETTABLE) == 16
     assert {f"{owner}.{name}" for _, _, owner, name, _ in values} == SETTABLE
     assert script.main() == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "total: 24"
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 16"

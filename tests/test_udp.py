@@ -401,12 +401,9 @@ def test_oracle_single_metric_dataset():
     assert best_metric_oracle(d)["f1"].metric == "t_m0"
 
 
-def test_oracle_scores_the_core_measures_and_checks_the_fraction():
+def test_oracle_scores_the_core_measures():
     d = make_dataset("t", [[1.0], [2.0]], [0, 1])
     assert tuple(best_metric_oracle(d)) == measures.CORE_MEASURES
-    for fraction in (0.0, 1.5):
-        with pytest.raises(ValueError, match="effort fraction"):
-            best_metric_oracle(d, fraction)
 
 
 def test_oracle_without_defects_falls_back_on_the_undefined_measures():
@@ -461,7 +458,7 @@ def test_oracle_beats_or_ties_manual_ranking():
             oracle_value = best_metric_oracle(d)[measure_id].value
             for manual in manual_rank(d).values():
                 manual_value, _ = measures.compute_measure(
-                    measure_id, manual.scores, manual.predicted, efforts, d.labels, 0.2
+                    measure_id, manual.scores, manual.predicted, efforts, d.labels
                 )
                 if manual_value is None or oracle_value is None:
                     continue
