@@ -1,13 +1,15 @@
 """Print every value a caller of hdpbench can set but need not: each
-parameter with a default in ``src/hdpbench``, and each field with a default
-of ``ExperimentConfig`` and ``TrainConfig``, then their total.
+parameter with a default in ``src/hdpbench``, each field with a default
+of ``ExperimentConfig`` and ``TrainConfig``, and each command-line option
+(an ``add_argument("--name", ...)`` call), then their total.
 
 Usage: python scripts/settable_values.py
 
 Reads the source with ``ast`` and imports nothing. Prints one
 ``<file>:<line>  <function or class>.<name> = <default>`` line per value,
-in file and line order, and ``total: N`` last. A new default parameter or
-config field raises the total.
+in file and line order, and ``total: N`` last; an option's name is its
+``--`` flag and its default is ``None`` unless the call sets one. A new
+default parameter, config field or option raises the total.
 """
 
 from __future__ import annotations
@@ -28,6 +30,17 @@ def _defaults(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):
     yield from ((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
 
 
+def _option(node: ast.AST) -> tuple[str, str] | None:
+    """(flag, default) of an ``add_argument("--flag", ...)`` call, else None."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument" and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).startswith("--")):
+        return None
+    default = next((k.value for k in node.keywords if k.arg == "default"), None)
+    return node.args[0].value, "None" if default is None else ast.unparse(default)
+
+
 def _walk(node: ast.AST, owner: str):
     """(line, owner, name, default) below ``node``, whose dotted name is ``owner``."""
     for child in ast.iter_child_nodes(node):
@@ -44,6 +57,8 @@ def _walk(node: ast.AST, owner: str):
                     yield arg.lineno, qualname, arg.arg, ast.unparse(default)
             yield from _walk(child, qualname)
         else:
+            if option := _option(child):
+                yield child.lineno, owner, *option
             yield from _walk(child, owner)
 
 

@@ -2,7 +2,6 @@
 defect prediction methods under one experiment harness."""
 
 from .datasets import (
-    CombinationPlan,
     DefectDataset,
     MetricSchema,
     dataset_stats,

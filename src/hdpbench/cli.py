@@ -39,7 +39,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    dataset = load_dataset(args.dataset, format=args.format, loc_metric=args.loc)
+    dataset = load_dataset(args.dataset, loc_metric=args.loc)
     n, defective, pct = dataset_stats(dataset)
     print(f"{dataset.name}: {n} modules, {defective} defective ({pct:.2f}%)")
     return 0
@@ -48,8 +48,8 @@ def _cmd_stats(args) -> int:
 def _cmd_combos(args) -> int:
     datasets = load_manifest_datasets(args.manifest)
     plans = enumerate_combinations(datasets)
-    for plan in plans:
-        print(f"{plan.source} -> {plan.target}")
+    for source, target in plans:
+        print(f"{source} -> {target}")
     print(f"total: {len(plans)}")
     return 0
 
@@ -70,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(fn=_cmd_report)
 
     stats = sub.add_parser("stats", help="print module/defect counts for one dataset file")
-    stats.add_argument("dataset")
-    stats.add_argument("--format", choices=["csv", "arff-subset"], default=None)
+    stats.add_argument("dataset", help="a .arff file is read as ARFF, any other as CSV")
     stats.add_argument("--loc", default=None, help="name of the LOC metric column")
     stats.set_defaults(fn=_cmd_stats)
 

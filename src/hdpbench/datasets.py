@@ -117,18 +117,6 @@ class DefectDataset:
         return self.values[:, self.schema.metric_index(metric)]
 
 
-@dataclass(frozen=True)
-class CombinationPlan:
-    """An ordered heterogeneous (source, target) prediction pair."""
-
-    source: str
-    target: str
-
-    def __post_init__(self):
-        if self.source == self.target:
-            raise ValueError("source and target must differ")
-
-
 def normalize_label(raw: str) -> bool:
     """Map a raw label cell to True (defective) / False (non-defective).
 
@@ -147,70 +135,6 @@ def normalize_label(raw: str) -> bool:
     if math.isnan(count):
         raise DatasetError(f"unrecognized label value {raw!r}")
     return count > 0
-
-
-def _build_dataset(
-    path: Path,
-    header: list[str],
-    rows: list[tuple[int, list[str]]],
-    schema: MetricSchema | None,
-    group_name: str,
-    granularity: str,
-    loc_metric: str | None,
-    label_index: int | None,
-) -> DefectDataset:
-    """The dataset named after ``path``'s stem; ``rows`` pairs each row's
-    cells with its 1-based line number in the file, which row errors name
-    along with the path. A ``label_index`` of None means the first column
-    with a label name."""
-    if label_index is None:
-        matches = [i for i, h in enumerate(header) if h.strip().lower() in LABEL_COLUMN_NAMES]
-        if not matches:
-            raise MissingLabelColumn(f"{path}: no label column among {header}")
-        label_index = matches[0]
-    metric_names = [h.strip() for i, h in enumerate(header) if i != label_index]
-    if schema is None:
-        if loc_metric is None:
-            loc_metric = next((m for m in KNOWN_LOC_METRICS if m in metric_names), metric_names[0])
-        schema = MetricSchema(group_name, tuple(metric_names), loc_metric, granularity)
-    elif tuple(metric_names) != schema.metric_names:
-        if len(metric_names) != len(schema.metric_names):
-            raise SchemaMismatch(
-                f"{len(metric_names)} metric columns vs "
-                f"{len(schema.metric_names)} in group {schema.group_name!r}"
-            )
-        raise SchemaMismatch(f"metric names do not match group {schema.group_name!r}")
-
-    if not rows:
-        raise ZeroModules(f"{path}: no data rows")
-    n_cols = len(header)
-    values = np.empty((len(rows), n_cols - 1), dtype=float)
-    labels = np.empty(len(rows), dtype=bool)
-    for r, (line, row) in enumerate(rows):
-        if len(row) != n_cols:
-            raise DatasetError(f"{path}:{line}: {len(row)} cells, expected {n_cols}")
-        try:
-            labels[r] = normalize_label(row[label_index])
-        except DatasetError as exc:
-            raise DatasetError(f"{path}:{line}: {exc}") from None
-        c = 0
-        for i, cell in enumerate(row):
-            if i == label_index:
-                continue
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise NonNumericMetric(
-                    f"{path}:{line}: non-numeric cell {cell!r} in metric {metric_names[c]!r}"
-                ) from None
-            c += 1
-    non_finite = np.argwhere(~np.isfinite(values))
-    if len(non_finite):
-        r, c = non_finite[0]
-        raise NonNumericMetric(
-            f"{path}:{rows[r][0]}: non-finite value in metric {metric_names[c]!r}"
-        )
-    return DefectDataset(path.stem, schema, values, labels)
 
 
 def _parse_arff(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -251,46 +175,85 @@ def _parse_arff(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[
 def load_dataset(
     path: str | Path,
     schema: MetricSchema | None = None,
-    format: str | None = None,
     *,
     group_name: str = "unknown-group",
     granularity: str = "file",
     loc_metric: str | None = None,
 ) -> DefectDataset:
-    """Load one dataset file (csv or arff-subset) into a validated DefectDataset.
+    """Load one dataset file into a validated DefectDataset named after its stem.
 
-    CSV files carry a header row and a label column named bug/bugs/label/
-    defective/isDefective (case-insensitive); arff-subset files use the last
-    attribute as the class. When no schema is supplied, one is derived from
-    the header with ``loc_metric`` (or a known LOC name) as the LOC column.
-    A schema error (a header that does not match ``schema``, an unknown
-    ``loc_metric``) names the file.
+    A ``.arff`` file (in any case) is an arff subset whose last attribute is
+    the class; any other file is CSV with a header row and a label column
+    named bug/bugs/label/defective/isDefective (case-insensitive). Without a
+    schema, one is derived from the header with ``loc_metric`` (or a known
+    LOC name, else the first metric) as the LOC column. An error names the
+    file, and a row error also its line.
     """
     path = Path(path)
-    if format is None:
-        format = "arff-subset" if path.suffix.lower() == ".arff" else "csv"
     text = path.read_text()
-    if format == "csv":
+    if path.suffix.lower() == ".arff":
+        header, rows = _parse_arff(path, text)
+        label_index = len(header) - 1
+    else:
         reader = csv.reader(text.splitlines())
         # reader.line_num is the line in the file where the row just read ends
         table = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
         if not table:
             raise ZeroModules(f"{path}: empty file")
         header, rows = table[0][1], table[1:]
-        label_index = None
-    elif format == "arff-subset":
-        header, rows = _parse_arff(path, text)
-        label_index = len(header) - 1
-    else:
-        raise ValueError(f"unknown format {format!r}")
-    if schema is not None:
-        group_name = schema.group_name
-        granularity = schema.granularity
+        matches = [i for i, h in enumerate(header) if h.strip().lower() in LABEL_COLUMN_NAMES]
+        if not matches:
+            raise MissingLabelColumn(f"{path}: no label column among {header}")
+        label_index = matches[0]
+    metric_names = [h.strip() for i, h in enumerate(header) if i != label_index]
     try:
-        return _build_dataset(path, header, rows, schema, group_name, granularity, loc_metric,
-                              label_index)
+        if schema is None:
+            if loc_metric is None:
+                # a known LOC name, else the first metric; a file without a
+                # metric has none, and MetricSchema rejects its empty schema
+                loc_metric = next(
+                    (m for m in (*KNOWN_LOC_METRICS, *metric_names) if m in metric_names), "")
+            schema = MetricSchema(group_name, tuple(metric_names), loc_metric, granularity)
+        elif tuple(metric_names) != schema.metric_names:
+            if len(metric_names) != len(schema.metric_names):
+                raise SchemaMismatch(
+                    f"{len(metric_names)} metric columns vs "
+                    f"{len(schema.metric_names)} in group {schema.group_name!r}"
+                )
+            raise SchemaMismatch(f"metric names do not match group {schema.group_name!r}")
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
+
+    if not rows:
+        raise ZeroModules(f"{path}: no data rows")
+    n_cols = len(header)
+    values = np.empty((len(rows), n_cols - 1), dtype=float)
+    labels = np.empty(len(rows), dtype=bool)
+    for r, (line, row) in enumerate(rows):
+        if len(row) != n_cols:
+            raise DatasetError(f"{path}:{line}: {len(row)} cells, expected {n_cols}")
+        try:
+            labels[r] = normalize_label(row[label_index])
+        except DatasetError as exc:
+            raise DatasetError(f"{path}:{line}: {exc}") from None
+        c = 0
+        for i, cell in enumerate(row):
+            if i == label_index:
+                continue
+            try:
+                values[r, c] = float(cell)
+            except ValueError:
+                raise NonNumericMetric(
+                    f"{path}:{line}: non-numeric cell {cell!r} in metric {metric_names[c]!r}"
+                ) from None
+            c += 1
+    non_finite = np.argwhere(~np.isfinite(values))
+    if len(non_finite):
+        r, c = non_finite[0]
+        raise NonNumericMetric(
+            f"{path}:{rows[r][0]}: non-finite value in metric {metric_names[c]!r}"
+        )
+    return DefectDataset(path.stem, schema, values, labels)
 
 
 def dataset_stats(d: DefectDataset) -> tuple[int, int, float]:
@@ -300,8 +263,8 @@ def dataset_stats(d: DefectDataset) -> tuple[int, int, float]:
     return n, k, round(100.0 * k / n, 2)
 
 
-def enumerate_combinations(datasets: Sequence[DefectDataset]) -> list[CombinationPlan]:
-    """Every ordered (source, target) pair whose metric-name sets differ.
+def enumerate_combinations(datasets: Sequence[DefectDataset]) -> list[tuple[str, str]]:
+    """Every ordered (source, target) name pair whose metric-name sets differ.
 
     Output is sorted by target then source name so result files are
     byte-stable across runs.
@@ -311,7 +274,7 @@ def enumerate_combinations(datasets: Sequence[DefectDataset]) -> list[Combinatio
     metric_sets = {d.name: frozenset(d.schema.metric_names) for d in datasets}
     names = sorted(metric_sets)
     return [
-        CombinationPlan(source=s, target=t)
+        (s, t)
         for t in names
         for s in names
         if s != t and metric_sets[s] != metric_sets[t]
@@ -377,7 +340,7 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
                 raise DatasetError(f"{path}: unknown key {key!r} in group [{section}]")
         for key in ("loc_metric", "granularity"):
             if key not in entries:
-                raise DatasetError(f"manifest group {section!r} is missing {key!r}")
+                raise DatasetError(f"{path}: group [{section}] is missing {key!r}")
         raw_files = entries.get("files", "").replace(",", " ").split()
         if not raw_files:
             raise DatasetError(f"{path}: group [{section}] lists no file")

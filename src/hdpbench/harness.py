@@ -43,7 +43,6 @@ import numpy as np
 
 from . import hdp, measures, stats, udp
 from .datasets import (
-    CombinationPlan,
     DefectDataset,
     effort_values,
     enumerate_combinations,
@@ -161,8 +160,12 @@ def register_external_method(name: str, fn: ExternalMethod) -> str:
     it participates in harness runs identically to built-ins and exports
     its labels under its own name. Effort-aware measures use the target's
     clamped LOC column as effort. A built-in method's name or a variant
-    one exports is refused.
+    one exports is refused, and so is a name that a config file's
+    ``methods`` list does not read back as one name: an empty one, or one
+    holding whitespace or a comma.
     """
+    if name.replace(",", " ").split() != [name]:
+        raise ValueError(f"method name {name!r} must be one word without commas")
     if name in _RESERVED_NAMES:
         raise ValueError(f"method name {name!r} is reserved")
     if name in _EXTERNAL_METHODS:
@@ -250,15 +253,14 @@ class ExperimentResult:
     plan in that order, NaN where it is absent, and ``failures[(method,
     measure)]`` the recorded failure, "" where there is none; both have one
     entry per configured (method, measure), in config order. results.csv
-    writes one block of rows per plan, each method x measure in config order,
-    and its k-th block is plan ``row_order[k]``.
+    writes one block of rows per plan in this order, each method x measure in
+    config order.
     """
 
     config: ExperimentConfig
     plans: list[tuple[str, str]]  # (source, target)
     values: dict[tuple[str, str], np.ndarray]
     failures: dict[tuple[str, str], np.ndarray]
-    row_order: np.ndarray
     target_groups: dict[str, str]
     target_truth: dict[str, np.ndarray]  # target -> bool defect flag per module
     predictions: dict[tuple[str, str, str], np.ndarray]  # (variant, source, target) -> flags
@@ -270,24 +272,23 @@ class ExperimentResult:
         target_groups: dict[str, str], target_truth: dict[str, np.ndarray],
         predictions: dict[tuple[str, str, str], np.ndarray], n_plans_total: int,
     ) -> ExperimentResult:
-        """The result of ``plans`` in results.csv order, whose rows of
-        ``values`` (NaN where absent) and ``failures`` ("" where none) hold
-        each plan's block: one entry per method x measure in config order."""
+        """The result of ``plans``, in any order, whose rows of ``values``
+        (NaN where absent) and ``failures`` ("" where none) hold each plan's
+        block: one entry per method x measure in config order."""
         cells = list(product(config.methods, config.measures))
         order = sorted(range(len(plans)), key=lambda k: plans[k][::-1])
         # one contiguous row per cell, in report plan order
         value_table = np.array(values, dtype=float).reshape(len(plans), len(cells))[order].T.copy()
         failure_table = np.array(failures, dtype=object).reshape(len(plans), len(cells))[order].T.copy()
         return cls(config, [plans[k] for k in order], dict(zip(cells, value_table)),
-                   dict(zip(cells, failure_table)), np.argsort(order), target_groups, target_truth,
-                   predictions, n_plans_total)
+                   dict(zip(cells, failure_table)), target_groups, target_truth, predictions,
+                   n_plans_total)
 
     def rows(self) -> Iterator[ResultRow]:
-        """The results.csv rows, in its order, computed from the table."""
+        """The results.csv rows, plan by plan, computed from the table."""
         columns = [(*cell, values.tolist(), failures.tolist())
                    for (cell, values), failures in zip(self.values.items(), self.failures.values())]
-        for k in self.row_order.tolist():
-            source, target = self.plans[k]
+        for k, (source, target) in enumerate(self.plans):
             for method, measure, values, failures in columns:
                 value = values[k]
                 yield ResultRow(method, source, target, measure,
@@ -355,43 +356,41 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     efforts = {name: effort_values(d) for name, d in datasets.items()}
     results: dict[tuple[str, str, str], MethodResult] = {}
 
-    def run(name: str, plan: CombinationPlan) -> MethodResult:
-        """``name`` on ``plan``, run and scored once per plan, or once per
-        target for an unsupervised method."""
+    def run(name: str, source: str, target: str) -> MethodResult:
+        """``name`` on the plan (``source``, ``target``), run and scored once
+        per plan, or once per target for an unsupervised method."""
         method = _method(name)
-        key = (name, plan.source if method.category == "hdp" else "", plan.target)
+        key = (name, source if method.category == "hdp" else "", target)
         if key not in results:
-            target = datasets[plan.target]
-            inputs = ((profile(plan.source), profile(plan.target)) if method.profiled
-                      else (datasets[plan.source], target))
+            inputs = ((profile(source), profile(target)) if method.profiled
+                      else (datasets[source], datasets[target]))
             # scenario2's filter method writes no rows unless it is configured
             measure_ids = cfg.measures if name in cfg.methods else ()
-            output = _predict(name, *inputs, measure_ids, target.n_modules)
-            results[key] = _score(name, output, target, efforts[plan.target], measure_ids)
+            output = _predict(name, *inputs, measure_ids, datasets[target].n_modules)
+            results[key] = _score(name, output, datasets[target], efforts[target], measure_ids)
         return results[key]
 
     plans = all_plans
     if SCENARIOS[cfg.scenario] is not None:
-        plans = [p for p in all_plans if run(SCENARIOS[cfg.scenario], p).failure is None]
+        plans = [p for p in all_plans if run(SCENARIOS[cfg.scenario], *p).failure is None]
 
     values: list[float] = []
     failures: list[str] = []
     predictions: dict[tuple[str, str, str], np.ndarray] = {}
-    for p, method in product(plans, cfg.methods):
-        res = run(method, p)
+    for (source, target), method in product(plans, cfg.methods):
+        res = run(method, source, target)
         for measure in cfg.measures:
             value, reason = res.values[measure]
             values.append(math.nan if value is None else value)
             failures.append(reason or "")
         for variant, flags in res.variant_labels.items():
-            predictions[(variant, p.source, p.target)] = flags
+            predictions[(variant, source, target)] = flags
 
-    targets = sorted({p.target for p in plans})
+    targets = sorted({target for _, target in plans})
     target_groups = {t: datasets[t].schema.group_name for t in targets}
     target_truth = {t: datasets[t].labels for t in targets}
     return ExperimentResult.from_blocks(
-        cfg, [(p.source, p.target) for p in plans], values, failures,
-        target_groups, target_truth, predictions, len(all_plans),
+        cfg, plans, values, failures, target_groups, target_truth, predictions, len(all_plans)
     )
 
 
@@ -545,6 +544,16 @@ def _first(flags: Iterable[object]) -> int:
     return next(k for k, flag in enumerate(flags) if flag)
 
 
+def _reject_repeats(path: Path, columns: Sequence[Sequence[str]]) -> None:
+    """Raise at the first record whose key, its fields in ``columns``,
+    repeats an earlier record's: ``path:line: repeats line N (key)``."""
+    first: dict[tuple[str, ...], int] = {}
+    for k, key in enumerate(zip(*columns)):
+        if (j := first.setdefault(key, k)) != k:
+            raise ValueError(
+                f"{path}:{_line(path, k)}: repeats line {_line(path, j)} ({' '.join(key)})")
+
+
 def _flags(path: Path, bits: Sequence[str], n_modules: list[int] | None = None) -> list[np.ndarray]:
     """The bool flag vector of each label text, which must hold only '0'/'1'
     and, where ``n_modules`` is given, as many labels as its target has modules."""
@@ -591,11 +600,7 @@ def _result_blocks(
                             np.intp, len(texts))
     fills = np.bincount(positions, minlength=len(plans) * len(cells))
     if (fills > 1).any():
-        seen: set[int] = set()
-        k = _first(at in seen or seen.add(at) for at in positions.tolist())
-        cell = " ".join((methods[k], sources[k], target_ids[k], measure_ids[k]))
-        first = _line(path, _first(positions == positions[k]))
-        raise ValueError(f"{path}:{_line(path, k)}: repeats line {first} ({cell})")
+        _reject_repeats(path, (methods, sources, target_ids, measure_ids))
     try:
         numbers = np.array([float(text) if text else math.nan for text in texts])
     except ValueError:
@@ -622,24 +627,31 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
     """Reconstruct an ExperimentResult from an exported results directory.
 
     The files are checked: exact headers; only '0'/'1' labels, and every
-    prediction as long as its target's truth; in results.csv, a known
-    target, a configured method and measure, a finite numeric value and no
-    repeat on each row, and a row for every configured method and measure
-    on each plan. With one fault in the files, the error names it and its
-    line; with several, it names one of them."""
+    prediction as long as its target's truth; no repeated target in
+    targets.csv and no repeated (variant, source, target) in
+    predictions.csv; in results.csv, a known target, a configured method
+    and measure, a finite numeric value and no repeat on each row, and a
+    row for every configured method and measure on each plan. With one
+    fault in the files, the error names it and its line; with several, it
+    names one of them."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
     path = results_dir / "targets.csv"
     targets, groups, bits = _csv_columns(path, TARGET_COLUMNS)
     target_groups = dict(zip(targets, groups))
+    if len(target_groups) != len(targets):
+        _reject_repeats(path, (targets,))
     target_truth = dict(zip(targets, _flags(path, bits)))
     path = results_dir / "predictions.csv"
     variants, sources, pred_targets, bits = _csv_columns(path, PREDICTION_COLUMNS)
     if unknown := set(pred_targets).difference(target_truth):
         k = _first(target in unknown for target in pred_targets)
         raise ValueError(f"{path}:{_line(path, k)}: target {pred_targets[k]!r} is not in targets.csv")
+    keys = list(zip(variants, sources, pred_targets))
+    if len(set(keys)) != len(keys):
+        _reject_repeats(path, (variants, sources, pred_targets))
     n_modules = [len(target_truth[target]) for target in pred_targets]
-    predictions = dict(zip(zip(variants, sources, pred_targets), _flags(path, bits, n_modules)))
+    predictions = dict(zip(keys, _flags(path, bits, n_modules)))
     plans, values, failures = _result_blocks(results_dir / "results.csv", cfg, target_groups)
     summary = results_dir / "summary.txt"
     totals = [

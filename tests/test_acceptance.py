@@ -78,9 +78,9 @@ def test_criterion_03_combination_arithmetic():
     plans = enumerate_combinations(datasets)
     group_of = {d.name: d.schema.group_name for d in datasets}
     nasa_internal = [
-        p for p in plans if group_of[p.source] in NASA_TAGS and group_of[p.target] in NASA_TAGS
+        (s, t) for s, t in plans if group_of[s] in NASA_TAGS and group_of[t] in NASA_TAGS
     ]
-    eq_targets = [p for p in plans if p.target == "EQ"]
+    eq_targets = [(s, t) for s, t in plans if t == "EQ"]
     elapsed = time.perf_counter() - start
     assert len(plans) == 962
     assert len(nasa_internal) == 86

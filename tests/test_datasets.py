@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hdpbench import cli
 from hdpbench.datasets import (
-    CombinationPlan,
     DatasetError,
     MetricSchema,
     MissingLabelColumn,
@@ -151,6 +150,27 @@ def test_cli_stats_on_a_bad_arff_header_exits_1(tmp_path, capsys, header):
     assert err.startswith(f"error: {path}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("labels.csv", "bug\n1\n0\n"),
+    ("labels.arff", "@relation demo\n@attribute class {Y,N}\n@data\nY\nN\n"),
+], ids=["csv", "arff"])
+def test_cli_stats_on_a_file_without_a_metric_column_exits_1(tmp_path, capsys, name, text):
+    # both raised IndexError before the empty schema could be rejected
+    path = write_csv(tmp_path, text, name)
+    assert cli.main(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: schema has no metrics\n"
+
+
+@pytest.mark.parametrize("name", ["demo.arff", "demo.ARFF"])
+def test_the_arff_suffix_in_any_case_picks_the_arff_reader(tmp_path, name):
+    d = load_dataset(write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, name))
+    assert d.name == "demo" and d.schema.metric_names == ("loc",)
+    # any other suffix is read as CSV, which finds no label column in this header
+    with pytest.raises(MissingLabelColumn):
+        load_dataset(write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, "demo.txt"))
+
+
 def test_schema_metric_count_mismatch(tmp_path):
     schema = MetricSchema("g", ("a", "b", "c"), "a", "file")
     with pytest.raises(SchemaMismatch):
@@ -200,15 +220,7 @@ def test_combinations_exclude_identical_metric_sets():
 def test_combinations_are_ordered_pairs():
     a = make_dataset("a", [[1], [2]], [0, 1], metric_names=("m1",))
     b = make_dataset("b", [[1], [2]], [0, 1], metric_names=("m2",))
-    assert enumerate_combinations([a, b]) == [
-        CombinationPlan("b", "a"),
-        CombinationPlan("a", "b"),
-    ]
-
-
-def test_plan_requires_distinct_names():
-    with pytest.raises(ValueError):
-        CombinationPlan("a", "a")
+    assert enumerate_combinations([a, b]) == [("b", "a"), ("a", "b")]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=8))
@@ -227,12 +239,12 @@ def test_combination_count_matches_brute_force(set_ids):
         if s.name != t.name and set(s.schema.metric_names) != set(t.schema.metric_names)
     )
     assert len(plans) == expected
-    for plan in plans:
-        src = next(d for d in datasets if d.name == plan.source)
-        tgt = next(d for d in datasets if d.name == plan.target)
-        assert plan.source != plan.target
+    for source, target in plans:
+        src = next(d for d in datasets if d.name == source)
+        tgt = next(d for d in datasets if d.name == target)
+        assert source != target
         assert set(src.schema.metric_names) != set(tgt.schema.metric_names)
-    assert plans == sorted(plans, key=lambda p: (p.target, p.source))
+    assert plans == sorted(plans, key=lambda p: p[::-1])
 
 
 def test_benchmark_stub_enumeration():
@@ -273,8 +285,9 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_missing_key(tmp_path):
     manifest = tmp_path / "m.ini"
     manifest.write_text("[g]\ngranularity = file\n")
-    with pytest.raises(DatasetError):
+    with pytest.raises(DatasetError) as caught:
         read_manifest(manifest)
+    assert str(caught.value) == f"{manifest}: group [g] is missing 'loc_metric'"
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -89,6 +89,15 @@ def test_config_validation():
         ExperimentConfig(manifest="m", output_dir="o", measures=("f1", "auc", "f1"))
 
 
+@pytest.mark.parametrize("name", ["my method", "a,b", "", "tab\tname"])
+def test_a_registered_name_must_be_one_word_without_commas(name):
+    # config.ini's methods line splits on whitespace and commas, so a run of
+    # "my method" exported a directory that hdpbench report rejected
+    with pytest.raises(ValueError, match="must be one word without commas"):
+        register_external_method(name, lambda source, target: None)
+    assert name not in harness.external_methods()
+
+
 @pytest.mark.parametrize("name", [*harness.METHODS, "bestmetric-auc", "bestmetric-f1"])
 def test_built_in_method_and_variant_names_are_reserved(name):
     # a registered bestmetric-f1 would overwrite bestmetric's f1 labels
@@ -186,9 +195,8 @@ def test_scenario2_filters_on_hdp1_when_it_is_not_a_configured_method(stub_manif
     matched = [(r.source, r.target) for r in hdp1.rows() if r.failure is None]
     result = run_experiment(ExperimentConfig(**base, methods=("hdp5", "cla"), scenario="scenario2"))
     assert 0 < len(matched) < len(hdp1.plans)
-    # results.csv keeps the enumeration order; the table holds the report's
-    assert [result.plans[k] for k in result.row_order] == matched
-    assert result.plans == sorted(matched, key=lambda plan: plan[::-1])
+    # the run's order is the report's: targets sorted, each target's sources sorted
+    assert result.plans == matched == sorted(matched, key=lambda plan: plan[::-1])
     assert {r.method for r in result.rows()} == {"hdp5", "cla"}
     assert {v for v, _, _ in result.predictions} == {"hdp5", "cla"}
 
@@ -404,7 +412,7 @@ def test_export_round_trip(synth_result, tmp_path):
     loaded = load_results(out)
     assert list(loaded.rows()) == list(result.rows())
     assert loaded.plans == result.plans
-    assert np.array_equal(loaded.row_order, result.row_order)
+    assert [(r.source, r.target) for r in loaded.rows()][::len(loaded.values)] == loaded.plans
     assert list(loaded.values) == list(loaded.failures) == list(result.values)
     for cell, values in result.values.items():
         assert loaded.values[cell].tobytes() == values.tobytes(), cell
@@ -459,6 +467,39 @@ def test_load_results_rejects_prediction_of_wrong_length(exported, edit):
     _edit_labels(exported / "predictions.csv", 2, edit)
     with pytest.raises(ValueError, match=r"predictions.csv:2: \d+ labels for a target of \d+ modules"):
         load_results(exported)
+
+
+@pytest.mark.parametrize("name, key_fields", [("targets.csv", 1), ("predictions.csv", 3)])
+def test_load_results_rejects_a_repeated_target_or_prediction(exported, name, key_fields):
+    # the later row used to replace the earlier one silently: a repeated
+    # predictions.csv row with flipped labels changed two reports
+    def repeat(lines):
+        *key, bits = lines[1].split(",")
+        return [*lines[:2], ",".join([*key, bits.translate(str.maketrans("01", "10"))]), *lines[2:]]
+
+    _rewrite(exported / name, lambda text: "\n".join(repeat(text.splitlines())) + "\n")
+    key = " ".join((exported / name).read_text().splitlines()[1].split(",")[:key_fields])
+    with pytest.raises(ValueError) as caught:
+        load_results(exported)
+    assert str(caught.value) == f"{exported / name}:3: repeats line 2 ({key})"
+
+
+def test_a_results_file_with_shuffled_plans_is_reexported_in_report_order(
+    synth_result, exported, tmp_path
+):
+    # the reordered file used to be written back in its own order
+    original = (exported / "results.csv").read_text()
+    header, *body = original.splitlines()
+    cells = len(synth_result.values)
+    blocks = [body[k:k + cells] for k in range(0, len(body), cells)]
+    shuffled = [header, *(line for block in blocks[1:] + blocks[:1] for line in block)]
+    assert shuffled != [header, *body]
+    (exported / "results.csv").write_text("\n".join(shuffled) + "\n")
+    loaded = load_results(exported)
+    assert loaded.plans == synth_result.plans
+    assert all(loaded.values[cell].tobytes() == v.tobytes() for cell, v in synth_result.values.items())
+    export_results(loaded, tmp_path / "again")
+    assert (tmp_path / "again" / "results.csv").read_text() == original
 
 
 def test_load_results_rejects_prediction_for_unknown_target(exported):

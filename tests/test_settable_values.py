@@ -3,10 +3,10 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "settable_values.py"
 
-# every parameter default and config field default in the package; a new
-# setting must be added here on purpose
+# every parameter default, config field default and command-line option in
+# the package; a new setting must be added here on purpose
 SETTABLE = {
-    "main.argv", "load_dataset.schema", "load_dataset.format", "load_dataset.group_name",
+    "build_parser.--loc", "main.argv", "load_dataset.schema", "load_dataset.group_name",
     "load_dataset.granularity", "load_dataset.loc_metric", "read_ini.error",
     "ExperimentConfig.methods", "ExperimentConfig.measures", "ExperimentConfig.scenario",
     "ExperimentConfig.seed", "_flags.n_modules", "TrainConfig.l2_strength",
