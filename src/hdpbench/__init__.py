@@ -24,7 +24,6 @@ from .harness import (
     write_report,
 )
 from .hdp import (
-    DatasetProfile,
     HdpOutcome,
     MetricMatch,
     distribution_vector,

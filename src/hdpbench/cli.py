@@ -39,7 +39,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    dataset = load_dataset(args.dataset, loc_metric=args.loc)
+    dataset = load_dataset(args.dataset)
     n, defective, pct = dataset_stats(dataset)
     print(f"{dataset.name}: {n} modules, {defective} defective ({pct:.2f}%)")
     return 0
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="print module/defect counts for one dataset file")
     stats.add_argument("dataset", help="a .arff file is read as ARFF, any other as CSV")
-    stats.add_argument("--loc", default=None, help="name of the LOC metric column")
     stats.set_defaults(fn=_cmd_stats)
 
     combos = sub.add_parser("combos", help="list heterogeneous combinations for a manifest")

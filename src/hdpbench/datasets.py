@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 GRANULARITIES = ("class", "file", "function")
+
+T = TypeVar("T")
 
 #: LOC-style metric names used by the five public benchmark groups.
 KNOWN_LOC_METRICS = (
@@ -88,6 +91,7 @@ class DefectDataset:
     schema: MetricSchema
     values: np.ndarray          # shape (n_modules, n_metrics), float
     labels: np.ndarray          # shape (n_modules,), bool, True = defective
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -115,6 +119,15 @@ class DefectDataset:
 
     def column(self, metric: str) -> np.ndarray:
         return self.values[:, self.schema.metric_index(metric)]
+
+    def derived(self, fn: Callable[[DefectDataset], T]) -> T:
+        """``fn(self)``, computed on the first call with ``fn`` and kept with
+        this dataset, so work that depends on one dataset is done once. A
+        raising ``fn`` keeps nothing, and a ``dataclasses.replace`` copy
+        starts with nothing kept."""
+        if fn not in self._derived:
+            self._derived[fn] = fn(self)
+        return self._derived[fn]
 
 
 def normalize_label(raw: str) -> bool:
@@ -195,7 +208,7 @@ def load_dataset(
         header, rows = _parse_arff(path, text)
         label_index = len(header) - 1
     else:
-        reader = csv.reader(text.splitlines())
+        reader = csv.reader(io.StringIO(text, newline=""))
         # reader.line_num is the line in the file where the row just read ends
         table = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
         if not table:
@@ -354,8 +367,11 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
 def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
     """Load every dataset listed in a manifest. A group's schema comes from
     its first file's header; each later file of the group must have the
-    same metric columns, or ``SchemaMismatch`` names that file."""
-    datasets = []
+    same metric columns, or ``SchemaMismatch`` names that file. Two files
+    with one name (``a/x.csv`` and ``b/x.csv``) are an error that names the
+    manifest and both files."""
+    path = Path(path)
+    datasets, files = [], []
     for group in read_manifest(path):
         schema = None
         for file in group.files:
@@ -368,9 +384,10 @@ def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
             )
             schema = d.schema
             datasets.append(d)
-    seen: set[str] = set()
-    for d in datasets:
+            files.append(file)
+    seen: dict[str, Path] = {}
+    for d, file in zip(datasets, files):
         if d.name in seen:
-            raise DatasetError(f"duplicate dataset name {d.name!r} in manifest")
-        seen.add(d.name)
+            raise DatasetError(f"{path}: duplicate dataset name {d.name!r}: {seen[d.name]} and {file}")
+        seen[d.name] = file
     return datasets

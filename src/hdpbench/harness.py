@@ -19,11 +19,10 @@ and the run goes on. One function (``_score``) scores the measures with
 
 Unsupervised methods ignore the source project: each runs once per target,
 and its result, a failure included, is copied to every plan of that target so
-the rows align one-for-one with the heterogeneous methods' rows. hdp1 sorts
-each dataset's columns and ranks a source's metrics once per dataset
-(``hdp.DatasetProfile``); per plan it keeps only the KS weight matrix, the
-assignment and the fit. scenario2 first runs hdp1 on every plan and keeps the
-plans where it succeeds.
+the rows align one-for-one with the heterogeneous methods' rows. Work that
+depends on one dataset is kept with it (``DefectDataset.derived``): hdp1's
+sorted columns and metric selection, and a target's efforts. scenario2 first
+runs hdp1 on every plan and keeps the plans where it succeeds.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import cache
 from itertools import combinations, product, repeat
 from operator import not_
 from pathlib import Path
@@ -64,8 +62,7 @@ class Method:
       plan's source and target ("hdp"), or of the ``udp`` module on the
       target alone ("udp"). The function is looked up in its module at each
       call, never stored, so a replaced module binding (a tracer's, a
-      test's) is the one that runs. ``profiled`` passes
-      ``hdp.DatasetProfile``s as source and target.
+      test's) is the one that runs.
     - ``choice``: the call returns one prediction per choice, keyed by
       choice, and this maps each measure to the key of the prediction it
       scores. Without it, the call's one prediction serves every measure.
@@ -76,13 +73,12 @@ class Method:
 
     category: str
     function: str
-    profiled: bool = False
     choice: dict[str, str] | None = None
     variants: dict[str, str] | None = None
 
 
 METHODS = {
-    "hdp1": Method("hdp", "hdp1_predict", profiled=True),
+    "hdp1": Method("hdp", "hdp1_predict"),
     "hdp5": Method("hdp", "hdp5_predict"),
     "cla": Method("udp", "cla_predict"),
     "clami": Method("udp", "clami_predict"),
@@ -296,8 +292,7 @@ class ExperimentResult:
 
 
 def _predict(
-    name: str, source: DefectDataset | hdp.DatasetProfile,
-    target: DefectDataset | hdp.DatasetProfile, measure_ids: Sequence[str], n_modules: int,
+    name: str, source: DefectDataset, target: DefectDataset, measure_ids: Sequence[str]
 ) -> dict[str, udp.Prediction] | str:
     """``name``'s prediction for each measure it is scored on or exports, or
     the reason it failed: its own (a failed ``HdpOutcome``), an exception, or
@@ -316,7 +311,7 @@ def _predict(
         chosen = {m: output[method.choice[m]] if method.choice else output for m in wanted}
         # an HdpOutcome or udp.BestMetric holds its Prediction
         preds = {m: p if isinstance(p, udp.Prediction) else p.predictions for m, p in chosen.items()}
-        if any(len(p.scores) != n_modules for p in preds.values()):
+        if any(len(p.scores) != target.n_modules for p in preds.values()):
             return "error: prediction count mismatch"
     except Exception as exc:  # one bad method call must not abort the run
         return f"error: {exc}"
@@ -325,12 +320,13 @@ def _predict(
 
 def _score(
     name: str, output: dict[str, udp.Prediction] | str, target: DefectDataset,
-    efforts: np.ndarray, measure_ids: Sequence[str],
+    measure_ids: Sequence[str],
 ) -> MethodResult:
     """Score ``_predict``'s output on every measure of ``measure_ids`` and
     pick out the method's exported variants; a failure fills every measure."""
     if isinstance(output, str):
         return MethodResult({m: (None, output) for m in measure_ids}, {}, output)
+    efforts = target.derived(effort_values)
     values = {
         m: measures.compute_measure(
             m, output[m].scores, output[m].predicted, efforts, target.labels
@@ -351,9 +347,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             raise ValueError(f"unknown method {m!r}")
     datasets = {d.name: d for d in load_manifest_datasets(cfg.manifest)}
     all_plans = enumerate_combinations(list(datasets.values()))
-    # hdp1's sorts and metric selection depend on one dataset: do them once
-    profile = cache(lambda name: hdp.DatasetProfile(datasets[name]))
-    efforts = {name: effort_values(d) for name, d in datasets.items()}
     results: dict[tuple[str, str, str], MethodResult] = {}
 
     def run(name: str, source: str, target: str) -> MethodResult:
@@ -362,12 +355,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         method = _method(name)
         key = (name, source if method.category == "hdp" else "", target)
         if key not in results:
-            inputs = ((profile(source), profile(target)) if method.profiled
-                      else (datasets[source], datasets[target]))
             # scenario2's filter method writes no rows unless it is configured
             measure_ids = cfg.measures if name in cfg.methods else ()
-            output = _predict(name, *inputs, measure_ids, datasets[target].n_modules)
-            results[key] = _score(name, output, datasets[target], efforts[target], measure_ids)
+            output = _predict(name, datasets[source], datasets[target], measure_ids)
+            results[key] = _score(name, output, datasets[target], measure_ids)
         return results[key]
 
     plans = all_plans

@@ -10,8 +10,7 @@ external method does (``harness.register_external_method``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -129,6 +128,11 @@ def _sorted_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return columns, counts.reshape(columns.shape)
 
 
+def _ks_columns(d: DefectDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The half of every KS ECDF that ``d`` contributes, on either side of a plan."""
+    return _sorted_columns(d.values)
+
+
 def ks_statistics(
     x_columns: np.ndarray, x_counts: np.ndarray, y_columns: np.ndarray, y_counts: np.ndarray
 ) -> np.ndarray:
@@ -168,32 +172,6 @@ def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
     x = _sorted_columns(np.asarray(a, dtype=float)[:, None])
     y = _sorted_columns(np.asarray(b, dtype=float)[:, None])
     return float(ks_pvalues(ks_statistics(*x, *y), len(a), len(b))[0, 0])
-
-
-@dataclass(frozen=True, eq=False)
-class DatasetProfile:
-    """hdp1's per-dataset work, done once for each loaded dataset.
-
-    ``columns`` and ``counts`` are ``_sorted_columns`` of the dataset's
-    values: the half of every KS ECDF that this dataset contributes, on
-    either side of a plan. ``selected`` is the dataset's metric selection as
-    a source. It is ranked on first use, so a dataset that is never a source
-    never ranks its metrics, and one too small to rank fails each plan it is
-    the source of.
-    """
-
-    dataset: DefectDataset
-    columns: np.ndarray = field(init=False, repr=False)
-    counts: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        columns, counts = _sorted_columns(self.dataset.values)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "counts", counts)
-
-    @cached_property
-    def selected(self) -> tuple[str, ...]:
-        return tuple(select_top_metrics(self.dataset))
 
 
 def max_weight_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -285,35 +263,38 @@ def match_from_weights(
     return MetricMatch(tuple(pairs))
 
 
-def match_metrics(source: DatasetProfile, target: DatasetProfile) -> MetricMatch:
+def match_metrics(source: DefectDataset, target: DefectDataset) -> MetricMatch:
     """Maximum-total-weight matching of the source's selected metrics to the
     target's metrics, where an edge weight is the KS p-value of the two columns.
 
     Edges with weight <= ``MATCH_CUTOFF`` are removed before solving (a high
     p-value means the distributions are similar). The pairs come in source
-    schema order.
+    schema order. Each dataset's metric selection and sorted columns are
+    computed once (``DefectDataset.derived``), so a dataset that is never a
+    source never ranks its metrics, and one too small to rank fails each
+    plan it is the source of.
     """
-    schema = source.dataset.schema
-    rows = [schema.metric_index(name) for name in source.selected]
-    stats = ks_statistics(source.columns[rows], source.counts[rows], target.columns, target.counts)
-    weights = ks_pvalues(stats, source.dataset.n_modules, target.dataset.n_modules)
-    match = match_from_weights(weights, source.selected, target.dataset.schema.metric_names)
-    pairs = sorted(match.pairs, key=lambda p: schema.metric_index(p[0]))
+    selected = source.derived(select_top_metrics)
+    rows = [source.schema.metric_index(name) for name in selected]
+    columns, counts = source.derived(_ks_columns)
+    stats = ks_statistics(columns[rows], counts[rows], *target.derived(_ks_columns))
+    weights = ks_pvalues(stats, source.n_modules, target.n_modules)
+    match = match_from_weights(weights, selected, target.schema.metric_names)
+    pairs = sorted(match.pairs, key=lambda p: source.schema.metric_index(p[0]))
     return MetricMatch(tuple(pairs))
 
 
-def hdp1_predict(source: DatasetProfile, target: DatasetProfile) -> HdpOutcome:
+def hdp1_predict(source: DefectDataset, target: DefectDataset) -> HdpOutcome:
     """KS matching of the source's selected metrics, then a logistic model on
     the matched columns. Fails with NoMatchedMetrics when no metric pair
     survives ``MATCH_CUTOFF``; the failure is recorded, not fatal."""
     match = match_metrics(source, target)
     if not match.pairs:
         return HdpOutcome(failure="NoMatchedMetrics")
-    s, t = source.dataset, target.dataset
-    source_cols = [s.schema.metric_index(name) for name, _, _ in match.pairs]
-    target_cols = [t.schema.metric_index(name) for _, name, _ in match.pairs]
-    model = train_logistic(s.values[:, source_cols], s.labels)
-    scores = predict_proba(model, t.values[:, target_cols])
+    source_cols = [source.schema.metric_index(name) for name, _, _ in match.pairs]
+    target_cols = [target.schema.metric_index(name) for _, name, _ in match.pairs]
+    model = train_logistic(source.values[:, source_cols], source.labels)
+    scores = predict_proba(model, target.values[:, target_cols])
     return HdpOutcome(predictions=Prediction(scores, scores > DECISION_THRESHOLD))
 
 

@@ -8,7 +8,8 @@ ranks and counts its null distribution again. The harness builds the same
 sections from one value table, one array pass per target and one batched
 Wilcoxon call per report; tests require byte-equal text. Wilcoxon, the
 contingency count, McNemar and Scott-Knott come from ``reference_stats``,
-so the oracles share none of the new arithmetic.
+so the oracles share none of the new arithmetic. The unidentified section
+counts each plan's missed defective modules one module at a time.
 
 ``load_results`` and ``value_table`` are the loader and the report table
 from before ``ExperimentResult`` held the table: the loader parses one
@@ -310,6 +311,38 @@ def _report_diversity(result: ExperimentResult) -> str:
     return "\n".join(out) + "\n"
 
 
+def _report_unidentified(result: ExperimentResult) -> str:
+    hdp_vars, udp_vars = _variant_sides(result.config.methods)
+    out = [
+        "defective modules no method identifies (plans where every method has predictions)",
+        "",
+    ]
+    rows = []
+    for source, target in sorted(result.plans):
+        flags = {v: result.predictions.get((v, source, target)) for v in hdp_vars + udp_vars}
+        defective = [i for i, bug in enumerate(result.target_truth[target]) if bug]
+        if any(f is None for f in flags.values()) or not defective:
+            continue
+        cells = []
+        for side in (hdp_vars, udp_vars, hdp_vars + udp_vars):
+            # a side without a method misses no module
+            missed = 0
+            for i in defective:
+                if side and not any(flags[v][i] for v in side):
+                    missed += 1
+            cells += [str(missed), f"{100 * missed / len(defective):.2f}%"]
+        rows.append([f"{source} => {target}", *cells])
+    if rows:
+        out.append(_table(
+            ["source => target", "=0 by HDP", "proportion",
+             "=0 by UM", "proportion", "=0 by ALL", "proportion"],
+            rows,
+        ))
+    else:
+        out.append("no plan has predictions from every configured method")
+    return "\n".join(out) + "\n"
+
+
 def _report_satisfactory(result: ExperimentResult, index) -> str:
     cfg = result.config
     out = ["satisfactory ratio per dataset group (SC1: precision & recall > 75%;"
@@ -351,5 +384,6 @@ def report_sections(result: ExperimentResult) -> dict[str, str]:
         "report_scottknott.txt": _report_scott_knott(result, index, by_target),
         "report_wtl.txt": _report_wtl(result, index, by_target),
         "report_diversity.txt": _report_diversity(result),
+        "report_unidentified.txt": _report_unidentified(result),
         "report_satisfactory.txt": _report_satisfactory(result, index),
     }

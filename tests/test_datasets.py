@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,6 +104,19 @@ def test_csv_row_errors_name_the_path_and_the_line(tmp_path, rows, error, messag
     assert str(caught.value) == f"{path}{message}"
 
 
+def test_csv_records_follow_the_csv_rules_not_str_splitlines(tmp_path):
+    # a quoted line break belongs to its cell
+    d = load_dataset(write_csv(tmp_path, '"wmc\nx",loc,bug\n1,10,0\n2,20,1\n'))
+    assert d.schema.metric_names == ("wmc\nx", "loc")
+    # a form feed ends no record, and float() strips it from the cell
+    d = load_dataset(write_csv(tmp_path, "wmc,loc,bug\n1,10\x0c,0\n2,20,1\n", "ff.csv"))
+    assert d.values.tolist() == [[1.0, 10.0], [2.0, 20.0]]
+    path = write_csv(tmp_path, "wmc,loc,bug\n1,10\x0c,0\n2,oops,1\n", "ff.csv")
+    with pytest.raises(NonNumericMetric) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}:3: non-numeric cell 'oops' in metric 'loc'"
+
+
 def test_arff_row_errors_name_the_path_and_the_line(tmp_path):
     text = (
         "% a comment line\n"
@@ -204,6 +219,38 @@ def test_loc_and_effort_values():
     assert loc_values(d).tolist() == [10, 20]
     d2 = make_dataset("y", [[0, 5], [20, 6]], [0, 1])
     assert effort_values(d2).tolist() == [1, 20]
+
+
+def test_derived_calls_fn_once_per_dataset():
+    calls = []
+
+    def n_defective(d):
+        calls.append(d.name)
+        return int(d.labels.sum())
+
+    a = make_dataset("a", [[1], [2]], [0, 1])
+    b = make_dataset("b", [[1], [2]], [1, 1])
+    assert [a.derived(n_defective), a.derived(n_defective), b.derived(n_defective)] == [1, 1, 2]
+    assert a.derived(effort_values) is a.derived(effort_values)
+    assert calls == ["a", "b"]
+    # a copy starts with nothing kept, and the cache is not part of equality or repr
+    copy = dataclasses.replace(a, name="c")
+    assert copy.derived(n_defective) == 1 and calls == ["a", "b", "c"]
+    assert "_derived" not in repr(a)
+
+
+def test_derived_keeps_nothing_when_fn_raises():
+    calls = []
+
+    def failing(d):
+        calls.append(d.name)
+        raise ValueError("cannot derive")
+
+    d = make_dataset("a", [[1], [2]], [0, 1])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot derive"):
+            d.derived(failing)
+    assert calls == ["a", "a"]
 
 
 def test_known_loc_metric_autodetected(tmp_path):
@@ -325,3 +372,19 @@ def test_manifest_schema_errors_name_the_file(tmp_path, one, two, loc, message):
     with pytest.raises(SchemaMismatch, match=message) as caught:
         load_manifest_datasets(manifest)
     assert str(caught.value).startswith(str(tmp_path))
+
+
+def test_manifest_duplicate_names_name_the_manifest_and_both_files(tmp_path):
+    for folder, header in (("a", "a_loc,a1,bug"), ("b", "b_loc,b1,bug")):
+        (tmp_path / folder).mkdir()
+        write_csv(tmp_path / folder, f"{header}\n1,1,0\n", "x.csv")
+    manifest = tmp_path / "manifest.ini"
+    manifest.write_text(
+        "[g]\nloc_metric = a_loc\ngranularity = file\nfiles = a/x.csv\n\n"
+        "[h]\nloc_metric = b_loc\ngranularity = file\nfiles = b/x.csv\n"
+    )
+    with pytest.raises(DatasetError) as caught:
+        load_manifest_datasets(manifest)
+    assert str(caught.value) == (
+        f"{manifest}: duplicate dataset name 'x': {tmp_path / 'a' / 'x.csv'} and {tmp_path / 'b' / 'x.csv'}"
+    )

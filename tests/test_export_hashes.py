@@ -33,6 +33,17 @@ PLANS226_3_0 = {
     "report_wtl.txt": "4e245485a4427b8b122f020edb7f9b2f508392cbbe10a65fc129ab6bba62ac69",
 }
 
+# results.csv and the five reports of bigtargets seed 5: spectral runs at
+# ML's 1,862 modules, and hdp1 matches projects of uneven size
+BIGTARGETS_5 = {
+    "results.csv": "54acd9bca0b31b1617459763f98b0e6fc95de79e15d2f0293513c74cc4a4c2d7",
+    "report_diversity.txt": "a59560ef0f202e69dd2574352a37debf449fb1c32d3f908d8ef5c9838de75684",
+    "report_satisfactory.txt": "003e61d17c8a86fada496939d194bce80b9aefda6ceef86bc94dc175b279f8de",
+    "report_scottknott.txt": "186c45f3611d3ef17a4133846f43ae277db7713c7dee3c899677bd6219b5fe70",
+    "report_unidentified.txt": "3639c46c7f73aed2005faf7c07a9ec815727979e563aa94796285d95e7cdb756",
+    "report_wtl.txt": "3b277e446b4519c7db69cbb96f149970c233e785a56f029de1b03fae867d0ec8",
+}
+
 
 def _load_script():
     spec = importlib.util.spec_from_file_location("export_hashes", SCRIPT)
@@ -58,8 +69,16 @@ def test_export_hashes_repeat_and_rebuilt_reports_match(capsys):
     assert lines == [f"{digest}  {name}" for name, digest in first.items()]
 
 
+def _assert_pinned(hashes: dict[str, str], pinned: dict[str, str]) -> None:
+    """The pinned digests, each report's rebuilt copy included."""
+    assert {name: hashes[name] for name in pinned} == pinned
+    reports = [name for name in pinned if name.startswith("report_")]
+    assert all(hashes[f"rebuilt/{name}"] == pinned[name] for name in reports)
+
+
 def test_plans226_reports_keep_their_digests():
-    hashes = _load_script().export_hashes("plans226", 3, 0)
-    assert {name: hashes[name] for name in PLANS226_3_0} == PLANS226_3_0
-    reports = [name for name in PLANS226_3_0 if name.startswith("report_")]
-    assert all(hashes[f"rebuilt/{name}"] == PLANS226_3_0[name] for name in reports)
+    _assert_pinned(_load_script().export_hashes("plans226", 3, 0), PLANS226_3_0)
+
+
+def test_bigtargets_reports_keep_their_digests():
+    _assert_pinned(_load_script().export_hashes("bigtargets", 5), BIGTARGETS_5)

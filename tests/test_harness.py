@@ -740,7 +740,7 @@ def test_same_config_twice_is_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# hdp1's per-dataset profiles
+# hdp1's per-dataset work
 
 # the three NASA groups share one value scale, so their plans can match
 STUB_GROUPS = {"relink": "Apache Safe", "nasa37": "cm1 mw1", "nasa21": "jm1", "nasa36": "pc2",
@@ -766,12 +766,12 @@ def _record_hdp1(monkeypatch) -> tuple[dict, dict]:
     predict, match = hdp.hdp1_predict, hdp.match_metrics
 
     def recorded_predict(source, target, *args, **kwargs):
-        key = (source.dataset.name, target.dataset.name)
+        key = (source.name, target.name)
         outcomes[key] = predict(source, target, *args, **kwargs)
         return outcomes[key]
 
     def recorded_match(source, target, *args, **kwargs):
-        key = (source.dataset.name, target.dataset.name)
+        key = (source.name, target.name)
         matches[key] = match(source, target, *args, **kwargs)
         return matches[key]
 
@@ -805,12 +805,22 @@ def test_metric_selection_runs_once_per_source_dataset(stub_manifest, tmp_path, 
         ranked.append(d.name)
         return select(d, *args, **kwargs)
 
+    sorted_columns = []
+    ks_columns = hdp._ks_columns
+
+    def counted_columns(d):
+        sorted_columns.append(d.name)
+        return ks_columns(d)
+
     monkeypatch.setattr(hdp, "select_top_metrics", counted)
+    monkeypatch.setattr(hdp, "_ks_columns", counted_columns)
     outcomes, _ = _record_hdp1(monkeypatch)
     cfg = ExperimentConfig(manifest=str(stub_manifest), output_dir=str(tmp_path), methods=("hdp1",))
     result = run_experiment(cfg)
     assert len(outcomes) == len(result.plans) == 50
     assert sorted(ranked) == sorted({s for s, _ in result.plans})  # 8 datasets, once each
+    # the same 8 datasets sort their columns once each, as a source and as a target alike
+    assert sorted(sorted_columns) == sorted(ranked)
 
 
 def test_a_dataset_too_small_to_rank_fails_only_as_a_source(tmp_path, monkeypatch):

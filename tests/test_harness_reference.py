@@ -2,10 +2,11 @@
 
 ``reference_harness`` holds the Scott-Knott, win/tie/loss, diversity and
 satisfactory sections as they were before the harness built them from one
-value table. Hypothesis draws the shape of an ``ExperimentResult`` (targets,
-groups, sources per target, methods, measures, scenario, how often values
-are absent and plans fail) and a seed that fills in tie-heavy values and
-labels; every section must be the same text.
+value table, and a per-module loop for the unidentified section. Hypothesis
+draws the shape of an ``ExperimentResult`` (targets, groups, sources per
+target, methods, measures, scenario, how often values are absent and plans
+fail) and a seed that fills in tie-heavy values and labels; every section
+must be the same text.
 
 ``reference_harness.load_results`` is the loader that parsed one row at a
 time and checked every plan's cells again. On the synthetic run's exported
@@ -126,10 +127,16 @@ ALL_METHODS = tuple(harness.METHODS)
 @example(dict(seed=3, sources=[2, 5], truth=["mixed", "defect_free"], groups=[0, 1],
               methods=("cla", "manual"), measure_ids=("f1",), scenario="scenario1",
               absent=0.5, failed=0.4))
+# only heterogeneous methods: "=0 by UM" is 0 on every plan
+@example(dict(seed=4, sources=[3, 4], truth=["mixed", "all_defective"], groups=[0, 1],
+              methods=("hdp1", "hdp5"), measure_ids=("f1",), scenario="scenario1",
+              absent=0.0, failed=0.1))
 def test_report_sections_equal_the_reference(spec):
     result = build_result(**spec)
     report = harness.build_report(result)
-    for name, text in reference_harness.report_sections(result).items():
+    sections = reference_harness.report_sections(result)
+    assert sections.keys() == report.keys()
+    for name, text in sections.items():
         assert report[name] == text, name
 
 
