@@ -64,7 +64,6 @@ class MetricSchema:
     group_name: str
     metric_names: tuple[str, ...]
     loc_metric: str
-    granularity: str
 
     def __post_init__(self):
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
@@ -76,8 +75,6 @@ class MetricSchema:
             raise SchemaMismatch(
                 f"loc metric {self.loc_metric!r} not among metrics of group {self.group_name!r}"
             )
-        if self.granularity not in GRANULARITIES:
-            raise SchemaMismatch(f"granularity must be one of {GRANULARITIES}")
 
     def metric_index(self, name: str) -> int:
         return self.metric_names.index(name)
@@ -160,7 +157,8 @@ def _parse_arff(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[
     header: list[str] = []
     rows: list[tuple[int, list[str]]] = []
     in_data = False
-    for number, line in enumerate(text.splitlines(), start=1):
+    # csv's record rule: a line ends only at \n, \r or \r\n
+    for number, line in enumerate(io.StringIO(text, newline=""), start=1):
         line = line.strip()
         if not line or line.startswith("%"):
             continue
@@ -190,7 +188,6 @@ def load_dataset(
     schema: MetricSchema | None = None,
     *,
     group_name: str = "unknown-group",
-    granularity: str = "file",
     loc_metric: str | None = None,
 ) -> DefectDataset:
     """Load one dataset file into a validated DefectDataset named after its stem.
@@ -199,11 +196,12 @@ def load_dataset(
     the class; any other file is CSV with a header row and a label column
     named bug/bugs/label/defective/isDefective (case-insensitive). Without a
     schema, one is derived from the header with ``loc_metric`` (or a known
-    LOC name, else the first metric) as the LOC column. An error names the
-    file, and a row error also its line.
+    LOC name, else the first metric) as the LOC column. A leading UTF-8
+    byte-order mark is skipped. An error names the file, and a row error
+    also its line.
     """
     path = Path(path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8-sig")
     if path.suffix.lower() == ".arff":
         header, rows = _parse_arff(path, text)
         label_index = len(header) - 1
@@ -226,7 +224,7 @@ def load_dataset(
                 # metric has none, and MetricSchema rejects its empty schema
                 loc_metric = next(
                     (m for m in (*KNOWN_LOC_METRICS, *metric_names) if m in metric_names), "")
-            schema = MetricSchema(group_name, tuple(metric_names), loc_metric, granularity)
+            schema = MetricSchema(group_name, tuple(metric_names), loc_metric)
         elif tuple(metric_names) != schema.metric_names:
             if len(metric_names) != len(schema.metric_names):
                 raise SchemaMismatch(
@@ -317,11 +315,11 @@ class GroupSpec:
 
 
 def read_ini(path: Path, error: type[ValueError] = DatasetError) -> configparser.ConfigParser:
-    """Parse an INI file. A line that does not parse, a missing first
-    ``[section]`` header and a repeated section or key raise ``error`` with
-    the file and line."""
+    """Parse an INI file, skipping a leading UTF-8 byte-order mark. A line
+    that does not parse, a missing first ``[section]`` header and a repeated
+    section or key raise ``error`` with the file and line."""
     parser = configparser.ConfigParser(interpolation=None)
-    with path.open() as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         try:
             parser.read_file(fh)
         except configparser.MissingSectionHeaderError as exc:
@@ -338,10 +336,10 @@ def read_ini(path: Path, error: type[ValueError] = DatasetError) -> configparser
 def read_manifest(path: str | Path) -> list[GroupSpec]:
     """Parse a group manifest: one section per group, key-value entries.
 
-    Keys: ``loc_metric``, ``granularity``, ``files`` (whitespace- or
-    comma-separated paths relative to the manifest, at least one). Any other
-    key, or a group without a file, raises ``DatasetError`` naming the
-    manifest and the group.
+    Keys: ``loc_metric``, ``granularity`` (one of ``GRANULARITIES``),
+    ``files`` (whitespace- or comma-separated paths relative to the manifest,
+    at least one). Any other key or granularity, or a group without a file,
+    raises ``DatasetError`` naming the manifest and the group.
     """
     path = Path(path)
     parser = read_ini(path)
@@ -354,6 +352,9 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
         for key in ("loc_metric", "granularity"):
             if key not in entries:
                 raise DatasetError(f"{path}: group [{section}] is missing {key!r}")
+        if entries["granularity"] not in GRANULARITIES:
+            raise DatasetError(f"{path}: group [{section}] granularity "
+                               f"{entries['granularity']!r} is not one of {GRANULARITIES}")
         raw_files = entries.get("files", "").replace(",", " ").split()
         if not raw_files:
             raise DatasetError(f"{path}: group [{section}] lists no file")
@@ -375,13 +376,7 @@ def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
     for group in read_manifest(path):
         schema = None
         for file in group.files:
-            d = load_dataset(
-                file,
-                schema,
-                group_name=group.name,
-                granularity=group.granularity,
-                loc_metric=group.loc_metric,
-            )
+            d = load_dataset(file, schema, group_name=group.name, loc_metric=group.loc_metric)
             schema = d.schema
             datasets.append(d)
             files.append(file)

@@ -11,10 +11,10 @@ method's category, how it is called, and the label variants it exports. Any
 other name is a method registered here (``register_external_method``): a
 heterogeneous method on the plan's source and target datasets that exports
 its own name, so the reports read only the table, never the registry. Every
-call goes through one guard (``_predict``): an exception, a failed
+call goes through one guard (``_outcome``): an exception, a failed
 ``hdp.HdpOutcome`` or a prediction that is not one label per target module
 becomes the method's failure on that plan, recorded in every measure's row,
-and the run goes on. One function (``_score``) scores the measures with
+and the run goes on; otherwise it scores the measures with
 ``measures.compute_measure`` and picks out the variants.
 
 Unsupervised methods ignore the source project: each runs once per target,
@@ -232,10 +232,12 @@ class ResultRow(NamedTuple):
 @dataclass
 class MethodResult:
     """One method's outcome on one plan, or on one target for an unsupervised
-    method: a (value, failure) per measure, the exported label variants, and
+    method: its block of the value table (a value, NaN where absent, and a
+    failure, "" where none, per measure), the exported label variants, and
     the method's own failure, if it failed."""
 
-    values: dict[str, tuple[float | None, str | None]]
+    values: list[float]
+    failures: list[str]
     variant_labels: dict[str, np.ndarray]  # variant name -> bool flag per module
     failure: str | None = None
 
@@ -291,49 +293,41 @@ class ExperimentResult:
                                 None if math.isnan(value) else value, failures[k] or None)
 
 
-def _predict(
+def _outcome(
     name: str, source: DefectDataset, target: DefectDataset, measure_ids: Sequence[str]
-) -> dict[str, udp.Prediction] | str:
-    """``name``'s prediction for each measure it is scored on or exports, or
-    the reason it failed: its own (a failed ``HdpOutcome``), an exception, or
-    a prediction that is not one label per target module. An unsupervised
-    method is called on ``target`` alone."""
+) -> MethodResult:
+    """``name`` called on the plan and scored on every measure of
+    ``measure_ids``, with its exported variants. If it fails (a failed
+    ``HdpOutcome``, an exception, or a prediction that is not one label per
+    target module), the failure fills every measure. An unsupervised method
+    is called on ``target`` alone."""
     method = _method(name)
     if method is _REGISTERED:
         fn = _EXTERNAL_METHODS[name]
     else:
         fn = getattr(hdp if method.category == "hdp" else udp, method.function)
     wanted = [*measure_ids, *_variants(name).values()]
+    failure = None
     try:
         output = fn(source, target) if method.category == "hdp" else fn(target)
         if isinstance(output, hdp.HdpOutcome) and not output.ok:
-            return output.failure
-        chosen = {m: output[method.choice[m]] if method.choice else output for m in wanted}
-        # an HdpOutcome or udp.BestMetric holds its Prediction
-        preds = {m: p if isinstance(p, udp.Prediction) else p.predictions for m, p in chosen.items()}
-        if any(len(p.scores) != target.n_modules for p in preds.values()):
-            return "error: prediction count mismatch"
+            failure = output.failure
+        else:
+            chosen = {m: output[method.choice[m]] if method.choice else output for m in wanted}
+            # an HdpOutcome or udp.BestMetric holds its Prediction
+            preds = {m: p if isinstance(p, udp.Prediction) else p.predictions for m, p in chosen.items()}
+            if any(len(p.scores) != target.n_modules for p in preds.values()):
+                failure = "error: prediction count mismatch"
     except Exception as exc:  # one bad method call must not abort the run
-        return f"error: {exc}"
-    return preds
-
-
-def _score(
-    name: str, output: dict[str, udp.Prediction] | str, target: DefectDataset,
-    measure_ids: Sequence[str],
-) -> MethodResult:
-    """Score ``_predict``'s output on every measure of ``measure_ids`` and
-    pick out the method's exported variants; a failure fills every measure."""
-    if isinstance(output, str):
-        return MethodResult({m: (None, output) for m in measure_ids}, {}, output)
+        failure = f"error: {exc}"
+    if failure is not None:
+        return MethodResult([math.nan] * len(measure_ids), [failure] * len(measure_ids), {}, failure)
     efforts = target.derived(effort_values)
-    values = {
-        m: measures.compute_measure(
-            m, output[m].scores, output[m].predicted, efforts, target.labels
-        )
-        for m in measure_ids
-    }
-    return MethodResult(values, {v: output[m].predicted for v, m in _variants(name).items()})
+    scored = [measures.compute_measure(m, preds[m].scores, preds[m].predicted, efforts, target.labels)
+              for m in measure_ids]
+    return MethodResult([math.nan if value is None else value for value, _ in scored],
+                        [reason or "" for _, reason in scored],
+                        {v: preds[m].predicted for v, m in _variants(name).items()})
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -357,8 +351,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if key not in results:
             # scenario2's filter method writes no rows unless it is configured
             measure_ids = cfg.measures if name in cfg.methods else ()
-            output = _predict(name, datasets[source], datasets[target], measure_ids)
-            results[key] = _score(name, output, datasets[target], measure_ids)
+            results[key] = _outcome(name, datasets[source], datasets[target], measure_ids)
         return results[key]
 
     plans = all_plans
@@ -370,10 +363,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     predictions: dict[tuple[str, str, str], np.ndarray] = {}
     for (source, target), method in product(plans, cfg.methods):
         res = run(method, source, target)
-        for measure in cfg.measures:
-            value, reason = res.values[measure]
-            values.append(math.nan if value is None else value)
-            failures.append(reason or "")
+        values += res.values
+        failures += res.failures
         for variant, flags in res.variant_labels.items():
             predictions[(variant, source, target)] = flags
 

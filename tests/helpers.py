@@ -78,12 +78,11 @@ def make_dataset(
     group: str = "test-group",
     metric_names: tuple[str, ...] | None = None,
     loc_index: int = 0,
-    granularity: str = "file",
 ) -> DefectDataset:
     values = np.asarray(values, dtype=float)
     if metric_names is None:
         metric_names = tuple(f"{name}_m{j}" for j in range(values.shape[1]))
-    schema = MetricSchema(group, metric_names, metric_names[loc_index], granularity)
+    schema = MetricSchema(group, metric_names, metric_names[loc_index])
     return DefectDataset(name, schema, values, np.asarray(labels, dtype=bool))
 
 

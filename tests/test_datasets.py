@@ -135,6 +135,23 @@ def test_arff_row_errors_name_the_path_and_the_line(tmp_path):
     assert str(caught.value) == f"{path}:9: non-numeric cell 'x' in metric 'loc'"
 
 
+FF_ARFF_HEADER = "@relation ff\n@attribute wmc numeric\n@attribute loc numeric\n@attribute class {0,1}\n"
+
+
+def test_an_arff_form_feed_ends_no_line(tmp_path):
+    # arff lines follow csv's record rule, not str.splitlines; float() strips the form feed
+    d = load_dataset(write_csv(tmp_path, FF_ARFF_HEADER + "@data\n1,10\x0c,0\n2,20,1\n", "ff.arff"))
+    assert d.values.tolist() == [[1.0, 10.0], [2.0, 20.0]]
+
+
+def test_an_arff_comment_with_a_form_feed_is_one_line(tmp_path):
+    # so a later row's error names that row's own line
+    path = write_csv(tmp_path, FF_ARFF_HEADER + "% a\x0cb\n@data\n1,10,0\n2,oops,1\n", "ff.arff")
+    with pytest.raises(NonNumericMetric) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}:8: non-numeric cell 'oops' in metric 'loc'"
+
+
 ARFF_DATA = "@attribute class {Y,N}\n@data\n10,Y\n"
 
 
@@ -187,7 +204,7 @@ def test_the_arff_suffix_in_any_case_picks_the_arff_reader(tmp_path, name):
 
 
 def test_schema_metric_count_mismatch(tmp_path):
-    schema = MetricSchema("g", ("a", "b", "c"), "a", "file")
+    schema = MetricSchema("g", ("a", "b", "c"), "a")
     with pytest.raises(SchemaMismatch):
         load_dataset(write_csv(tmp_path, "a,b,bug\n1,2,0\n"), schema=schema)
 
@@ -253,6 +270,24 @@ def test_derived_keeps_nothing_when_fn_raises():
     assert calls == ["a", "a"]
 
 
+@pytest.mark.parametrize("header", ["bug,wmc,loc", "wmc,loc,bug"], ids=["label-first", "metric-first"])
+def test_a_utf8_byte_order_mark_is_not_part_of_the_first_column(tmp_path, header):
+    # spreadsheet programs often save CSV with a BOM
+    path = tmp_path / "bom.csv"
+    path.write_text(f"{header}\n1,1,1\n1,1,1\n", encoding="utf-8-sig")
+    d = load_dataset(path)
+    assert d.schema.metric_names == ("wmc", "loc") and d.schema.loc_metric == "loc"
+
+
+def test_a_manifest_with_a_utf8_byte_order_mark_loads(tmp_path):
+    write_csv(tmp_path, "g_loc,g1,bug\n1,1,0\n", "one.csv")
+    manifest = tmp_path / "m.ini"
+    manifest.write_text("[g]\nloc_metric = g_loc\ngranularity = file\nfiles = one.csv\n",
+                        encoding="utf-8-sig")
+    assert manifest.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert [g.name for g in read_manifest(manifest)] == ["g"]
+
+
 def test_known_loc_metric_autodetected(tmp_path):
     d = load_dataset(write_csv(tmp_path, "wmc,loc,bug\n1,10,0\n2,20,1\n"))
     assert d.schema.loc_metric == "loc"
@@ -301,11 +336,9 @@ def test_benchmark_stub_enumeration():
 
 def test_schema_validation():
     with pytest.raises(SchemaMismatch):
-        MetricSchema("g", ("a", "a"), "a", "file")
+        MetricSchema("g", ("a", "a"), "a")
     with pytest.raises(SchemaMismatch):
-        MetricSchema("g", ("a",), "b", "file")
-    with pytest.raises(SchemaMismatch):
-        MetricSchema("g", ("a",), "a", "package")
+        MetricSchema("g", ("a",), "b")
 
 
 def test_dataset_rejects_non_finite():
@@ -326,7 +359,7 @@ def test_manifest_round_trip(tmp_path):
     datasets = load_manifest_datasets(manifest)
     assert [d.name for d in datasets] == ["one", "two"]
     assert datasets[0].schema.loc_metric == "p_loc"
-    assert datasets[1].schema.granularity == "class"
+    assert groups[1].granularity == "class"
 
 
 def test_manifest_missing_key(tmp_path):
@@ -335,6 +368,18 @@ def test_manifest_missing_key(tmp_path):
     with pytest.raises(DatasetError) as caught:
         read_manifest(manifest)
     assert str(caught.value) == f"{manifest}: group [g] is missing 'loc_metric'"
+
+
+def test_manifest_rejects_an_unknown_granularity(tmp_path):
+    write_csv(tmp_path, "g_loc,g1,bug\n1,1,0\n", "one.csv")
+    manifest = tmp_path / "m.ini"
+    manifest.write_text("[g]\nloc_metric = g_loc\ngranularity = package\nfiles = one.csv\n")
+    # the error names the manifest, not the group's first data file
+    with pytest.raises(DatasetError) as caught:
+        load_manifest_datasets(manifest)
+    assert str(caught.value) == (
+        f"{manifest}: group [g] granularity 'package' is not one of ('class', 'file', 'function')"
+    )
 
 
 @pytest.mark.parametrize("entry, message", [

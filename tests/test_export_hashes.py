@@ -82,3 +82,32 @@ def test_plans226_reports_keep_their_digests():
 
 def test_bigtargets_reports_keep_their_digests():
     _assert_pinned(_load_script().export_hashes("bigtargets", 5), BIGTARGETS_5)
+
+
+# results.csv, summary.txt and the five reports of plans226 seed 3 part 0
+# under scenario2, which keeps only the plans hdp1 predicts
+PLANS226_3_0_SCENARIO2 = {
+    "results.csv": "bfd44a8d633feafe92264085b49a87d160fe27d8bd3b3ebf036300764ee2193f",
+    "summary.txt": "8b5ac779f03c3de6ae68c4d5b9429b02811c4f01d06f698f63eb7fe3f292425d",
+    "report_diversity.txt": "f95645afbdb39f2c0abb8fbdd93728107e9d9dc35cead3f710ceb403f822ac04",
+    "report_satisfactory.txt": "a6eedbe34c33b76419864fe9cf218363368cdba13cef7289c4050bc67cd72762",
+    "report_scottknott.txt": "ae484a485abf701733ac9d7f1ecad9cd8ad155c4d453ad5d8c47393ac212cd1d",
+    "report_unidentified.txt": "bb842045251ee6488dc4ae0d1cdc8fc043dbdec9f437a92dbd16db71fb4f3316",
+    "report_wtl.txt": "5b63df6fc4595a13df95740dddcd6fe0c3d17a6b4e7f2405c9d94784b61c29c1",
+}
+
+
+def test_plans226_scenario2_keeps_its_plans_and_digests(tmp_path):
+    script = _load_script()
+    harness = script.harness
+    manifest = script.workloads.generate("plans226", tmp_path, 3, script.ROOT, 0)
+    cfg = harness.ExperimentConfig(str(manifest), str(tmp_path / "out"), scenario="scenario2", seed=3)
+    result = harness.run_experiment(cfg)
+    assert (len(result.plans), result.n_plans_total) == (58, 226)
+    harness.export_results(result, cfg.output_dir)
+    hashes = {name: script._sha256((tmp_path / "out" / name).read_bytes())
+              for name in ("results.csv", "summary.txt")}
+    for prefix, report in (("", harness.build_report(result)),
+                           ("rebuilt/", harness.build_report(harness.load_results(cfg.output_dir)))):
+        hashes.update({prefix + name: script._sha256(text.encode()) for name, text in report.items()})
+    _assert_pinned(hashes, PLANS226_3_0_SCENARIO2)

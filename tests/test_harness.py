@@ -72,6 +72,13 @@ def test_load_config_and_defaults(tmp_path):
     assert cfg == ExperimentConfig(str(manifest), str(tmp_path / "results"))
 
 
+def test_a_config_with_a_utf8_byte_order_mark_loads(tmp_path):
+    cfg_path = tmp_path / "config.ini"
+    cfg_path.write_text("[experiment]\nmanifest = m.ini\nseed = 4\n", encoding="utf-8-sig")
+    assert cfg_path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(cfg_path).seed == 4
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(manifest="m", output_dir="o", methods=())
@@ -368,6 +375,34 @@ def test_unsupervised_exception_fails_every_plan_of_every_target(tmp_path, monke
     assert all(r.value is None and r.failure == "error: boom" for r in cla_rows)
     assert not any(variant == "cla" for variant, _, _ in result.predictions)
     assert harness.method_failures(result) == {"cla": 2}
+
+
+def test_a_short_choice_fails_every_measure_of_its_method(tmp_path, monkeypatch):
+    # manual's "up" ranking scores popt; a short one also fails f1 and auc,
+    # which score its correct "down" ranking
+    manifest = two_dataset_manifest(tmp_path)
+    cfg = ExperimentConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"),
+                           methods=("hdp5", "cla", "manual"), measures=("f1", "auc", "popt"))
+    before = run_experiment(cfg)
+    manual_rank = udp.manual_rank
+
+    def short_up(d):
+        rankings = manual_rank(d)
+        if d.name == "one":
+            up = rankings["up"]
+            rankings["up"] = Prediction(up.scores[:-1], up.predicted[:-1])
+        return rankings
+
+    monkeypatch.setattr(udp, "manual_rank", short_up)
+    result = run_experiment(cfg)
+    short = [r for r in result.rows() if r.method == "manual" and r.target == "one"]
+    assert [r.measure for r in short] == ["f1", "auc", "popt"]
+    assert all(r.value is None and r.failure == "error: prediction count mismatch" for r in short)
+    assert [key for key in result.predictions if key[0] == "manual"] == [("manual", "one", "two")]
+    assert [r for r in result.rows() if r not in short] == [
+        r for r in before.rows() if not (r.method == "manual" and r.target == "one")
+    ]
+    assert all(np.array_equal(flags, before.predictions[key]) for key, flags in result.predictions.items())
 
 
 # the benchmark's tracer times a method by replacing its module binding, so
