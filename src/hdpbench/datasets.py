@@ -184,24 +184,22 @@ def _parse_arff(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[
 
 
 def load_dataset(
-    path: str | Path,
-    schema: MetricSchema | None = None,
-    *,
-    group_name: str = "unknown-group",
-    loc_metric: str | None = None,
+    path: str | Path, *, group_name: str = "unknown-group", loc_metric: str | None = None
 ) -> DefectDataset:
     """Load one dataset file into a validated DefectDataset named after its stem.
 
     A ``.arff`` file (in any case) is an arff subset whose last attribute is
     the class; any other file is CSV with a header row and a label column
-    named bug/bugs/label/defective/isDefective (case-insensitive). Without a
-    schema, one is derived from the header with ``loc_metric`` (or a known
-    LOC name, else the first metric) as the LOC column. A leading UTF-8
+    named bug/bugs/label/defective/isDefective (case-insensitive). The
+    schema is derived from the header with ``loc_metric`` (or a known LOC
+    name, else the first metric) as the LOC column. A leading UTF-8
     byte-order mark is skipped. An error names the file, and a row error
     also its line.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    # newline="": a quoted carriage return stays in its cell
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
     if path.suffix.lower() == ".arff":
         header, rows = _parse_arff(path, text)
         label_index = len(header) - 1
@@ -217,21 +215,12 @@ def load_dataset(
             raise MissingLabelColumn(f"{path}: no label column among {header}")
         label_index = matches[0]
     metric_names = [h.strip() for i, h in enumerate(header) if i != label_index]
+    if loc_metric is None:
+        # a known LOC name, else the first metric; a file without a metric
+        # has none, and MetricSchema rejects its empty schema
+        loc_metric = next((m for m in (*KNOWN_LOC_METRICS, *metric_names) if m in metric_names), "")
     try:
-        if schema is None:
-            if loc_metric is None:
-                # a known LOC name, else the first metric; a file without a
-                # metric has none, and MetricSchema rejects its empty schema
-                loc_metric = next(
-                    (m for m in (*KNOWN_LOC_METRICS, *metric_names) if m in metric_names), "")
-            schema = MetricSchema(group_name, tuple(metric_names), loc_metric)
-        elif tuple(metric_names) != schema.metric_names:
-            if len(metric_names) != len(schema.metric_names):
-                raise SchemaMismatch(
-                    f"{len(metric_names)} metric columns vs "
-                    f"{len(schema.metric_names)} in group {schema.group_name!r}"
-                )
-            raise SchemaMismatch(f"metric names do not match group {schema.group_name!r}")
+        schema = MetricSchema(group_name, tuple(metric_names), loc_metric)
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
 
@@ -244,20 +233,16 @@ def load_dataset(
         if len(row) != n_cols:
             raise DatasetError(f"{path}:{line}: {len(row)} cells, expected {n_cols}")
         try:
-            labels[r] = normalize_label(row[label_index])
+            labels[r] = normalize_label(row.pop(label_index))
         except DatasetError as exc:
             raise DatasetError(f"{path}:{line}: {exc}") from None
-        c = 0
-        for i, cell in enumerate(row):
-            if i == label_index:
-                continue
+        for c, cell in enumerate(row):
             try:
                 values[r, c] = float(cell)
             except ValueError:
                 raise NonNumericMetric(
                     f"{path}:{line}: non-numeric cell {cell!r} in metric {metric_names[c]!r}"
                 ) from None
-            c += 1
     non_finite = np.argwhere(~np.isfinite(values))
     if len(non_finite):
         r, c = non_finite[0]
@@ -366,18 +351,23 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
 
 
 def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
-    """Load every dataset listed in a manifest. A group's schema comes from
-    its first file's header; each later file of the group must have the
-    same metric columns, or ``SchemaMismatch`` names that file. Two files
-    with one name (``a/x.csv`` and ``b/x.csv``) are an error that names the
-    manifest and both files."""
+    """Load every dataset listed in a manifest. Each file loads on its own,
+    with the group's name and LOC metric; each later file of a group must
+    then have its first file's metric columns, or ``SchemaMismatch`` names
+    that file. Two files with one name (``a/x.csv`` and ``b/x.csv``) are an
+    error that names the manifest and both files."""
     path = Path(path)
     datasets, files = [], []
     for group in read_manifest(path):
-        schema = None
+        names = None
         for file in group.files:
-            d = load_dataset(file, schema, group_name=group.name, loc_metric=group.loc_metric)
-            schema = d.schema
+            d = load_dataset(file, group_name=group.name, loc_metric=group.loc_metric)
+            names = names or d.schema.metric_names
+            if d.schema.metric_names != names:
+                if len(d.schema.metric_names) != len(names):
+                    raise SchemaMismatch(f"{file}: {len(d.schema.metric_names)} metric columns "
+                                         f"vs {len(names)} in group {group.name!r}")
+                raise SchemaMismatch(f"{file}: metric names do not match group {group.name!r}")
             datasets.append(d)
             files.append(file)
     seen: dict[str, Path] = {}

@@ -554,19 +554,21 @@ def _flags(path: Path, bits: Sequence[str], n_modules: list[int] | None = None) 
 
 
 def _result_blocks(
-    path: Path, cfg: ExperimentConfig, targets: Collection[str]
+    path: Path, cfg: ExperimentConfig, target_truth: dict[str, np.ndarray]
 ) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
     """results.csv's plans in order of first appearance and their value and
     failure blocks (``ExperimentResult.from_blocks``), filled by position:
     plan index x cell index, where a cell is a configured (method, measure).
 
-    Every row must name a known target and a configured method and measure,
-    repeat no earlier row's cell and hold a finite number or no value, and
-    every plan must have every cell. One count per position finds both a
-    repeat (above 1) and a missing cell (0).
+    Every row must name a target of ``target_truth`` and a configured method
+    and measure, repeat no earlier row's cell and hold a finite number or no
+    value, and every plan must have every cell. One count per position finds
+    both a repeat (above 1) and a missing cell (0). Then every row must hold
+    exactly one of a value and a failure reason, and a value must lie in
+    [0, 1], or for ``ifa`` in [0, n - 1] on a target of n modules.
     """
     methods, sources, target_ids, measure_ids, texts, failures = _csv_columns(path, RESULT_COLUMNS)
-    checks = (("target", target_ids, targets, "is not in targets.csv"),
+    checks = (("target", target_ids, target_truth, "is not in targets.csv"),
               ("method", methods, cfg.methods, "is not configured"),
               ("measure", measure_ids, cfg.measures, "is not configured"))
     for noun, names, known, complaint in checks:
@@ -591,13 +593,26 @@ def _result_blocks(
                 float(text or 0)
             except ValueError:
                 raise ValueError(f"{path}:{_line(path, k)}: value {text!r} is not a number") from None
-    if not (finite := np.isfinite(numbers) | np.fromiter(map(not_, texts), bool, len(texts))).all():
+    absent = np.fromiter(map(not_, texts), bool, len(texts))
+    if not (finite := np.isfinite(numbers) | absent).all():
         k = _first(~finite)
         raise ValueError(f"{path}:{_line(path, k)}: value {texts[k]!r} is not a finite number")
     if not fills.all():
         plan, cell = divmod(_first(fills == 0), len(cells))
         (source, target), (method, measure) = plans[plan], cells[cell]
         raise ValueError(f"{path}: plan {source} => {target} has no {method} {measure} row")
+    if not (one := absent == np.fromiter(map(bool, failures), bool, len(failures))).all():
+        k = _first(~one)
+        raise ValueError(f"{path}:{_line(path, k)}: " + (
+            "holds neither a value nor a failure" if absent[k]
+            else f"holds both value {texts[k]!r} and failure {failures[k]!r}"))
+    # ifa counts the non-defective modules ranked before the first defective one
+    n_modules = np.array([len(target_truth[target]) for _, target in plans], dtype=int)
+    highs = np.where([m == "ifa" for _, m in cells], n_modules[:, None] - 1, 1).ravel()[positions]
+    if (outside := (numbers < 0) | (numbers > highs)).any():
+        k = _first(outside)
+        raise ValueError(f"{path}:{_line(path, k)}: {measure_ids[k]} value {texts[k]!r} "
+                         f"is outside [0, {highs[k]}]")
     values = np.empty(len(positions))
     values[positions] = numbers
     blocks = np.empty(len(positions), dtype=object)
@@ -611,19 +626,18 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
     The files are checked: exact headers; only '0'/'1' labels, and every
     prediction as long as its target's truth; no repeated target in
     targets.csv and no repeated (variant, source, target) in
-    predictions.csv; in results.csv, a known target, a configured method
-    and measure, a finite numeric value and no repeat on each row, and a
-    row for every configured method and measure on each plan. With one
-    fault in the files, the error names it and its line; with several, it
-    names one of them."""
+    predictions.csv; results.csv's rows as ``_result_blocks`` checks them;
+    and a plan in results.csv for every target. With one fault in the
+    files, the error names it and its line; with several, it names one of
+    them."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
-    path = results_dir / "targets.csv"
-    targets, groups, bits = _csv_columns(path, TARGET_COLUMNS)
+    targets_path = results_dir / "targets.csv"
+    targets, groups, bits = _csv_columns(targets_path, TARGET_COLUMNS)
     target_groups = dict(zip(targets, groups))
     if len(target_groups) != len(targets):
-        _reject_repeats(path, (targets,))
-    target_truth = dict(zip(targets, _flags(path, bits)))
+        _reject_repeats(targets_path, (targets,))
+    target_truth = dict(zip(targets, _flags(targets_path, bits)))
     path = results_dir / "predictions.csv"
     variants, sources, pred_targets, bits = _csv_columns(path, PREDICTION_COLUMNS)
     if unknown := set(pred_targets).difference(target_truth):
@@ -634,7 +648,12 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
         _reject_repeats(path, (variants, sources, pred_targets))
     n_modules = [len(target_truth[target]) for target in pred_targets]
     predictions = dict(zip(keys, _flags(path, bits, n_modules)))
-    plans, values, failures = _result_blocks(results_dir / "results.csv", cfg, target_groups)
+    plans, values, failures = _result_blocks(results_dir / "results.csv", cfg, target_truth)
+    # a run writes only the targets of its plans
+    if unplanned := set(targets).difference(target for _, target in plans):
+        k = _first(target in unplanned for target in targets)
+        raise ValueError(f"{targets_path}:{_line(targets_path, k)}: "
+                         f"target {targets[k]!r} has no plan in results.csv")
     summary = results_dir / "summary.txt"
     totals = [
         (line, text.split(":", 1)[1].strip())

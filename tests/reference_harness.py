@@ -80,13 +80,17 @@ class LoadedRows(NamedTuple):
 
 def load_results(results_dir) -> LoadedRows:
     """The loader's checks, one row at a time, with the rejection of a row
-    whose method or measure is not configured."""
+    whose method or measure is not configured, of a row without exactly one
+    of a value in its measure's range and a failure, and of a target
+    without a plan."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
     target_groups = {}
     target_truth = {}
+    target_lines = {}
     path = results_dir / "targets.csv"
     for line, (target, group, bits) in _csv_records(path, TARGET_COLUMNS):
+        target_lines[target] = line
         target_groups[target] = group
         target_truth[target] = _flags(bits, None, f"{path}:{line}")
     predictions = {}
@@ -116,6 +120,13 @@ def load_results(results_dir) -> LoadedRows:
             raise ValueError(f"{path}:{line}: value {value!r} is not a number") from None
         if number is not None and not math.isfinite(number):
             raise ValueError(f"{path}:{line}: value {value!r} is not a finite number")
+        if number is None and not failure:
+            raise ValueError(f"{path}:{line}: holds neither a value nor a failure")
+        if number is not None and failure:
+            raise ValueError(f"{path}:{line}: holds both value {value!r} and failure {failure!r}")
+        high = len(target_truth[target]) - 1 if measure == "ifa" else 1
+        if number is not None and not 0 <= number <= high:
+            raise ValueError(f"{path}:{line}: {measure} value {value!r} is outside [0, {high}]")
         rows.append(ResultRow(method, source, target, measure, number, failure or None))
     summary = results_dir / "summary.txt"
     totals = [
@@ -135,6 +146,11 @@ def load_results(results_dir) -> LoadedRows:
         for method, measure in product(cfg.methods, cfg.measures):
             if (method, source, target, measure) not in cells:
                 raise ValueError(f"{path}: plan {source} => {target} has no {method} {measure} row")
+    planned = {target for _, target in plans}
+    for target, line in target_lines.items():
+        if target not in planned:
+            raise ValueError(
+                f"{results_dir / 'targets.csv'}:{line}: target {target!r} has no plan in results.csv")
     return LoadedRows(cfg, rows, plans, target_groups, target_truth, predictions, n_total)
 
 

@@ -117,6 +117,13 @@ def test_csv_records_follow_the_csv_rules_not_str_splitlines(tmp_path):
     assert str(caught.value) == f"{path}:3: non-numeric cell 'oops' in metric 'loc'"
 
 
+def test_a_quoted_carriage_return_stays_in_its_cell(tmp_path):
+    # read with newline translation, the cell's "\r" became "\n"
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b'"wmc\rx",loc,bug\n1,10,0\n2,20,1\n')
+    assert load_dataset(path).schema.metric_names == ("wmc\rx", "loc")
+
+
 def test_arff_row_errors_name_the_path_and_the_line(tmp_path):
     text = (
         "% a comment line\n"
@@ -150,6 +157,26 @@ def test_an_arff_comment_with_a_form_feed_is_one_line(tmp_path):
     with pytest.raises(NonNumericMetric) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}:8: non-numeric cell 'oops' in metric 'loc'"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("crlf.csv", "wmc,loc,bug\n1,10,0\n\n2.5,20,1\n"),
+    ("crlf.arff", FF_ARFF_HEADER + "@data\n1,10,0\n\n2.5,20,1\n"),
+], ids=["csv", "arff"])
+def test_crlf_line_ends_load_as_lf_line_ends(tmp_path, name, text):
+    # csv.writer, which writes every benchmark input, ends its lines with "\r\n"
+    lf = load_dataset(write_csv(tmp_path, text, "lf" + name[4:]))
+    path = tmp_path / name
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    crlf = load_dataset(path)
+    assert crlf.schema == lf.schema and crlf.labels.tolist() == lf.labels.tolist()
+    assert crlf.values.tobytes() == lf.values.tobytes()
+    # a row error names the line that it names in the "\n" file
+    line = text.count("\n") + 1
+    path.write_bytes((text + "x,1,0\n").replace("\n", "\r\n").encode())
+    with pytest.raises(NonNumericMetric) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}:{line}: non-numeric cell 'x' in metric 'wmc'"
 
 
 ARFF_DATA = "@attribute class {Y,N}\n@data\n10,Y\n"
@@ -201,12 +228,6 @@ def test_the_arff_suffix_in_any_case_picks_the_arff_reader(tmp_path, name):
     # any other suffix is read as CSV, which finds no label column in this header
     with pytest.raises(MissingLabelColumn):
         load_dataset(write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, "demo.txt"))
-
-
-def test_schema_metric_count_mismatch(tmp_path):
-    schema = MetricSchema("g", ("a", "b", "c"), "a")
-    with pytest.raises(SchemaMismatch):
-        load_dataset(write_csv(tmp_path, "a,b,bug\n1,2,0\n"), schema=schema)
 
 
 def test_loads_arff_subset(tmp_path):
@@ -401,10 +422,14 @@ def test_manifest_rejects_an_unknown_key_and_a_group_without_files(tmp_path, ent
 
 @pytest.mark.parametrize("one, two, loc, message", [
     ("a_loc,a1,bug", "a_loc,zz1,zz2,bug", "a_loc", r"two\.csv: 3 metric columns vs 2 in group 'g'"),
+    ("a_loc,a1,a2,bug", "a_loc,a1,bug", "a_loc", r"two\.csv: 2 metric columns vs 3 in group 'g'"),
     ("a_loc,a1,bug", "a_loc,zz1,bug", "a_loc", r"two\.csv: metric names do not match group 'g'"),
     ("b_loc,a1,bug", "b_loc,a1,bug", "a_loc",
      r"one\.csv: loc metric 'a_loc' not among metrics of group 'g'"),
-], ids=["column-count", "metric-names", "loc-metric"])
+    # a later file's own schema error comes before the group's header check
+    ("a_loc,a1,bug", "b_loc,a1,bug", "a_loc",
+     r"two\.csv: loc metric 'a_loc' not among metrics of group 'g'"),
+], ids=["column-count", "fewer-columns", "metric-names", "loc-metric", "later-loc-metric"])
 def test_manifest_schema_errors_name_the_file(tmp_path, one, two, loc, message):
     for name, header in (("one", one), ("two", two), ("three", "h_loc,h1,bug")):
         cells = ",".join(["1"] * header.count(","))
@@ -417,6 +442,20 @@ def test_manifest_schema_errors_name_the_file(tmp_path, one, two, loc, message):
     with pytest.raises(SchemaMismatch, match=message) as caught:
         load_manifest_datasets(manifest)
     assert str(caught.value).startswith(str(tmp_path))
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ("1,oops,0\n", NonNumericMetric, ":2: non-numeric cell 'oops' in metric 'zz1'"),
+    ("", ZeroModules, ": no data rows"),
+], ids=["bad-row", "no-rows"])
+def test_a_later_files_own_errors_come_before_the_group_header_check(tmp_path, rows, error, message):
+    write_csv(tmp_path, "a_loc,a1,bug\n1,1,0\n", "one.csv")
+    two = write_csv(tmp_path, "a_loc,zz1,bug\n" + rows, "two.csv")
+    manifest = tmp_path / "manifest.ini"
+    manifest.write_text("[g]\nloc_metric = a_loc\ngranularity = file\nfiles = one.csv two.csv\n")
+    with pytest.raises(error) as caught:
+        load_manifest_datasets(manifest)
+    assert str(caught.value) == f"{two}{message}"
 
 
 def test_manifest_duplicate_names_name_the_manifest_and_both_files(tmp_path):

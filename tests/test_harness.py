@@ -664,6 +664,62 @@ def test_load_results_rejects_malformed_result_rows(exported, edit, message):
         load_results(exported)
 
 
+def _first_row(lines, measure, valued=True):
+    """The index in results.csv's ``lines`` of the first ``measure`` row
+    that holds a value (or, with ``valued`` false, that holds none)."""
+    return next(k for k, line in enumerate(lines[1:], 1)
+                if line.split(",")[3] == measure and bool(line.split(",")[4]) == valued)
+
+
+# these loaded: a precision of 1.5 then failed in the satisfactory report as
+# "precision/recall must lie in [0, 1]", with no file and no line, and the
+# rest reached the reports
+@pytest.mark.parametrize("measure, value, failure, message", [
+    ("precision", "1.5", "", "precision value '1.5' is outside [0, 1]"),
+    ("auc", "1.5", "", "auc value '1.5' is outside [0, 1]"),
+    ("pmi20", "-0.25", "", "pmi20 value '-0.25' is outside [0, 1]"),
+    ("auc", "", "", "holds neither a value nor a failure"),
+    ("f1", "0.5", "NoDefects", "holds both value '0.5' and failure 'NoDefects'"),
+], ids=["precision", "auc", "negative", "neither", "both"])
+def test_cli_report_rejects_a_value_out_of_range_or_not_one_of_value_and_failure(
+    exported, capsys, measure, value, failure, message
+):
+    k = _first_row((exported / "results.csv").read_text().splitlines(), measure)
+    _edit_results(exported, lambda lines: [
+        *lines[:k], _set_field(_set_field(lines[k], "value", value), "failure", failure), *lines[k + 1:]])
+    assert cli.main(["report", str(exported)]) == 1
+    assert capsys.readouterr().err == f"error: {exported / 'results.csv'}:{k + 1}: {message}\n"
+
+
+def test_an_ifa_value_lies_below_its_targets_module_count(exported):
+    # ifa counts the non-defective modules ranked before the first defective one
+    lines = (exported / "results.csv").read_text().splitlines()
+    k = _first_row(lines, "ifa")
+    method, source, target = lines[k].split(",")[:3]
+    n = len(load_results(exported).target_truth[target])
+    _edit_results(exported, lambda lines: [*lines[:k], _set_field(lines[k], "value", f"{n - 1}.0"),
+                                           *lines[k + 1:]])
+    loaded = load_results(exported)
+    assert loaded.values[(method, "ifa")][loaded.plans.index((source, target))] == n - 1
+    _edit_results(exported, lambda lines: [*lines[:k], _set_field(lines[k], "value", f"{n}.0"),
+                                           *lines[k + 1:]])
+    with pytest.raises(ValueError) as caught:
+        load_results(exported)
+    assert str(caught.value) == (
+        f"{exported / 'results.csv'}:{k + 1}: ifa value '{n}.0' is outside [0, {n - 1}]")
+
+
+def test_cli_report_rejects_a_target_without_a_plan(exported, capsys):
+    # a run writes only its plans' targets; the extra one used to add a
+    # group to the Scott-Knott, diversity and satisfactory reports
+    n_lines = len((exported / "targets.csv").read_text().splitlines())
+    with (exported / "targets.csv").open("a") as fh:
+        fh.write("zeta,grp_z,0101\n")
+    assert cli.main(["report", str(exported)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {exported / 'targets.csv'}:{n_lines + 1}: target 'zeta' has no plan in results.csv\n")
+
+
 def test_cli_report_on_a_malformed_results_file_exits_1(exported, capsys):
     _edit_results(exported, lambda lines: [*lines[:1], *lines[2:]])
     assert cli.main(["report", str(exported)]) == 1

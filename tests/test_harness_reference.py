@@ -174,6 +174,15 @@ FAULTS = {
     "inf": lambda body, k, j: body[:k] + [_set(body[k], "value", "-inf")] + body[k + 1:],
     "method": lambda body, k, j: body[:k] + [_set(body[k], "method", "stray")] + body[k + 1:],
     "measure": lambda body, k, j: body[:k] + [_set(body[k], "measure", "mcc")] + body[k + 1:],
+    # below 0 for every measure, or above n - 1 for ifa on a target of n modules
+    "range": lambda body, k, j: body[:k] + [_set(_set(body[k], "failure", ""), "value",
+                                                  "1e9" if j % 2 else "-0.5")] + body[k + 1:],
+    "both": lambda body, k, j: body[:k] + [_set(_set(body[k], "failure", "boom"), "value", "0.5")]
+    + body[k + 1:],
+    "neither": lambda body, k, j: body[:k] + [_set(_set(body[k], "failure", ""), "value", "")]
+    + body[k + 1:],
+    # every row of one target goes, so targets.csv lists a target without a plan
+    "unplanned": lambda body, k, j: [record for record in body if record[2] != body[k][2]],
 }
 
 
