@@ -3,12 +3,10 @@ defect prediction methods under one experiment harness."""
 
 from .datasets import (
     DefectDataset,
-    MetricSchema,
     dataset_stats,
     enumerate_combinations,
     load_dataset,
     load_manifest_datasets,
-    loc_values,
     read_manifest,
 )
 from .harness import (

@@ -38,7 +38,7 @@ _FALSE_LABELS = frozenset({"false", "n", "no", "clean", "non-defective", "nondef
 
 
 class DatasetError(ValueError):
-    """Base error for malformed dataset files or schemas."""
+    """Base error for a malformed input file: a dataset, a manifest or a config file."""
 
 
 class ZeroModules(DatasetError):
@@ -57,40 +57,32 @@ class SchemaMismatch(DatasetError):
     pass
 
 
-@dataclass(frozen=True)
-class MetricSchema:
-    """Names and layout of the metric columns for one dataset group."""
-
-    group_name: str
-    metric_names: tuple[str, ...]
-    loc_metric: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "metric_names", tuple(self.metric_names))
-        if not self.metric_names:
-            raise SchemaMismatch("schema has no metrics")
-        if len(set(self.metric_names)) != len(self.metric_names):
-            raise SchemaMismatch(f"duplicate metric names in group {self.group_name!r}")
-        if self.loc_metric not in self.metric_names:
-            raise SchemaMismatch(
-                f"loc metric {self.loc_metric!r} not among metrics of group {self.group_name!r}"
-            )
-
-    def metric_index(self, name: str) -> int:
-        return self.metric_names.index(name)
+def _check_metrics(group_name: str, metric_names: Sequence[str], loc_metric: str) -> None:
+    """At least one metric, unique names, and ``loc_metric`` among them."""
+    if not metric_names:
+        raise SchemaMismatch("schema has no metrics")
+    if len(set(metric_names)) != len(metric_names):
+        raise SchemaMismatch(f"duplicate metric names in group {group_name!r}")
+    if loc_metric not in metric_names:
+        raise SchemaMismatch(f"loc metric {loc_metric!r} not among metrics of group {group_name!r}")
 
 
 @dataclass(frozen=True)
 class DefectDataset:
-    """One project's metric matrix and binary labels, one row per module."""
+    """One project's metric matrix and binary labels, one row per module,
+    with its metric names, its LOC metric and its group."""
 
     name: str
-    schema: MetricSchema
+    group_name: str
+    metric_names: tuple[str, ...]
+    loc_metric: str
     values: np.ndarray          # shape (n_modules, n_metrics), float
     labels: np.ndarray          # shape (n_modules,), bool, True = defective
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "metric_names", tuple(self.metric_names))
+        _check_metrics(self.group_name, self.metric_names, self.loc_metric)
         values = np.asarray(self.values, dtype=float)
         labels = np.asarray(self.labels, dtype=bool)
         object.__setattr__(self, "values", values)
@@ -98,10 +90,10 @@ class DefectDataset:
         n = values.shape[0] if values.ndim == 2 else 0
         if n == 0:
             raise ZeroModules(f"dataset {self.name!r} has no modules")
-        if values.ndim != 2 or values.shape[1] != len(self.schema.metric_names):
+        if values.ndim != 2 or values.shape[1] != len(self.metric_names):
             raise SchemaMismatch(
                 f"dataset {self.name!r}: {values.shape[1] if values.ndim == 2 else '?'} "
-                f"columns vs {len(self.schema.metric_names)} schema metrics"
+                f"columns vs {len(self.metric_names)} schema metrics"
             )
         if labels.shape != (n,):
             raise SchemaMismatch(f"dataset {self.name!r}: row/label count mismatch")
@@ -114,8 +106,11 @@ class DefectDataset:
     def n_modules(self) -> int:
         return self.values.shape[0]
 
+    def metric_index(self, name: str) -> int:
+        return self.metric_names.index(name)
+
     def column(self, metric: str) -> np.ndarray:
-        return self.values[:, self.schema.metric_index(metric)]
+        return self.values[:, self.metric_index(metric)]
 
     def derived(self, fn: Callable[[DefectDataset], T]) -> T:
         """``fn(self)``, computed on the first call with ``fn`` and kept with
@@ -191,7 +186,7 @@ def load_dataset(
     A ``.arff`` file (in any case) is an arff subset whose last attribute is
     the class; any other file is CSV with a header row and a label column
     named bug/bugs/label/defective/isDefective (case-insensitive). The
-    schema is derived from the header with ``loc_metric`` (or a known LOC
+    metric names come from the header, with ``loc_metric`` (or a known LOC
     name, else the first metric) as the LOC column. A leading UTF-8
     byte-order mark is skipped. An error names the file, and a row error
     also its line.
@@ -214,13 +209,14 @@ def load_dataset(
         if not matches:
             raise MissingLabelColumn(f"{path}: no label column among {header}")
         label_index = matches[0]
-    metric_names = [h.strip() for i, h in enumerate(header) if i != label_index]
+    metric_names = tuple(h.strip() for i, h in enumerate(header) if i != label_index)
     if loc_metric is None:
         # a known LOC name, else the first metric; a file without a metric
-        # has none, and MetricSchema rejects its empty schema
+        # has none, and _check_metrics rejects it
         loc_metric = next((m for m in (*KNOWN_LOC_METRICS, *metric_names) if m in metric_names), "")
+    # the header's faults come before any row's
     try:
-        schema = MetricSchema(group_name, tuple(metric_names), loc_metric)
+        _check_metrics(group_name, metric_names, loc_metric)
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
 
@@ -249,7 +245,7 @@ def load_dataset(
         raise NonNumericMetric(
             f"{path}:{rows[r][0]}: non-finite value in metric {metric_names[c]!r}"
         )
-    return DefectDataset(path.stem, schema, values, labels)
+    return DefectDataset(path.stem, group_name, metric_names, loc_metric, values, labels)
 
 
 def dataset_stats(d: DefectDataset) -> tuple[int, int, float]:
@@ -267,7 +263,7 @@ def enumerate_combinations(datasets: Sequence[DefectDataset]) -> list[tuple[str,
     """
     if len(datasets) < 2:
         raise ValueError("need at least two datasets")
-    metric_sets = {d.name: frozenset(d.schema.metric_names) for d in datasets}
+    metric_sets = {d.name: frozenset(d.metric_names) for d in datasets}
     names = sorted(metric_sets)
     return [
         (s, t)
@@ -277,14 +273,9 @@ def enumerate_combinations(datasets: Sequence[DefectDataset]) -> list[tuple[str,
     ]
 
 
-def loc_values(d: DefectDataset) -> np.ndarray:
-    """The column designated as LOC by the schema."""
-    return d.column(d.schema.loc_metric)
-
-
 def effort_values(d: DefectDataset) -> np.ndarray:
     """Per-module inspection effort: the LOC column with values <= 0 clamped to 1."""
-    loc = loc_values(d).copy()
+    loc = d.column(d.loc_metric).copy()
     loc[loc <= 0] = 1.0
     return loc
 
@@ -295,36 +286,36 @@ class GroupSpec:
 
     name: str
     loc_metric: str
-    granularity: str
     files: tuple[Path, ...]
 
 
-def read_ini(path: Path, error: type[ValueError] = DatasetError) -> configparser.ConfigParser:
+def read_ini(path: Path) -> configparser.ConfigParser:
     """Parse an INI file, skipping a leading UTF-8 byte-order mark. A line
     that does not parse, a missing first ``[section]`` header and a repeated
-    section or key raise ``error`` with the file and line."""
+    section or key raise ``DatasetError`` with the file and line."""
     parser = configparser.ConfigParser(interpolation=None)
     with path.open(encoding="utf-8-sig") as fh:
         try:
             parser.read_file(fh)
         except configparser.MissingSectionHeaderError as exc:
-            raise error(f"{path}:{exc.lineno}: no [section] header before this line") from None
+            raise DatasetError(f"{path}:{exc.lineno}: no [section] header before this line") from None
         except configparser.ParsingError as exc:
-            raise error(f"{path}:{exc.errors[0][0]}: not a 'key = value' line") from None
+            raise DatasetError(f"{path}:{exc.errors[0][0]}: not a 'key = value' line") from None
         except configparser.DuplicateSectionError as exc:
-            raise error(f"{path}:{exc.lineno}: repeats section [{exc.section}]") from None
+            raise DatasetError(f"{path}:{exc.lineno}: repeats section [{exc.section}]") from None
         except configparser.DuplicateOptionError as exc:
-            raise error(f"{path}:{exc.lineno}: repeats {exc.option!r} in [{exc.section}]") from None
+            raise DatasetError(f"{path}:{exc.lineno}: repeats {exc.option!r} in [{exc.section}]") from None
     return parser
 
 
 def read_manifest(path: str | Path) -> list[GroupSpec]:
     """Parse a group manifest: one section per group, key-value entries.
 
-    Keys: ``loc_metric``, ``granularity`` (one of ``GRANULARITIES``),
-    ``files`` (whitespace- or comma-separated paths relative to the manifest,
-    at least one). Any other key or granularity, or a group without a file,
-    raises ``DatasetError`` naming the manifest and the group.
+    Keys: ``loc_metric``, ``granularity`` (one of ``GRANULARITIES``;
+    checked, then dropped, as nothing reads it), ``files`` (whitespace- or
+    comma-separated paths relative to the manifest, at least one). Any other
+    key or granularity, or a group without a file, raises ``DatasetError``
+    naming the manifest and the group.
     """
     path = Path(path)
     parser = read_ini(path)
@@ -344,7 +335,7 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
         if not raw_files:
             raise DatasetError(f"{path}: group [{section}] lists no file")
         files = tuple(path.parent / f for f in raw_files)
-        groups.append(GroupSpec(section, entries["loc_metric"], entries["granularity"], files))
+        groups.append(GroupSpec(section, entries["loc_metric"], files))
     if not groups:
         raise DatasetError(f"manifest {path} declares no groups")
     return groups
@@ -362,10 +353,10 @@ def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
         names = None
         for file in group.files:
             d = load_dataset(file, group_name=group.name, loc_metric=group.loc_metric)
-            names = names or d.schema.metric_names
-            if d.schema.metric_names != names:
-                if len(d.schema.metric_names) != len(names):
-                    raise SchemaMismatch(f"{file}: {len(d.schema.metric_names)} metric columns "
+            names = names or d.metric_names
+            if d.metric_names != names:
+                if len(d.metric_names) != len(names):
+                    raise SchemaMismatch(f"{file}: {len(d.metric_names)} metric columns "
                                          f"vs {len(names)} in group {group.name!r}")
                 raise SchemaMismatch(f"{file}: metric names do not match group {group.name!r}")
             datasets.append(d)

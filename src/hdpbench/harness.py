@@ -32,7 +32,7 @@ import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, compress, product, repeat
 from operator import not_
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -182,7 +182,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Read a flat key-value experiment config ([experiment] section).
     A key that is not a config field raises ``ValueError`` naming the file."""
     path = Path(path)
-    parser = read_ini(path, ValueError)
+    parser = read_ini(path)
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
     section = parser["experiment"]
@@ -369,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             predictions[(variant, source, target)] = flags
 
     targets = sorted({target for _, target in plans})
-    target_groups = {t: datasets[t].schema.group_name for t in targets}
+    target_groups = {t: datasets[t].group_name for t in targets}
     target_truth = {t: datasets[t].labels for t in targets}
     return ExperimentResult.from_blocks(
         cfg, plans, values, failures, target_groups, target_truth, predictions, len(all_plans)
@@ -565,7 +565,8 @@ def _result_blocks(
     value, and every plan must have every cell. One count per position finds
     both a repeat (above 1) and a missing cell (0). Then every row must hold
     exactly one of a value and a failure reason, and a value must lie in
-    [0, 1], or for ``ifa`` in [0, n - 1] on a target of n modules.
+    [0, 1], or for ``ifa`` in [0, n - 1] on a target of n modules. Last, an
+    ``ifa`` value must be a whole number.
     """
     methods, sources, target_ids, measure_ids, texts, failures = _csv_columns(path, RESULT_COLUMNS)
     checks = (("target", target_ids, target_truth, "is not in targets.csv"),
@@ -607,12 +608,17 @@ def _result_blocks(
             "holds neither a value nor a failure" if absent[k]
             else f"holds both value {texts[k]!r} and failure {failures[k]!r}"))
     # ifa counts the non-defective modules ranked before the first defective one
+    is_ifa = np.array([m == "ifa" for _, m in cells])[positions % len(cells)]
     n_modules = np.array([len(target_truth[target]) for _, target in plans], dtype=int)
-    highs = np.where([m == "ifa" for _, m in cells], n_modules[:, None] - 1, 1).ravel()[positions]
+    highs = np.where(is_ifa, n_modules[positions // len(cells)] - 1, 1)
     if (outside := (numbers < 0) | (numbers > highs)).any():
         k = _first(outside)
         raise ValueError(f"{path}:{_line(path, k)}: {measure_ids[k]} value {texts[k]!r} "
                          f"is outside [0, {highs[k]}]")
+    # an absent value is NaN, whose remainder is no fraction
+    if (fraction := is_ifa & (numbers % 1 > 0)).any():
+        k = _first(fraction)
+        raise ValueError(f"{path}:{_line(path, k)}: ifa value {texts[k]!r} is not a whole number")
     values = np.empty(len(positions))
     values[positions] = numbers
     blocks = np.empty(len(positions), dtype=object)
@@ -627,9 +633,11 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
     prediction as long as its target's truth; no repeated target in
     targets.csv and no repeated (variant, source, target) in
     predictions.csv; results.csv's rows as ``_result_blocks`` checks them;
-    and a plan in results.csv for every target. With one fault in the
-    files, the error names it and its line; with several, it names one of
-    them."""
+    a plan in results.csv for every target; and last, predictions.csv
+    against results.csv: every row names a configured method's variant and a
+    plan of results.csv, and wherever a method has a value on a plan, each
+    of its variants has a prediction there. With one fault in the files,
+    the error names it and its line; with several, it names one of them."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
     targets_path = results_dir / "targets.csv"
@@ -667,6 +675,21 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
         n_total = int(total)
     except ValueError:
         raise ValueError(f"{summary}:{line}: plans_total {total!r} is not an integer") from None
+    configured = {variant for method in cfg.methods for variant in _variants(method)}
+    if unknown := set(variants).difference(configured):
+        k = _first(variant in unknown for variant in variants)
+        raise ValueError(f"{path}:{_line(path, k)}: variant {variants[k]!r} is not configured")
+    if stray := set(zip(sources, pred_targets)).difference(plans):
+        k = _first(plan in stray for plan in zip(sources, pred_targets))
+        raise ValueError(f"{path}:{_line(path, k)}: "
+                         f"plan {sources[k]} => {pred_targets[k]} is not in results.csv")
+    # a method with a value on a plan ran there; one that ran may leave every measure undefined
+    ran = ~np.isnan(values.reshape(len(plans), len(cfg.methods), len(cfg.measures))).all(axis=2)
+    exported = [_variants(method) for method in cfg.methods]
+    for (source, target), row in zip(plans, ran.tolist()):
+        for variant in chain.from_iterable(compress(exported, row)):
+            if (variant, source, target) not in predictions:
+                raise ValueError(f"{path}: plan {source} => {target} has no {variant} prediction")
     return ExperimentResult.from_blocks(
         cfg, plans, values, failures, target_groups, target_truth, predictions, n_total
     )

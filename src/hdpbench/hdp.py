@@ -111,12 +111,12 @@ def gain_ratio(feature: Sequence[float], labels: Sequence[bool]) -> float:
 def select_top_metrics(d: DefectDataset) -> list[str]:
     """Metric names ranked by gain ratio, top ceil(SELECTION_FRACTION * m) kept.
 
-    Ties keep schema order.
+    Ties keep column order.
     """
     ratios = np.array([gain_ratio(d.values[:, j], d.labels) for j in range(d.values.shape[1])])
     order = np.argsort(-ratios, kind="stable")
     keep = max(1, math.ceil(SELECTION_FRACTION * len(ratios) - 1e-9))
-    return [d.schema.metric_names[j] for j in order[:keep]]
+    return [d.metric_names[j] for j in order[:keep]]
 
 
 def _sorted_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,18 +269,18 @@ def match_metrics(source: DefectDataset, target: DefectDataset) -> MetricMatch:
 
     Edges with weight <= ``MATCH_CUTOFF`` are removed before solving (a high
     p-value means the distributions are similar). The pairs come in source
-    schema order. Each dataset's metric selection and sorted columns are
+    column order. Each dataset's metric selection and sorted columns are
     computed once (``DefectDataset.derived``), so a dataset that is never a
     source never ranks its metrics, and one too small to rank fails each
     plan it is the source of.
     """
     selected = source.derived(select_top_metrics)
-    rows = [source.schema.metric_index(name) for name in selected]
+    rows = [source.metric_index(name) for name in selected]
     columns, counts = source.derived(_ks_columns)
     stats = ks_statistics(columns[rows], counts[rows], *target.derived(_ks_columns))
     weights = ks_pvalues(stats, source.n_modules, target.n_modules)
-    match = match_from_weights(weights, selected, target.schema.metric_names)
-    pairs = sorted(match.pairs, key=lambda p: source.schema.metric_index(p[0]))
+    match = match_from_weights(weights, selected, target.metric_names)
+    pairs = sorted(match.pairs, key=lambda p: source.metric_index(p[0]))
     return MetricMatch(tuple(pairs))
 
 
@@ -291,8 +291,8 @@ def hdp1_predict(source: DefectDataset, target: DefectDataset) -> HdpOutcome:
     match = match_metrics(source, target)
     if not match.pairs:
         return HdpOutcome(failure="NoMatchedMetrics")
-    source_cols = [source.schema.metric_index(name) for name, _, _ in match.pairs]
-    target_cols = [target.schema.metric_index(name) for _, name, _ in match.pairs]
+    source_cols = [source.metric_index(name) for name, _, _ in match.pairs]
+    target_cols = [target.metric_index(name) for _, name, _ in match.pairs]
     model = train_logistic(source.values[:, source_cols], source.labels)
     scores = predict_proba(model, target.values[:, target_cols])
     return HdpOutcome(predictions=Prediction(scores, scores > DECISION_THRESHOLD))

@@ -233,7 +233,7 @@ def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
     against true labels.
 
     Both directions are tried per metric because the winning metric is
-    direction-dependent; ties fall back to schema order with descending
+    direction-dependent; ties fall back to column order with descending
     preferred. A measure undefined on every candidate (e.g. no defective
     modules) keeps the first metric's descending ranking with value None.
     The LOC column is clamped like every effort computation.
@@ -248,8 +248,8 @@ def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
     scorer = measures.RankingScorer(efforts, d.labels)
     n = d.n_modules
     best: dict[str, tuple] = {}  # measure -> (quality, metric, scores, predicted, value)
-    for name in d.schema.metric_names:
-        column = efforts if name == d.schema.loc_metric else d.column(name)
+    for name in d.metric_names:
+        column = efforts if name == d.loc_metric else d.column(name)
         ranks, ascending = _ranks_and_order(column)
         candidates = (
             (column, measures.score_order(column), ranks),
@@ -263,7 +263,7 @@ def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
                 quality = value if measures.HIGHER_IS_BETTER[measure] else -value
                 if quality > best.get(measure, (-np.inf,))[0]:
                     best[measure] = (quality, name, scores, predicted, value)
-    first = d.schema.metric_names[0]
+    first = d.metric_names[0]
     raw = d.column(first)
     fallback = (None, first, raw, _top_half(measures.score_order(raw)), None)
     results = {}

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 
 from hdpbench import harness, stats
-from hdpbench.datasets import DefectDataset, MetricSchema
+from hdpbench.datasets import DefectDataset
 from hdpbench.measures import RankingScorer, score_order
 
 # (project, schema tag, metric count, modules, defective) for the five
@@ -82,8 +82,8 @@ def make_dataset(
     values = np.asarray(values, dtype=float)
     if metric_names is None:
         metric_names = tuple(f"{name}_m{j}" for j in range(values.shape[1]))
-    schema = MetricSchema(group, metric_names, metric_names[loc_index])
-    return DefectDataset(name, schema, values, np.asarray(labels, dtype=bool))
+    return DefectDataset(name, group, metric_names, metric_names[loc_index], values,
+                         np.asarray(labels, dtype=bool))
 
 
 def stub_metric_names(tag: str, count: int) -> tuple[str, ...]:

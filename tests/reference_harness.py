@@ -81,8 +81,8 @@ class LoadedRows(NamedTuple):
 def load_results(results_dir) -> LoadedRows:
     """The loader's checks, one row at a time, with the rejection of a row
     whose method or measure is not configured, of a row without exactly one
-    of a value in its measure's range and a failure, and of a target
-    without a plan."""
+    of a value in its measure's range and a failure, of an ifa value that is
+    not a whole number, and of a target without a plan."""
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
     target_groups = {}
@@ -127,6 +127,8 @@ def load_results(results_dir) -> LoadedRows:
         high = len(target_truth[target]) - 1 if measure == "ifa" else 1
         if number is not None and not 0 <= number <= high:
             raise ValueError(f"{path}:{line}: {measure} value {value!r} is outside [0, {high}]")
+        if measure == "ifa" and number is not None and number != int(number):
+            raise ValueError(f"{path}:{line}: ifa value {value!r} is not a whole number")
         rows.append(ResultRow(method, source, target, measure, number, failure or None))
     summary = results_dir / "summary.txt"
     totals = [

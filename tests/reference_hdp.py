@@ -135,14 +135,14 @@ def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
 
 def match_metrics(source: DefectDataset, target: DefectDataset) -> hdp.MetricMatch:
     selected = hdp.select_top_metrics(source)
-    target_names = target.schema.metric_names
+    target_names = target.metric_names
     weights = np.zeros((len(selected), len(target_names)))
     for i, s_name in enumerate(selected):
         s_col = source.column(s_name)
         for j, t_name in enumerate(target_names):
             weights[i, j] = ks_pvalue(s_col, target.column(t_name))
     match = hdp.match_from_weights(weights, list(selected), list(target_names))
-    pairs = sorted(match.pairs, key=lambda p: source.schema.metric_index(p[0]))
+    pairs = sorted(match.pairs, key=lambda p: source.metric_index(p[0]))
     return hdp.MetricMatch(tuple(pairs))
 
 
@@ -150,8 +150,8 @@ def hdp1_predict(source: DefectDataset, target: DefectDataset) -> hdp.HdpOutcome
     match = match_metrics(source, target)
     if not match.pairs:
         return hdp.HdpOutcome(failure="NoMatchedMetrics")
-    source_cols = [source.schema.metric_index(s) for s, _, _ in match.pairs]
-    target_cols = [target.schema.metric_index(t) for _, t, _ in match.pairs]
+    source_cols = [source.metric_index(s) for s, _, _ in match.pairs]
+    target_cols = [target.metric_index(t) for _, t, _ in match.pairs]
     model = train_logistic(source.values[:, source_cols], source.labels)
     scores = predict_proba(model, target.values[:, target_cols])
     return hdp.HdpOutcome(predictions=Prediction(scores, scores > 0.5))

@@ -76,7 +76,7 @@ def test_criterion_03_combination_arithmetic():
     start = time.perf_counter()
     datasets = benchmark_stub_datasets()
     plans = enumerate_combinations(datasets)
-    group_of = {d.name: d.schema.group_name for d in datasets}
+    group_of = {d.name: d.group_name for d in datasets}
     nasa_internal = [
         (s, t) for s, t in plans if group_of[s] in NASA_TAGS and group_of[t] in NASA_TAGS
     ]

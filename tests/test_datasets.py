@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hdpbench import cli
 from hdpbench.datasets import (
     DatasetError,
-    MetricSchema,
+    DefectDataset,
     MissingLabelColumn,
     NonNumericMetric,
     SchemaMismatch,
@@ -18,7 +18,6 @@ from hdpbench.datasets import (
     enumerate_combinations,
     load_dataset,
     load_manifest_datasets,
-    loc_values,
     normalize_label,
     read_manifest,
 )
@@ -107,7 +106,7 @@ def test_csv_row_errors_name_the_path_and_the_line(tmp_path, rows, error, messag
 def test_csv_records_follow_the_csv_rules_not_str_splitlines(tmp_path):
     # a quoted line break belongs to its cell
     d = load_dataset(write_csv(tmp_path, '"wmc\nx",loc,bug\n1,10,0\n2,20,1\n'))
-    assert d.schema.metric_names == ("wmc\nx", "loc")
+    assert d.metric_names == ("wmc\nx", "loc")
     # a form feed ends no record, and float() strips it from the cell
     d = load_dataset(write_csv(tmp_path, "wmc,loc,bug\n1,10\x0c,0\n2,20,1\n", "ff.csv"))
     assert d.values.tolist() == [[1.0, 10.0], [2.0, 20.0]]
@@ -121,7 +120,7 @@ def test_a_quoted_carriage_return_stays_in_its_cell(tmp_path):
     # read with newline translation, the cell's "\r" became "\n"
     path = tmp_path / "cr.csv"
     path.write_bytes(b'"wmc\rx",loc,bug\n1,10,0\n2,20,1\n')
-    assert load_dataset(path).schema.metric_names == ("wmc\rx", "loc")
+    assert load_dataset(path).metric_names == ("wmc\rx", "loc")
 
 
 def test_arff_row_errors_name_the_path_and_the_line(tmp_path):
@@ -169,7 +168,8 @@ def test_crlf_line_ends_load_as_lf_line_ends(tmp_path, name, text):
     path = tmp_path / name
     path.write_bytes(text.replace("\n", "\r\n").encode())
     crlf = load_dataset(path)
-    assert crlf.schema == lf.schema and crlf.labels.tolist() == lf.labels.tolist()
+    assert (crlf.metric_names, crlf.loc_metric) == (lf.metric_names, lf.loc_metric)
+    assert crlf.labels.tolist() == lf.labels.tolist()
     assert crlf.values.tobytes() == lf.values.tobytes()
     # a row error names the line that it names in the "\n" file
     line = text.count("\n") + 1
@@ -224,7 +224,7 @@ def test_cli_stats_on_a_file_without_a_metric_column_exits_1(tmp_path, capsys, n
 @pytest.mark.parametrize("name", ["demo.arff", "demo.ARFF"])
 def test_the_arff_suffix_in_any_case_picks_the_arff_reader(tmp_path, name):
     d = load_dataset(write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, name))
-    assert d.name == "demo" and d.schema.metric_names == ("loc",)
+    assert d.name == "demo" and d.metric_names == ("loc",)
     # any other suffix is read as CSV, which finds no label column in this header
     with pytest.raises(MissingLabelColumn):
         load_dataset(write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, "demo.txt"))
@@ -241,8 +241,8 @@ def test_loads_arff_subset(tmp_path):
         "20,2,N\n"
     )
     d = load_dataset(write_csv(tmp_path, text, "demo.arff"))
-    assert d.schema.metric_names == ("CountLineCode", "complexity")
-    assert d.schema.loc_metric == "CountLineCode"
+    assert d.metric_names == ("CountLineCode", "complexity")
+    assert d.loc_metric == "CountLineCode"
     assert d.labels.tolist() == [True, False]
     assert d.values[1, 0] == 20
 
@@ -254,7 +254,7 @@ def test_load_is_pure(tmp_path):
 
 def test_loc_and_effort_values():
     d = make_dataset("x", [[10, 5], [20, 6]], [0, 1])
-    assert loc_values(d).tolist() == [10, 20]
+    assert d.column(d.loc_metric).tolist() == [10, 20]
     d2 = make_dataset("y", [[0, 5], [20, 6]], [0, 1])
     assert effort_values(d2).tolist() == [1, 20]
 
@@ -297,7 +297,7 @@ def test_a_utf8_byte_order_mark_is_not_part_of_the_first_column(tmp_path, header
     path = tmp_path / "bom.csv"
     path.write_text(f"{header}\n1,1,1\n1,1,1\n", encoding="utf-8-sig")
     d = load_dataset(path)
-    assert d.schema.metric_names == ("wmc", "loc") and d.schema.loc_metric == "loc"
+    assert d.metric_names == ("wmc", "loc") and d.loc_metric == "loc"
 
 
 def test_a_manifest_with_a_utf8_byte_order_mark_loads(tmp_path):
@@ -311,7 +311,7 @@ def test_a_manifest_with_a_utf8_byte_order_mark_loads(tmp_path):
 
 def test_known_loc_metric_autodetected(tmp_path):
     d = load_dataset(write_csv(tmp_path, "wmc,loc,bug\n1,10,0\n2,20,1\n"))
-    assert d.schema.loc_metric == "loc"
+    assert d.loc_metric == "loc"
 
 
 def test_combinations_exclude_identical_metric_sets():
@@ -339,14 +339,14 @@ def test_combination_count_matches_brute_force(set_ids):
         1
         for s in datasets
         for t in datasets
-        if s.name != t.name and set(s.schema.metric_names) != set(t.schema.metric_names)
+        if s.name != t.name and set(s.metric_names) != set(t.metric_names)
     )
     assert len(plans) == expected
     for source, target in plans:
         src = next(d for d in datasets if d.name == source)
         tgt = next(d for d in datasets if d.name == target)
         assert source != target
-        assert set(src.schema.metric_names) != set(tgt.schema.metric_names)
+        assert set(src.metric_names) != set(tgt.metric_names)
     assert plans == sorted(plans, key=lambda p: p[::-1])
 
 
@@ -355,11 +355,24 @@ def test_benchmark_stub_enumeration():
     assert len(plans) == 962
 
 
-def test_schema_validation():
-    with pytest.raises(SchemaMismatch):
-        MetricSchema("g", ("a", "a"), "a")
-    with pytest.raises(SchemaMismatch):
-        MetricSchema("g", ("a",), "b")
+@pytest.mark.parametrize("metric_names, loc_metric, message", [
+    (("a", "a"), "a", "duplicate metric names in group 'g'"),
+    (("a",), "b", "loc metric 'b' not among metrics of group 'g'"),
+    ((), "", "schema has no metrics"),
+], ids=["duplicate", "loc-metric", "no-metrics"])
+def test_schema_validation(metric_names, loc_metric, message):
+    values = np.ones((2, len(metric_names)))
+    with pytest.raises(SchemaMismatch) as caught:
+        DefectDataset("x", "g", metric_names, loc_metric, values, [0, 1])
+    assert str(caught.value) == message
+
+
+def test_a_header_fault_comes_before_any_row_fault(tmp_path):
+    # line 3 holds a non-numeric cell, but the header is checked first
+    path = write_csv(tmp_path, "a,a,bug\n1,2,0\n1,x,1\n")
+    with pytest.raises(SchemaMismatch) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: duplicate metric names in group 'unknown-group'"
 
 
 def test_dataset_rejects_non_finite():
@@ -379,8 +392,8 @@ def test_manifest_round_trip(tmp_path):
     assert [g.name for g in groups] == ["grp_p", "grp_q"]
     datasets = load_manifest_datasets(manifest)
     assert [d.name for d in datasets] == ["one", "two"]
-    assert datasets[0].schema.loc_metric == "p_loc"
-    assert groups[1].granularity == "class"
+    assert datasets[0].loc_metric == "p_loc"
+    assert [g.loc_metric for g in groups] == ["p_loc", "q_loc"]
 
 
 def test_manifest_missing_key(tmp_path):

@@ -709,6 +709,45 @@ def test_an_ifa_value_lies_below_its_targets_module_count(exported):
         f"{exported / 'results.csv'}:{k + 1}: ifa value '{n}.0' is outside [0, {n - 1}]")
 
 
+def test_cli_report_rejects_an_ifa_value_that_is_not_a_whole_number(exported, capsys):
+    # ifa counts modules; 0.5 lies inside [0, n - 1] and used to load
+    lines = (exported / "results.csv").read_text().splitlines()
+    k = _first_row(lines, "ifa")
+    _edit_results(exported, lambda lines: [*lines[:k], _set_field(lines[k], "value", "0.5"),
+                                           *lines[k + 1:]])
+    assert cli.main(["report", str(exported)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {exported / 'results.csv'}:{k + 1}: ifa value '0.5' is not a whole number\n")
+
+
+@pytest.mark.parametrize("variant, source, message", [
+    ("bogus", None, "variant 'bogus' is not configured"),
+    (None, "nowhere", "plan nowhere => {target} is not in results.csv"),
+], ids=["variant", "plan"])
+def test_cli_report_rejects_a_prediction_outside_the_results(exported, capsys, variant, source, message):
+    # a stray row used to load, and a re-export wrote it back
+    lines = (exported / "predictions.csv").read_text().splitlines()
+    first, first_source, target, bits = lines[1].split(",")
+    with (exported / "predictions.csv").open("a") as fh:
+        fh.write(f"{variant or first},{source or first_source},{target},{bits}\n")
+    assert cli.main(["report", str(exported)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {exported / 'predictions.csv'}:{len(lines) + 1}: {message.format(target=target)}\n")
+
+
+def test_cli_report_rejects_a_plan_without_a_prediction_of_a_method_that_ran(exported, capsys):
+    # without the row, diversity counted one plan fewer for every pair with cla
+    valued = {tuple(line.split(",")[:3]) for line in (exported / "results.csv").read_text().splitlines()
+              if line.split(",")[4]}
+    lines = (exported / "predictions.csv").read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if tuple(line.split(",")[:3]) in valued)
+    variant, source, target, _ = lines[k].split(",")
+    _rewrite(exported / "predictions.csv", lambda text: "\n".join(lines[:k] + lines[k + 1:]) + "\n")
+    assert cli.main(["report", str(exported)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {exported / 'predictions.csv'}: plan {source} => {target} has no {variant} prediction\n")
+
+
 def test_cli_report_rejects_a_target_without_a_plan(exported, capsys):
     # a run writes only its plans' targets; the extra one used to add a
     # group to the Scott-Knott, diversity and satisfactory reports

@@ -165,6 +165,14 @@ def _set(record, column, value):
     return record
 
 
+def _fraction(body, k):
+    """``body`` with one ``ifa`` row, picked by ``k``, holding 0.5: inside
+    [0, n - 1] on every target, but no count of modules."""
+    rows = [i for i, record in enumerate(body) if record[3] == "ifa"]
+    i = rows[k % len(rows)]
+    return body[:i] + [_set(_set(body[i], "failure", ""), "value", "0.5")] + body[i + 1:]
+
+
 FAULTS = {
     "drop": lambda body, k, j: body[:k] + body[k + 1:],
     "repeat": lambda body, k, j: body[:j] + [body[k]] + body[j:],
@@ -181,6 +189,7 @@ FAULTS = {
     + body[k + 1:],
     "neither": lambda body, k, j: body[:k] + [_set(_set(body[k], "failure", ""), "value", "")]
     + body[k + 1:],
+    "fraction": lambda body, k, j: _fraction(body, k),
     # every row of one target goes, so targets.csv lists a target without a plan
     "unplanned": lambda body, k, j: [record for record in body if record[2] != body[k][2]],
 }

@@ -152,8 +152,8 @@ def brute_force_best_metric(d, measure):
     efforts = effort_values(d)
     n = d.n_modules
     best = None
-    for name in d.schema.metric_names:
-        column = effort_values(d) if name == d.schema.loc_metric else d.column(name)
+    for name in d.metric_names:
+        column = effort_values(d) if name == d.loc_metric else d.column(name)
         for sign in (1.0, -1.0):
             scores = sign * column
             order = sorted(range(n), key=lambda i: -scores[i])
@@ -166,11 +166,11 @@ def brute_force_best_metric(d, measure):
             if best is None or quality > best[0]:
                 best = (quality, name, Prediction(scores, predicted), value)
     if best is None:
-        column = d.column(d.schema.metric_names[0])
+        column = d.column(d.metric_names[0])
         order = sorted(range(n), key=lambda i: -column[i])
         predicted = np.zeros(n, dtype=bool)
         predicted[order[: (n + 1) // 2]] = True
-        return d.schema.metric_names[0], Prediction(column, predicted), None
+        return d.metric_names[0], Prediction(column, predicted), None
     return best[1], best[2], best[3]
 
 
