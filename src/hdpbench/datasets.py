@@ -67,10 +67,11 @@ def _check_metrics(group_name: str, metric_names: Sequence[str], loc_metric: str
         raise SchemaMismatch(f"loc metric {loc_metric!r} not among metrics of group {group_name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectDataset:
     """One project's metric matrix and binary labels, one row per module,
-    with its metric names, its LOC metric and its group."""
+    with its metric names, its LOC metric and its group. A dataset equals
+    only itself, since its arrays have no single truth value."""
 
     name: str
     group_name: str
@@ -78,7 +79,7 @@ class DefectDataset:
     loc_metric: str
     values: np.ndarray          # shape (n_modules, n_metrics), float
     labels: np.ndarray          # shape (n_modules,), bool, True = defective
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "metric_names", tuple(self.metric_names))

@@ -675,6 +675,9 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
         n_total = int(total)
     except ValueError:
         raise ValueError(f"{summary}:{line}: plans_total {total!r} is not an integer") from None
+    if n_total < len(plans):
+        raise ValueError(f"{summary}:{line}: plans_total {n_total} is below the "
+                         f"{len(plans)} plans in results.csv")
     configured = {variant for method in cfg.methods for variant in _variants(method)}
     if unknown := set(variants).difference(configured):
         k = _first(variant in unknown for variant in variants)

@@ -10,10 +10,10 @@ Every function takes per-module vectors in target row order: float
 ``scores`` (higher means inspect earlier), bool ``predicted`` flags,
 positive float ``efforts`` and bool ``actual`` truth. Vectors of unequal
 length are rejected rather than broadcast. ``RankingScorer``, a target's
-checked record, is the one implementation of the effort-aware measures:
-the functions below read one value from it, and bestmetric scores each
-candidate ranking of a target with one. ``compute_measure`` evaluates one
-measure by id and turns undefined cases into absent values.
+checked record, holds the one rule of every measure: its ``score`` gives
+each requested measure of one prediction, None where undefined.
+``compute_measure`` and the effort-aware functions below read one value
+from it, and bestmetric scores each candidate ranking of a target with one.
 """
 
 from __future__ import annotations
@@ -117,7 +117,11 @@ def _effort_aware(
     measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]
 ) -> float:
     scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
-    return RankingScorer(efforts, actual).effort_aware(measure, score_order(scores))
+    # no effort-aware measure reads the predicted flags
+    value = RankingScorer(efforts, actual).score((measure,), scores, actual)[measure]
+    if value is None:
+        raise NoDefects(f"{measure.upper()} needs at least one defective module")
+    return value
 
 
 def popt(scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]) -> float:
@@ -156,16 +160,10 @@ def compute_measure(
     scores, predicted, efforts, actual = _vectors(
         (scores, float), (predicted, bool), (efforts, float), (actual, bool)
     )
-    record = RankingScorer(efforts, actual)
-    if measure in ("precision", "recall", "f1"):
-        return prf1(confusion(predicted, actual))[measure], None
-    if measure == "auc":
-        value = auc(scores, actual)
-        return (value, None) if value is not None else (None, "SingleClassTruth")
-    try:
-        return record.effort_aware(measure, score_order(scores)), None
-    except NoDefects:
-        return None, "NoDefects"
+    value = RankingScorer(efforts, actual).score((measure,), scores, predicted)[measure]
+    if value is None:
+        return None, "SingleClassTruth" if measure == "auc" else "NoDefects"
+    return value, None
 
 
 class _Ranked(NamedTuple):
@@ -180,13 +178,12 @@ class _Ranked(NamedTuple):
 
 class RankingScorer:
     """One target's record, and the one implementation of every rule that
-    scores a ranking of its modules.
+    scores a prediction of its modules.
 
     The constructor checks the efforts and the truth (at least one
     module), and keeps the totals and the inspection budget. The optimal
     and worst P_opt areas ignore the scores; they are computed on first
-    use. ACC, P_opt, PMI and IFA all read one ranking's
-    running sums.
+    use. ACC, P_opt, PMI and IFA all read one ranking's running sums.
     """
 
     def __init__(self, efforts: Sequence[float], actual: Sequence[bool]):
@@ -203,30 +200,29 @@ class RankingScorer:
         # that fits the budget exactly
         self.budget = EFFORT_FRACTION * float(self.total_effort) * (1 + 1e-9)
 
-    def effort_aware(self, measure: str, order: np.ndarray) -> float:
-        """ACC, P_opt, PMI or IFA (by id) of the ranking ``order``; raises
-        ``NoDefects`` where the measure needs a defective module."""
-        return self._value(measure, self._ranked(order))
-
     def score(
-        self, order: np.ndarray, ranks: np.ndarray, predicted: np.ndarray
+        self, measure_ids: Sequence[str], scores: np.ndarray, predicted: np.ndarray
     ) -> dict[str, float | None]:
-        """The core measures of one ranking, None where undefined.
-
-        ``order`` visits the modules by score descending, ties in module
-        order; ``ranks`` are the scores' average ranks, ascending;
-        ``predicted`` flags the modules labelled defective.
-        """
-        f1 = prf1(confusion(predicted, self.actual))["f1"]
-        values: dict[str, float | None] = {"f1": f1, "auc": None}
-        if self.n_neg and self.n_pos:
-            values["auc"] = _auc_from_ranks(ranks, self.positives, self.n_pos, self.n_neg)
-        ranked = self._ranked(order)
-        for measure in ("acc", "popt", "pmi20", "ifa"):
-            try:
+        """The measures ``measure_ids`` of one prediction, in that order,
+        None where undefined. ``scores`` rank the modules (higher first,
+        ties in module order) and ``predicted`` flags the modules labelled
+        defective. Each input of a rule (confusion counts, average ranks,
+        the ranking's running sums) is computed only if a measure needs it."""
+        values: dict[str, float | None] = {}
+        counts = ranked = None
+        for measure in measure_ids:
+            if measure in ("precision", "recall", "f1"):
+                counts = counts or prf1(confusion(predicted, self.actual))
+                values[measure] = counts[measure]
+            elif measure == "auc":
+                values[measure] = _auc_from_ranks(
+                    average_ranks(scores), self.positives, self.n_pos, self.n_neg
+                ) if self.n_pos and self.n_neg else None
+            elif measure in ("acc", "popt", "pmi20", "ifa"):
+                ranked = ranked or self._ranked(score_order(scores))
                 values[measure] = self._value(measure, ranked)
-            except NoDefects:
-                values[measure] = None
+            else:
+                raise ValueError(f"unknown measure {measure!r}")
         return values
 
     def _ranked(self, order: np.ndarray) -> _Ranked:
@@ -265,18 +261,16 @@ class RankingScorer:
         x, y = self._curve(ranked)
         return float(np.trapezoid(y, x))
 
-    def _value(self, measure: str, ranked: _Ranked) -> float:
+    def _value(self, measure: str, ranked: _Ranked) -> float | None:
+        if measure == "pmi20":
+            return ranked.n_inspected / len(ranked.actual)
+        if not self.n_pos:
+            return None
         if measure == "popt":
             area_m = self._area(ranked)
             area_opt, area_worst = self._extreme_areas
             denom = area_opt - area_worst
             return 1.0 if denom <= 0 else min(1.0, max(0.0, 1.0 - (area_opt - area_m) / denom))
-        if measure == "pmi20":
-            return ranked.n_inspected / len(ranked.actual)
-        if measure not in ("acc", "ifa"):
-            raise ValueError(f"unknown measure {measure!r}")
-        if not self.n_pos:
-            raise NoDefects(f"{measure.upper()} needs at least one defective module")
         if measure == "acc":
             found = int(ranked.cum_defects[ranked.n_inspected - 1]) if ranked.n_inspected else 0
             return found / self.n_pos

@@ -23,23 +23,17 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     positions, as ``scipy.stats.rankdata`` gives them by default. A run of
     tied values over sorted positions [start, end) ranks (start + end + 1) / 2,
     a multiple of 1/2 and so exact. Any NaN makes every rank NaN."""
-    return _ranks_and_order(values)[0]
-
-
-def _ranks_and_order(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``average_ranks`` and the stable ascending argsort they are read
-    from, which is ``measures.score_order`` of the negated values."""
     values = np.asarray(values, dtype=float)
     n = len(values)
-    order = np.argsort(values, kind="stable")
     if np.isnan(values).any():
-        return np.full(n, np.nan), order
+        return np.full(n, np.nan)
+    order = np.argsort(values, kind="stable")
     ordered = values[order]
     run_starts = np.flatnonzero(np.concatenate(([n > 0], ordered[1:] != ordered[:-1])))
     run_ends = np.append(run_starts[1:], n)
     ranks = np.empty(n)
     ranks[order] = np.repeat((run_starts + run_ends + 1) / 2, run_ends - run_starts)
-    return ranks, order
+    return ranks
 
 
 @cache

@@ -9,7 +9,8 @@ one; ``manual_rank`` returns one per ranking direction and
 per target. ``manual_rank`` and ``best_metric_oracle`` rank modules with
 ``measures.score_order``, the rule the effort-aware measures visit them by,
 and flag the top half of that ranking; ``best_metric_oracle`` scores every
-candidate with one ``measures.RankingScorer``. Inspection effort is not
+candidate on the core measures with one ``measures.RankingScorer``, the
+rule every measure is computed by. Inspection effort is not
 part of a prediction; the measures take the target's LOC column with values
 <= 0 clamped to 1 (``datasets.effort_values``).
 """
@@ -25,7 +26,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from . import measures
 from .datasets import DefectDataset, effort_values
 from .learner import DECISION_THRESHOLD, predict_proba, train_logistic, zscore_apply, zscore_fit
-from .stats import _ranks_and_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,27 +237,15 @@ def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
     preferred. A measure undefined on every candidate (e.g. no defective
     modules) keeps the first metric's descending ranking with value None.
     The LOC column is clamped like every effort computation.
-
-    One pass scores every candidate on all six measures: average ranks once
-    per metric, whose stable argsort is the ascending candidate's ordering,
-    and one more sort for the descending one. The ascending candidate's
-    ranks are n + 1 minus the descending one's, which is exact because
-    average ranks are multiples of 1/2.
     """
     efforts = effort_values(d)
     scorer = measures.RankingScorer(efforts, d.labels)
-    n = d.n_modules
     best: dict[str, tuple] = {}  # measure -> (quality, metric, scores, predicted, value)
     for name in d.metric_names:
         column = efforts if name == d.loc_metric else d.column(name)
-        ranks, ascending = _ranks_and_order(column)
-        candidates = (
-            (column, measures.score_order(column), ranks),
-            (-column, ascending, n + 1 - ranks),
-        )
-        for scores, order, signed_ranks in candidates:
-            predicted = _top_half(order)
-            for measure, value in scorer.score(order, signed_ranks, predicted).items():
+        for scores in (column, -column):
+            predicted = _top_half(measures.score_order(scores))
+            for measure, value in scorer.score(measures.CORE_MEASURES, scores, predicted).items():
                 if value is None:
                     continue
                 quality = value if measures.HIGHER_IS_BETTER[measure] else -value

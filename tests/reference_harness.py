@@ -144,6 +144,9 @@ def load_results(results_dir) -> LoadedRows:
     except ValueError:
         raise ValueError(f"{summary}:{line}: plans_total {total!r} is not an integer") from None
     plans = list(dict.fromkeys((row.source, row.target) for row in rows))
+    if n_total < len(plans):
+        raise ValueError(
+            f"{summary}:{line}: plans_total {n_total} is below the {len(plans)} plans in results.csv")
     for source, target in plans:
         for method, measure in product(cfg.methods, cfg.measures):
             if (method, source, target, measure) not in cells:

@@ -259,6 +259,13 @@ def test_loc_and_effort_values():
     assert effort_values(d2).tolist() == [1, 20]
 
 
+def test_a_dataset_equals_only_itself():
+    # the generated __eq__ compared the arrays and raised, and hash() failed
+    d = make_dataset("x", [[10, 5], [20, 6]], [0, 1])
+    assert d == d and d != make_dataset("x", [[10, 5], [20, 6]], [0, 1])
+    assert {d: 1}[d] == 1
+
+
 def test_derived_calls_fn_once_per_dataset():
     calls = []
 

@@ -564,6 +564,20 @@ def test_load_results_rejects_a_plans_total_that_is_not_an_integer(exported):
         load_results(exported)
 
 
+@pytest.mark.parametrize("total", [lambda n: -4, lambda n: n - 1], ids=["negative", "one-short"])
+def test_cli_report_rejects_a_plans_total_below_the_plans(exported, capsys, total):
+    # the total counts every plan, run or skipped; a smaller one used to
+    # report with exit 0, and a re-export wrote it back
+    n_plans = len(load_results(exported).plans)
+    lines = (exported / "summary.txt").read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("plans_total:"))
+    _rewrite(exported / "summary.txt", lambda text: text.replace(lines[k], f"plans_total: {total(n_plans)}"))
+    assert cli.main(["report", str(exported)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {exported / 'summary.txt'}:{k + 1}: plans_total {total(n_plans)} is below the "
+        f"{n_plans} plans in results.csv\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("garbage\n", r"c.ini:1: no \[section\] header before this line"),
     ("[experiment]\nmanifest = m.ini\ngarbage\n", r"c.ini:3: not a 'key = value' line"),

@@ -209,6 +209,23 @@ def test_one_fault_raises_the_reference_message(exported, fault, data):
     assert str(got.value) == str(want.value)
 
 
+def test_a_plans_total_below_the_plans_raises_the_reference_message(exported):
+    directory, records = exported
+    _write_results(directory, records)
+    summary = (directory / "summary.txt").read_text()
+    try:
+        (directory / "summary.txt").write_text("".join(
+            "plans_total: 1\n" if line.startswith("plans_total:") else line
+            for line in summary.splitlines(True)))
+        with pytest.raises(ValueError, match="plans_total 1 is below the") as want:
+            reference_harness.load_results(directory)
+        with pytest.raises(ValueError) as got:
+            harness.load_results(directory)
+        assert str(got.value) == str(want.value)
+    finally:
+        (directory / "summary.txt").write_text(summary)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_clean_rows_in_any_order_fill_the_reference_table(exported, random):

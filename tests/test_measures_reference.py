@@ -134,16 +134,16 @@ TOP_HALF_CASE = (
 )
 
 
-@given(prediction_cases())
-@example(TOP_HALF_CASE)
-def test_ranking_scorer_equals_compute_measure_on_the_top_half(case):
-    """Arbitrary predicted flags, and bestmetric's top half as an example."""
+@given(prediction_cases(), st.lists(st.sampled_from(MEASURE_IDS), min_size=1, unique=True))
+@example(TOP_HALF_CASE, list(CORE_MEASURES))
+def test_ranking_scorer_equals_compute_measure_on_the_top_half(case, measure_ids):
+    """Any non-empty subset of the measures in any order, on arbitrary
+    predicted flags, and bestmetric's request on its top half as an example."""
     scores, predicted, efforts, actual = case
-    order = np.argsort(-scores, kind="stable")
-    values = RankingScorer(efforts, actual).score(order, rankdata(scores), predicted)
-    assert tuple(values) == CORE_MEASURES
-    for measure in CORE_MEASURES:
-        expected, _ = compute_measure(measure, scores, predicted, efforts, actual)
+    values = RankingScorer(efforts, actual).score(measure_ids, scores, predicted)
+    assert list(values) == measure_ids
+    for measure in measure_ids:
+        expected, _ = ref.compute_measure(measure, scores, predicted, efforts, actual)
         assert values[measure] == expected, measure
 
 

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import chi2, rankdata
 
-from hdpbench.measures import score_order
 from hdpbench.stats import (
     ContingencyTable,
-    _ranks_and_order,
     average_ranks,
     bh_adjust,
     cliffs_delta,
@@ -36,16 +34,6 @@ def test_average_ranks_hand_trace_and_nan():
     # like rankdata, one NaN makes every rank NaN
     with_nan = [2.0, np.nan, 1.0]
     assert np.isnan(average_ranks(with_nan)).all() and np.isnan(rankdata(with_nan)).all()
-
-
-@given(st.lists(st.integers(0, 4), max_size=60))
-def test_rank_order_is_the_ascending_score_order(column):
-    # bestmetric ranks its ascending candidate by this order, in place of
-    # sorting the negated column again; ties must keep module order
-    values = np.asarray(column, dtype=float)
-    ranks, order = _ranks_and_order(values)
-    assert np.array_equal(order, score_order(-values))
-    assert ranks.tolist() == rankdata(values).tolist()
 
 
 # ---------------------------------------------------------------------------
