@@ -2,18 +2,19 @@
 ACC, PMI, Popt, and IFA.
 
 Effort-aware measures charge inspection cost proportional to module LOC:
-modules are visited in score order (``score_order``) and the budget is
+modules are visited in score order (``Ranking.order``) and the budget is
 ``EFFORT_FRACTION`` of the total effort. The module that would cross the
 budget is excluded, which makes ACC and PMI consistent with each other.
 
 Every function takes per-module vectors in target row order: float
 ``scores`` (higher means inspect earlier), bool ``predicted`` flags,
 positive float ``efforts`` and bool ``actual`` truth. Vectors of unequal
-length are rejected rather than broadcast. ``RankingScorer``, a target's
-checked record, holds the one rule of every measure: its ``score`` gives
-each requested measure of one prediction, None where undefined.
-``compute_measure`` and the effort-aware functions below read one value
-from it, and bestmetric scores each candidate ranking of a target with one.
+length, and NaN scores, are rejected. ``Ranking`` sorts one score vector.
+``RankingScorer``, a target's checked record, holds the one rule of every
+measure: its ``score`` gives each requested measure of one ``Ranking`` and
+predicted flags, None where undefined. ``compute_measure``, ``auc`` and the
+effort-aware functions read one value from it, and bestmetric scores each
+candidate ranking of a target with one.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from .stats import average_ranks
 
 #: Canonical measure order; the first two exist for the satisfactory-ratio
 #: analysis, the remaining six are the benchmark's headline measures.
@@ -88,38 +87,60 @@ def prf1(cm: ConfusionMatrix) -> dict[str, float]:
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
+class Ranking:
+    """One score vector's ranking of the modules, and the one place it is
+    sorted: ``order``, ``ranks`` and ``top_half`` derive from one stable sort."""
+
+    def __init__(self, scores: Sequence[float]):
+        self.scores = np.asarray(scores, dtype=float)
+        if np.isnan(self.scores).any():
+            raise ValueError("prediction scores must not be NaN")
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Module indices by score descending; ties keep module order."""
+        return np.argsort(-self.scores, kind="stable")
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """1-based ascending ranks as ``scipy.stats.rankdata`` gives them: a
+        run of ties at descending positions [s, e) of n values ranks
+        (2n - s - e + 1) / 2, a multiple of 1/2 and so exact."""
+        n = len(self.scores)
+        ordered = self.scores[self.order]
+        starts = np.flatnonzero(np.concatenate(([n > 0], ordered[1:] != ordered[:-1])))
+        ends = np.append(starts[1:], n)
+        ranks = np.empty(n)
+        ranks[self.order] = np.repeat((2 * n - starts - ends + 1) / 2, ends - starts)
+        return ranks
+
+    @cached_property
+    def top_half(self) -> np.ndarray:
+        """Defective flags for the first ceil(n/2) modules of ``order``."""
+        predicted = np.zeros(len(self.scores), dtype=bool)
+        predicted[self.order[: (len(self.scores) + 1) // 2]] = True
+        return predicted
+
+
+def _measure(
+    measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]
+) -> float | None:
+    scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
+    # only precision, recall and F1 read the predicted flags
+    return RankingScorer(efforts, actual).score((measure,), Ranking(scores), actual)[measure]
+
+
 def auc(scores: Sequence[float], actual: Sequence[bool]) -> float | None:
-    """Rank-based AUC: P(positive scored above negative), ties counted 0.5.
-
-    Returns None when only one class is present.
-    """
-    scores, labels = _vectors((scores, float), (actual, bool))
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    return _auc_from_ranks(average_ranks(scores), labels, n_pos, n_neg)
-
-
-def _auc_from_ranks(ranks: np.ndarray, positives: np.ndarray, n_pos: int, n_neg: int) -> float:
-    """Mann-Whitney AUC from average ranks (ascending in score) and the
-    positives, as a mask or as their indices in row order (the same ranks
-    summed in the same order); tied scores share a rank, so a tie counts 0.5."""
-    return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
-
-
-def score_order(scores: np.ndarray) -> np.ndarray:
-    """Indices by score descending; ties keep module order."""
-    return np.argsort(-scores, kind="stable")
+    """Rank-based AUC: P(positive scored above negative), ties counted 0.5;
+    None when only one class is present."""
+    # AUC never reads the efforts
+    return _measure("auc", scores, np.ones_like(scores, dtype=float), actual)
 
 
 def _effort_aware(
     measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]
 ) -> float:
-    scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
-    # no effort-aware measure reads the predicted flags
-    value = RankingScorer(efforts, actual).score((measure,), scores, actual)[measure]
-    if value is None:
+    if (value := _measure(measure, scores, efforts, actual)) is None:
         raise NoDefects(f"{measure.upper()} needs at least one defective module")
     return value
 
@@ -160,7 +181,7 @@ def compute_measure(
     scores, predicted, efforts, actual = _vectors(
         (scores, float), (predicted, bool), (efforts, float), (actual, bool)
     )
-    value = RankingScorer(efforts, actual).score((measure,), scores, predicted)[measure]
+    value = RankingScorer(efforts, actual).score((measure,), Ranking(scores), predicted)[measure]
     if value is None:
         return None, "SingleClassTruth" if measure == "auc" else "NoDefects"
     return value, None
@@ -201,25 +222,25 @@ class RankingScorer:
         self.budget = EFFORT_FRACTION * float(self.total_effort) * (1 + 1e-9)
 
     def score(
-        self, measure_ids: Sequence[str], scores: np.ndarray, predicted: np.ndarray
+        self, measure_ids: Sequence[str], ranking: Ranking, predicted: np.ndarray
     ) -> dict[str, float | None]:
         """The measures ``measure_ids`` of one prediction, in that order,
-        None where undefined. ``scores`` rank the modules (higher first,
-        ties in module order) and ``predicted`` flags the modules labelled
-        defective. Each input of a rule (confusion counts, average ranks,
-        the ranking's running sums) is computed only if a measure needs it."""
+        None where undefined. ``ranking`` ranks the modules and ``predicted``
+        flags the modules labelled defective. Each input of a rule (confusion
+        counts, the average ranks, the order and its running sums) is
+        computed only if a measure needs it."""
         values: dict[str, float | None] = {}
         counts = ranked = None
         for measure in measure_ids:
             if measure in ("precision", "recall", "f1"):
                 counts = counts or prf1(confusion(predicted, self.actual))
                 values[measure] = counts[measure]
-            elif measure == "auc":
-                values[measure] = _auc_from_ranks(
-                    average_ranks(scores), self.positives, self.n_pos, self.n_neg
-                ) if self.n_pos and self.n_neg else None
+            elif measure == "auc":  # Mann-Whitney; a tie shares its rank, so it counts 0.5
+                n, pairs = self.n_pos, self.n_pos * self.n_neg
+                values[measure] = float((ranking.ranks[self.positives].sum() - n * (n + 1) / 2)
+                                        / pairs) if pairs else None
             elif measure in ("acc", "popt", "pmi20", "ifa"):
-                ranked = ranked or self._ranked(score_order(scores))
+                ranked = ranked or self._ranked(ranking.order)
                 values[measure] = self._value(measure, ranked)
             else:
                 raise ValueError(f"unknown measure {measure!r}")

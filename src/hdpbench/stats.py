@@ -18,24 +18,6 @@ NEGLIGIBLE_DELTA = 0.147  # |delta| below this is a negligible effect
 _EXACT_LIMIT = 12  # exact null distribution up to this many nonzero diffs
 
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks of a vector, tied values sharing the mean of their
-    positions, as ``scipy.stats.rankdata`` gives them by default. A run of
-    tied values over sorted positions [start, end) ranks (start + end + 1) / 2,
-    a multiple of 1/2 and so exact. Any NaN makes every rank NaN."""
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if np.isnan(values).any():
-        return np.full(n, np.nan)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    run_starts = np.flatnonzero(np.concatenate(([n > 0], ordered[1:] != ordered[:-1])))
-    run_ends = np.append(run_starts[1:], n)
-    ranks = np.empty(n)
-    ranks[order] = np.repeat((run_starts + run_ends + 1) / 2, run_ends - run_starts)
-    return ranks
-
-
 @cache
 def _exact_null(doubled: tuple[int, ...]) -> tuple[int, ...]:
     """Cumulative null distribution of the doubled rank sum: entry k counts
@@ -144,7 +126,7 @@ def bh_adjust(pvals: Sequence[float]) -> list[float]:
     p = np.asarray(pvals, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("need a non-empty vector of p-values")
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
         raise ValueError("p-values must lie in [0, 1]")
     m = len(p)
     order = np.argsort(p, kind="stable")
@@ -159,8 +141,10 @@ def cliffs_delta(x: Sequence[float], y: Sequence[float]) -> float:
     """(#{x_i > y_j} - #{x_i < y_j}) / (|x| * |y|), in [-1, 1]."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("both samples must be non-empty")
+    if x.ndim != 1 or y.ndim != 1 or len(x) == 0 or len(y) == 0:
+        raise ValueError("both samples must be non-empty vectors")
+    if np.isnan(x).any() or np.isnan(y).any():  # a NaN would count as a tie
+        raise ValueError("samples must not be NaN")
     greater = np.count_nonzero(x[:, None] > y[None, :])
     less = np.count_nonzero(x[:, None] < y[None, :])
     return (greater - less) / (len(x) * len(y))

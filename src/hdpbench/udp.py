@@ -7,9 +7,9 @@ order; NaN scores are rejected. ``cla``, ``clami`` and ``spectral`` return
 one; ``manual_rank`` returns one per ranking direction and
 ``best_metric_oracle`` one winner per core measure, each from a single call
 per target. ``manual_rank`` and ``best_metric_oracle`` rank modules with
-``measures.score_order``, the rule the effort-aware measures visit them by,
-and flag the top half of that ranking; ``best_metric_oracle`` scores every
-candidate on the core measures with one ``measures.RankingScorer``, the
+``measures.Ranking``, the one sort the measures rank by, and flag its
+``top_half``; ``best_metric_oracle`` scores every candidate's one
+``Ranking`` on the core measures with one ``measures.RankingScorer``, the
 rule every measure is computed by. Inspection effort is not
 part of a prediction; the measures take the target's LOC column with values
 <= 0 clamped to 1 (``datasets.effort_values``).
@@ -205,20 +205,13 @@ def spectral_predict(d: DefectDataset) -> Prediction:
     return Prediction(row_sums, predicted)
 
 
-def _top_half(order: np.ndarray) -> np.ndarray:
-    """Defective flags for the first ceil(n/2) modules of ``order``."""
-    predicted = np.zeros(len(order), dtype=bool)
-    predicted[order[: (len(order) + 1) // 2]] = True
-    return predicted
-
-
 def manual_rank(d: DefectDataset) -> dict[str, Prediction]:
     """Size-only rankings: ``down`` scores by LOC (larger first), ``up`` by
     1/LOC (smaller first); the top half of each stable descending ranking
     (ties keep module order) is labeled defective."""
     loc = effort_values(d)
     rankings = {"down": loc.astype(float), "up": 1.0 / loc}
-    return {key: Prediction(s, _top_half(measures.score_order(s))) for key, s in rankings.items()}
+    return {key: Prediction(s, measures.Ranking(s).top_half) for key, s in rankings.items()}
 
 
 class BestMetric(NamedTuple):
@@ -244,8 +237,9 @@ def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
     for name in d.metric_names:
         column = efforts if name == d.loc_metric else d.column(name)
         for scores in (column, -column):
-            predicted = _top_half(measures.score_order(scores))
-            for measure, value in scorer.score(measures.CORE_MEASURES, scores, predicted).items():
+            ranking = measures.Ranking(scores)
+            predicted = ranking.top_half
+            for measure, value in scorer.score(measures.CORE_MEASURES, ranking, predicted).items():
                 if value is None:
                     continue
                 quality = value if measures.HIGHER_IS_BETTER[measure] else -value
@@ -253,7 +247,7 @@ def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
                     best[measure] = (quality, name, scores, predicted, value)
     first = d.metric_names[0]
     raw = d.column(first)
-    fallback = (None, first, raw, _top_half(measures.score_order(raw)), None)
+    fallback = (None, first, raw, measures.Ranking(raw).top_half, None)
     results = {}
     for measure in measures.CORE_MEASURES:
         _, name, scores, predicted, value = best.get(measure, fallback)

@@ -13,7 +13,7 @@ import numpy as np
 
 from hdpbench import harness, stats
 from hdpbench.datasets import DefectDataset
-from hdpbench.measures import RankingScorer, score_order
+from hdpbench.measures import Ranking, RankingScorer
 
 # (project, schema tag, metric count, modules, defective) for the five
 # public benchmark groups; NASA splits into five metric-set variants.
@@ -202,7 +202,7 @@ def scorer_curve(
     ``optimal`` or ``worst`` one."""
     record = RankingScorer(efforts, actual)
     if ordering == "by_score":
-        order = score_order(np.asarray(scores, dtype=float))
+        order = Ranking(scores).order
     else:
         order = record._extreme_order(ordering)
     ranked = record._ranked(order)

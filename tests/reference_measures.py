@@ -22,7 +22,11 @@ def score_order(scores: np.ndarray) -> list[int]:
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the group average."""
+    """1-based ranks with ties assigned the group average; as with
+    ``scipy.stats.rankdata``, any NaN makes every rank NaN."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
     order = np.argsort(values, kind="mergesort")
     ranks = np.empty(len(values))
     sorted_vals = values[order]

@@ -31,8 +31,8 @@ from hdpbench.stats import (
     ALPHA,
     ContingencyTable,
     SkRanking,
-    average_ranks,
 )
+from reference_measures import average_ranks
 
 
 def wilcoxon_exact(x: Sequence[float], y: Sequence[float]) -> float:

@@ -7,6 +7,7 @@ from hdpbench.measures import (
     MEASURE_IDS,
     ConfusionMatrix,
     NoDefects,
+    Ranking,
     RankingScorer,
     acc_at,
     auc,
@@ -106,11 +107,42 @@ def test_measures_reject_non_positive_effort(bad):
 @pytest.mark.parametrize("score", [
     *[lambda m=m: compute_measure(m, [], [], [], []) for m in MEASURE_IDS],
     lambda: pmi_at([], []),
-], ids=[*MEASURE_IDS, "pmi_at"])
+    lambda: auc([], []),
+], ids=[*MEASURE_IDS, "pmi_at", "auc()"])
 def test_empty_vectors_are_rejected(score):
-    # pmi20 once divided by zero modules
+    # pmi20 once divided by zero modules, and auc() returned None
     with pytest.raises(ValueError, match="^per-module vectors must not be empty$"):
         score()
+
+
+NAN_SCORES, NAN_TRUTH, NAN_EFFORTS = [np.nan, 1.0, 0.5], [1, 0, 1], [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("score", [
+    *[lambda m=m: compute_measure(m, NAN_SCORES, NAN_TRUTH, NAN_EFFORTS, NAN_TRUTH)
+      for m in MEASURE_IDS],
+    lambda: auc(NAN_SCORES, NAN_TRUTH),
+    lambda: popt(NAN_SCORES, NAN_EFFORTS, NAN_TRUTH),
+    lambda: acc_at(NAN_SCORES, NAN_EFFORTS, NAN_TRUTH),
+    lambda: pmi_at(NAN_SCORES, NAN_EFFORTS),
+    lambda: ifa(NAN_SCORES, NAN_TRUTH),
+    lambda: Ranking(NAN_SCORES),
+], ids=[*MEASURE_IDS, "auc()", "popt()", "acc_at", "pmi_at", "ifa()", "Ranking"])
+def test_nan_scores_are_rejected(score):
+    # auc() once returned nan, popt ranked the NaN module last and gave 0.0,
+    # and ifa gave 1
+    with pytest.raises(ValueError, match="^prediction scores must not be NaN$"):
+        score()
+
+
+def test_ranking_hand_trace():
+    # descending: the tied modules 0, 2 and 4 in module order, then 3, then 1
+    ranking = Ranking([3.0, 1.0, 3.0, 2.0, 3.0])
+    assert ranking.order.tolist() == [0, 2, 4, 3, 1]
+    assert ranking.ranks.tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+    assert ranking.top_half.tolist() == [True, False, True, False, True]
+    empty = Ranking([])
+    assert (empty.order.tolist(), empty.ranks.tolist(), empty.top_half.tolist()) == ([], [], [])
 
 
 def test_only_popt_computes_the_extreme_curves(monkeypatch):

@@ -19,6 +19,7 @@ from hdpbench.measures import (
     HIGHER_IS_BETTER,
     MEASURE_IDS,
     NoDefects,
+    Ranking,
     RankingScorer,
     acc_at,
     compute_measure,
@@ -26,7 +27,6 @@ from hdpbench.measures import (
     pmi_at,
     popt,
 )
-from hdpbench.stats import average_ranks
 from hdpbench.udp import Prediction, best_metric_oracle
 
 # LOC values <= 0 are clamped to effort 1; few distinct efforts make equal
@@ -107,21 +107,38 @@ def test_rankdata_equals_loop_average_ranks(values):
     assert np.array_equal(rankdata(values), ref.average_ranks(values))
 
 
+def test_loop_average_ranks_give_nan_like_rankdata():
+    # one NaN makes every rank NaN; the package rejects NaN scores instead
+    with_nan = [2.0, np.nan, 1.0]
+    assert np.isnan(ref.average_ranks(with_nan)).all() and np.isnan(rankdata(with_nan)).all()
+
+
 TIED_VALUES = st.lists(
-    st.integers(-4, 4).map(lambda v: v / 3.0) | st.sampled_from([0.0, -0.0, 1e300, -1e-300]),
+    st.integers(-4, 4).map(lambda v: v / 3.0)
+    | st.sampled_from([0.0, -0.0, 1e300, -1e-300, np.inf, -np.inf]),
     min_size=0, max_size=60,
 )
 
 
 @given(TIED_VALUES)
-def test_average_ranks_equal_rankdata(values):
+@example([])
+def test_ranking_ranks_equal_rankdata(values):
     values = np.array(values, dtype=float)
-    ranks = average_ranks(values)
+    ranks = Ranking(values).ranks
     assert ranks.dtype == np.float64
     assert np.array_equal(ranks, rankdata(values))
     assert np.array_equal(ranks, ref.average_ranks(values))
     # the descending ranks mirror the ascending ones exactly
-    assert np.array_equal(average_ranks(-values), len(values) + 1 - ranks)
+    assert np.array_equal(Ranking(-values).ranks, len(values) + 1 - ranks)
+
+
+@given(TIED_VALUES)
+def test_ranking_order_and_top_half_equal_the_loop_order(values):
+    values = np.array(values, dtype=float)
+    ranking = Ranking(values)
+    order = ref.score_order(values)
+    assert ranking.order.tolist() == order
+    assert np.flatnonzero(ranking.top_half).tolist() == sorted(order[: (len(values) + 1) // 2])
 
 
 # bestmetric's flags: the first ceil(7/2) = 4 modules of the stable
@@ -140,7 +157,7 @@ def test_ranking_scorer_equals_compute_measure_on_the_top_half(case, measure_ids
     """Any non-empty subset of the measures in any order, on arbitrary
     predicted flags, and bestmetric's request on its top half as an example."""
     scores, predicted, efforts, actual = case
-    values = RankingScorer(efforts, actual).score(measure_ids, scores, predicted)
+    values = RankingScorer(efforts, actual).score(measure_ids, Ranking(scores), predicted)
     assert list(values) == measure_ids
     for measure in measure_ids:
         expected, _ = ref.compute_measure(measure, scores, predicted, efforts, actual)
@@ -193,3 +210,18 @@ def test_best_metric_oracle_equals_brute_force(data):
         assert (result.metric, result.value) == (metric, value), measure
         assert np.array_equal(result.predictions.scores, pred.scores), measure
         assert np.array_equal(result.predictions.predicted, pred.predicted), measure
+
+
+def test_best_metric_oracle_sorts_each_candidate_once(monkeypatch):
+    """One stable sort per (metric, direction) candidate serves its top
+    half, its AUC ranks and its effort-aware order, plus one for the
+    fallback: at most 2k + 1 sorts on k metrics."""
+    rng = np.random.default_rng(5)
+    k, n = 4, 40
+    d = make_dataset("t", np.column_stack([rng.integers(1, 9, n), rng.integers(0, 4, (n, k - 1))]),
+                     rng.random(n) < 0.4)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+    best_metric_oracle(d)
+    assert 0 < len(calls) <= 2 * k + 1

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
-from scipy.stats import chi2, rankdata
+from scipy.stats import chi2
 
 from hdpbench.stats import (
     ContingencyTable,
-    average_ranks,
     bh_adjust,
     cliffs_delta,
     mcnemar,
@@ -23,18 +22,6 @@ from hdpbench.stats import (
 )
 from hdpbench.udp import Prediction
 from helpers import diversity_report
-
-# ---------------------------------------------------------------------------
-# average ranks
-
-
-def test_average_ranks_hand_trace_and_nan():
-    assert average_ranks([3.0, 1.0, 3.0, 2.0, 3.0]).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
-    assert average_ranks([]).tolist() == []
-    # like rankdata, one NaN makes every rank NaN
-    with_nan = [2.0, np.nan, 1.0]
-    assert np.isnan(average_ranks(with_nan)).all() and np.isnan(rankdata(with_nan)).all()
-
 
 # ---------------------------------------------------------------------------
 # Wilcoxon signed-rank
@@ -146,9 +133,11 @@ def test_bh_fixed_point_on_constant_vectors():
     assert bh_adjust([0.2, 0.2, 0.2]) == pytest.approx([0.2, 0.2, 0.2])
 
 
-def test_bh_rejects_bad_input():
-    with pytest.raises(ValueError):
-        bh_adjust([1.5])
+@pytest.mark.parametrize("pvals", [[1.5], [-0.1, 0.2], [np.nan, 0.1], [0.1, np.nan]])
+def test_bh_rejects_bad_input(pvals):
+    # a NaN once passed the range check and spread through the running minimum
+    with pytest.raises(ValueError, match=r"^p-values must lie in \[0, 1\]$"):
+        bh_adjust(pvals)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +154,19 @@ def test_cliffs_fully_separated():
 
 def test_cliffs_enumerated_example():
     assert cliffs_delta([1, 2], [1, 3]) == -0.25
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([], [1.0], "both samples must be non-empty vectors"),
+    ([1.0], [], "both samples must be non-empty vectors"),
+    ([[1.0, 2.0]], [[0.5]], "both samples must be non-empty vectors"),  # once gave 2.0
+    (1.0, [0.5], "both samples must be non-empty vectors"),
+    ([np.nan, 1.0], [0.5], "samples must not be NaN"),  # once counted as a tie: 0.5
+    ([1.0], [0.5, np.nan], "samples must not be NaN"),
+])
+def test_cliffs_rejects_bad_input(x, y, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cliffs_delta(x, y)
 
 
 @given(
