@@ -88,14 +88,15 @@ class DefectDataset:
         labels = np.asarray(self.labels, dtype=bool)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
-        n = values.shape[0] if values.ndim == 2 else 0
+        if values.ndim != 2:
+            raise SchemaMismatch(f"dataset {self.name!r}: values of shape {values.shape} "
+                                 f"are not a module x metric matrix")
+        n, n_columns = values.shape
         if n == 0:
             raise ZeroModules(f"dataset {self.name!r} has no modules")
-        if values.ndim != 2 or values.shape[1] != len(self.metric_names):
-            raise SchemaMismatch(
-                f"dataset {self.name!r}: {values.shape[1] if values.ndim == 2 else '?'} "
-                f"columns vs {len(self.metric_names)} schema metrics"
-            )
+        if n_columns != len(self.metric_names):
+            raise SchemaMismatch(f"dataset {self.name!r}: {n_columns} columns vs "
+                                 f"{len(self.metric_names)} schema metrics")
         if labels.shape != (n,):
             raise SchemaMismatch(f"dataset {self.name!r}: row/label count mismatch")
         if not np.all(np.isfinite(values)):

@@ -475,22 +475,27 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     return [config_path, results_path, pred_path, targets_path, summary_path]
 
 
-def _csv_columns(path: Path, columns: tuple[str, ...]) -> list[Sequence[str]]:
+def _csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[list[Sequence[str]], Sequence[int]]:
     """The fields of each column of the records after the exact header
-    ``columns``; an error names its record's line (``_line``)."""
+    ``columns``, and the line on which each record ends (``csv.reader``'s
+    ``line_num``), read in the one parse: record k of a plain text
+    (``_plain_columns``) ends on line k + 2."""
     width = len(columns)
     with path.open(newline="") as fh:
         text = fh.read()
     if (plain := _plain_columns(text, columns)) is not None:
-        return plain
+        return plain, range(2, len(plain[0]) + 2)
     reader = csv.reader(io.StringIO(text, newline=""))
     if tuple(header := next(reader, [])) != columns:
         raise ValueError(f"{path}:1: expected header {','.join(columns)}, got {header}")
-    records = list(reader)
+    records, lines = [], []
+    for record in reader:
+        records.append(record)
+        lines.append(reader.line_num)
     if set(map(len, records)) - {width}:
         k = _first(len(record) != width for record in records)
-        raise ValueError(f"{path}:{_line(path, k)}: expected {width} fields, got {len(records[k])}")
-    return list(zip(*records)) or [()] * width
+        raise ValueError(f"{path}:{lines[k]}: expected {width} fields, got {len(records[k])}")
+    return list(zip(*records)) or [()] * width, lines
 
 
 def _plain_columns(text: str, columns: tuple[str, ...]) -> list[list[str]] | None:
@@ -510,46 +515,30 @@ def _plain_columns(text: str, columns: tuple[str, ...]) -> list[list[str]] | Non
     return [fields[c::width] for c in range(width)]
 
 
-def _line(path: Path, k: int) -> int:
-    """The line on which the ``k``-th record after the header of the CSV
-    file ``path`` ends, as ``csv.reader`` counts it; the file is read again
-    only for an error message."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for _ in range(k + 2):
-            next(reader)
-        return reader.line_num
-
-
 def _first(flags: Iterable[object]) -> int:
     """The index of the first true flag."""
     return next(k for k, flag in enumerate(flags) if flag)
 
 
-def _reject_repeats(path: Path, columns: Sequence[Sequence[str]]) -> None:
+def _reject_repeats(path: Path, lines: Sequence[int], columns: Sequence[Sequence[str]]) -> None:
     """Raise at the first record whose key, its fields in ``columns``,
-    repeats an earlier record's: ``path:line: repeats line N (key)``."""
+    repeats an earlier record's: ``path:line: repeats line N (key)``, with
+    each record's line from ``lines``."""
     first: dict[tuple[str, ...], int] = {}
     for k, key in enumerate(zip(*columns)):
         if (j := first.setdefault(key, k)) != k:
-            raise ValueError(
-                f"{path}:{_line(path, k)}: repeats line {_line(path, j)} ({' '.join(key)})")
+            raise ValueError(f"{path}:{lines[k]}: repeats line {lines[j]} ({' '.join(key)})")
 
 
-def _flags(path: Path, bits: Sequence[str], n_modules: list[int] | None = None) -> list[np.ndarray]:
-    """The bool flag vector of each label text, which must hold only '0'/'1'
-    and, where ``n_modules`` is given, as many labels as its target has modules."""
-    text, lengths = "".join(bits), list(map(len, bits))
+def _flags(path: Path, lines: Sequence[int], bits: Sequence[str]) -> list[np.ndarray]:
+    """The bool flag vector of each label text, which must hold only '0'/'1';
+    an error names the record's line from ``lines``."""
+    text = "".join(bits)
     if text.strip("01"):
         k = _first(labels.strip("01") for labels in bits)
-        raise ValueError(f"{path}:{_line(path, k)}: labels must contain only 0 and 1")
-    if n_modules is not None and lengths != n_modules:
-        k = _first(map(int.__ne__, lengths, n_modules))
-        raise ValueError(
-            f"{path}:{_line(path, k)}: {lengths[k]} labels for a target of {n_modules[k]} modules"
-        )
+        raise ValueError(f"{path}:{lines[k]}: labels must contain only 0 and 1")
     flags = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
-    ends = np.cumsum(lengths).tolist()
+    ends = np.cumsum(list(map(len, bits))).tolist()
     return [flags[start:end] for start, end in zip([0, *ends], ends)]
 
 
@@ -568,14 +557,15 @@ def _result_blocks(
     [0, 1], or for ``ifa`` in [0, n - 1] on a target of n modules. Last, an
     ``ifa`` value must be a whole number.
     """
-    methods, sources, target_ids, measure_ids, texts, failures = _csv_columns(path, RESULT_COLUMNS)
+    (methods, sources, target_ids, measure_ids, texts, failures), lines = _csv_columns(
+        path, RESULT_COLUMNS)
     checks = (("target", target_ids, target_truth, "is not in targets.csv"),
               ("method", methods, cfg.methods, "is not configured"),
               ("measure", measure_ids, cfg.measures, "is not configured"))
     for noun, names, known, complaint in checks:
         if unknown := set(names).difference(known):
             k = _first(name in unknown for name in names)
-            raise ValueError(f"{path}:{_line(path, k)}: {noun} {names[k]!r} {complaint}")
+            raise ValueError(f"{path}:{lines[k]}: {noun} {names[k]!r} {complaint}")
     cells = list(product(cfg.methods, cfg.measures))
     cell_ids = {cell: c for c, cell in enumerate(cells)}
     plans = list(dict.fromkeys(zip(sources, target_ids)))
@@ -585,7 +575,7 @@ def _result_blocks(
                             np.intp, len(texts))
     fills = np.bincount(positions, minlength=len(plans) * len(cells))
     if (fills > 1).any():
-        _reject_repeats(path, (methods, sources, target_ids, measure_ids))
+        _reject_repeats(path, lines, (methods, sources, target_ids, measure_ids))
     try:
         numbers = np.array([float(text) if text else math.nan for text in texts])
     except ValueError:
@@ -593,18 +583,18 @@ def _result_blocks(
             try:
                 float(text or 0)
             except ValueError:
-                raise ValueError(f"{path}:{_line(path, k)}: value {text!r} is not a number") from None
+                raise ValueError(f"{path}:{lines[k]}: value {text!r} is not a number") from None
     absent = np.fromiter(map(not_, texts), bool, len(texts))
     if not (finite := np.isfinite(numbers) | absent).all():
         k = _first(~finite)
-        raise ValueError(f"{path}:{_line(path, k)}: value {texts[k]!r} is not a finite number")
+        raise ValueError(f"{path}:{lines[k]}: value {texts[k]!r} is not a finite number")
     if not fills.all():
         plan, cell = divmod(_first(fills == 0), len(cells))
         (source, target), (method, measure) = plans[plan], cells[cell]
         raise ValueError(f"{path}: plan {source} => {target} has no {method} {measure} row")
     if not (one := absent == np.fromiter(map(bool, failures), bool, len(failures))).all():
         k = _first(~one)
-        raise ValueError(f"{path}:{_line(path, k)}: " + (
+        raise ValueError(f"{path}:{lines[k]}: " + (
             "holds neither a value nor a failure" if absent[k]
             else f"holds both value {texts[k]!r} and failure {failures[k]!r}"))
     # ifa counts the non-defective modules ranked before the first defective one
@@ -613,12 +603,12 @@ def _result_blocks(
     highs = np.where(is_ifa, n_modules[positions // len(cells)] - 1, 1)
     if (outside := (numbers < 0) | (numbers > highs)).any():
         k = _first(outside)
-        raise ValueError(f"{path}:{_line(path, k)}: {measure_ids[k]} value {texts[k]!r} "
+        raise ValueError(f"{path}:{lines[k]}: {measure_ids[k]} value {texts[k]!r} "
                          f"is outside [0, {highs[k]}]")
     # an absent value is NaN, whose remainder is no fraction
     if (fraction := is_ifa & (numbers % 1 > 0)).any():
         k = _first(fraction)
-        raise ValueError(f"{path}:{_line(path, k)}: ifa value {texts[k]!r} is not a whole number")
+        raise ValueError(f"{path}:{lines[k]}: ifa value {texts[k]!r} is not a whole number")
     values = np.empty(len(positions))
     values[positions] = numbers
     blocks = np.empty(len(positions), dtype=object)
@@ -641,26 +631,31 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
     results_dir = Path(results_dir)
     cfg = replace(load_config(results_dir / "config.ini"), output_dir=str(results_dir))
     targets_path = results_dir / "targets.csv"
-    targets, groups, bits = _csv_columns(targets_path, TARGET_COLUMNS)
+    (targets, groups, bits), target_lines = _csv_columns(targets_path, TARGET_COLUMNS)
     target_groups = dict(zip(targets, groups))
     if len(target_groups) != len(targets):
-        _reject_repeats(targets_path, (targets,))
-    target_truth = dict(zip(targets, _flags(targets_path, bits)))
+        _reject_repeats(targets_path, target_lines, (targets,))
+    target_truth = dict(zip(targets, _flags(targets_path, target_lines, bits)))
     path = results_dir / "predictions.csv"
-    variants, sources, pred_targets, bits = _csv_columns(path, PREDICTION_COLUMNS)
+    (variants, sources, pred_targets, bits), lines = _csv_columns(path, PREDICTION_COLUMNS)
     if unknown := set(pred_targets).difference(target_truth):
         k = _first(target in unknown for target in pred_targets)
-        raise ValueError(f"{path}:{_line(path, k)}: target {pred_targets[k]!r} is not in targets.csv")
+        raise ValueError(f"{path}:{lines[k]}: target {pred_targets[k]!r} is not in targets.csv")
     keys = list(zip(variants, sources, pred_targets))
     if len(set(keys)) != len(keys):
-        _reject_repeats(path, (variants, sources, pred_targets))
+        _reject_repeats(path, lines, (variants, sources, pred_targets))
+    flags = _flags(path, lines, bits)
     n_modules = [len(target_truth[target]) for target in pred_targets]
-    predictions = dict(zip(keys, _flags(path, bits, n_modules)))
+    if (lengths := list(map(len, bits))) != n_modules:
+        k = _first(map(int.__ne__, lengths, n_modules))
+        raise ValueError(
+            f"{path}:{lines[k]}: {lengths[k]} labels for a target of {n_modules[k]} modules")
+    predictions = dict(zip(keys, flags))
     plans, values, failures = _result_blocks(results_dir / "results.csv", cfg, target_truth)
     # a run writes only the targets of its plans
     if unplanned := set(targets).difference(target for _, target in plans):
         k = _first(target in unplanned for target in targets)
-        raise ValueError(f"{targets_path}:{_line(targets_path, k)}: "
+        raise ValueError(f"{targets_path}:{target_lines[k]}: "
                          f"target {targets[k]!r} has no plan in results.csv")
     summary = results_dir / "summary.txt"
     totals = [
@@ -681,10 +676,10 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
     configured = {variant for method in cfg.methods for variant in _variants(method)}
     if unknown := set(variants).difference(configured):
         k = _first(variant in unknown for variant in variants)
-        raise ValueError(f"{path}:{_line(path, k)}: variant {variants[k]!r} is not configured")
+        raise ValueError(f"{path}:{lines[k]}: variant {variants[k]!r} is not configured")
     if stray := set(zip(sources, pred_targets)).difference(plans):
         k = _first(plan in stray for plan in zip(sources, pred_targets))
-        raise ValueError(f"{path}:{_line(path, k)}: "
+        raise ValueError(f"{path}:{lines[k]}: "
                          f"plan {sources[k]} => {pred_targets[k]} is not in results.csv")
     # a method with a value on a plan ran there; one that ran may leave every measure undefined
     ran = ~np.isnan(values.reshape(len(plans), len(cfg.methods), len(cfg.measures))).all(axis=2)

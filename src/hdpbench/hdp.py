@@ -65,18 +65,15 @@ def _entropy(counts: np.ndarray) -> float:
 def equal_frequency_bins(feature: np.ndarray) -> np.ndarray:
     """Bin indices from order-statistic cut points (duplicates merged).
 
-    With b = GAIN_RATIO_BINS, the cut for the k/b quantile is the lower
-    order statistic ``sort(x)[floor((n - 1) * (k / b))]``, with the index
-    computed in floating point as numpy's ``quantile(method="lower")`` does
-    (so n = 91 cuts the 0.7 quantile at index 62, not 63). Binning
-    therefore depends only on ranks and is invariant under strictly
-    monotone transforms.
+    With b = GAIN_RATIO_BINS, the cut for the k/b quantile is numpy's
+    ``quantile(method="lower")``, the order statistic at index
+    floor((n - 1) * (k / b)) computed in floating point (so n = 91 cuts the
+    0.7 quantile at index 62, not 63). Binning therefore depends only on
+    ranks and is invariant under strictly monotone transforms.
     """
     x = np.asarray(feature, dtype=float)
     fractions = np.arange(1, GAIN_RATIO_BINS) / GAIN_RATIO_BINS
-    index = np.floor((len(x) - 1) * fractions).astype(np.intp)
-    order_stats = np.sort(x)[index]
-    cuts = order_stats[np.concatenate(([True], order_stats[1:] != order_stats[:-1]))]
+    cuts = np.unique(np.quantile(x, fractions, method="lower"))
     return np.searchsorted(cuts, x, side="right")
 
 

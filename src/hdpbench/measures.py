@@ -8,13 +8,14 @@ budget is excluded, which makes ACC and PMI consistent with each other.
 
 Every function takes per-module vectors in target row order: float
 ``scores`` (higher means inspect earlier), bool ``predicted`` flags,
-positive float ``efforts`` and bool ``actual`` truth. Vectors of unequal
-length, and NaN scores, are rejected. ``Ranking`` sorts one score vector.
-``RankingScorer``, a target's checked record, holds the one rule of every
-measure: its ``score`` gives each requested measure of one ``Ranking`` and
-predicted flags, None where undefined. ``compute_measure``, ``auc`` and the
-effort-aware functions read one value from it, and bestmetric scores each
-candidate ranking of a target with one.
+positive, finite float ``efforts`` and bool ``actual`` truth. Vectors of
+unequal length, and NaN scores, are rejected. ``Ranking`` sorts one score
+vector. ``RankingScorer``, a target's checked record, holds the one rule
+and the one input check of every measure: its ``score`` gives each
+requested measure of one ``Ranking`` and predicted flags, None where
+undefined. ``compute_measure`` reads one value from it, ``auc`` and the
+effort-aware functions call ``compute_measure``, and bestmetric scores each
+candidate ranking of a target with one record.
 """
 
 from __future__ import annotations
@@ -122,25 +123,18 @@ class Ranking:
         return predicted
 
 
-def _measure(
-    measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]
-) -> float | None:
-    scores, efforts, actual = _vectors((scores, float), (efforts, float), (actual, bool))
-    # only precision, recall and F1 read the predicted flags
-    return RankingScorer(efforts, actual).score((measure,), Ranking(scores), actual)[measure]
-
-
 def auc(scores: Sequence[float], actual: Sequence[bool]) -> float | None:
     """Rank-based AUC: P(positive scored above negative), ties counted 0.5;
     None when only one class is present."""
-    # AUC never reads the efforts
-    return _measure("auc", scores, np.ones_like(scores, dtype=float), actual)
+    # AUC never reads the efforts or the predicted flags
+    return compute_measure("auc", scores, actual, np.ones_like(scores, dtype=float), actual)[0]
 
 
 def _effort_aware(
     measure: str, scores: Sequence[float], efforts: Sequence[float], actual: Sequence[bool]
 ) -> float:
-    if (value := _measure(measure, scores, efforts, actual)) is None:
+    value, _ = compute_measure(measure, scores, actual, efforts, actual)
+    if value is None:
         raise NoDefects(f"{measure.upper()} needs at least one defective module")
     return value
 
@@ -175,12 +169,10 @@ def compute_measure(
     measure: str, scores: Sequence[float], predicted: Sequence[bool],
     efforts: Sequence[float], actual: Sequence[bool]
 ) -> tuple[float | None, str | None]:
-    """Evaluate one measure on per-module vectors in target row order.
-    Every measure requires positive efforts. Undefined cases yield
-    (None, reason)."""
-    scores, predicted, efforts, actual = _vectors(
-        (scores, float), (predicted, bool), (efforts, float), (actual, bool)
-    )
+    """Evaluate one measure on per-module vectors in target row order: one
+    ``RankingScorer.score`` call, whose record checks the efforts and the
+    truth and whose ``score`` checks the lengths of the scores and the
+    predicted flags. Undefined cases yield (None, reason)."""
     value = RankingScorer(efforts, actual).score((measure,), Ranking(scores), predicted)[measure]
     if value is None:
         return None, "SingleClassTruth" if measure == "auc" else "NoDefects"
@@ -201,18 +193,18 @@ class RankingScorer:
     """One target's record, and the one implementation of every rule that
     scores a prediction of its modules.
 
-    The constructor checks the efforts and the truth (at least one
-    module), and keeps the totals and the inspection budget. The optimal
-    and worst P_opt areas ignore the scores; they are computed on first
-    use. ACC, P_opt, PMI and IFA all read one ranking's running sums.
+    The constructor checks the efforts (positive and finite) and the truth
+    (at least one module), and keeps the totals and the inspection budget.
+    The optimal and worst P_opt areas ignore the scores; they are computed
+    on first use. ACC, P_opt, PMI and IFA all read one ranking's running sums.
     """
 
     def __init__(self, efforts: Sequence[float], actual: Sequence[bool]):
         self.efforts, self.actual = _vectors((efforts, float), (actual, bool))
         if not len(self.actual):
             raise ValueError("per-module vectors must not be empty")
-        if np.any(self.efforts <= 0):
-            raise ValueError("efforts must be positive")
+        if not ((self.efforts > 0) & (self.efforts < np.inf)).all():  # NaN fails both
+            raise ValueError("efforts must be positive and finite")
         self.positives = np.flatnonzero(self.actual)  # an index array reads faster than a mask
         self.n_pos = len(self.positives)
         self.n_neg = len(self.actual) - self.n_pos
@@ -226,9 +218,14 @@ class RankingScorer:
     ) -> dict[str, float | None]:
         """The measures ``measure_ids`` of one prediction, in that order,
         None where undefined. ``ranking`` ranks the modules and ``predicted``
-        flags the modules labelled defective. Each input of a rule (confusion
-        counts, the average ranks, the order and its running sums) is
-        computed only if a measure needs it."""
+        flags the modules labelled defective; each must have one entry per
+        module of the record. Each input of a rule (confusion counts, the
+        average ranks, the order and its running sums) is computed only if a
+        measure needs it."""
+        if ranking.scores.shape != self.actual.shape or np.shape(predicted) != self.actual.shape:
+            raise ValueError(
+                f"a record of {len(self.actual)} modules cannot score a ranking of shape "
+                f"{ranking.scores.shape} and flags of shape {np.shape(predicted)}")
         values: dict[str, float | None] = {}
         counts = ranked = None
         for measure in measure_ids:

@@ -203,7 +203,8 @@ def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
     of squares is accepted when the lambda statistic exceeds the chi-square
     critical value at ``ALPHA`` with k/(pi - 2) degrees of freedom, then
     both halves are partitioned recursively. The error variance of a
-    treatment mean is pooled once over all methods.
+    treatment mean is pooled once over all methods. Each method needs at
+    least 2 samples, none of them NaN.
     """
     if not samples:
         raise ValueError("need at least one method")
@@ -211,6 +212,8 @@ def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
     for name, vals in arrays.items():
         if vals.ndim != 1 or len(vals) < 2:
             raise ValueError(f"method {name!r} needs at least 2 samples")
+        if np.isnan(vals).any():  # a NaN mean would end the ranking in one group
+            raise ValueError(f"method {name!r} has a NaN sample")
     means = {name: _mean(vals) for name, vals in arrays.items()}
     nu = sum(len(v) - 1 for v in arrays.values())
     sse = sum(float(np.add.reduce((v - means[name]) ** 2)) for name, v in arrays.items())

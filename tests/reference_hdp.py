@@ -2,10 +2,12 @@
 
 ``hdpbench.hdp`` now sorts each row or column once and reads the order
 statistics, the mode and the bin x label table from it. These are the
-versions built from ``np.unique``, ``np.median``, ``np.percentile``,
-``np.quantile`` and a per-bin mask loop. The new code adds in the same
-order and takes the same order statistics, so tests compare the two with
-``==``, not with a tolerance.
+versions built from ``np.unique``, ``np.median``, ``np.percentile`` and a
+per-bin mask loop. The new code adds in the same order and takes the same
+order statistics, so tests compare the two with ``==``, not with a
+tolerance. ``equal_frequency_bins`` goes the other way: hdp takes its cuts
+from ``np.quantile``, and the oracle is the hand-written index rule that
+hdp used before.
 
 ``hdpbench.hdp`` also sorts each dataset's columns once and computes a
 plan's KS weights as one matrix. ``ks_statistic`` sorts both samples on
@@ -31,8 +33,12 @@ from hdpbench.udp import Prediction
 
 
 def equal_frequency_bins(feature: np.ndarray, n_bins: int = 10) -> np.ndarray:
+    """The hand-written cut rule: the lower order statistic at the index
+    floor((n - 1) * (k / b)), taken from one sort, repeats merged."""
     x = np.asarray(feature, dtype=float)
-    cuts = np.unique(np.quantile(x, np.arange(1, n_bins) / n_bins, method="lower"))
+    index = np.floor((len(x) - 1) * (np.arange(1, n_bins) / n_bins)).astype(np.intp)
+    order_stats = np.sort(x)[index]
+    cuts = order_stats[np.concatenate(([True], order_stats[1:] != order_stats[:-1]))]
     return np.searchsorted(cuts, x, side="right")
 
 

@@ -492,3 +492,29 @@ def test_manifest_duplicate_names_name_the_manifest_and_both_files(tmp_path):
     assert str(caught.value) == (
         f"{manifest}: duplicate dataset name 'x': {tmp_path / 'a' / 'x.csv'} and {tmp_path / 'b' / 'x.csv'}"
     )
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones(5), np.ones(5)),
+     SchemaMismatch, "dataset 'd': values of shape (5,) are not a module x metric matrix"),
+    (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones((5, 2, 1)), np.ones(5)),
+     SchemaMismatch, "dataset 'd': values of shape (5, 2, 1) are not a module x metric matrix"),
+    (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones((0, 2)), []),
+     ZeroModules, "dataset 'd' has no modules"),
+    (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones((5, 3)), np.ones(5)),
+     SchemaMismatch, "dataset 'd': 3 columns vs 2 schema metrics"),
+    (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones((5, 2)), np.ones(4)),
+     SchemaMismatch, "dataset 'd': row/label count mismatch"),
+    (lambda tmp: load_dataset(write_csv(tmp, "\n\n", "empty.csv")),
+     ZeroModules, "{tmp}/empty.csv: empty file"),
+    (lambda tmp: enumerate_combinations([make_dataset("x", np.ones((2, 1)), [0, 1])]),
+     ValueError, "need at least two datasets"),
+    (lambda tmp: read_manifest(write_csv(tmp, "", "manifest.ini")),
+     DatasetError, "manifest {tmp}/manifest.ini declares no groups"),
+], ids=["1-d-values", "3-d-values", "no-modules", "columns", "labels", "empty-file",
+        "one-dataset", "no-groups"])
+def test_dataset_input_errors(tmp_path, fault, error, message):
+    # a 1-d or 3-d matrix once raised "has no modules"
+    with pytest.raises(error) as caught:
+        fault(tmp_path)
+    assert str(caught.value) == message.format(tmp=tmp_path)

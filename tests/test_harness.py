@@ -519,6 +519,43 @@ def test_load_results_rejects_a_repeated_target_or_prediction(exported, name, ke
     assert str(caught.value) == f"{exported / name}:3: repeats line 2 ({key})"
 
 
+def _repeat_line_2(lines):
+    return [*lines[:2], *lines[1:]]
+
+
+def _short_labels_on_line_2(lines):
+    return [lines[0], lines[1][:-1], *lines[2:]]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+@pytest.mark.parametrize("name, edit, message", [
+    ("targets.csv", _repeat_line_2, r"targets.csv:3: repeats line 2 "),
+    ("predictions.csv", _short_labels_on_line_2, r"predictions.csv:2: \d+ labels for a target"),
+    ("results.csv", _repeat_line_2, r"results.csv:3: repeats line 2 "),
+], ids=["targets", "predictions", "results"])
+def test_load_results_parses_each_file_once_also_when_it_raises(
+    exported, monkeypatch, quoted, name, edit, message
+):
+    # an error's line number used to come from reading the file again, once
+    # per line it named; a quoted field sends the file through csv.reader
+    def fault(text):
+        lines = edit(text.splitlines())
+        if quoted:
+            first, rest = lines[1].split(",", 1)
+            lines[1] = f'"{first}",{rest}'
+        return "\n".join(lines) + "\n"
+
+    _rewrite(exported / name, fault)
+    opened = []
+    real_open = Path.open
+    monkeypatch.setattr(
+        Path, "open", lambda self, *a, **k: opened.append(self.name) or real_open(self, *a, **k))
+    with pytest.raises(ValueError, match=message):
+        load_results(exported)
+    read = [f for f in opened if f.endswith(".csv")]
+    assert sorted(read) == sorted(set(read)) and name in read
+
+
 def test_a_results_file_with_shuffled_plans_is_reexported_in_report_order(
     synth_result, exported, tmp_path
 ):
@@ -605,6 +642,27 @@ def test_load_config_names_the_file_on_malformed_input(tmp_path, text, message):
     (tmp_path / "c.ini").write_text(text)
     with pytest.raises(ValueError, match=message):
         load_config(tmp_path / "c.ini")
+
+
+def _config(tmp_path, text):
+    (tmp_path / "c.ini").write_text(text)
+    return tmp_path / "c.ini"
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda tmp: load_config(_config(tmp, "[run]\nmanifest = m.ini\n")),
+     "{tmp}/c.ini: missing [experiment] section"),
+    (lambda tmp: load_config(_config(tmp, "[experiment]\nmethods = cla\n")),
+     "{tmp}/c.ini: missing manifest entry"),
+    # checked before the manifest is read, which here does not exist
+    (lambda tmp: run_experiment(
+        ExperimentConfig(str(tmp / "m.ini"), str(tmp), methods=("cla", "nope"))),
+     "unknown method 'nope'"),
+], ids=["no-section", "no-manifest", "unknown-method"])
+def test_harness_input_errors(tmp_path, fault, message):
+    with pytest.raises(ValueError) as caught:
+        fault(tmp_path)
+    assert str(caught.value) == message.format(tmp=tmp_path)
 
 
 def test_cli_report_reads_a_config_with_the_retired_effort_fraction_line(

@@ -438,3 +438,10 @@ def test_register_and_duplicate():
     finally:
         unregister_external_method("constant-half")
     assert "constant-half" not in harness.external_methods()
+
+
+@pytest.mark.parametrize("weights", [np.zeros((0, 3)), np.ones(3)], ids=["empty", "1-d"])
+def test_max_weight_assignment_rejects_a_matrix_that_is_not_2d_and_non_empty(weights):
+    with pytest.raises(ValueError) as caught:
+        max_weight_assignment(weights)
+    assert str(caught.value) == "weight matrix must be 2-d and non-empty"

@@ -1,8 +1,9 @@
 """Bit-exact agreement of hdp's sorted-row kernels with the earlier code.
 
 ``reference_hdp`` holds the ``np.unique`` / ``np.median`` /
-``np.percentile`` / ``np.quantile`` versions of ``distribution_vector``,
-``equal_frequency_bins`` and ``gain_ratio``. Every comparison uses ``==``
+``np.percentile`` versions of ``distribution_vector`` and ``gain_ratio``,
+and the hand-written index rule of ``equal_frequency_bins``, whose cuts hdp
+now takes from ``np.quantile``. Every comparison uses ``==``
 (``np.array_equal``), and every input without ``-0.0`` must also give the
 same bytes. With ``-0.0`` in a row, a zero median or quartile may carry the
 other sign, because ``np.median`` and ``np.percentile`` partition the row

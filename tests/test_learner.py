@@ -359,3 +359,18 @@ def test_newton_fit_equals_the_reference_loop_down_to_the_scale_floor(monkeypatc
     losses = _newton_fit(Z, y, cfg)[2]
     # only the floor accepts a step that fails the Armijo test
     assert any(later > earlier for earlier, later in zip(losses, losses[1:]))
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda: StandardizationParams([0.0, 1.0], [1.0]),
+     "means/stds/offsets must be 1-d arrays of equal length"),
+    (lambda: StandardizationParams([0.0], [-1.0]), "standard deviations must be non-negative"),
+    (lambda: zscore_fit(np.ones((1, 2))), "zscore_fit needs a 2-d matrix with at least 2 rows"),
+    (lambda: zscore_apply(StandardizationParams([0.0, 0.0], [1.0, 1.0]), np.ones((3, 3))),
+     "column count does not match standardization params"),
+    (lambda: train_logistic(np.ones((0, 2)), []), "need at least one training example"),
+], ids=["shapes", "negative-std", "one-row", "columns", "no-examples"])
+def test_learner_input_errors(fault, message):
+    with pytest.raises(ValueError) as caught:
+        fault()
+    assert str(caught.value) == message

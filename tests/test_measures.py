@@ -89,19 +89,42 @@ def test_unequal_vectors_rejected_by_every_measure():
         confusion(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool))
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_measures_reject_non_positive_effort(bad):
+    # a NaN or infinite effort once gave popt 0.0, acc_at and pmi_at 1.0
     scores, efforts = preds_from([3, 2, 1], [1.0, bad, 2.0])
     actual = truth_from([1, 0, 1])
     for measure in MEASURE_IDS:
-        with pytest.raises(ValueError, match="efforts must be positive"):
+        with pytest.raises(ValueError, match="^efforts must be positive and finite$"):
             compute_measure(measure, scores, actual, efforts, actual)
-    with pytest.raises(ValueError, match="efforts must be positive"):
+    with pytest.raises(ValueError, match="^efforts must be positive and finite$"):
         popt(scores, efforts, actual)
-    with pytest.raises(ValueError, match="efforts must be positive"):
+    with pytest.raises(ValueError, match="^efforts must be positive and finite$"):
         acc_at(scores, efforts, actual)
-    with pytest.raises(ValueError, match="efforts must be positive"):
+    with pytest.raises(ValueError, match="^efforts must be positive and finite$"):
         pmi_at(scores, efforts)
+
+
+@pytest.mark.parametrize("n_scores, n_flags", [(3, 5), (7, 5), (5, 3), (5, 7)])
+def test_score_rejects_a_ranking_or_flags_of_another_length(n_scores, n_flags):
+    # a 3-module ranking once scored AUC 0.5, ACC 1.0 and P_opt 1.0 on five
+    # modules, and a 7-module one AUC 0.0 and an IndexError
+    scorer = RankingScorer(np.ones(5), truth_from([1, 0, 1, 0, 0]))
+    ranking, predicted = Ranking(np.arange(n_scores, dtype=float)), np.ones(n_flags, dtype=bool)
+    message = (rf"^a record of 5 modules cannot score a ranking of shape \({n_scores},\) "
+               rf"and flags of shape \({n_flags},\)$")
+    for measure in MEASURE_IDS:
+        with pytest.raises(ValueError, match=message):
+            scorer.score((measure,), ranking, predicted)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda: ConfusionMatrix(1, -1, 0, 0), "^confusion counts must be non-negative$"),
+    (lambda: compute_measure("mcc", [1.0], [True], [1.0], [True]), "^unknown measure 'mcc'$"),
+])
+def test_measure_input_errors(fault, message):
+    with pytest.raises(ValueError, match=message):
+        fault()
 
 
 @pytest.mark.parametrize("score", [

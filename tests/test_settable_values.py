@@ -7,7 +7,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "settable_values.py"
 # the package; a new setting must be added here on purpose
 SETTABLE = {
     "main.argv", "load_dataset.group_name", "load_dataset.loc_metric", "ExperimentConfig.methods", "ExperimentConfig.measures", "ExperimentConfig.scenario",
-    "ExperimentConfig.seed", "_flags.n_modules", "TrainConfig.l2_strength",
+    "ExperimentConfig.seed", "TrainConfig.l2_strength",
     "TrainConfig.max_iters", "TrainConfig.tolerance", "train_logistic.cfg",
 }
 
@@ -19,10 +19,10 @@ def _load_script():
     return module
 
 
-def test_the_package_has_12_settable_values(capsys):
+def test_the_package_has_11_settable_values(capsys):
     script = _load_script()
     values = script.settable_values()
-    assert len(values) == len(SETTABLE) == 12
+    assert len(values) == len(SETTABLE) == 11
     assert {f"{owner}.{name}" for _, _, owner, name, _ in values} == SETTABLE
     assert script.main() == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "total: 12"
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 11"

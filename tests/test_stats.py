@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from hdpbench.stats import (
     ContingencyTable,
+    WtlRecord,
     bh_adjust,
     cliffs_delta,
     mcnemar,
@@ -18,6 +19,7 @@ from hdpbench.stats import (
     satisfactory_ratio,
     scott_knott,
     wilcoxon_signed_rank,
+    wilcoxon_signed_ranks,
     wtl_outcome,
 )
 from hdpbench.udp import Prediction
@@ -371,3 +373,23 @@ def test_satisfactory_ratio_values():
 def test_satisfactory_rejects_unknown_criterion():
     with pytest.raises(ValueError):
         satisfactory(0.5, 0.5, "SC3")
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda: wilcoxon_signed_ranks(np.ones((2, 2)), [0], [1]),
+     "need a vector of differences and equal-length part bounds"),
+    (lambda: wilcoxon_signed_rank([1.0, 2.0], [1.0]), "x and y must be equal-length non-empty vectors"),
+    (lambda: bh_adjust([]), "need a non-empty vector of p-values"),
+    (lambda: WtlRecord(1, -1, 0), "counts must be non-negative"),
+    (lambda: scott_knott({}), "need at least one method"),
+    # a NaN once gave one group of mean nan
+    (lambda: scott_knott({"a": [1.0, math.nan], "b": [1.0, 2.0]}), "method 'a' has a NaN sample"),
+    (lambda: ContingencyTable(0, 0, -1, 0), "counts must be non-negative"),
+    (lambda: satisfactory(1.5, 0.5, "SC1"), "precision/recall must lie in [0, 1]"),
+    (lambda: satisfactory_ratio([], "SC1"), "need at least one combination"),
+], ids=["wilcoxon-parts", "wilcoxon-pair", "bh-empty", "wtl-count", "sk-empty", "sk-nan",
+        "contingency-count", "satisfactory-range", "satisfactory-empty"])
+def test_stats_input_errors(fault, message):
+    with pytest.raises(ValueError) as caught:
+        fault()
+    assert str(caught.value) == message
