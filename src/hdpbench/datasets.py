@@ -180,6 +180,19 @@ def _parse_arff(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[
     return header, rows
 
 
+def csv_records(path: Path, text: str) -> list[tuple[int, list[str]]]:
+    """Each record of the CSV ``text`` read from ``path``, with the line it ends
+    on. A record csv cannot read raises ``DatasetError`` at the line it starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records = []
+    try:
+        for fields in reader:
+            records.append((reader.line_num, fields))
+    except csv.Error as exc:  # e.g. a field beyond csv's field limit
+        raise DatasetError(f"{path}:{records[-1][0] + 1 if records else 1}: {exc}") from None
+    return records
+
+
 def load_dataset(
     path: str | Path, *, group_name: str = "unknown-group", loc_metric: str | None = None
 ) -> DefectDataset:
@@ -189,9 +202,9 @@ def load_dataset(
     the class; any other file is CSV with a header row and a label column
     named bug/bugs/label/defective/isDefective (case-insensitive). The
     metric names come from the header, with ``loc_metric`` (or a known LOC
-    name, else the first metric) as the LOC column. A leading UTF-8
-    byte-order mark is skipped. An error names the file, and a row error
-    also its line.
+    name, else the first metric) as the LOC column. The file is UTF-8, with
+    or without a leading byte-order mark. An error names the file, and a row
+    error, an unreadable CSV record (``csv_records``) included, also its line.
     """
     path = Path(path)
     # newline="": a quoted carriage return stays in its cell
@@ -201,9 +214,7 @@ def load_dataset(
         header, rows = _parse_arff(path, text)
         label_index = len(header) - 1
     else:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        # reader.line_num is the line in the file where the row just read ends
-        table = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
+        table = [(line, row) for line, row in csv_records(path, text) if any(c.strip() for c in row)]
         if not table:
             raise ZeroModules(f"{path}: empty file")
         header, rows = table[0][1], table[1:]

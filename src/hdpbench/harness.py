@@ -42,6 +42,7 @@ import numpy as np
 from . import hdp, measures, stats, udp
 from .datasets import (
     DefectDataset,
+    csv_records,
     effort_values,
     enumerate_combinations,
     load_manifest_datasets,
@@ -393,10 +394,6 @@ def _config_lines(cfg: ExperimentConfig) -> str:
     )
 
 
-def _format_value(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def method_failures(result: ExperimentResult) -> dict[str, int]:
     """Plans per method with at least one row that records a failure: the
     method's own failure on the plan, or a measure the target leaves
@@ -447,20 +444,20 @@ def _write_csv(path: Path, columns: tuple[str, ...], records: Iterable[Sequence[
         quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
         for record in [columns, *records]:
             (quoted if any("\r" in field for field in record) else plain).writerow(record)
-    path.write_text(buffer.getvalue())
+    path.write_text(buffer.getvalue(), encoding="utf-8")
     return path
 
 
 def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
-    """Write the results directory: config echo, flat results file,
-    prediction/truth label files, and the run summary."""
+    """Write the results directory, as UTF-8 whatever the locale: config
+    echo, flat results file, prediction/truth label files, and the run summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config_path = out / "config.ini"
-    config_path.write_text(_config_lines(result.config))
+    config_path.write_text(_config_lines(result.config), encoding="utf-8")
     results_path = _write_csv(out / "results.csv", RESULT_COLUMNS, (
         [row.method, row.source, row.target, row.measure,
-         _format_value(row.value), row.failure or ""]
+         "" if row.value is None else repr(row.value), row.failure or ""]
         for row in result.rows()
     ))
     pred_path = _write_csv(out / "predictions.csv", PREDICTION_COLUMNS, (
@@ -471,27 +468,25 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         for t in sorted(result.target_truth)
     ))
     summary_path = out / "summary.txt"
-    summary_path.write_text(_summary_text(result))
+    summary_path.write_text(_summary_text(result), encoding="utf-8")
     return [config_path, results_path, pred_path, targets_path, summary_path]
 
 
 def _csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[list[Sequence[str]], Sequence[int]]:
     """The fields of each column of the records after the exact header
-    ``columns``, and the line on which each record ends (``csv.reader``'s
-    ``line_num``), read in the one parse: record k of a plain text
-    (``_plain_columns``) ends on line k + 2."""
+    ``columns``, and the line on which each record ends, read in the one
+    parse: ``datasets.csv_records``, or for a plain text (``_plain_columns``)
+    a split, where record k ends on line k + 2. The file is UTF-8, with or
+    without a leading byte-order mark."""
     width = len(columns)
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
     if (plain := _plain_columns(text, columns)) is not None:
         return plain, range(2, len(plain[0]) + 2)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    if tuple(header := next(reader, [])) != columns:
+    (_, header), *rest = csv_records(path, text) or [(1, [])]
+    if tuple(header) != columns:
         raise ValueError(f"{path}:1: expected header {','.join(columns)}, got {header}")
-    records, lines = [], []
-    for record in reader:
-        records.append(record)
-        lines.append(reader.line_num)
+    lines, records = zip(*rest) if rest else ((), ())
     if set(map(len, records)) - {width}:
         k = _first(len(record) != width for record in records)
         raise ValueError(f"{path}:{lines[k]}: expected {width} fields, got {len(records[k])}")
@@ -518,6 +513,15 @@ def _plain_columns(text: str, columns: tuple[str, ...]) -> list[list[str]] | Non
 def _first(flags: Iterable[object]) -> int:
     """The index of the first true flag."""
     return next(k for k, flag in enumerate(flags) if flag)
+
+
+def _reject_unknown(path: Path, lines: Sequence[int], noun: str, names: Sequence[str],
+                    known: Collection[str], complaint: str) -> None:
+    """Raise at the first record whose name in ``names`` is not in ``known``:
+    ``path:line: noun 'name' complaint``, with each record's line from ``lines``."""
+    if unknown := set(names).difference(known):
+        k = _first(name in unknown for name in names)
+        raise ValueError(f"{path}:{lines[k]}: {noun} {names[k]!r} {complaint}")
 
 
 def _reject_repeats(path: Path, lines: Sequence[int], columns: Sequence[Sequence[str]]) -> None:
@@ -559,13 +563,9 @@ def _result_blocks(
     """
     (methods, sources, target_ids, measure_ids, texts, failures), lines = _csv_columns(
         path, RESULT_COLUMNS)
-    checks = (("target", target_ids, target_truth, "is not in targets.csv"),
-              ("method", methods, cfg.methods, "is not configured"),
-              ("measure", measure_ids, cfg.measures, "is not configured"))
-    for noun, names, known, complaint in checks:
-        if unknown := set(names).difference(known):
-            k = _first(name in unknown for name in names)
-            raise ValueError(f"{path}:{lines[k]}: {noun} {names[k]!r} {complaint}")
+    _reject_unknown(path, lines, "target", target_ids, target_truth, "is not in targets.csv")
+    _reject_unknown(path, lines, "method", methods, cfg.methods, "is not configured")
+    _reject_unknown(path, lines, "measure", measure_ids, cfg.measures, "is not configured")
     cells = list(product(cfg.methods, cfg.measures))
     cell_ids = {cell: c for c, cell in enumerate(cells)}
     plans = list(dict.fromkeys(zip(sources, target_ids)))
@@ -638,9 +638,7 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
     target_truth = dict(zip(targets, _flags(targets_path, target_lines, bits)))
     path = results_dir / "predictions.csv"
     (variants, sources, pred_targets, bits), lines = _csv_columns(path, PREDICTION_COLUMNS)
-    if unknown := set(pred_targets).difference(target_truth):
-        k = _first(target in unknown for target in pred_targets)
-        raise ValueError(f"{path}:{lines[k]}: target {pred_targets[k]!r} is not in targets.csv")
+    _reject_unknown(path, lines, "target", pred_targets, target_truth, "is not in targets.csv")
     keys = list(zip(variants, sources, pred_targets))
     if len(set(keys)) != len(keys):
         _reject_repeats(path, lines, (variants, sources, pred_targets))
@@ -653,14 +651,12 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
     predictions = dict(zip(keys, flags))
     plans, values, failures = _result_blocks(results_dir / "results.csv", cfg, target_truth)
     # a run writes only the targets of its plans
-    if unplanned := set(targets).difference(target for _, target in plans):
-        k = _first(target in unplanned for target in targets)
-        raise ValueError(f"{targets_path}:{target_lines[k]}: "
-                         f"target {targets[k]!r} has no plan in results.csv")
+    _reject_unknown(targets_path, target_lines, "target", targets,
+                    {target for _, target in plans}, "has no plan in results.csv")
     summary = results_dir / "summary.txt"
     totals = [
         (line, text.split(":", 1)[1].strip())
-        for line, text in enumerate(summary.read_text().splitlines(), 1)
+        for line, text in enumerate(summary.read_text(encoding="utf-8-sig").splitlines(), 1)
         if text.startswith("plans_total:")
     ]
     if not totals:
@@ -674,9 +670,7 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
         raise ValueError(f"{summary}:{line}: plans_total {n_total} is below the "
                          f"{len(plans)} plans in results.csv")
     configured = {variant for method in cfg.methods for variant in _variants(method)}
-    if unknown := set(variants).difference(configured):
-        k = _first(variant in unknown for variant in variants)
-        raise ValueError(f"{path}:{lines[k]}: variant {variants[k]!r} is not configured")
+    _reject_unknown(path, lines, "variant", variants, configured, "is not configured")
     if stray := set(zip(sources, pred_targets)).difference(plans):
         k = _first(plan in stray for plan in zip(sources, pred_targets))
         raise ValueError(f"{path}:{lines[k]}: "
@@ -954,6 +948,6 @@ def write_report(report: dict[str, str], out_dir: str | Path) -> list[Path]:
     paths = []
     for name in sorted(report):
         path = out / name
-        path.write_text(report[name])
+        path.write_text(report[name], encoding="utf-8")
         paths.append(path)
     return paths

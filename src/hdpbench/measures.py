@@ -11,9 +11,9 @@ Every function takes per-module vectors in target row order: float
 positive, finite float ``efforts`` and bool ``actual`` truth. Vectors of
 unequal length, and NaN scores, are rejected. ``Ranking`` sorts one score
 vector. ``RankingScorer``, a target's checked record, holds the one rule
-and the one input check of every measure: its ``score`` gives each
-requested measure of one ``Ranking`` and predicted flags, None where
-undefined. ``compute_measure`` reads one value from it, ``auc`` and the
+and the one input check of every measure: its ``score``, the one
+dispatch over measure ids, gives each requested measure of one ``Ranking``
+and predicted flags, None where undefined. ``compute_measure`` reads one value from it, ``auc`` and the
 effort-aware functions call ``compute_measure``, and bestmetric scores each
 candidate ranking of a target with one record.
 """
@@ -191,7 +191,8 @@ class _Ranked(NamedTuple):
 
 class RankingScorer:
     """One target's record, and the one implementation of every rule that
-    scores a prediction of its modules.
+    scores a prediction of its modules: ``score`` is the one dispatch over
+    measure ids, and holds each measure's rule.
 
     The constructor checks the efforts (positive and finite) and the truth
     (at least one module), and keeps the totals and the inspection budget.
@@ -238,7 +239,20 @@ class RankingScorer:
                                         / pairs) if pairs else None
             elif measure in ("acc", "popt", "pmi20", "ifa"):
                 ranked = ranked or self._ranked(ranking.order)
-                values[measure] = self._value(measure, ranked)
+                if measure == "pmi20":
+                    values[measure] = ranked.n_inspected / len(ranked.actual)
+                elif not self.n_pos:  # the other three need a defective module
+                    values[measure] = None
+                elif measure == "popt":
+                    area_opt, area_worst = self._extreme_areas
+                    denom = area_opt - area_worst
+                    values[measure] = 1.0 if denom <= 0 else min(
+                        1.0, max(0.0, 1.0 - (area_opt - self._area(ranked)) / denom))
+                elif measure == "acc":
+                    found = int(ranked.cum_defects[ranked.n_inspected - 1]) if ranked.n_inspected else 0
+                    values[measure] = found / self.n_pos
+                else:  # ifa
+                    values[measure] = float(ranked.actual.argmax())
             else:
                 raise ValueError(f"unknown measure {measure!r}")
         return values
@@ -278,18 +292,3 @@ class RankingScorer:
     def _area(self, ranked: _Ranked) -> float:
         x, y = self._curve(ranked)
         return float(np.trapezoid(y, x))
-
-    def _value(self, measure: str, ranked: _Ranked) -> float | None:
-        if measure == "pmi20":
-            return ranked.n_inspected / len(ranked.actual)
-        if not self.n_pos:
-            return None
-        if measure == "popt":
-            area_m = self._area(ranked)
-            area_opt, area_worst = self._extreme_areas
-            denom = area_opt - area_worst
-            return 1.0 if denom <= 0 else min(1.0, max(0.0, 1.0 - (area_opt - area_m) / denom))
-        if measure == "acc":
-            found = int(ranked.cum_defects[ranked.n_inspected - 1]) if ranked.n_inspected else 0
-            return found / self.n_pos
-        return float(ranked.actual.argmax())

@@ -10,9 +10,11 @@ per target. ``manual_rank`` and ``best_metric_oracle`` rank modules with
 ``measures.Ranking``, the one sort the measures rank by, and flag its
 ``top_half``; ``best_metric_oracle`` scores every candidate's one
 ``Ranking`` on the core measures with one ``measures.RankingScorer``, the
-rule every measure is computed by. Inspection effort is not
-part of a prediction; the measures take the target's LOC column with values
-<= 0 clamped to 1 (``datasets.effort_values``).
+rule every measure is computed by. Inspection effort is not part of a
+prediction: it is the target's LOC column with values <= 0 clamped to 1
+(``datasets.effort_values``). The efforts, and the CLA split ``cla`` and
+``clami`` share (``_cla_parts``), are kept with the target
+(``DefectDataset.derived``), so a run computes each once per target.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _cla_parts(d: DefectDataset):
 def cla_predict(d: DefectDataset) -> Prediction:
     """Cluster-and-label by magnitude: K = number of metrics above their
     median; modules with K strictly above the median K are labeled defective."""
-    _, k, labels = _cla_parts(d)
+    _, k, labels = d.derived(_cla_parts)
     return Prediction(k.astype(float), labels)
 
 
@@ -77,7 +79,7 @@ def clami_predict(d: DefectDataset) -> Prediction:
     trained on the survivors and scored on all modules. If either class
     vanishes after filtering, the CLA output is returned unchanged.
     """
-    cutoffs, k, labels = _cla_parts(d)
+    cutoffs, k, labels = d.derived(_cla_parts)
     above = d.values > cutoffs
     violations = np.where(labels[:, None], ~above, above)
     per_metric = violations.sum(axis=0)
@@ -209,7 +211,7 @@ def manual_rank(d: DefectDataset) -> dict[str, Prediction]:
     """Size-only rankings: ``down`` scores by LOC (larger first), ``up`` by
     1/LOC (smaller first); the top half of each stable descending ranking
     (ties keep module order) is labeled defective."""
-    loc = effort_values(d)
+    loc = d.derived(effort_values)
     rankings = {"down": loc.astype(float), "up": 1.0 / loc}
     return {key: Prediction(s, measures.Ranking(s).top_half) for key, s in rankings.items()}
 
@@ -231,7 +233,7 @@ def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
     modules) keeps the first metric's descending ranking with value None.
     The LOC column is clamped like every effort computation.
     """
-    efforts = effort_values(d)
+    efforts = d.derived(effort_values)
     scorer = measures.RankingScorer(efforts, d.labels)
     best: dict[str, tuple] = {}  # measure -> (quality, metric, scores, predicted, value)
     for name in d.metric_names:

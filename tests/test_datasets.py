@@ -221,6 +221,16 @@ def test_cli_stats_on_a_file_without_a_metric_column_exits_1(tmp_path, capsys, n
     assert err == f"error: {path}: schema has no metrics\n"
 
 
+def test_cli_stats_on_a_record_csv_cannot_read_names_its_line(tmp_path, capsys):
+    # the quote opened on line 6 runs past csv's field limit; the _csv.Error
+    # it raised used to escape the CLI as a traceback
+    rows = [f"{k},{2 * k},{k % 2}" for k in range(20_000)]
+    rows[4] = '"3,4,1'
+    path = write_csv(tmp_path, "\n".join(["a,b,bug", *rows]) + "\n", "d.csv")
+    assert cli.main(["stats", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:6: field larger than field limit (131072)\n"
+
+
 @pytest.mark.parametrize("name", ["demo.arff", "demo.ARFF"])
 def test_the_arff_suffix_in_any_case_picks_the_arff_reader(tmp_path, name):
     d = load_dataset(write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, name))

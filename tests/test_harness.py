@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hdpbench import cli, harness, hdp, udp
+import hdpbench
+from hdpbench import cli, datasets, harness, hdp, udp
 from hdpbench.harness import (
     ExperimentConfig,
     ResultRow,
@@ -893,6 +897,25 @@ def test_a_failure_reason_with_a_bare_carriage_return_round_trips(tmp_path, caps
     assert list(loaded.rows()) == list(result.rows())
 
 
+def test_a_record_csv_cannot_read_is_an_error_naming_its_file_and_line(exported, capsys):
+    # a field beyond csv's field limit used to escape as a bare _csv.Error with a traceback
+    path = exported / "targets.csv"
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(f'{header}\n"big",g,{"0" * 140_000}\n', encoding="utf-8")
+    assert cli.main(["report", str(exported)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("name", ["results.csv", "predictions.csv", "targets.csv"])
+def test_a_results_file_with_a_utf8_byte_order_mark_loads(synth_result, exported, name):
+    # a BOM-prefixed header used to read as '\ufefftarget' and fail the header check
+    path = exported / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded = load_results(exported)
+    assert list(loaded.rows()) == list(synth_result.rows())
+    assert build_report(loaded) == build_report(synth_result)
+
+
 def test_absent_values_serialize_as_empty_field(tmp_path):
     manifest = two_dataset_manifest(tmp_path, disjoint=True)
     cfg = ExperimentConfig(
@@ -1295,6 +1318,71 @@ def test_cli_combos(tmp_path, capsys):
 def test_cli_bad_input_exits_nonzero(tmp_path, capsys):
     assert cli.main(["stats", str(tmp_path / "missing.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _cli_process(*args, env=(), flags=()):
+    """``hdpbench`` with ``args`` in a fresh interpreter started with ``flags``,
+    its environment updated with ``env``."""
+    src = str(Path(hdpbench.__file__).resolve().parents[1])
+    environ = {**os.environ, **dict(env),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *flags, "-m", "hdpbench.cli", *map(str, args)],
+                          env=environ, capture_output=True, timeout=300)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_results_files_are_utf8_whatever_the_locale(tmp_path):
+    # under an ASCII locale, run failed to write targets.csv and report failed to read it
+    config = write_synthetic_benchmark(tmp_path, seed=11)
+    manifest = tmp_path / "manifest.ini"
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace("[grp_alpha]", "[grp_\u03b1]"),
+                        encoding="utf-8")
+    result = run_experiment(load_config(config))
+    utf8_dir = tmp_path / "utf8"
+    export_results(result, utf8_dir)
+    write_report(build_report(result), utf8_dir)
+    assert "grp_\u03b1" in (utf8_dir / "targets.csv").read_text(encoding="utf-8")
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    run = _cli_process("run", config, env=ascii_locale)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert _files(tmp_path / "results") == _files(utf8_dir)
+    report = _cli_process("report", utf8_dir, env=ascii_locale)
+    assert (report.returncode, report.stderr) == (0, b"")
+    assert _files(tmp_path / "results") == _files(utf8_dir)
+
+
+def test_no_command_opens_a_file_in_the_locale_encoding(tmp_path):
+    config = write_synthetic_benchmark(tmp_path, seed=11)
+    strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    for args in (("run", config), ("report", tmp_path / "results"),
+                 ("stats", tmp_path / "alpha.csv"), ("combos", tmp_path / "manifest.ini")):
+        done = _cli_process(*args, flags=strict)
+        assert (done.returncode, done.stderr) == (0, b""), args
+
+
+def test_each_target_s_unsupervised_inputs_are_computed_once(synth_dir, monkeypatch):
+    # cla and clami used to split the target twice, and manual_rank and
+    # bestmetric to compute its efforts again besides the harness's scoring
+    calls = {"_cla_parts": [], "effort_values": []}
+
+    def counted(fn):
+        def wrapper(d):
+            calls[fn.__name__].append(d.name)
+            return fn(d)
+        return wrapper
+
+    monkeypatch.setattr(udp, "_cla_parts", counted(udp._cla_parts))
+    efforts = counted(datasets.effort_values)
+    # one wrapper on both bindings, so DefectDataset.derived sees one key
+    monkeypatch.setattr(udp, "effort_values", efforts)
+    monkeypatch.setattr(harness, "effort_values", efforts)
+    result = run_experiment(load_config(synth_dir / "config.ini"))
+    targets = sorted(result.target_truth)
+    assert {name: sorted(names) for name, names in calls.items()} == {
+        "_cla_parts": targets, "effort_values": targets}
 
 
 def test_result_row_shape():
