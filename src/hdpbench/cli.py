@@ -17,6 +17,10 @@ from .datasets import (
 
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
+    try:
+        harness.check_reportable(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     result = harness.run_experiment(cfg)
     paths = harness.export_results(result, cfg.output_dir)
     paths += harness.write_report(harness.build_report(result), cfg.output_dir)

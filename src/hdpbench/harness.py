@@ -923,13 +923,21 @@ def _report_satisfactory(result: ExperimentResult, group_plans) -> str:
     return "\n".join(out) + "\n"
 
 
+def check_reportable(cfg: ExperimentConfig) -> None:
+    """Reject a config whose results ``build_report`` would refuse, before
+    anything runs: the reports compare methods, so they need two."""
+    if len(cfg.methods) < 2:
+        raise ValueError("reports need results from at least two methods")
+
+
 def build_report(result: ExperimentResult) -> dict[str, str]:
     """Render the report bundle: file name -> text content.
 
     Pure function of the exported result data; regenerating from a loaded
     results directory reproduces the bundle byte-for-byte.
     """
-    if not result.plans or len(result.config.methods) < 2:
+    check_reportable(result.config)
+    if not result.plans:
         raise ValueError("reports need results from at least two methods")
     slices = _target_slices(result)
     group_plans = _group_plans(result)

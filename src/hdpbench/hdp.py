@@ -330,11 +330,19 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     variance, the median of an even-length row is the mean of the middle
     pair, and the quartiles follow numpy's default linear rule.
 
-    The row is sorted once; mode, median and quartiles are read from the
-    sorted values. The sums, the minimum and the maximum are the ufunc
-    reductions ``np.mean``, ``np.sum``, ``min`` and ``max`` call
-    (``np.add.reduce``, ``np.minimum.reduce``, ``np.maximum.reduce``),
-    called directly and in the same order, so every float equals theirs.
+    The row is sorted once into a list; mode, median and quartiles are read
+    from it. The mode is the first value of the first longest run of equal
+    values, found in one pass over the list; -0.0 and 0.0 count as one
+    value.
+
+    The sums, the minimum and the maximum must stay numpy's ufunc
+    reductions on the unsorted row: the ones ``np.mean``, ``np.sum``,
+    ``min`` and ``max`` call (``np.add.reduce``, ``np.minimum.reduce``,
+    ``np.maximum.reduce``), called directly and in the same order, so every
+    float equals theirs. A Python sum adds in another order than numpy's
+    pairwise blocks, and the ends of the sorted list may carry the other
+    sign of zero. The powers of the deviations stay numpy's ``**`` and those
+    of the standard deviation Python's.
     """
     x = np.asarray(module_row, dtype=float)
     if x.ndim != 1 or len(x) == 0:
@@ -343,13 +351,16 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     s = x.copy()
     s.sort()
     ordered = s.tolist()
-    edges = np.ones(n + 1, dtype=bool)  # where a run of equal sorted values starts or ends
-    edges[1:n] = s[1:] != s[:-1]
-    run_bounds = edges.nonzero()[0]
-    run_lengths = run_bounds[1:] - run_bounds[:-1]
-    top = int(run_lengths.argmax())  # the first longest run holds the smallest value
-    mode = ordered[run_bounds[top]]
-    mode_freq = int(run_lengths[top])
+    # the first longest run of equal sorted values holds the smallest value
+    mode = start = ordered[0]
+    mode_freq = run = 0
+    for v in ordered:
+        if v == start:
+            run += 1
+        else:
+            start, run = v, 1
+        if run > mode_freq:
+            mode, mode_freq = start, run
     half = n // 2
     median = ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2
     # np.mean is an add.reduce divided by n; the sums below add in that order
@@ -384,8 +395,8 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
 def hdp5_predict(source: DefectDataset, target: DefectDataset) -> HdpOutcome:
     """Re-represent every module by its distribution characteristics and
     train the classifier on the source vectors; always succeeds."""
-    x_source = np.vstack([distribution_vector(row) for row in source.values])
-    x_target = np.vstack([distribution_vector(row) for row in target.values])
+    x_source = np.array([distribution_vector(row) for row in source.values])
+    x_target = np.array([distribution_vector(row) for row in target.values])
     model = train_logistic(x_source, source.labels)
     scores = predict_proba(model, x_target)
     return HdpOutcome(predictions=Prediction(scores, scores > DECISION_THRESHOLD))

@@ -4,7 +4,8 @@
 Newton loop ``hdpbench.learner`` ran before each iterate computed its margin
 ``Z @ w + b`` once: it recomputes the margin four times per iterate, the
 log-loss twice and the sigmoid twice. The same expressions run on the same
-operands, so tests compare the two with ``==``.
+operands, so tests compare the two with ``==``. ``_sigmoid`` is its own
+copy, the ``np.clip`` form, so a change to the package's sigmoid shows.
 
 ``_gd_fit`` is the full-batch gradient descent that Newton's method
 replaced: the same objective, the same zero start and the same stopping
@@ -18,7 +19,13 @@ import math
 
 import numpy as np
 
-from hdpbench.learner import TrainConfig, _sigmoid
+from hdpbench.learner import TrainConfig
+
+_SCORE_CLIP = 36.0
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(t, -_SCORE_CLIP, _SCORE_CLIP)))
 
 
 def _loss(w: np.ndarray, b: float, Z: np.ndarray, y: np.ndarray, l2: float) -> float:

@@ -1283,6 +1283,22 @@ def test_cli_run_reports_failures_with_exit_2(tmp_path, capsys):
     assert "hdp1: 2" in err
 
 
+def test_cli_run_with_one_method_exits_1_before_running(tmp_path, capsys, monkeypatch):
+    manifest = two_dataset_manifest(tmp_path)
+    config = tmp_path / "c.ini"
+    config.write_text(f"[experiment]\nmanifest = {manifest}\noutput_dir = out\nmethods = cla\n")
+
+    def run_experiment(cfg):
+        raise AssertionError("a config that cannot be reported must not run")
+
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
+    assert cli.main(["run", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {config}: reports need results from at least two methods\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_records_an_unsupervised_failure_and_report_rebuilds(tmp_path, capsys):
     manifest = add_one_module_group(two_dataset_manifest(tmp_path))
     (tmp_path / "c.ini").write_text(

@@ -30,7 +30,7 @@ WIDE = st.floats(1e-3, 1e6) | st.floats(-1e6, -1e-3)
 
 
 @st.composite
-def rows(draw, min_size=1, max_size=70):
+def rows(draw, min_size=1, max_size=200):
     n = draw(st.integers(min_size, max_size))
     kind = draw(st.sampled_from(["constant", "tied", "wide", "mixed"]))
     if kind == "constant":
@@ -57,17 +57,18 @@ def has_negative_zero(values) -> bool:
     return any(v == 0 and math.copysign(1.0, v) < 0 for v in values)
 
 
-# rows at numpy's 8-value pairwise-summation block and the promise, nasa37
-# and aeeem metric counts: distinct rows have only runs of one value, tied
-# rows longer runs and ties for the mode
+# rows at numpy's 8-value pairwise-summation block, the promise, nasa37
+# and aeeem metric counts, and past numpy's 128-value block, where the sums
+# split in halves: distinct rows have only runs of one value, tied rows
+# longer runs and ties for the mode
 def distinct_row(width: int) -> list[float]:
     """Distinct non-integer values in scrambled order."""
-    return [(7919 * v % 101) / 3 + 0.5 for v in range(width)]
+    return [(7919 * v % 211) / 3 + 0.5 for v in range(width)]
 
 
 def tied_row(width: int) -> list[float]:
-    """Repeated integers 1, 2, 3 and 5; at widths 8 and 20 two or more of
-    them tie for the mode."""
+    """Repeated integers 1, 2, 3 and 5; at widths 8, 20, 129 and 200 two or
+    more of them tie for the mode."""
     return [float(v * v % 7 + 1) for v in range(width)]
 
 
@@ -79,6 +80,7 @@ def tied_row(width: int) -> list[float]:
 @example([1.0, 2.0])
 @example([2.0, 2.0, 2.0])
 @example([3.0, 3.0, 1.0, 1.0, 2.0, 2.0])
+@example([3.0, 1.0, 3.0, 2.0, 2.0, 3.0])  # the longest run sorts last
 @example([0.0, 1.0, 2.0])
 @example([-1.0, 1.0, 2.0])
 @example([1e-3, 1e6, 5.0, 1e6])
@@ -86,10 +88,14 @@ def tied_row(width: int) -> list[float]:
 @example(distinct_row(20))
 @example(distinct_row(37))
 @example(distinct_row(61))
+@example(distinct_row(129))
+@example(distinct_row(200))
 @example(tied_row(8))
 @example(tied_row(20))
 @example(tied_row(37))
 @example(tied_row(61))
+@example(tied_row(129))
+@example(tied_row(200))
 def test_distribution_vector_equals_reference(row):
     got = hdp.distribution_vector(row)
     want = ref.distribution_vector(row)
