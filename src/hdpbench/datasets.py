@@ -269,13 +269,10 @@ def dataset_stats(d: DefectDataset) -> tuple[int, int, float]:
 
 
 def enumerate_combinations(datasets: Sequence[DefectDataset]) -> list[tuple[str, str]]:
-    """Every ordered (source, target) name pair whose metric-name sets differ.
-
-    Output is sorted by target then source name so result files are
-    byte-stable across runs.
+    """Every ordered (source, target) name pair whose metric-name sets
+    differ, sorted by target then source name. Fewer than two metric sets
+    give no pair.
     """
-    if len(datasets) < 2:
-        raise ValueError("need at least two datasets")
     metric_sets = {d.name: frozenset(d.metric_names) for d in datasets}
     names = sorted(metric_sets)
     return [
@@ -359,10 +356,18 @@ def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
     with the group's name and LOC metric; each later file of a group must
     then have its first file's metric columns, or ``SchemaMismatch`` names
     that file. Two files with one name (``a/x.csv`` and ``b/x.csv``) are an
-    error that names the manifest and both files."""
+    error that names the manifest and both files, raised before any file
+    is read."""
     path = Path(path)
-    datasets, files = [], []
-    for group in read_manifest(path):
+    groups = read_manifest(path)
+    seen: dict[str, Path] = {}
+    for file in (file for group in groups for file in group.files):
+        name = file.stem  # load_dataset's dataset name
+        if name in seen:
+            raise DatasetError(f"{path}: duplicate dataset name {name!r}: {seen[name]} and {file}")
+        seen[name] = file
+    datasets = []
+    for group in groups:
         names = None
         for file in group.files:
             d = load_dataset(file, group_name=group.name, loc_metric=group.loc_metric)
@@ -373,10 +378,4 @@ def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
                                          f"vs {len(names)} in group {group.name!r}")
                 raise SchemaMismatch(f"{file}: metric names do not match group {group.name!r}")
             datasets.append(d)
-            files.append(file)
-    seen: dict[str, Path] = {}
-    for d, file in zip(datasets, files):
-        if d.name in seen:
-            raise DatasetError(f"{path}: duplicate dataset name {d.name!r}: {seen[d.name]} and {file}")
-        seen[d.name] = file
     return datasets

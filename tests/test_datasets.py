@@ -337,6 +337,12 @@ def test_combinations_exclude_identical_metric_sets():
     assert enumerate_combinations([a, b]) == []
 
 
+def test_one_dataset_or_none_gives_no_combination():
+    # one dataset used to raise "need at least two datasets"
+    assert enumerate_combinations([make_dataset("x", np.ones((2, 1)), [0, 1])]) == []
+    assert enumerate_combinations([]) == []
+
+
 def test_combinations_are_ordered_pairs():
     a = make_dataset("a", [[1], [2]], [0, 1], metric_names=("m1",))
     b = make_dataset("b", [[1], [2]], [0, 1], metric_names=("m2",))
@@ -504,6 +510,17 @@ def test_manifest_duplicate_names_name_the_manifest_and_both_files(tmp_path):
     )
 
 
+def test_manifest_duplicate_names_fail_before_any_file_is_read(tmp_path):
+    # neither file exists: every file used to be loaded before the name check
+    manifest = tmp_path / "manifest.ini"
+    manifest.write_text("[g]\nloc_metric = a_loc\ngranularity = file\nfiles = a/x.csv b/x.csv\n")
+    with pytest.raises(DatasetError) as caught:
+        load_manifest_datasets(manifest)
+    assert str(caught.value) == (
+        f"{manifest}: duplicate dataset name 'x': {tmp_path / 'a' / 'x.csv'} and {tmp_path / 'b' / 'x.csv'}"
+    )
+
+
 @pytest.mark.parametrize("fault, error, message", [
     (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones(5), np.ones(5)),
      SchemaMismatch, "dataset 'd': values of shape (5,) are not a module x metric matrix"),
@@ -517,12 +534,10 @@ def test_manifest_duplicate_names_name_the_manifest_and_both_files(tmp_path):
      SchemaMismatch, "dataset 'd': row/label count mismatch"),
     (lambda tmp: load_dataset(write_csv(tmp, "\n\n", "empty.csv")),
      ZeroModules, "{tmp}/empty.csv: empty file"),
-    (lambda tmp: enumerate_combinations([make_dataset("x", np.ones((2, 1)), [0, 1])]),
-     ValueError, "need at least two datasets"),
     (lambda tmp: read_manifest(write_csv(tmp, "", "manifest.ini")),
      DatasetError, "manifest {tmp}/manifest.ini declares no groups"),
 ], ids=["1-d-values", "3-d-values", "no-modules", "columns", "labels", "empty-file",
-        "one-dataset", "no-groups"])
+        "no-groups"])
 def test_dataset_input_errors(tmp_path, fault, error, message):
     # a 1-d or 3-d matrix once raised "has no modules"
     with pytest.raises(error) as caught:

@@ -1180,7 +1180,8 @@ def test_satisfactory_requires_precision_recall(tmp_path):
     assert "requires the precision and recall measures" in report["report_satisfactory.txt"]
 
 
-def test_report_needs_two_methods(tmp_path):
+def test_reports_of_one_method_or_no_plan_say_what_they_cannot_compute(tmp_path):
+    # build_report used to refuse both results
     manifest = two_dataset_manifest(tmp_path)
     cfg = ExperimentConfig(
         manifest=str(manifest),
@@ -1188,14 +1189,29 @@ def test_report_needs_two_methods(tmp_path):
         methods=("cla",),
         measures=("f1",),
     )
-    with pytest.raises(ValueError, match="reports need results from at least two methods"):
-        build_report(run_experiment(cfg))
+    one_method = build_report(run_experiment(cfg))
+    assert "  rank 1: cla (mean " in one_method["report_scottknott.txt"]
+    assert one_method["report_wtl.txt"].endswith(
+        "\nneeds at least one heterogeneous and one unsupervised method\n")
+    assert one_method["report_diversity.txt"] == (
+        "mcnemar diversity on defective modules: significant plans / comparable plans\n\n")
     # two methods, but no plan is left to hold their results
     no_plans = run_experiment(replace(cfg, manifest=str(two_dataset_manifest(tmp_path, disjoint=True)),
                                       methods=("hdp1", "cla"), scenario="scenario2"))
     assert no_plans.plans == []
-    with pytest.raises(ValueError, match="reports need results from at least two methods"):
-        build_report(no_plans)
+    report = build_report(no_plans)
+    assert report["report_scottknott.txt"] == (
+        "scott-knott rankings (scenario2)\n\n== f1 ==\n[all subjects]\n  no method has enough values\n\n")
+    assert "\nhdp1   | 0/0/0\n" in report["report_wtl.txt"]
+    assert "\nhdp1 vs cla | 0/0\n" in report["report_diversity.txt"]
+    assert report["report_unidentified.txt"].endswith(
+        "\nno plan has predictions from every configured method\n")
+
+
+def test_wtl_records_of_no_target_are_one_empty_record_per_family():
+    # no slice once made a float index array, and IndexError
+    empty = np.empty((3, 0))
+    assert [str(record) for record in harness.wtl_records(empty, empty, [])] == ["0/0/0"] * 3
 
 
 def test_report_is_pure_function_of_exported_data(synth_result, tmp_path):
@@ -1283,20 +1299,30 @@ def test_cli_run_reports_failures_with_exit_2(tmp_path, capsys):
     assert "hdp1: 2" in err
 
 
-def test_cli_run_with_one_method_exits_1_before_running(tmp_path, capsys, monkeypatch):
-    manifest = two_dataset_manifest(tmp_path)
+@pytest.mark.parametrize("case", ["one-method", "scenario2-no-plan", "one-dataset", "one-metric-set"])
+def test_cli_run_without_a_comparison_writes_every_file_and_report_rebuilds(tmp_path, capsys, case):
+    # a config of one method used to exit 1 before it ran, a run without a
+    # plan to exit 1 after it wrote its results, and a manifest of one
+    # dataset to exit 1 with "need at least two datasets"
+    manifest = two_dataset_manifest(tmp_path, disjoint=case == "scenario2-no-plan")
+    keys = {"one-method": "methods = cla\n",
+            "scenario2-no-plan": "methods = hdp1 cla\nscenario = scenario2\n"}.get(case, "")
+    if case == "one-dataset":
+        manifest.write_text("[g]\nloc_metric = one_loc\ngranularity = file\nfiles = one.csv\n")
+    if case == "one-metric-set":
+        (tmp_path / "uno.csv").write_bytes((tmp_path / "one.csv").read_bytes())
+        manifest.write_text("[g]\nloc_metric = one_loc\ngranularity = file\nfiles = one.csv uno.csv\n")
     config = tmp_path / "c.ini"
-    config.write_text(f"[experiment]\nmanifest = {manifest}\noutput_dir = out\nmethods = cla\n")
-
-    def run_experiment(cfg):
-        raise AssertionError("a config that cannot be reported must not run")
-
-    monkeypatch.setattr(harness, "run_experiment", run_experiment)
-    assert cli.main(["run", str(config)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {config}: reports need results from at least two methods\n"
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
+    config.write_text(f"[experiment]\nmanifest = {manifest.name}\noutput_dir = out\n{keys}")
+    assert cli.main(["run", str(config)]) == 0
+    out = tmp_path / "out"
+    files = _files(out)
+    assert sorted(capsys.readouterr().out.split()) == sorted(str(out / name) for name in files)
+    assert len(files) == 10 and sum(name.startswith("report_") for name in files) == 5
+    plans = 2 if case == "one-method" else 0
+    assert f"\nplans_in_scenario: {plans}\n" in files["summary.txt"].decode()
+    assert cli.main(["report", str(out)]) == 0
+    assert _files(out) == files
 
 
 def test_cli_run_records_an_unsupervised_failure_and_report_rebuilds(tmp_path, capsys):
@@ -1372,8 +1398,12 @@ def test_results_files_are_utf8_whatever_the_locale(tmp_path):
 
 def test_no_command_opens_a_file_in_the_locale_encoding(tmp_path):
     config = write_synthetic_benchmark(tmp_path, seed=11)
+    one_method = tmp_path / "one_method.ini"
+    one_method.write_text("[experiment]\nmanifest = manifest.ini\noutput_dir = one\nmethods = cla\n",
+                          encoding="utf-8")
     strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
     for args in (("run", config), ("report", tmp_path / "results"),
+                 ("run", one_method), ("report", tmp_path / "one"),
                  ("stats", tmp_path / "alpha.csv"), ("combos", tmp_path / "manifest.ini")):
         done = _cli_process(*args, flags=strict)
         assert (done.returncode, done.stderr) == (0, b""), args
