@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -193,6 +193,21 @@ def csv_records(path: Path, text: str) -> list[tuple[int, list[str]]]:
     return records
 
 
+def _plain_records(text: str) -> Iterator[tuple[int, list[str]]] | None:
+    """Each line of the CSV ``text`` split at its commas, with its line number,
+    when ``text`` is plain: no quote, no NUL, no carriage return outside a
+    ``\\r\\n`` line end and no line longer than ``csv.field_size_limit()``.
+    Once blank records are dropped, these are the records ``csv_records``
+    gives. A line is split when its record is taken, so only one record's
+    cells exist at a time. Any other text gives None."""
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return ((number, line.split(",")) for number, line in enumerate(lines, start=1))
+
+
 def load_dataset(
     path: str | Path, *, group_name: str = "unknown-group", loc_metric: str | None = None
 ) -> DefectDataset:
@@ -203,8 +218,13 @@ def load_dataset(
     named bug/bugs/label/defective/isDefective (case-insensitive). The
     metric names come from the header, with ``loc_metric`` (or a known LOC
     name, else the first metric) as the LOC column. The file is UTF-8, with
-    or without a leading byte-order mark. An error names the file, and a row
-    error, an unreadable CSV record (``csv_records``) included, also its line.
+    or without a leading byte-order mark. A CSV text without a quote, a NUL,
+    a carriage return outside a ``\\r\\n`` line end or a line longer than
+    ``csv.field_size_limit()`` is split at its line ends and commas
+    (``_plain_records``), which gives the records ``csv`` would; any other
+    CSV text is read by ``csv_records``. Blank records are skipped either
+    way. An error names the file, and a row error, an unreadable CSV record
+    included, also its line; the messages do not depend on the path taken.
     """
     path = Path(path)
     # newline="": a quoted carriage return stays in its cell
@@ -214,10 +234,14 @@ def load_dataset(
         header, rows = _parse_arff(path, text)
         label_index = len(header) - 1
     else:
-        table = [(line, row) for line, row in csv_records(path, text) if any(c.strip() for c in row)]
-        if not table:
+        records = _plain_records(text)
+        if records is None:
+            records = csv_records(path, text)
+        rows = ((line, row) for line, row in records if any(c.strip() for c in row))
+        first = next(rows, None)
+        if first is None:
             raise ZeroModules(f"{path}: empty file")
-        header, rows = table[0][1], table[1:]
+        header = first[1]
         matches = [i for i, h in enumerate(header) if h.strip().lower() in LABEL_COLUMN_NAMES]
         if not matches:
             raise MissingLabelColumn(f"{path}: no label column among {header}")
@@ -233,30 +257,36 @@ def load_dataset(
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
 
-    if not rows:
-        raise ZeroModules(f"{path}: no data rows")
     n_cols = len(header)
-    values = np.empty((len(rows), n_cols - 1), dtype=float)
-    labels = np.empty(len(rows), dtype=bool)
-    for r, (line, row) in enumerate(rows):
+    lines: list[int] = []
+    labels: list[bool] = []
+    flat: list[float] = []  # the metric cells, row after row
+    for line, row in rows:
         if len(row) != n_cols:
             raise DatasetError(f"{path}:{line}: {len(row)} cells, expected {n_cols}")
         try:
-            labels[r] = normalize_label(row.pop(label_index))
+            labels.append(normalize_label(row.pop(label_index)))
         except DatasetError as exc:
             raise DatasetError(f"{path}:{line}: {exc}") from None
-        for c, cell in enumerate(row):
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise NonNumericMetric(
-                    f"{path}:{line}: non-numeric cell {cell!r} in metric {metric_names[c]!r}"
-                ) from None
+        try:
+            flat += map(float, row)
+        except ValueError:
+            for c, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise NonNumericMetric(
+                        f"{path}:{line}: non-numeric cell {cell!r} in metric {metric_names[c]!r}"
+                    ) from None
+        lines.append(line)
+    if not lines:
+        raise ZeroModules(f"{path}: no data rows")
+    values = np.array(flat).reshape(len(lines), n_cols - 1)
     non_finite = np.argwhere(~np.isfinite(values))
     if len(non_finite):
         r, c = non_finite[0]
         raise NonNumericMetric(
-            f"{path}:{rows[r][0]}: non-finite value in metric {metric_names[c]!r}"
+            f"{path}:{lines[r]}: non-finite value in metric {metric_names[c]!r}"
         )
     return DefectDataset(path.stem, group_name, metric_names, loc_metric, values, labels)
 

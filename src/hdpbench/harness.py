@@ -876,17 +876,14 @@ def _report_unidentified(result: ExperimentResult) -> str:
         n = int(np.count_nonzero(truth))
         if any(f is None for f in flags) or not n:
             continue
-        hdp_flags, udp_flags = flags[: len(hdp_vars)], flags[len(hdp_vars) :]
-        missed_hdp, missed_udp, missed_all = (
-            int(np.count_nonzero(truth & ~np.any(side, axis=0))) if side else 0
-            for side in (hdp_flags, udp_flags, flags)
-        )
-        rows.append([
-            f"{source} => {target}",
-            str(missed_hdp), f"{100 * missed_hdp / n:.2f}%",
-            str(missed_udp), f"{100 * missed_udp / n:.2f}%",
-            str(missed_all), f"{100 * missed_all / n:.2f}%",
-        ])
+        row = [f"{source} => {target}"]
+        for side in (flags[: len(hdp_vars)], flags[len(hdp_vars) :], flags):
+            if side:
+                missed = int(np.count_nonzero(truth & ~np.any(side, axis=0)))
+                row += [str(missed), f"{100 * missed / n:.2f}%"]
+            else:  # a side without a method has no count of what it misses
+                row += ["n/a", "n/a"]
+        rows.append(row)
     if rows:
         out.append(_table(
             ["source => target", "=0 by HDP", "proportion",

@@ -346,10 +346,13 @@ def _report_unidentified(result: ExperimentResult) -> str:
             continue
         cells = []
         for side in (hdp_vars, udp_vars, hdp_vars + udp_vars):
-            # a side without a method misses no module
+            # a side without a method has no count
+            if not side:
+                cells += ["n/a", "n/a"]
+                continue
             missed = 0
             for i in defective:
-                if side and not any(flags[v][i] for v in side):
+                if not any(flags[v][i] for v in side):
                     missed += 1
             cells += [str(missed), f"{100 * missed / len(defective):.2f}%"]
         rows.append([f"{source} => {target}", *cells])

@@ -1,11 +1,14 @@
 import dataclasses
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hdpbench import cli
+from hdpbench import cli, datasets
 from hdpbench.datasets import (
     DatasetError,
     DefectDataset,
@@ -177,6 +180,76 @@ def test_crlf_line_ends_load_as_lf_line_ends(tmp_path, name, text):
     with pytest.raises(NonNumericMetric) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}:{line}: non-numeric cell 'x' in metric 'wmc'"
+
+
+PLAIN_NUMBERS = st.one_of(st.integers(-99, 99).map(str), st.floats(-1e6, 1e6).map(repr))
+PLAIN_CELLS = st.one_of(PLAIN_NUMBERS, st.text(alphabet="0123456789.-e \x0c\ufeff", max_size=4))
+PLAIN_BLANKS = st.sampled_from(["", " ", "\x0c", " , \x0c"])
+
+
+@st.composite
+def plain_texts(draw):
+    """A plain CSV text: a header with a label column, then rows of numbers,
+    or in one draw of two, rows of any width and with cells of 0-9 . - e,
+    space, form feed and the byte-order mark. Blank and whitespace-only lines
+    go anywhere, and lines end in "\\n" or "\\r\\n", the last one or not."""
+    width = draw(st.integers(2, 4))
+    header = [f"m{j}" for j in range(width - 1)]
+    header.insert(draw(st.integers(0, width - 1)), "bug")
+    if draw(st.booleans()):
+        rows = (st.lists(PLAIN_CELLS, min_size=width, max_size=width)
+                | st.lists(PLAIN_CELLS, max_size=width + 1))
+    else:
+        rows = st.lists(PLAIN_NUMBERS, min_size=width, max_size=width)
+    rows = rows.map(",".join)
+    lines = [*draw(st.lists(PLAIN_BLANKS, max_size=2)), ",".join(header), draw(rows),
+             *draw(st.lists(rows | PLAIN_BLANKS, max_size=8))]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _loaded(path):
+    """What loading ``path`` gives: the dataset's bytes, or its error."""
+    try:
+        d = load_dataset(path)
+    except DatasetError as exc:
+        return type(exc), str(exc)
+    return d.metric_names, d.loc_metric, d.values.shape, d.values.tobytes(), d.labels.tobytes()
+
+
+def _unblank(records):
+    return [(line, row) for line, row in records if any(c.strip() for c in row)]
+
+
+@given(plain_texts(), st.booleans())
+def test_a_plain_text_splits_and_loads_as_csv_reads_it(text, bom):
+    records = datasets._plain_records(text)
+    assert records is not None
+    assert _unblank(records) == _unblank(datasets.csv_records(Path("d.csv"), text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8-sig" if bom else "utf-8", newline="")
+        split = _loaded(path)
+        with mock.patch.object(datasets, "_plain_records", lambda text: None):
+            assert split == _loaded(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('wmc,loc,bug\n1,10,0\n2,"2,0",1\n', ":3: non-numeric cell '2,0' in metric 'loc'"),
+    # a bare "\r" ends a record
+    ("wmc,loc,bug\r1,10,0\r2,x,1\r", ":3: non-numeric cell 'x' in metric 'loc'"),
+    ("wmc,loc,bug\n1,10\0,0\n", ":2: non-numeric cell '10\\x00' in metric 'loc'"),
+    ("loc,bug\n" + "1" * 131_073 + ",0\n", ":2: field larger than field limit (131072)"),
+], ids=["quote", "bare-cr", "nul", "over-limit-line"])
+def test_a_text_that_is_not_plain_loads_through_csv(tmp_path, text, message):
+    assert datasets._plain_records(text) is None
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}{message}"
 
 
 ARFF_DATA = "@attribute class {Y,N}\n@data\n10,Y\n"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -1206,6 +1207,37 @@ def test_reports_of_one_method_or_no_plan_say_what_they_cannot_compute(tmp_path)
     assert "\nhdp1 vs cla | 0/0\n" in report["report_diversity.txt"]
     assert report["report_unidentified.txt"].endswith(
         "\nno plan has predictions from every configured method\n")
+
+
+@pytest.mark.parametrize("methods, missing", [
+    ("cla spectral", "HDP"), ("hdp1 hdp5", "UM"), ("manual", "HDP"),
+], ids=["udp-only", "hdp-only", "manual-only"])
+def test_reports_of_a_one_sided_config_count_nothing_for_the_missing_side(tmp_path, methods, missing):
+    # the unidentified report once put "0 | 0.00%" under the side without a method
+    two_dataset_manifest(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nmanifest = manifest.ini\noutput_dir = out\nmethods = {methods}\n")
+    assert cli.main(["run", str(tmp_path / "c.ini")]) == 0
+    out = tmp_path / "out"
+    reports = {path.name: path.read_text(encoding="utf-8") for path in out.glob("report_*.txt")}
+    assert cli.main(["report", str(out)]) == 0
+    assert {path.name: path.read_text(encoding="utf-8") for path in out.glob("report_*.txt")} == reports
+    assert len(reports) == 5
+    # no report names a method of the missing side
+    absent = set(harness.METHODS) - set(methods.split())
+    for text in reports.values():
+        assert absent.isdisjoint(re.findall(r"[a-z]+\d*", text))
+    assert reports["report_wtl.txt"].endswith(
+        "\nneeds at least one heterogeneous and one unsupervised method\n")
+    assert "hdp vs udp" not in reports["report_diversity.txt"]
+    header, _, *rows = reports["report_unidentified.txt"].splitlines()[2:]
+    column = [c.strip() for c in header.split("|")].index(f"=0 by {missing}")
+    rows = [[c.strip() for c in row.split("|")] for row in rows]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[column:column + 2] == ["n/a", "n/a"]
+        assert all(re.fullmatch(r"\d+(\.\d{2}%)?", c) for k, c in enumerate(row[1:], 1)
+                   if k not in (column, column + 1))
 
 
 def test_wtl_records_of_no_target_are_one_empty_record_per_family():

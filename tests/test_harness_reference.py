@@ -123,11 +123,12 @@ ALL_METHODS = tuple(harness.METHODS)
 @example(dict(seed=2, sources=[12, 13], truth=["mixed", "mixed"], groups=[0, 0],
               methods=ALL_METHODS, measure_ids=("precision", "recall", "f1", "ifa"),
               scenario="scenario1", absent=0.0, failed=0.0))
-# only unsupervised methods: no win/tie/loss matrix, no hdp diversity section
+# only unsupervised methods: no win/tie/loss matrix, no hdp diversity
+# section, and "n/a" under "=0 by HDP"
 @example(dict(seed=3, sources=[2, 5], truth=["mixed", "defect_free"], groups=[0, 1],
               methods=("cla", "manual"), measure_ids=("f1",), scenario="scenario1",
               absent=0.5, failed=0.4))
-# only heterogeneous methods: "=0 by UM" is 0 on every plan
+# only heterogeneous methods: "n/a" under "=0 by UM" on every plan
 @example(dict(seed=4, sources=[3, 4], truth=["mixed", "all_defective"], groups=[0, 1],
               methods=("hdp1", "hdp5"), measure_ids=("f1",), scenario="scenario1",
               absent=0.0, failed=0.1))
