@@ -116,44 +116,58 @@ def select_top_metrics(d: DefectDataset) -> list[str]:
     return [d.metric_names[j] for j in order[:keep]]
 
 
-def _sorted_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each column of an (n, m) matrix sorted ascending, one row per column,
-    and each sorted value's right-side count within its own row."""
+    and, for each sorted value, the count of its row's values at or below it
+    (right count) and below it (left count), both ``int32``."""
     columns = np.array(np.asarray(values, dtype=float).T, order="C")
     columns.sort(axis=1)
-    counts = np.array([np.searchsorted(c, c, side="right") for c in columns])
-    return columns, counts.reshape(columns.shape)
+
+    def counts(side: str) -> np.ndarray:
+        found = [np.searchsorted(c, c, side=side) for c in columns]
+        return np.array(found, dtype=np.int32).reshape(columns.shape)
+
+    return columns, counts("right"), counts("left")
 
 
-def _ks_columns(d: DefectDataset) -> tuple[np.ndarray, np.ndarray]:
+def _ks_columns(d: DefectDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The half of every KS ECDF that ``d`` contributes, on either side of a plan."""
     return _sorted_columns(d.values)
 
 
 def ks_statistics(
-    x_columns: np.ndarray, x_counts: np.ndarray, y_columns: np.ndarray, y_counts: np.ndarray
+    x_columns: np.ndarray, x_right: np.ndarray, x_left: np.ndarray,
+    y_columns: np.ndarray, y_right: np.ndarray, y_left: np.ndarray,
 ) -> np.ndarray:
     """Two-sample KS statistics of every x sample against every y sample.
 
     Each row of ``x_columns`` (k, n) and ``y_columns`` (l, m) is one sample
-    sorted ascending, and the counts are each value's right-side count in
-    its own row, as ``_sorted_columns`` returns them. Entry (i, j) is the
-    largest ECDF gap over the points of both samples, each ECDF value being
-    count / sample size. It takes k + l ``searchsorted`` calls, each over
-    one whole side, in place of k * l pairwise sorts.
+    sorted ascending, with each value's right and left counts in its own
+    row, as ``_sorted_columns`` returns them. Entry (i, j) is the largest
+    gap between the two ECDFs over the points of both samples, each ECDF
+    value being count / sample size.
+
+    Between two consecutive points of the smaller sample its ECDF is
+    constant and the other one only rises, so the largest gap lies at one
+    of the smaller sample's points: at its right value there or at its
+    left limit. A left limit is the right value at the point of either
+    sample just below (0 against 0 below every point), computed the same
+    way, so the result is the same to the bit. The smaller sample's points
+    (y's when n = m) are searched into each column of the other side: two
+    ``searchsorted`` calls per column, about k*l*min(n, m)*log(max(n, m))
+    work in all.
     """
     n, m = x_columns.shape[1], y_columns.shape[1]
     if n == 0 or m == 0:
         raise ValueError("both samples must be non-empty")
+    if n < m:
+        return ks_statistics(y_columns, y_right, y_left, x_columns, x_right, x_left).T
     stats = np.empty((len(x_columns), len(y_columns)))
-    y_ecdf = y_counts / m
+    at_right, at_left = y_right / m, y_left / m
     for i, col in enumerate(x_columns):
-        # gaps at y's points: x's ECDF there against y's own
-        stats[i] = np.abs(np.searchsorted(col, y_columns, side="right") / n - y_ecdf).max(axis=1)
-    x_ecdf = x_counts / n
-    for j, col in enumerate(y_columns):
-        at_x = np.abs(x_ecdf - np.searchsorted(col, x_columns, side="right") / m).max(axis=1)
-        np.maximum(stats[:, j], at_x, out=stats[:, j])
+        right = np.abs(np.searchsorted(col, y_columns, side="right") / n - at_right).max(axis=1)
+        left = np.abs(np.searchsorted(col, y_columns, side="left") / n - at_left).max(axis=1)
+        np.maximum(right, left, out=stats[i])
     return stats
 
 
@@ -273,8 +287,8 @@ def match_metrics(source: DefectDataset, target: DefectDataset) -> MetricMatch:
     """
     selected = source.derived(select_top_metrics)
     rows = [source.metric_index(name) for name in selected]
-    columns, counts = source.derived(_ks_columns)
-    stats = ks_statistics(columns[rows], counts[rows], *target.derived(_ks_columns))
+    columns, right, left = source.derived(_ks_columns)
+    stats = ks_statistics(columns[rows], right[rows], left[rows], *target.derived(_ks_columns))
     weights = ks_pvalues(stats, source.n_modules, target.n_modules)
     match = match_from_weights(weights, selected, target.metric_names)
     pairs = sorted(match.pairs, key=lambda p: source.metric_index(p[0]))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import measures
@@ -125,6 +126,11 @@ def _fiedler_vector(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     largest eigenpair left is the Fiedler pair. ``v0`` and the generator
     ARPACK draws restart vectors from are fixed, so repeat calls give the
     same bytes.
+
+    The matvec is the BLAS symmetric product ``dsymv`` on ``a.T``, the
+    Fortran-ordered view of the C-ordered array, so nothing is copied. It
+    reads only A's lower triangle, the entries a[i, j] with i >= j; A is
+    not symmetric to the bit, and the upper triangle is never read.
     """
     rows = np.flatnonzero(degrees)
     top = np.sqrt(degrees[rows])
@@ -134,7 +140,7 @@ def _fiedler_vector(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     def deflated(x):
         x = x.ravel()
         full[rows] = x
-        return (a @ full)[rows] - _DEFLATION_SHIFT * (top @ x) * top
+        return dsymv(1.0, a.T, full, lower=0)[rows] - _DEFLATION_SHIFT * (top @ x) * top
 
     m = rows.size
     _, vectors = eigsh(

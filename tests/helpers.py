@@ -127,6 +127,46 @@ def write_benchmark_stub_files(out_dir: Path, n_modules: int = 18, seed: int = 3
             for row, label in zip(values, labels):
                 writer.writerow([repr(float(v)) for v in row] + [int(label)])
         tags.setdefault(tag, []).append(file_name)
+    return _write_stub_manifest(out_dir, tags)
+
+
+def write_count_benchmark_files(out_dir: Path, scale: float = 1.0, seed: int = 3) -> Path:
+    """Write the 34 benchmark projects as count-valued CSVs plus a manifest;
+    returns the manifest path.
+
+    Each project has max(20, round(real modules * scale)) modules, and its
+    first max(2, n // 4) are defective (ar5 has none). One generator draws,
+    project by project, floor(lognormal(1, 1) * (1 + offset / 10)) with the
+    group's ``STUB_SCALES`` offset, defective rows 1.6x before the floor,
+    and then a mask that sets 30% of the cells to 0. Metric columns 1 and 2
+    are all 0. So the inputs have integer cells, ties, zero LOC, constant
+    columns and a single-class target.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    tags: dict[str, list[str]] = {}
+    for name, tag, n_metrics, real_modules, _ in BENCHMARK_PROJECTS:
+        n = max(20, round(real_modules * scale))
+        labels = np.zeros(n, dtype=bool)
+        if name != "ar5":
+            labels[: max(2, n // 4)] = True
+        values = rng.lognormal(1.0, 1.0, size=(n, n_metrics)) * (1 + STUB_SCALES[tag] / 10)
+        values[labels] *= 1.6
+        values = np.floor(values)
+        values[rng.random((n, n_metrics)) < 0.3] = 0.0
+        values[:, 1:3] = 0.0
+        file_name = f"{name}.csv"
+        with (out_dir / file_name).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(stub_metric_names(tag, n_metrics)) + ["bug"])
+            writer.writerows(row + [label] for row, label in zip(values.astype(int).tolist(),
+                                                                 labels.astype(int).tolist()))
+        tags.setdefault(tag, []).append(file_name)
+    return _write_stub_manifest(out_dir, tags)
+
+
+def _write_stub_manifest(out_dir: Path, tags: Mapping[str, Sequence[str]]) -> Path:
+    """A manifest with one group per schema tag, its LOC metric the tag's m0."""
     lines = []
     for tag, files in tags.items():
         lines += [

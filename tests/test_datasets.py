@@ -24,7 +24,12 @@ from hdpbench.datasets import (
     normalize_label,
     read_manifest,
 )
-from helpers import benchmark_stub_datasets, make_dataset
+from helpers import (
+    BENCHMARK_PROJECTS,
+    benchmark_stub_datasets,
+    make_dataset,
+    write_count_benchmark_files,
+)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -449,6 +454,27 @@ def test_combination_count_matches_brute_force(set_ids):
 def test_benchmark_stub_enumeration():
     plans = enumerate_combinations(benchmark_stub_datasets())
     assert len(plans) == 962
+
+
+def test_count_benchmark_writer_is_deterministic(tmp_path):
+    scale = 0.005
+    first = write_count_benchmark_files(tmp_path / "a", scale)
+    again = write_count_benchmark_files(tmp_path / "b", scale)
+    names = sorted(path.name for path in first.parent.iterdir())
+    assert names == sorted(path.name for path in again.parent.iterdir())
+    for name in names:
+        assert (first.parent / name).read_bytes() == (again.parent / name).read_bytes()
+    loaded = {d.name: d for d in load_manifest_datasets(first)}
+    assert len(enumerate_combinations(list(loaded.values()))) == 962
+    for name, _, n_metrics, real_modules, _ in BENCHMARK_PROJECTS:
+        d = loaded[name]
+        n = max(20, round(real_modules * scale))
+        assert d.values.shape == (n, n_metrics)
+        assert np.array_equal(d.values, np.floor(d.values)) and d.values.min() == 0
+        assert not d.values[:, 1:3].any()
+        assert np.count_nonzero(d.labels) == (0 if name == "ar5" else max(2, n // 4))
+    header, *rows = (first.parent / "pc5.csv").read_text().splitlines()
+    assert header.endswith(",bug") and all(row.replace(",", "").isdigit() for row in rows)
 
 
 @pytest.mark.parametrize("metric_names, loc_metric, message", [

@@ -11,6 +11,7 @@ from hdpbench.harness import register_external_method, unregister_external_metho
 from hdpbench.hdp import (
     HdpOutcome,
     MetricMatch,
+    _ks_columns,
     _sorted_columns,
     distribution_vector,
     equal_frequency_bins,
@@ -104,6 +105,18 @@ def ks_matrix(xs, ys):
     """KS statistics of every column of ``xs`` against every column of ``ys``."""
     return ks_statistics(*_sorted_columns(np.asarray(xs, dtype=float)),
                          *_sorted_columns(np.asarray(ys, dtype=float)))
+
+
+def test_ks_columns_keep_int32_right_and_left_counts():
+    d = make_dataset("d", [[3.0, 1.0], [1.0, 1.0], [3.0, 2.0], [2.0, 1.0]], [0, 1, 0, 1])
+    columns, right, left = _ks_columns(d)
+    assert right.dtype == left.dtype == np.int32
+    assert columns.tolist() == [[1.0, 2.0, 3.0, 3.0], [1.0, 1.0, 1.0, 2.0]]
+    for c, r, l in zip(columns, right, left):
+        assert np.array_equal(r, np.searchsorted(c, c, side="right"))
+        assert np.array_equal(l, np.searchsorted(c, c, side="left"))
+    assert right.tolist() == [[1, 2, 4, 4], [3, 3, 3, 4]]
+    assert left.tolist() == [[0, 1, 2, 2], [0, 0, 0, 3]]
 
 
 def test_ks_identical_samples():

@@ -151,6 +151,13 @@ def sample_matrices(draw):
 @example((np.full((5, 2), 3.0), np.full((7, 3), 3.0)))  # all tied, constant
 @example((np.full((4, 1), 3.0), np.array([[1.0], [2.0], [3.0], [3.0], [9.0]])))
 @example((np.array([[-0.0], [0.0], [1.0]]), np.array([[0.0, -0.0], [-0.0, 0.0]])))
+@example((np.array([[1.0], [4.0], [4.0]]),  # n < m
+          np.array([[0.0, 5.0], [2.0, 4.0], [3.0, 4.0], [4.0, 1.0], [6.0, 1.0]])))
+@example((np.array([[0.0, 9.0], [2.0, 1.0], [5.0, 1.0], [7.0, 3.0]]), np.array([[1.0], [6.0]])))  # n > m
+@example((np.array([[1.0, 2.0], [3.0, 2.0], [5.0, 8.0]]),  # n = m
+          np.array([[2.0, 0.0, 3.0], [4.0, 9.0, 3.0], [6.0, 1.0, 3.0]])))
+@example((np.array([[1.0], [2.0], [2.0], [2.0], [3.0]]), np.array([[2.0], [2.0], [5.0]])))  # a tie group in both samples
+@example((np.array([[1.0], [2.0], [3.0]]), np.array([[10.0]])))  # the largest gap only at a left limit
 def test_ks_weight_matrix_equals_per_pair_loop(case):
     xs, ys = case
     stats = hdp.ks_statistics(*hdp._sorted_columns(xs), *hdp._sorted_columns(ys))

@@ -296,6 +296,24 @@ def test_spectral_repeat_calls_are_byte_identical():
             assert again.predicted.tobytes() == first.predicted.tobytes()
 
 
+def test_spectral_matvec_reads_only_the_lower_triangle(monkeypatch):
+    fiedler_vector = udp._fiedler_vector
+    calls = []
+
+    def recorded(a, degrees):
+        calls.append((a.copy(), degrees.copy()))
+        return fiedler_vector(a, degrees)
+
+    monkeypatch.setattr(udp, "_fiedler_vector", recorded)
+    for d in (connected_dataset(), block_dataset(), connected_dataset(120, seed=13)):
+        spectral_predict(d)
+    assert calls
+    for a, degrees in calls:
+        want = fiedler_vector(a, degrees)
+        a[np.triu_indices(len(a), 1)] = np.nan  # the triangle the matvec never reads
+        assert fiedler_vector(a, degrees).tobytes() == want.tobytes()
+
+
 def test_spectral_row_permutation_permutes_labels():
     rng = np.random.default_rng(12)
     for d in (connected_dataset(), block_dataset()):
