@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .datasets import DefectDataset
 from .learner import DECISION_THRESHOLD, predict_proba, train_logistic
@@ -174,7 +173,9 @@ def ks_statistics(
 def ks_pvalues(stats: np.ndarray, n: int, m: int) -> np.ndarray:
     """Asymptotic KS p-values of statistics between samples of n and m
     values, with effective size n*m/(n+m)."""
-    return special.kolmogorov(math.sqrt(n * m / (n + m)) * np.asarray(stats, dtype=float))
+    from scipy.special import kolmogorov
+
+    return kolmogorov(math.sqrt(n * m / (n + m)) * np.asarray(stats, dtype=float))
 
 
 def ks_pvalue(a: Sequence[float], b: Sequence[float]) -> float:

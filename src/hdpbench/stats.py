@@ -11,7 +11,6 @@ from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 ALPHA = 0.05
 NEGLIGIBLE_DELTA = 0.147  # |delta| below this is a negligible effect
@@ -206,6 +205,8 @@ def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
     treatment mean is pooled once over all methods. Each method needs at
     least 2 samples, none of them NaN.
     """
+    from scipy.special import chdtri
+
     if not samples:
         raise ValueError("need at least one method")
     arrays = {name: np.asarray(vals, dtype=float) for name, vals in samples.items()}
@@ -239,7 +240,7 @@ def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
             if sigma02 > 0:
                 lam = _SK_FACTOR * best_b0 / sigma02
                 # chdtri is the chi-square inverse survival function
-                if lam > special.chdtri(k / (math.pi - 2.0), ALPHA):
+                if lam > chdtri(k / (math.pi - 2.0), ALPHA):
                     partition(group[:best_split])
                     partition(group[best_split:])
                     return
@@ -270,6 +271,8 @@ def mcnemar_pvalues(n_cw, n_wc) -> np.ndarray:
     chi^2 = (n_cw - n_wc)^2 / (n_cw + n_wc) on 1 degree of freedom; zero
     discordant counts give p = 1.
     """
+    from scipy.special import chdtrc
+
     n_cw = np.asarray(n_cw, dtype=np.int64)
     n_wc = np.asarray(n_wc, dtype=np.int64)
     discordant = n_cw + n_wc
@@ -277,7 +280,7 @@ def mcnemar_pvalues(n_cw, n_wc) -> np.ndarray:
     # rounded one, as with Python ints
     stat = (n_cw - n_wc) ** 2 / np.maximum(discordant, 1)
     # chdtrc is the chi-square survival function
-    return np.where(discordant == 0, 1.0, special.chdtrc(1, stat))
+    return np.where(discordant == 0, 1.0, chdtrc(1, stat))
 
 
 def mcnemar(ct: ContingencyTable) -> float:

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import measures
 from .datasets import DefectDataset, effort_values
@@ -132,6 +130,9 @@ def _fiedler_vector(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     reads only A's lower triangle, the entries a[i, j] with i >= j; A is
     not symmetric to the bit, and the upper triangle is never read.
     """
+    from scipy.linalg.blas import dsymv
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     rows = np.flatnonzero(degrees)
     top = np.sqrt(degrees[rows])
     top /= np.linalg.norm(top)
