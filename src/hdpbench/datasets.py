@@ -18,8 +18,6 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-GRANULARITIES = ("class", "file", "function")
-
 T = TypeVar("T")
 
 #: LOC-style metric names used by the five public benchmark groups.
@@ -351,11 +349,11 @@ def read_ini(path: Path) -> configparser.ConfigParser:
 def read_manifest(path: str | Path) -> list[GroupSpec]:
     """Parse a group manifest: one section per group, key-value entries.
 
-    Keys: ``loc_metric``, ``granularity`` (one of ``GRANULARITIES``;
-    checked, then dropped, as nothing reads it), ``files`` (whitespace- or
-    comma-separated paths relative to the manifest, at least one). Any other
-    key or granularity, or a group without a file, raises ``DatasetError``
-    naming the manifest and the group.
+    Keys: ``loc_metric``, ``files`` (whitespace- or comma-separated paths
+    relative to the manifest, at least one) and an optional ``granularity``
+    of any value, which nothing reads. Any other key, a group without
+    ``loc_metric`` or a group without a file raises ``DatasetError`` naming
+    the manifest and the group.
     """
     path = Path(path)
     parser = read_ini(path)
@@ -365,12 +363,8 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
         for key in entries:
             if key not in ("loc_metric", "granularity", "files"):
                 raise DatasetError(f"{path}: unknown key {key!r} in group [{section}]")
-        for key in ("loc_metric", "granularity"):
-            if key not in entries:
-                raise DatasetError(f"{path}: group [{section}] is missing {key!r}")
-        if entries["granularity"] not in GRANULARITIES:
-            raise DatasetError(f"{path}: group [{section}] granularity "
-                               f"{entries['granularity']!r} is not one of {GRANULARITIES}")
+        if "loc_metric" not in entries:
+            raise DatasetError(f"{path}: group [{section}] is missing 'loc_metric'")
         raw_files = entries.get("files", "").replace(",", " ").split()
         if not raw_files:
             raise DatasetError(f"{path}: group [{section}] lists no file")

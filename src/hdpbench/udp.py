@@ -116,7 +116,7 @@ def _component_of(w: np.ndarray, start: int, n_linked: int) -> np.ndarray:
     return reached
 
 
-def _fiedler_vector(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+def _fiedler_vector(w: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Second eigenvector of A = D^-1/2 W D^-1/2 restricted to the modules
     of nonzero degree (0 elsewhere).
 
@@ -125,23 +125,25 @@ def _fiedler_vector(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     ARPACK draws restart vectors from are fixed, so repeat calls give the
     same bytes.
 
-    The matvec is the BLAS symmetric product ``dsymv`` on ``a.T``, the
-    Fortran-ordered view of the C-ordered array, so nothing is copied. It
-    reads only A's lower triangle, the entries a[i, j] with i >= j; A is
-    not symmetric to the bit, and the upper triangle is never read.
+    A is never formed: the matvec scales x by D^-1/2, multiplies by W with
+    the BLAS symmetric product ``dsymv`` and scales the result by D^-1/2
+    again. ``dsymv`` runs on ``w.T``, the Fortran-ordered view of the
+    C-ordered array, so nothing is copied, and it reads only W's lower
+    triangle, the entries w[i, j] with i >= j.
     """
     from scipy.linalg.blas import dsymv
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     rows = np.flatnonzero(degrees)
     top = np.sqrt(degrees[rows])
+    s = 1.0 / top
     top /= np.linalg.norm(top)
-    full = np.zeros(len(a))
+    full = np.zeros(len(w))
 
     def deflated(x):
         x = x.ravel()
-        full[rows] = x
-        return dsymv(1.0, a.T, full, lower=0)[rows] - _DEFLATION_SHIFT * (top @ x) * top
+        full[rows] = s * x
+        return s * dsymv(1.0, w.T, full, lower=0)[rows] - _DEFLATION_SHIFT * (top @ x) * top
 
     m = rows.size
     _, vectors = eigsh(
@@ -149,7 +151,7 @@ def _fiedler_vector(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
         k=1, which="LA", v0=np.random.default_rng(0).uniform(-1.0, 1.0, m),
         tol=0.0, rng=np.random.default_rng(0),
     )
-    fiedler = np.zeros(len(a))
+    fiedler = np.zeros(len(w))
     fiedler[rows] = vectors[:, 0]
     return fiedler
 
@@ -176,8 +178,8 @@ def spectral_predict(d: DefectDataset) -> Prediction:
        nonzero degree, eps the float64 epsilon): below that rounding level,
        e.g. the middle module of a mirror-symmetric path, it has no sign.
 
-    W is the one n x n array: it is scaled in place into D^-1/2 W D^-1/2,
-    and ``eigsh`` takes the one eigenpair needed from it.
+    W is the one n x n array, and it is never rescaled: ``eigsh`` takes the
+    one eigenpair needed through a matvec that applies D^-1/2 on each side.
     """
     if d.n_modules < 2:
         raise ValueError("spectral clustering needs at least 2 modules")
@@ -196,9 +198,6 @@ def spectral_predict(d: DefectDataset) -> Prediction:
     if np.count_nonzero(side_a) < n_linked:
         side_b = linked & ~side_a
     else:
-        inv_sqrt = np.where(linked, 1.0 / np.sqrt(np.where(linked, degrees, 1.0)), 0.0)
-        w *= inv_sqrt[:, None]
-        w *= inv_sqrt[None, :]
         fiedler = _fiedler_vector(w, degrees)
         # the rounding level of the entries: below it an entry has no sign
         floor = n_linked * np.finfo(np.float64).eps * np.abs(fiedler).max()

@@ -526,16 +526,17 @@ def test_manifest_missing_key(tmp_path):
     assert str(caught.value) == f"{manifest}: group [g] is missing 'loc_metric'"
 
 
-def test_manifest_rejects_an_unknown_granularity(tmp_path):
-    write_csv(tmp_path, "g_loc,g1,bug\n1,1,0\n", "one.csv")
-    manifest = tmp_path / "m.ini"
-    manifest.write_text("[g]\nloc_metric = g_loc\ngranularity = package\nfiles = one.csv\n")
-    # the error names the manifest, not the group's first data file
-    with pytest.raises(DatasetError) as caught:
-        load_manifest_datasets(manifest)
-    assert str(caught.value) == (
-        f"{manifest}: group [g] granularity 'package' is not one of ('class', 'file', 'function')"
-    )
+def test_manifest_granularity_is_optional_and_unread(tmp_path):
+    write_csv(tmp_path, "g_loc,g1,bug\n1,1,0\n2,5,1\n", "one.csv")
+    loaded = []
+    for granularity in ("granularity = package\n", ""):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(f"[g]\nloc_metric = g_loc\n{granularity}files = one.csv\n")
+        loaded.append([
+            (d.name, d.group_name, d.loc_metric, d.metric_names, d.values.tobytes(), d.labels.tobytes())
+            for d in load_manifest_datasets(manifest)
+        ])
+    assert loaded[0] == loaded[1] and len(loaded[0]) == 1
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -300,18 +301,50 @@ def test_spectral_matvec_reads_only_the_lower_triangle(monkeypatch):
     fiedler_vector = udp._fiedler_vector
     calls = []
 
-    def recorded(a, degrees):
-        calls.append((a.copy(), degrees.copy()))
-        return fiedler_vector(a, degrees)
+    def recorded(w, degrees):
+        calls.append((d, w.copy(), degrees.copy()))
+        return fiedler_vector(w, degrees)
 
     monkeypatch.setattr(udp, "_fiedler_vector", recorded)
     for d in (connected_dataset(), block_dataset(), connected_dataset(120, seed=13)):
         spectral_predict(d)
     assert calls
-    for a, degrees in calls:
-        want = fiedler_vector(a, degrees)
-        a[np.triu_indices(len(a), 1)] = np.nan  # the triangle the matvec never reads
-        assert fiedler_vector(a, degrees).tobytes() == want.tobytes()
+    for d, w, degrees in calls:
+        # the solve gets W itself, unscaled and symmetric to the bit
+        assert w.tobytes() == w.T.copy().tobytes()
+        assert not w.diagonal().any()
+        assert w.tobytes() == connectivity_matrix(d).tobytes()
+        want = fiedler_vector(w, degrees)
+        w[np.triu_indices(len(w), 1)] = np.nan  # the triangle the matvec never reads
+        assert fiedler_vector(w, degrees).tobytes() == want.tobytes()
+
+
+def count_target(n=2000, n_metrics=21, seed=3):
+    """A count-valued target drawn as ``write_count_benchmark_files`` draws
+    a project: floored lognormal cells, 30% of them set to 0, metric
+    columns 1 and 2 all 0, and the first quarter of the modules defective
+    (their values 1.6x before the floor)."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) < n // 4
+    values = rng.lognormal(1.0, 1.0, size=(n, n_metrics))
+    values[labels] *= 1.6
+    values = np.floor(values)
+    values[rng.random((n, n_metrics)) < 0.3] = 0.0
+    values[:, 1:3] = 0.0
+    return make_dataset("count", values, labels)
+
+
+def test_spectral_on_count_data_is_pinned_through_the_fiedler_path():
+    d = count_target()
+    assert components(d) == (1, [])  # one component: the Fiedler vector splits it
+    preds = spectral_predict(d)
+    assert np.count_nonzero(preds.predicted) == 921
+    assert hashlib.sha256(preds.predicted.tobytes()).hexdigest() == (
+        "80ed50d9c5764a97f90d9a54d8f39730cb15173cdcd15e057f7481c54b36f7d3"
+    )
+    assert hashlib.sha256(preds.scores.tobytes()).hexdigest() == (
+        "e0ce0b488a7daad2908cce92f1f171ff65a419eb6edb959fcd118283f1def55f"
+    )
 
 
 def test_spectral_row_permutation_permutes_labels():
