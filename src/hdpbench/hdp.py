@@ -356,8 +356,10 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     ``np.maximum.reduce``), called directly and in the same order, so every
     float equals theirs. A Python sum adds in another order than numpy's
     pairwise blocks, and the ends of the sorted list may carry the other
-    sign of zero. The powers of the deviations stay numpy's ``**`` and those
-    of the standard deviation Python's.
+    sign of zero. The powers of the deviations are the products ``dev*dev``,
+    ``sq*dev`` and ``sq*sq``, which every CPU rounds the same way; numpy's
+    ``**`` takes its last bits from the SIMD kernel it dispatches to. The
+    powers of the standard deviation stay Python's.
     """
     x = np.asarray(module_row, dtype=float)
     if x.ndim != 1 or len(x) == 0:
@@ -384,11 +386,12 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     maximum = float(np.maximum.reduce(x))
     harmonic = n / float(np.add.reduce(1.0 / x)) if minimum > 0 else 0.0
     dev = x - mean
-    variance = float(np.add.reduce(dev**2)) / n
+    sq = dev * dev
+    variance = float(np.add.reduce(sq)) / n
     std = math.sqrt(variance)
     cv = std / mean if mean != 0 else 0.0
-    skew = float(np.add.reduce(dev**3)) / n / std**3 if std > 0 else 0.0
-    kurt = float(np.add.reduce(dev**4)) / n / std**4 - 3.0 if std > 0 else 0.0
+    skew = float(np.add.reduce(sq * dev)) / n / std**3 if std > 0 else 0.0
+    kurt = float(np.add.reduce(sq * sq)) / n / std**4 - 3.0 if std > 0 else 0.0
     return np.array([
         mode,
         median,

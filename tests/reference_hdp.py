@@ -72,11 +72,12 @@ def distribution_vector(module_row: Sequence[float]) -> np.ndarray:
     minimum = float(x.min())
     maximum = float(x.max())
     harmonic = n / float(np.sum(1.0 / x)) if minimum > 0 else 0.0
-    variance = float(np.mean((x - mean) ** 2))
+    dev = x - mean
+    variance = float(np.mean(dev * dev))
     std = math.sqrt(variance)
     cv = std / mean if mean != 0 else 0.0
-    skew = float(np.mean((x - mean) ** 3)) / std**3 if std > 0 else 0.0
-    kurt = float(np.mean((x - mean) ** 4)) / std**4 - 3.0 if std > 0 else 0.0
+    skew = float(np.mean(dev * dev * dev)) / std**3 if std > 0 else 0.0
+    kurt = float(np.mean((dev * dev) * (dev * dev))) / std**4 - 3.0 if std > 0 else 0.0
     return np.array([
         mode,
         float(np.median(x)),
