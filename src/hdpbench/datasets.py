@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -191,19 +191,24 @@ def csv_records(path: Path, text: str) -> list[tuple[int, list[str]]]:
     return records
 
 
-def _plain_records(text: str) -> Iterator[tuple[int, list[str]]] | None:
-    """Each line of the CSV ``text`` split at its commas, with its line number,
-    when ``text`` is plain: no quote, no NUL, no carriage return outside a
-    ``\\r\\n`` line end and no line longer than ``csv.field_size_limit()``.
-    Once blank records are dropped, these are the records ``csv_records``
-    gives. A line is split when its record is taken, so only one record's
-    cells exist at a time. Any other text gives None."""
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+def plain_lines(text: str) -> list[str] | None:
+    """The lines of the CSV ``text`` when it is plain: no quote, no NUL, no
+    carriage return outside a ``\\r\\n`` line end and no line longer than
+    ``csv.field_size_limit()``. Each line split at its commas is then the
+    record ``csv.reader`` reads from it, a blank line being a blank record,
+    and a final line end leaves an empty last line. This is the one rule by
+    which the package splits a CSV text without ``csv``; any other text
+    gives None."""
+    if '"' in text or "\0" in text:
         return None
-    lines = text.replace("\r\n", "\n").split("\n")
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    return ((number, line.split(",")) for number, line in enumerate(lines, start=1))
+    return lines
 
 
 def load_dataset(
@@ -216,13 +221,12 @@ def load_dataset(
     named bug/bugs/label/defective/isDefective (case-insensitive). The
     metric names come from the header, with ``loc_metric`` (or a known LOC
     name, else the first metric) as the LOC column. The file is UTF-8, with
-    or without a leading byte-order mark. A CSV text without a quote, a NUL,
-    a carriage return outside a ``\\r\\n`` line end or a line longer than
-    ``csv.field_size_limit()`` is split at its line ends and commas
-    (``_plain_records``), which gives the records ``csv`` would; any other
-    CSV text is read by ``csv_records``. Blank records are skipped either
-    way. An error names the file, and a row error, an unreadable CSV record
-    included, also its line; the messages do not depend on the path taken.
+    or without a leading byte-order mark. A CSV text that ``plain_lines``
+    accepts is split at its commas one line at a time, as its records are
+    taken, which gives the records ``csv`` would; any other CSV text is
+    read by ``csv_records``. Blank records are skipped either way. An error
+    names the file, and a row error, an unreadable CSV record included, also
+    its line; the messages do not depend on the path taken.
     """
     path = Path(path)
     # newline="": a quoted carriage return stays in its cell
@@ -232,9 +236,10 @@ def load_dataset(
         header, rows = _parse_arff(path, text)
         label_index = len(header) - 1
     else:
-        records = _plain_records(text)
-        if records is None:
-            records = csv_records(path, text)
+        lines = plain_lines(text)
+        # split one line at a time, so only one record's cells exist at once
+        records = (csv_records(path, text) if lines is None
+                   else ((number, line.split(",")) for number, line in enumerate(lines, start=1)))
         rows = ((line, row) for line, row in records if any(c.strip() for c in row))
         first = next(rows, None)
         if first is None:

@@ -46,6 +46,7 @@ from .datasets import (
     effort_values,
     enumerate_combinations,
     load_manifest_datasets,
+    plain_lines,
     read_ini,
 )
 
@@ -475,14 +476,20 @@ def export_results(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
 def _csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[list[Sequence[str]], Sequence[int]]:
     """The fields of each column of the records after the exact header
     ``columns``, and the line on which each record ends, read in the one
-    parse: ``datasets.csv_records``, or for a plain text (``_plain_columns``)
-    a split, where record k ends on line k + 2. The file is UTF-8, with or
-    without a leading byte-order mark."""
+    parse. A text that ``datasets.plain_lines`` accepts, whose first line is
+    that header and whose every line holds ``len(columns) - 1`` commas, is
+    split at its commas, and record k ends on line k + 2; any other text is
+    read by ``datasets.csv_records``, whose errors name the file and line.
+    The file is UTF-8, with or without a leading byte-order mark."""
     width = len(columns)
     with path.open(encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
-    if (plain := _plain_columns(text, columns)) is not None:
-        return plain, range(2, len(plain[0]) + 2)
+    if (lines := plain_lines(text)) is not None:
+        if not lines[-1]:
+            lines.pop()  # the text's last line end
+        if lines[:1] == [",".join(columns)] and set(map(str.count, lines, repeat(","))) == {width - 1}:
+            fields = ",".join(lines).split(",")
+            return [fields[width + c::width] for c in range(width)], range(2, len(lines) + 1)
     (_, header), *rest = csv_records(path, text) or [(1, [])]
     if tuple(header) != columns:
         raise ValueError(f"{path}:1: expected header {','.join(columns)}, got {header}")
@@ -491,23 +498,6 @@ def _csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[list[Sequence[st
         k = _first(len(record) != width for record in records)
         raise ValueError(f"{path}:{lines[k]}: expected {width} fields, got {len(records[k])}")
     return list(zip(*records)) or [()] * width, lines
-
-
-def _plain_columns(text: str, columns: tuple[str, ...]) -> list[list[str]] | None:
-    """``_csv_columns`` of a CSV text that ``csv.reader`` would read as one
-    record per line and its fields between commas, split without it: the
-    exact header ``columns``, at least one record, no quote, carriage return
-    or NUL, and ``len(columns) - 1`` commas on every line. Any other text
-    gives None. Every export without such a character in a failure reason
-    is such a text, and splitting it skips csv.reader's list per record."""
-    header, _, body = text.partition("\n")
-    lines = body.removesuffix("\n").split("\n") if body else []
-    width = len(columns)
-    if (not lines or header != ",".join(columns) or any(c in text for c in '"\r\0')
-            or set(map(str.count, lines, repeat(","))) != {width - 1}):
-        return None
-    fields = ",".join(lines).split(",")
-    return [fields[c::width] for c in range(width)]
 
 
 def _first(flags: Iterable[object]) -> int:
@@ -810,10 +800,10 @@ def _report_wtl(result: ExperimentResult, slices) -> str:
     return "\n".join(out) + "\n"
 
 
-def _report_diversity(result: ExperimentResult, slices) -> str:
+def _report_diversity(result: ExperimentResult, slices, group_plans) -> str:
     hdp_vars, udp_vars = _variant_sides(result.config.methods)
     variants = hdp_vars + udp_vars
-    groups = sorted(set(result.target_groups.values()))
+    groups = list(group_plans)
     sections = (
         ("hdp vs hdp", list(combinations(hdp_vars, 2))),
         ("udp vs udp", list(combinations(udp_vars, 2))),
@@ -931,7 +921,7 @@ def build_report(result: ExperimentResult) -> dict[str, str]:
     return {
         "report_scottknott.txt": _report_scott_knott(result, group_plans),
         "report_wtl.txt": _report_wtl(result, slices),
-        "report_diversity.txt": _report_diversity(result, slices),
+        "report_diversity.txt": _report_diversity(result, slices, group_plans),
         "report_unidentified.txt": _report_unidentified(result),
         "report_satisfactory.txt": _report_satisfactory(result, group_plans),
     }

@@ -272,6 +272,7 @@ def diversity_report(
     )
     calls = []
     with mock.patch.object(stats, "mcnemar_pvalues", wraps=stats.mcnemar_pvalues) as spy:
-        text = harness._report_diversity(result, harness._target_slices(result))
+        text = harness._report_diversity(result, harness._target_slices(result),
+                                         harness._group_plans(result))
         (n_cw, n_wc), = [c.args for c in spy.call_args_list]
     return n_cw[0].tolist(), n_wc[0].tolist(), stats.mcnemar_pvalues(n_cw, n_wc)[0].tolist(), text

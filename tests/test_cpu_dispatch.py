@@ -1,11 +1,11 @@
-"""hdp5's features and the demo's exports do not depend on numpy's CPU dispatch.
+"""hdp5's features and the pinned exports do not depend on numpy's CPU dispatch.
 
 numpy picks a SIMD kernel for many ufuncs when it is imported, by the CPU's
 features, and some of those kernels round differently: its AVX-512 float
-power gives other last bits than its other targets. This test repeats the
-work in a fresh interpreter with this numpy build's AVX-512-level dispatch
-targets disabled through ``NPY_DISABLE_CPU_FEATURES``, as on a CPU without
-AVX-512, and compares the bytes.
+power, exp and log give other last bits than its other targets. These tests
+repeat the work in a fresh interpreter with this numpy build's AVX-512-level
+dispatch targets disabled through ``NPY_DISABLE_CPU_FEATURES``, as on a CPU
+without AVX-512, and compare the bytes.
 """
 
 import hashlib
@@ -20,7 +20,9 @@ import pytest
 import hdpbench
 from hdpbench.hdp import distribution_vector
 
-from test_export_hashes import DEMO_7_EXPORTS, DEMO_7_REPORTS, SCRIPT
+from test_export_hashes import (
+    BIGTARGETS_5, DEMO_7_EXPORTS, DEMO_7_REPORTS, PLANS226_3_0, SCRIPT, _assert_pinned,
+)
 
 TESTS = Path(__file__).resolve().parent
 
@@ -58,10 +60,21 @@ def _without(targets: list[str], *args: str) -> str:
     return done.stdout
 
 
-def test_features_and_demo_exports_do_not_depend_on_avx512_dispatch():
+def _required_targets() -> list[str]:
     targets = _avx512_targets()
     if not targets:
         pytest.skip("this CPU or numpy build has no AVX-512-level dispatch target")
+    return targets
+
+
+def _hashes(targets: list[str], *args: str) -> dict[str, str]:
+    """File name -> SHA-256, as ``scripts/export_hashes.py`` prints them with ``targets`` disabled."""
+    lines = _without(targets, str(SCRIPT), *args).splitlines()
+    return {name: sha for sha, name in (line.split("  ", 1) for line in lines)}
+
+
+def test_features_and_demo_exports_do_not_depend_on_avx512_dispatch():
+    targets = _required_targets()
     code = (
         "from numpy._core import _multiarray_umath as umath\n"
         "from test_cpu_dispatch import feature_digest\n"
@@ -72,7 +85,16 @@ def test_features_and_demo_exports_do_not_depend_on_avx512_dispatch():
     assert enabled == "[]"
     assert digest == feature_digest()
     # every exported file and report of the demo keeps its pinned digest
-    lines = _without(targets, str(SCRIPT), "--workload", "demo", "--seed", "7").splitlines()
-    hashes = {name: sha for sha, name in (line.split("  ", 1) for line in lines)}
+    hashes = _hashes(targets, "--workload", "demo", "--seed", "7")
     pinned = {**DEMO_7_EXPORTS, **DEMO_7_REPORTS}
     assert {name: hashes[name] for name in pinned} == pinned
+
+
+# hdp1's gain ratios take np.log2 and the logistic fit np.exp, whose last
+# bits depend on the dispatch target, on inputs larger than the demo's
+@pytest.mark.parametrize("args, pinned", [
+    (("--workload", "plans226", "--seed", "3", "--part", "0"), PLANS226_3_0),
+    (("--workload", "bigtargets", "--seed", "5"), BIGTARGETS_5),
+], ids=["plans226-3-0", "bigtargets-5"])
+def test_benchmark_exports_do_not_depend_on_avx512_dispatch(args, pinned):
+    _assert_pinned(_hashes(_required_targets(), *args), pinned)

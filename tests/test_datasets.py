@@ -230,14 +230,15 @@ def _unblank(records):
 
 @given(plain_texts(), st.booleans())
 def test_a_plain_text_splits_and_loads_as_csv_reads_it(text, bom):
-    records = datasets._plain_records(text)
-    assert records is not None
+    lines = datasets.plain_lines(text)
+    assert lines is not None
+    records = [(number, line.split(",")) for number, line in enumerate(lines, start=1)]
     assert _unblank(records) == _unblank(datasets.csv_records(Path("d.csv"), text))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_text(text, encoding="utf-8-sig" if bom else "utf-8", newline="")
         split = _loaded(path)
-        with mock.patch.object(datasets, "_plain_records", lambda text: None):
+        with mock.patch.object(datasets, "plain_lines", lambda text: None):
             assert split == _loaded(path)
 
 
@@ -249,7 +250,7 @@ def test_a_plain_text_splits_and_loads_as_csv_reads_it(text, bom):
     ("loc,bug\n" + "1" * 131_073 + ",0\n", ":2: field larger than field limit (131072)"),
 ], ids=["quote", "bare-cr", "nul", "over-limit-line"])
 def test_a_text_that_is_not_plain_loads_through_csv(tmp_path, text, message):
-    assert datasets._plain_records(text) is None
+    assert datasets.plain_lines(text) is None
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())
     with pytest.raises(DatasetError) as caught:

@@ -898,13 +898,40 @@ def test_a_failure_reason_with_a_bare_carriage_return_round_trips(tmp_path, caps
     assert list(loaded.rows()) == list(result.rows())
 
 
-def test_a_record_csv_cannot_read_is_an_error_naming_its_file_and_line(exported, capsys):
-    # a field beyond csv's field limit used to escape as a bare _csv.Error with a traceback
+@pytest.mark.parametrize("name", ["big", '"big"'], ids=["unquoted", "quoted"])
+def test_a_record_csv_cannot_read_is_an_error_naming_its_file_and_line(exported, capsys, name):
+    # a field beyond csv's field limit used to escape as a bare _csv.Error with a
+    # traceback, and unquoted, it was split and read as a target of 140,000 modules
     path = exported / "targets.csv"
     header = path.read_text(encoding="utf-8").splitlines()[0]
-    path.write_text(f'{header}\n"big",g,{"0" * 140_000}\n', encoding="utf-8")
+    path.write_text(f'{header}\n{name},g,{"0" * 140_000}\n', encoding="utf-8")
     assert cli.main(["report", str(exported)]) == 1
     assert capsys.readouterr().err == f"error: {path}:2: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("name, columns", [
+    ("results.csv", harness.RESULT_COLUMNS),
+    ("predictions.csv", harness.PREDICTION_COLUMNS),
+    ("targets.csv", harness.TARGET_COLUMNS),
+])
+def test_an_empty_results_file_is_an_error_at_its_first_line(exported, name, columns):
+    path = exported / name
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        load_results(exported)
+    assert str(caught.value) == f"{path}:1: expected header {','.join(columns)}, got []"
+
+
+def test_a_results_directory_with_crlf_line_ends_loads_the_same(synth_result, exported):
+    before = load_results(exported)
+    for path in exported.iterdir():
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = load_results(exported)
+    assert list(loaded.rows()) == list(before.rows()) == list(synth_result.rows())
+    assert list(loaded.predictions) == list(before.predictions)
+    assert all(np.array_equal(loaded.predictions[key], flags)
+               for key, flags in before.predictions.items())
+    assert build_report(loaded) == build_report(synth_result)
 
 
 @pytest.mark.parametrize("name", ["results.csv", "predictions.csv", "targets.csv"])

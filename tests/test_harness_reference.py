@@ -14,16 +14,19 @@ directory, with one fault put into results.csv, the loader must raise the
 reference's exact message; on clean rows in any order, its table must equal
 the reference's.
 
-``harness._plain_columns`` splits a CSV text on newlines and commas when
-it holds no quote, carriage return or NUL; where it reads a text,
-``csv.reader`` must read the same fields.
+``harness._csv_columns`` splits a CSV text on its line ends and commas
+when ``datasets.plain_lines`` accepts it; the columns, record lines and
+errors must be those of the same text read by ``csv.reader``.
 """
 
 import csv
 import io
 import math
 import shutil
+import tempfile
 from itertools import product
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -259,25 +262,43 @@ def test_clean_rows_in_any_order_fill_the_reference_table(exported, random):
 FIELDS = st.text(alphabet=',"\r\n\0ab1 .', max_size=5)
 
 
-@settings(max_examples=400)
-@given(st.lists(st.lists(FIELDS, min_size=3, max_size=3), max_size=6), st.booleans())
-@example([["a", "b", "c"], ["", "1", ""]], False)
-@example([["a", 'b"', "c"]], True)
-def test_plain_columns_equal_the_csv_reader_columns(records, written):
-    """Where the split path reads a text (``_plain_columns`` is not None),
-    csv.reader reads the same header and fields; on a text whose fields hold
-    no special character, the split path reads it."""
+def _columns(path, columns):
+    """What ``harness._csv_columns`` reads from ``path``: its columns and
+    record lines, or its error."""
+    try:
+        fields, lines = harness._csv_columns(path, columns)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [list(column) for column in fields], list(lines)
+
+
+def _refuse_csv(path, text):
+    raise AssertionError("read by csv_records")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(FIELDS, min_size=3, max_size=3), max_size=6), st.booleans(),
+       st.sampled_from(["\n", "\r\n"]))
+@example([["a", "b", "c"], ["", "1", ""]], False, "\n")
+@example([["a", 'b"', "c"]], True, "\n")
+@example([["a", "b", "c"], ["", "1", ""]], False, "\r\n")
+def test_plain_columns_equal_the_csv_reader_columns(records, written, end):
+    """``_csv_columns`` reads the same columns and lines, or raises the same
+    error, when ``plain_lines`` lets it split the text as when it must read
+    it with csv; a text whose fields hold no special character is split."""
     columns = ("x", "y", "z")
     if written:
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows([columns, *records])
+        csv.writer(buffer, lineterminator=end).writerows([columns, *records])
         text = buffer.getvalue()
     else:
-        text = "".join(f"{','.join(record)}\n" for record in [columns, *records])
-    plain = harness._plain_columns(text, columns)
-    if records and not any(c in field for record in records for field in record for c in ',"\r\n\0'):
-        assert plain is not None
-    if plain is not None:
-        header, *rows = csv.reader(io.StringIO(text, newline=""))
-        assert tuple(header) == columns
-        assert plain == [list(column) for column in zip(*rows)]
+        text = "".join(f"{','.join(record)}{end}" for record in [columns, *records])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        read = _columns(path, columns)
+        with mock.patch.object(harness, "plain_lines", lambda text: None):
+            assert _columns(path, columns) == read
+        if not any(c in field for record in records for field in record for c in ',"\r\n\0'):
+            with mock.patch.object(harness, "csv_records", _refuse_csv):
+                assert _columns(path, columns) == read
