@@ -4,6 +4,9 @@ A dataset is a numeric metric matrix over program modules plus a binary
 defect label per module. Groups of datasets that share a metric set are
 homogeneous with each other; prediction pairs are only formed between
 datasets whose metric-name sets differ.
+
+Every input file, a results directory's included, is read by one function,
+``read_input``, and every error raised here is a ``DatasetError``.
 """
 
 from __future__ import annotations
@@ -36,33 +39,18 @@ _FALSE_LABELS = frozenset({"false", "n", "no", "clean", "non-defective", "nondef
 
 
 class DatasetError(ValueError):
-    """Base error for a malformed input file: a dataset, a manifest or a config file."""
-
-
-class ZeroModules(DatasetError):
-    pass
-
-
-class MissingLabelColumn(DatasetError):
-    pass
-
-
-class NonNumericMetric(DatasetError):
-    pass
-
-
-class SchemaMismatch(DatasetError):
-    pass
+    """The one error for a bad input file or dataset. The message names the
+    fault and, for a file, the file and, where there is one, the line."""
 
 
 def _check_metrics(group_name: str, metric_names: Sequence[str], loc_metric: str) -> None:
     """At least one metric, unique names, and ``loc_metric`` among them."""
     if not metric_names:
-        raise SchemaMismatch("schema has no metrics")
+        raise DatasetError("schema has no metrics")
     if len(set(metric_names)) != len(metric_names):
-        raise SchemaMismatch(f"duplicate metric names in group {group_name!r}")
+        raise DatasetError(f"duplicate metric names in group {group_name!r}")
     if loc_metric not in metric_names:
-        raise SchemaMismatch(f"loc metric {loc_metric!r} not among metrics of group {group_name!r}")
+        raise DatasetError(f"loc metric {loc_metric!r} not among metrics of group {group_name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,18 +75,18 @@ class DefectDataset:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
         if values.ndim != 2:
-            raise SchemaMismatch(f"dataset {self.name!r}: values of shape {values.shape} "
-                                 f"are not a module x metric matrix")
+            raise DatasetError(f"dataset {self.name!r}: values of shape {values.shape} "
+                               f"are not a module x metric matrix")
         n, n_columns = values.shape
         if n == 0:
-            raise ZeroModules(f"dataset {self.name!r} has no modules")
+            raise DatasetError(f"dataset {self.name!r} has no modules")
         if n_columns != len(self.metric_names):
-            raise SchemaMismatch(f"dataset {self.name!r}: {n_columns} columns vs "
-                                 f"{len(self.metric_names)} schema metrics")
+            raise DatasetError(f"dataset {self.name!r}: {n_columns} columns vs "
+                               f"{len(self.metric_names)} schema metrics")
         if labels.shape != (n,):
-            raise SchemaMismatch(f"dataset {self.name!r}: row/label count mismatch")
+            raise DatasetError(f"dataset {self.name!r}: row/label count mismatch")
         if not np.all(np.isfinite(values)):
-            raise NonNumericMetric(f"dataset {self.name!r} contains non-finite metric values")
+            raise DatasetError(f"dataset {self.name!r} contains non-finite metric values")
         values.setflags(write=False)
         labels.setflags(write=False)
 
@@ -140,6 +128,19 @@ def normalize_label(raw: str) -> bool:
     if math.isnan(count):
         raise DatasetError(f"unrecognized label value {raw!r}")
     return count > 0
+
+
+def read_input(path: Path) -> str:
+    """The text of the input file ``path``, UTF-8 with a leading byte-order
+    mark skipped and line ends kept as written: the one way the package reads
+    a file. Bytes that are not UTF-8 are a ``DatasetError``, ``path:line: not
+    UTF-8 (reason)``, lines ending at ``\\n``, ``\\r`` or ``\\r\\n``."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]  # after the byte-order mark
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DatasetError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
 
 
 def _parse_arff(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -220,18 +221,16 @@ def load_dataset(
     the class; any other file is CSV with a header row and a label column
     named bug/bugs/label/defective/isDefective (case-insensitive). The
     metric names come from the header, with ``loc_metric`` (or a known LOC
-    name, else the first metric) as the LOC column. The file is UTF-8, with
-    or without a leading byte-order mark. A CSV text that ``plain_lines``
-    accepts is split at its commas one line at a time, as its records are
-    taken, which gives the records ``csv`` would; any other CSV text is
-    read by ``csv_records``. Blank records are skipped either way. An error
-    names the file, and a row error, an unreadable CSV record included, also
-    its line; the messages do not depend on the path taken.
+    name, else the first metric) as the LOC column. The file is read by
+    ``read_input``. A CSV text that ``plain_lines`` accepts is split at its
+    commas one line at a time, as its records are taken, which gives the
+    records ``csv`` would; any other CSV text is read by ``csv_records``.
+    Blank records are skipped either way. An error names the file, and a
+    row error, an unreadable CSV record included, also its line; the
+    messages do not depend on the path taken.
     """
     path = Path(path)
-    # newline="": a quoted carriage return stays in its cell
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
+    text = read_input(path)  # a quoted carriage return stays in its cell
     if path.suffix.lower() == ".arff":
         header, rows = _parse_arff(path, text)
         label_index = len(header) - 1
@@ -243,11 +242,11 @@ def load_dataset(
         rows = ((line, row) for line, row in records if any(c.strip() for c in row))
         first = next(rows, None)
         if first is None:
-            raise ZeroModules(f"{path}: empty file")
+            raise DatasetError(f"{path}: empty file")
         header = first[1]
         matches = [i for i, h in enumerate(header) if h.strip().lower() in LABEL_COLUMN_NAMES]
         if not matches:
-            raise MissingLabelColumn(f"{path}: no label column among {header}")
+            raise DatasetError(f"{path}: no label column among {header}")
         label_index = matches[0]
     metric_names = tuple(h.strip() for i, h in enumerate(header) if i != label_index)
     if loc_metric is None:
@@ -257,8 +256,8 @@ def load_dataset(
     # the header's faults come before any row's
     try:
         _check_metrics(group_name, metric_names, loc_metric)
-    except SchemaMismatch as exc:
-        raise SchemaMismatch(f"{path}: {exc}") from None
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
     n_cols = len(header)
     lines: list[int] = []
@@ -278,19 +277,17 @@ def load_dataset(
                 try:
                     float(cell)
                 except ValueError:
-                    raise NonNumericMetric(
+                    raise DatasetError(
                         f"{path}:{line}: non-numeric cell {cell!r} in metric {metric_names[c]!r}"
                     ) from None
         lines.append(line)
     if not lines:
-        raise ZeroModules(f"{path}: no data rows")
+        raise DatasetError(f"{path}: no data rows")
     values = np.array(flat).reshape(len(lines), n_cols - 1)
     non_finite = np.argwhere(~np.isfinite(values))
     if len(non_finite):
         r, c = non_finite[0]
-        raise NonNumericMetric(
-            f"{path}:{lines[r]}: non-finite value in metric {metric_names[c]!r}"
-        )
+        raise DatasetError(f"{path}:{lines[r]}: non-finite value in metric {metric_names[c]!r}")
     return DefectDataset(path.stem, group_name, metric_names, loc_metric, values, labels)
 
 
@@ -333,21 +330,20 @@ class GroupSpec:
 
 
 def read_ini(path: Path) -> configparser.ConfigParser:
-    """Parse an INI file, skipping a leading UTF-8 byte-order mark. A line
-    that does not parse, a missing first ``[section]`` header and a repeated
-    section or key raise ``DatasetError`` with the file and line."""
+    """Parse the INI file ``path``, read by ``read_input``, with universal newlines.
+    A line that does not parse, a missing first ``[section]`` header and a
+    repeated section or key raise ``DatasetError`` with the file and line."""
     parser = configparser.ConfigParser(interpolation=None)
-    with path.open(encoding="utf-8-sig") as fh:
-        try:
-            parser.read_file(fh)
-        except configparser.MissingSectionHeaderError as exc:
-            raise DatasetError(f"{path}:{exc.lineno}: no [section] header before this line") from None
-        except configparser.ParsingError as exc:
-            raise DatasetError(f"{path}:{exc.errors[0][0]}: not a 'key = value' line") from None
-        except configparser.DuplicateSectionError as exc:
-            raise DatasetError(f"{path}:{exc.lineno}: repeats section [{exc.section}]") from None
-        except configparser.DuplicateOptionError as exc:
-            raise DatasetError(f"{path}:{exc.lineno}: repeats {exc.option!r} in [{exc.section}]") from None
+    try:
+        parser.read_file(io.StringIO(read_input(path), newline=None))
+    except configparser.MissingSectionHeaderError as exc:
+        raise DatasetError(f"{path}:{exc.lineno}: no [section] header before this line") from None
+    except configparser.ParsingError as exc:
+        raise DatasetError(f"{path}:{exc.errors[0][0]}: not a 'key = value' line") from None
+    except configparser.DuplicateSectionError as exc:
+        raise DatasetError(f"{path}:{exc.lineno}: repeats section [{exc.section}]") from None
+    except configparser.DuplicateOptionError as exc:
+        raise DatasetError(f"{path}:{exc.lineno}: repeats {exc.option!r} in [{exc.section}]") from None
     return parser
 
 
@@ -383,7 +379,7 @@ def read_manifest(path: str | Path) -> list[GroupSpec]:
 def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
     """Load every dataset listed in a manifest. Each file loads on its own,
     with the group's name and LOC metric; each later file of a group must
-    then have its first file's metric columns, or ``SchemaMismatch`` names
+    then have its first file's metric columns, or ``DatasetError`` names
     that file. Two files with one name (``a/x.csv`` and ``b/x.csv``) are an
     error that names the manifest and both files, raised before any file
     is read."""
@@ -403,8 +399,8 @@ def load_manifest_datasets(path: str | Path) -> list[DefectDataset]:
             names = names or d.metric_names
             if d.metric_names != names:
                 if len(d.metric_names) != len(names):
-                    raise SchemaMismatch(f"{file}: {len(d.metric_names)} metric columns "
-                                         f"vs {len(names)} in group {group.name!r}")
-                raise SchemaMismatch(f"{file}: metric names do not match group {group.name!r}")
+                    raise DatasetError(f"{file}: {len(d.metric_names)} metric columns "
+                                       f"vs {len(names)} in group {group.name!r}")
+                raise DatasetError(f"{file}: metric names do not match group {group.name!r}")
             datasets.append(d)
     return datasets

@@ -48,6 +48,7 @@ from .datasets import (
     load_manifest_datasets,
     plain_lines,
     read_ini,
+    read_input,
 )
 
 # scenario -> the method whose failed plans it leaves out
@@ -480,10 +481,9 @@ def _csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[list[Sequence[st
     that header and whose every line holds ``len(columns) - 1`` commas, is
     split at its commas, and record k ends on line k + 2; any other text is
     read by ``datasets.csv_records``, whose errors name the file and line.
-    The file is UTF-8, with or without a leading byte-order mark."""
+    The file is read by ``datasets.read_input``."""
     width = len(columns)
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
+    text = read_input(path)
     if (lines := plain_lines(text)) is not None:
         if not lines[-1]:
             lines.pop()  # the text's last line end
@@ -646,7 +646,7 @@ def load_results(results_dir: str | Path) -> ExperimentResult:
     summary = results_dir / "summary.txt"
     totals = [
         (line, text.split(":", 1)[1].strip())
-        for line, text in enumerate(summary.read_text(encoding="utf-8-sig").splitlines(), 1)
+        for line, text in enumerate(read_input(summary).splitlines(), 1)
         if text.startswith("plans_total:")
     ]
     if not totals:

@@ -53,12 +53,12 @@ class Prediction:
 
 
 def _cla_parts(d: DefectDataset):
-    """Per-metric median cutoffs, per-module K counts, and CLA labels."""
+    """The cells above their metric's median, per-module K counts, and CLA labels."""
     # np.percentile, not np.median: the two can round an even-length midpoint apart
-    cutoffs = np.percentile(d.values, 50.0, axis=0)
-    k = (d.values > cutoffs).sum(axis=1)
+    above = d.values > np.percentile(d.values, 50.0, axis=0)
+    k = above.sum(axis=1)
     labels = k > np.median(k)
-    return cutoffs, k, labels
+    return above, k, labels
 
 
 def cla_predict(d: DefectDataset) -> Prediction:
@@ -78,8 +78,7 @@ def clami_predict(d: DefectDataset) -> Prediction:
     trained on the survivors and scored on all modules. If either class
     vanishes after filtering, the CLA output is returned unchanged.
     """
-    cutoffs, k, labels = d.derived(_cla_parts)
-    above = d.values > cutoffs
+    above, k, labels = d.derived(_cla_parts)
     violations = np.where(labels[:, None], ~above, above)
     per_metric = violations.sum(axis=0)
     kept = per_metric == per_metric.min()

@@ -276,3 +276,15 @@ def diversity_report(
                                          harness._group_plans(result))
         (n_cw, n_wc), = [c.args for c in spy.call_args_list]
     return n_cw[0].tolist(), n_wc[0].tolist(), stats.mcnemar_pvalues(n_cw, n_wc)[0].tolist(), text
+
+
+#: what ``datasets.read_input`` says of the byte ``put_latin1_byte`` writes
+NOT_UTF8 = "not UTF-8 (invalid continuation byte)"
+
+
+def put_latin1_byte(path: Path, line: int) -> None:
+    """Put 0xe9, Latin-1's 'é', at the start of line ``line`` of ``path``,
+    lines being split at ``\\n``. Before an ASCII byte it is not UTF-8."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xe9" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))

@@ -12,10 +12,6 @@ from hdpbench import cli, datasets
 from hdpbench.datasets import (
     DatasetError,
     DefectDataset,
-    MissingLabelColumn,
-    NonNumericMetric,
-    SchemaMismatch,
-    ZeroModules,
     dataset_stats,
     effort_values,
     enumerate_combinations,
@@ -27,7 +23,9 @@ from hdpbench.datasets import (
 from helpers import (
     BENCHMARK_PROJECTS,
     benchmark_stub_datasets,
+    NOT_UTF8,
     make_dataset,
+    put_latin1_byte,
     write_count_benchmark_files,
 )
 
@@ -59,8 +57,10 @@ def test_dataset_stats_three_quarters(tmp_path):
 
 
 def test_header_only_is_zero_modules(tmp_path):
-    with pytest.raises(ZeroModules):
-        load_dataset(write_csv(tmp_path, "m1,m2,bug\n"))
+    path = write_csv(tmp_path, "m1,m2,bug\n")
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: no data rows"
 
 
 def test_bug_counts_become_binary_labels(tmp_path):
@@ -84,29 +84,33 @@ def test_nan_labels_are_rejected_and_other_counts_kept():
 
 
 def test_missing_label_column(tmp_path):
-    with pytest.raises(MissingLabelColumn):
-        load_dataset(write_csv(tmp_path, "m1,m2\n1,2\n"))
+    path = write_csv(tmp_path, "m1,m2\n1,2\n")
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: no label column among ['m1', 'm2']"
 
 
 def test_non_numeric_metric_cell(tmp_path):
-    with pytest.raises(NonNumericMetric):
-        load_dataset(write_csv(tmp_path, "m1,bug\noops,1\n"))
+    path = write_csv(tmp_path, "m1,bug\noops,1\n")
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}:2: non-numeric cell 'oops' in metric 'm1'"
 
 
 # a blank line sits between the header and the rows, so the row index and
 # the line number differ
-@pytest.mark.parametrize("rows, error, message", [
-    ("1,0\n2\n", DatasetError, ":4: 1 cells, expected 2"),
-    ("1,0\noops,1\n", NonNumericMetric, ":4: non-numeric cell 'oops' in metric 'm1'"),
-    ("1,0\n2,maybe\n", DatasetError, ":4: unrecognized label value 'maybe'"),
+@pytest.mark.parametrize("rows, message", [
+    ("1,0\n2\n", ":4: 1 cells, expected 2"),
+    ("1,0\noops,1\n", ":4: non-numeric cell 'oops' in metric 'm1'"),
+    ("1,0\n2,maybe\n", ":4: unrecognized label value 'maybe'"),
     # a NaN count was once read as a clean module
-    ("1,0\n2,nan\n", DatasetError, ":4: unrecognized label value 'nan'"),
-    ("1,0\n2,NaN\n", DatasetError, ":4: unrecognized label value 'NaN'"),
-    ("1,0\n-inf,1\n", NonNumericMetric, ":4: non-finite value in metric 'm1'"),
+    ("1,0\n2,nan\n", ":4: unrecognized label value 'nan'"),
+    ("1,0\n2,NaN\n", ":4: unrecognized label value 'NaN'"),
+    ("1,0\n-inf,1\n", ":4: non-finite value in metric 'm1'"),
 ], ids=["short-row", "non-numeric", "label", "nan-label", "NaN-label", "non-finite"])
-def test_csv_row_errors_name_the_path_and_the_line(tmp_path, rows, error, message):
+def test_csv_row_errors_name_the_path_and_the_line(tmp_path, rows, message):
     path = write_csv(tmp_path, "m1,bug\n\n" + rows)
-    with pytest.raises(error) as caught:
+    with pytest.raises(DatasetError) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}{message}"
 
@@ -119,7 +123,7 @@ def test_csv_records_follow_the_csv_rules_not_str_splitlines(tmp_path):
     d = load_dataset(write_csv(tmp_path, "wmc,loc,bug\n1,10\x0c,0\n2,20,1\n", "ff.csv"))
     assert d.values.tolist() == [[1.0, 10.0], [2.0, 20.0]]
     path = write_csv(tmp_path, "wmc,loc,bug\n1,10\x0c,0\n2,oops,1\n", "ff.csv")
-    with pytest.raises(NonNumericMetric) as caught:
+    with pytest.raises(DatasetError) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}:3: non-numeric cell 'oops' in metric 'loc'"
 
@@ -144,7 +148,7 @@ def test_arff_row_errors_name_the_path_and_the_line(tmp_path):
         "x,N\n"
     )
     path = write_csv(tmp_path, text, "demo.arff")
-    with pytest.raises(NonNumericMetric) as caught:
+    with pytest.raises(DatasetError) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}:9: non-numeric cell 'x' in metric 'loc'"
 
@@ -161,7 +165,7 @@ def test_an_arff_form_feed_ends_no_line(tmp_path):
 def test_an_arff_comment_with_a_form_feed_is_one_line(tmp_path):
     # so a later row's error names that row's own line
     path = write_csv(tmp_path, FF_ARFF_HEADER + "% a\x0cb\n@data\n1,10,0\n2,oops,1\n", "ff.arff")
-    with pytest.raises(NonNumericMetric) as caught:
+    with pytest.raises(DatasetError) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}:8: non-numeric cell 'oops' in metric 'loc'"
 
@@ -182,7 +186,7 @@ def test_crlf_line_ends_load_as_lf_line_ends(tmp_path, name, text):
     # a row error names the line that it names in the "\n" file
     line = text.count("\n") + 1
     path.write_bytes((text + "x,1,0\n").replace("\n", "\r\n").encode())
-    with pytest.raises(NonNumericMetric) as caught:
+    with pytest.raises(DatasetError) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}:{line}: non-numeric cell 'x' in metric 'wmc'"
 
@@ -315,8 +319,10 @@ def test_the_arff_suffix_in_any_case_picks_the_arff_reader(tmp_path, name):
     d = load_dataset(write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, name))
     assert d.name == "demo" and d.metric_names == ("loc",)
     # any other suffix is read as CSV, which finds no label column in this header
-    with pytest.raises(MissingLabelColumn):
-        load_dataset(write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, "demo.txt"))
+    path = write_csv(tmp_path, "@attribute loc numeric\n" + ARFF_DATA, "demo.txt")
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: no label column among ['@attribute loc numeric']"
 
 
 def test_loads_arff_subset(tmp_path):
@@ -394,6 +400,38 @@ def test_a_utf8_byte_order_mark_is_not_part_of_the_first_column(tmp_path, header
     path.write_text(f"{header}\n1,1,1\n1,1,1\n", encoding="utf-8-sig")
     d = load_dataset(path)
     assert d.metric_names == ("wmc", "loc") and d.loc_metric == "loc"
+
+
+@pytest.mark.parametrize("name, text, read", [
+    ("d.csv", "wmc,loc,bug\n1,10,0\n2,20,1\n", load_dataset),
+    ("d.arff", FF_ARFF_HEADER + "@data\n1,10,0\n", load_dataset),
+    ("m.ini", "[g]\nloc_metric = g_loc\nfiles = one.csv\n", read_manifest),
+], ids=["csv", "arff", "manifest"])
+def test_an_input_that_is_not_utf8_is_an_error_naming_its_line(tmp_path, name, text, read):
+    # a bare UnicodeDecodeError used to name neither the file nor the line
+    path = write_csv(tmp_path, text, name)
+    put_latin1_byte(path, 3)
+    with pytest.raises(DatasetError) as caught:
+        read(path)
+    assert str(caught.value) == f"{path}:3: {NOT_UTF8}"
+
+
+@pytest.mark.parametrize("start, end", [
+    (b"\xef\xbb\xbf", b"\n"), (b"", b"\r"), (b"", b"\r\n"), (b"\xef\xbb\xbf", b"\r"),
+], ids=["bom", "cr", "crlf", "bom-cr"])
+def test_the_line_of_a_byte_that_is_not_utf8_counts_line_ends_not_the_bom(tmp_path, start, end):
+    path = tmp_path / "d.csv"
+    path.write_bytes(start + end.join([b"wmc,loc,bug", b"1,10,0", b"2,\xe920,1", b""]))
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}:3: {NOT_UTF8}"
+
+
+def test_cli_stats_on_a_latin1_file_exits_1_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes("wmc,loc,bug\n1,10,0\n2,20,1 \u00e9\n".encode("latin-1"))
+    assert cli.main(["stats", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: {NOT_UTF8}\n"
 
 
 def test_a_manifest_with_a_utf8_byte_order_mark_loads(tmp_path):
@@ -485,7 +523,7 @@ def test_count_benchmark_writer_is_deterministic(tmp_path):
 ], ids=["duplicate", "loc-metric", "no-metrics"])
 def test_schema_validation(metric_names, loc_metric, message):
     values = np.ones((2, len(metric_names)))
-    with pytest.raises(SchemaMismatch) as caught:
+    with pytest.raises(DatasetError) as caught:
         DefectDataset("x", "g", metric_names, loc_metric, values, [0, 1])
     assert str(caught.value) == message
 
@@ -493,14 +531,15 @@ def test_schema_validation(metric_names, loc_metric, message):
 def test_a_header_fault_comes_before_any_row_fault(tmp_path):
     # line 3 holds a non-numeric cell, but the header is checked first
     path = write_csv(tmp_path, "a,a,bug\n1,2,0\n1,x,1\n")
-    with pytest.raises(SchemaMismatch) as caught:
+    with pytest.raises(DatasetError) as caught:
         load_dataset(path)
     assert str(caught.value) == f"{path}: duplicate metric names in group 'unknown-group'"
 
 
 def test_dataset_rejects_non_finite():
-    with pytest.raises(NonNumericMetric):
+    with pytest.raises(DatasetError) as caught:
         make_dataset("x", [[1.0], [np.inf]], [0, 1])
+    assert str(caught.value) == "dataset 'x' contains non-finite metric values"
 
 
 def test_manifest_round_trip(tmp_path):
@@ -576,21 +615,21 @@ def test_manifest_schema_errors_name_the_file(tmp_path, one, two, loc, message):
         f"[g]\nloc_metric = {loc}\ngranularity = file\nfiles = one.csv two.csv\n\n"
         "[h]\nloc_metric = h_loc\ngranularity = file\nfiles = three.csv\n"
     )
-    with pytest.raises(SchemaMismatch, match=message) as caught:
+    with pytest.raises(DatasetError, match=message) as caught:
         load_manifest_datasets(manifest)
     assert str(caught.value).startswith(str(tmp_path))
 
 
-@pytest.mark.parametrize("rows, error, message", [
-    ("1,oops,0\n", NonNumericMetric, ":2: non-numeric cell 'oops' in metric 'zz1'"),
-    ("", ZeroModules, ": no data rows"),
+@pytest.mark.parametrize("rows, message", [
+    ("1,oops,0\n", ":2: non-numeric cell 'oops' in metric 'zz1'"),
+    ("", ": no data rows"),
 ], ids=["bad-row", "no-rows"])
-def test_a_later_files_own_errors_come_before_the_group_header_check(tmp_path, rows, error, message):
+def test_a_later_files_own_errors_come_before_the_group_header_check(tmp_path, rows, message):
     write_csv(tmp_path, "a_loc,a1,bug\n1,1,0\n", "one.csv")
     two = write_csv(tmp_path, "a_loc,zz1,bug\n" + rows, "two.csv")
     manifest = tmp_path / "manifest.ini"
     manifest.write_text("[g]\nloc_metric = a_loc\ngranularity = file\nfiles = one.csv two.csv\n")
-    with pytest.raises(error) as caught:
+    with pytest.raises(DatasetError) as caught:
         load_manifest_datasets(manifest)
     assert str(caught.value) == f"{two}{message}"
 
@@ -622,25 +661,25 @@ def test_manifest_duplicate_names_fail_before_any_file_is_read(tmp_path):
     )
 
 
-@pytest.mark.parametrize("fault, error, message", [
+@pytest.mark.parametrize("fault, message", [
     (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones(5), np.ones(5)),
-     SchemaMismatch, "dataset 'd': values of shape (5,) are not a module x metric matrix"),
+     "dataset 'd': values of shape (5,) are not a module x metric matrix"),
     (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones((5, 2, 1)), np.ones(5)),
-     SchemaMismatch, "dataset 'd': values of shape (5, 2, 1) are not a module x metric matrix"),
+     "dataset 'd': values of shape (5, 2, 1) are not a module x metric matrix"),
     (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones((0, 2)), []),
-     ZeroModules, "dataset 'd' has no modules"),
+     "dataset 'd' has no modules"),
     (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones((5, 3)), np.ones(5)),
-     SchemaMismatch, "dataset 'd': 3 columns vs 2 schema metrics"),
+     "dataset 'd': 3 columns vs 2 schema metrics"),
     (lambda tmp: DefectDataset("d", "g", ("a", "b"), "a", np.ones((5, 2)), np.ones(4)),
-     SchemaMismatch, "dataset 'd': row/label count mismatch"),
+     "dataset 'd': row/label count mismatch"),
     (lambda tmp: load_dataset(write_csv(tmp, "\n\n", "empty.csv")),
-     ZeroModules, "{tmp}/empty.csv: empty file"),
+     "{tmp}/empty.csv: empty file"),
     (lambda tmp: read_manifest(write_csv(tmp, "", "manifest.ini")),
-     DatasetError, "manifest {tmp}/manifest.ini declares no groups"),
+     "manifest {tmp}/manifest.ini declares no groups"),
 ], ids=["1-d-values", "3-d-values", "no-modules", "columns", "labels", "empty-file",
         "no-groups"])
-def test_dataset_input_errors(tmp_path, fault, error, message):
+def test_dataset_input_errors(tmp_path, fault, message):
     # a 1-d or 3-d matrix once raised "has no modules"
-    with pytest.raises(error) as caught:
+    with pytest.raises(DatasetError) as caught:
         fault(tmp_path)
     assert str(caught.value) == message.format(tmp=tmp_path)

@@ -25,7 +25,7 @@ from hdpbench.harness import (
 from hdpbench.hdp import HdpOutcome
 from hdpbench.udp import Prediction
 import reference_hdp
-from helpers import write_benchmark_stub_files, write_synthetic_benchmark
+from helpers import NOT_UTF8, put_latin1_byte, write_benchmark_stub_files, write_synthetic_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,17 @@ def test_load_config_and_defaults(tmp_path):
     assert cfg.scenario == "scenario1"
     # every default comes from ExperimentConfig
     assert cfg == ExperimentConfig(str(manifest), str(tmp_path / "results"))
+
+
+def test_a_config_that_is_not_utf8_stops_a_run_naming_its_line(tmp_path, capsys):
+    # a bare UnicodeDecodeError used to name neither the file nor the line
+    manifest = two_dataset_manifest(tmp_path)
+    cfg_path = tmp_path / "config.ini"
+    cfg_path.write_text(f"[experiment]\nmanifest = {manifest.name}\noutput_dir = out\n")
+    put_latin1_byte(cfg_path, 2)
+    assert cli.main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}:2: {NOT_UTF8}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_config_with_a_utf8_byte_order_mark_loads(tmp_path):
@@ -932,6 +943,15 @@ def test_a_results_directory_with_crlf_line_ends_loads_the_same(synth_result, ex
     assert all(np.array_equal(loaded.predictions[key], flags)
                for key, flags in before.predictions.items())
     assert build_report(loaded) == build_report(synth_result)
+
+
+@pytest.mark.parametrize("name", ["config.ini", "targets.csv", "predictions.csv", "results.csv",
+                                  "summary.txt"])
+def test_a_results_file_that_is_not_utf8_is_an_error_naming_its_line(exported, capsys, name):
+    path = exported / name
+    put_latin1_byte(path, 3)
+    assert cli.main(["report", str(exported)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: {NOT_UTF8}\n"
 
 
 @pytest.mark.parametrize("name", ["results.csv", "predictions.csv", "targets.csv"])
