@@ -6,7 +6,7 @@ homogeneous with each other; prediction pairs are only formed between
 datasets whose metric-name sets differ.
 
 Every input file, a results directory's included, is read by one function,
-``read_input``, and every error raised here is a ``DatasetError``.
+``read_input``, and every input fault found here is a ``DatasetError``.
 """
 
 from __future__ import annotations

@@ -14,18 +14,17 @@ READ_CALLS = {"open", "read_text", "read_bytes"}
 
 
 def _reads_a_file(call: ast.Call) -> bool:
-    """Whether ``call`` is ``open``, ``x.open``, ``x.read_text`` or
-    ``x.read_bytes``, and an ``open`` whose mode writes only does not count."""
+    """Whether ``call`` is ``open(file, mode)``, ``x.open(mode)``,
+    ``x.read_text`` or ``x.read_bytes``; an ``open`` whose constant mode
+    only writes does not count."""
     func = call.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     if name not in READ_CALLS:
         return False
-    if name != "open":
-        return True
-    modes = [arg.value for arg in [*call.args, *(kw.value for kw in call.keywords if kw.arg == "mode")]
-             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-             and arg.value and set(arg.value) <= set("rwaxbt+")]
-    return not any(set(mode) & set("wax") and "+" not in mode for mode in modes)
+    args = call.args[1:] if isinstance(func, ast.Name) else call.args
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), args[0] if args else None)
+    mode = mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else "r"
+    return name != "open" or not set(mode) & set("wax") or "+" in mode
 
 
 def read_sites(source: str) -> list[tuple[str, str]]:
