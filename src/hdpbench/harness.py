@@ -713,9 +713,9 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _scott_knott_section(columns: dict[str, np.ndarray], title: str) -> list[str]:
-    """The ranking of each method's values in ``columns``, absent (NaN) values left out."""
-    samples = {m: column[~np.isnan(column)] for m, column in columns.items()}
+def _scott_knott_section(measure: str, columns: dict[str, np.ndarray], title: str) -> list[str]:
+    """The ranking, best first, of each method's ``measure`` values in ``columns``, NaN left out."""
+    samples = {m: measures.oriented(measure, column[~np.isnan(column)]) for m, column in columns.items()}
     usable = {m: v for m, v in samples.items() if len(v) >= 2}
     excluded = sorted(set(samples) - set(usable))
     lines = [f"[{title}]"]
@@ -724,7 +724,9 @@ def _scott_knott_section(columns: dict[str, np.ndarray], title: str) -> list[str
         return lines
     ranking = stats.scott_knott(usable)
     for rank, group in enumerate(ranking.groups, start=1):
-        members = ", ".join(f"{m} (mean {ranking.means[m]:.4f})" for m in group)
+        # turned back, an oriented zero mean is -0.0; adding 0.0 prints it as 0.0000
+        means = [measures.oriented(measure, ranking.means[m]) + 0.0 for m in group]
+        members = ", ".join(f"{m} (mean {mean:.4f})" for m, mean in zip(group, means))
         lines.append(f"  rank {rank}: {members}")
     if excluded:
         lines.append(f"  excluded (fewer than 2 values): {', '.join(excluded)}")
@@ -737,10 +739,10 @@ def _report_scott_knott(result: ExperimentResult, group_plans) -> str:
     for measure in cfg.measures:
         out.append(f"== {measure} ==")
         columns = {m: result.values[(m, measure)] for m in cfg.methods}
-        out.extend(_scott_knott_section(columns, "all subjects"))
+        out.extend(_scott_knott_section(measure, columns, "all subjects"))
         for group, plans in group_plans.items():
             samples = {m: column[plans] for m, column in columns.items()}
-            out.extend(_scott_knott_section(samples, f"group: {group}"))
+            out.extend(_scott_knott_section(measure, samples, f"group: {group}"))
         out.append("")
     return "\n".join(out) + "\n"
 
@@ -749,8 +751,8 @@ def wtl_records(first: np.ndarray, second: np.ndarray, slices: Collection[slice]
     """Per-target win/tie/loss of each row of ``first`` against the same row of ``second``.
 
     Each row pair is one family: two value-table columns
-    (``ExperimentResult.values``, NaN where absent) of one measure, negated
-    where lower is better so that 'win' always means 'performs better'.
+    (``ExperimentResult.values``, NaN where absent) of one measure, oriented
+    by ``measures.oriented`` so that 'win' always means 'performs better'.
     ``slices`` holds one slice of the columns per target (``_target_slices``).
     For each target the paired samples are the plans where both values are
     present. One ``stats.wilcoxon_signed_ranks`` call tests every target of
@@ -788,9 +790,8 @@ def _report_wtl(result: ExperimentResult, slices) -> str:
         out.append("needs at least one heterogeneous and one unsupervised method")
         return "\n".join(out) + "\n"
     families = [(measure, h, u) for measure in cfg.measures for h in hdp_methods for u in udp_methods]
-    orient = {m: 1.0 if measures.HIGHER_IS_BETTER[m] else -1.0 for m in cfg.measures}
-    first = np.array([orient[measure] * result.values[(h, measure)] for measure, h, _ in families])
-    second = np.array([orient[measure] * result.values[(u, measure)] for measure, _, u in families])
+    first = np.array([measures.oriented(measure, result.values[(h, measure)]) for measure, h, _ in families])
+    second = np.array([measures.oriented(measure, result.values[(u, measure)]) for measure, _, u in families])
     records = iter(wtl_records(first, second, slices.values()))
     for measure in cfg.measures:
         out.append(f"== {measure} ==")

@@ -32,16 +32,12 @@ MEASURE_IDS = ("precision", "recall", "f1", "auc", "acc", "popt", "pmi20", "ifa"
 CORE_MEASURES = ("f1", "auc", "acc", "popt", "pmi20", "ifa")
 #: The inspection budget of ACC and PMI@20%, as a fraction of total effort
 EFFORT_FRACTION = 0.2
-HIGHER_IS_BETTER = {
-    "precision": True,
-    "recall": True,
-    "f1": True,
-    "auc": True,
-    "acc": True,
-    "popt": True,
-    "pmi20": False,
-    "ifa": False,
-}
+
+
+def oriented(measure: str, values):
+    """``values`` (a float or an array) of ``measure`` turned so that larger is
+    better: negated for pmi20 and ifa, unchanged for every other measure."""
+    return -values if measure in ("pmi20", "ifa") else values
 
 
 class NoDefects(ValueError):

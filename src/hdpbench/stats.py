@@ -180,7 +180,8 @@ class WtlRecord:
 
 @dataclass(frozen=True)
 class SkRanking:
-    """Scott-Knott result: statistically distinct groups, best mean first."""
+    """Scott-Knott result: statistically distinct groups, largest mean first
+    (callers pass samples oriented by ``measures.oriented``)."""
 
     groups: tuple[tuple[str, ...], ...]
     means: dict[str, float]
@@ -198,12 +199,13 @@ def _mean(values: np.ndarray) -> float:
 def scott_knott(samples: Mapping[str, Sequence[float]]) -> SkRanking:
     """Recursive mean-based grouping of methods into distinct ranks.
 
-    Methods are ordered by mean; the split maximizing the between-group sum
-    of squares is accepted when the lambda statistic exceeds the chi-square
-    critical value at ``ALPHA`` with k/(pi - 2) degrees of freedom, then
-    both halves are partitioned recursively. The error variance of a
-    treatment mean is pooled once over all methods. Each method needs at
-    least 2 samples, none of them NaN.
+    Methods are ordered by mean, largest first (callers pass oriented
+    samples); the split maximizing the between-group sum of squares is
+    accepted when the lambda statistic exceeds the chi-square critical value
+    at ``ALPHA`` with k/(pi - 2) degrees of freedom, then both halves are
+    partitioned recursively. The error variance of a treatment mean is
+    pooled once over all methods. Each method needs at least 2 samples,
+    none of them NaN.
     """
     from scipy.special import chdtri
 

@@ -249,7 +249,7 @@ def best_metric_oracle(d: DefectDataset) -> dict[str, BestMetric]:
             for measure, value in scorer.score(measures.CORE_MEASURES, ranking, predicted).items():
                 if value is None:
                     continue
-                quality = value if measures.HIGHER_IS_BETTER[measure] else -value
+                quality = measures.oriented(measure, value)
                 if quality > best.get(measure, (-np.inf,))[0]:
                     best[measure] = (quality, name, scores, predicted, value)
     first = d.metric_names[0]

@@ -1,6 +1,7 @@
 """Shared test fixtures: in-memory dataset construction, the 34-project
 benchmark stub schemas, a small synthetic benchmark on disk, and probes of
-the effort curves P_opt integrates and of the diversity report's counts."""
+the effort curves P_opt integrates, of the diversity report's counts and
+of the Scott-Knott report on a hand-made value table."""
 
 from __future__ import annotations
 
@@ -276,6 +277,23 @@ def diversity_report(
                                          harness._group_plans(result))
         (n_cw, n_wc), = [c.args for c in spy.call_args_list]
     return n_cw[0].tolist(), n_wc[0].tolist(), stats.mcnemar_pvalues(n_cw, n_wc)[0].tolist(), text
+
+
+def scott_knott_report(values: Mapping[str, Mapping[str, Sequence[float]]]) -> str:
+    """``harness._report_scott_knott`` on one target of group "g" whose
+    plans have the values ``values[method][measure]`` (NaN where absent),
+    one per plan in plan order; methods and measures in the order given."""
+    methods = tuple(values)
+    measure_ids = tuple(values[methods[0]])
+    n = len(values[methods[0]][measure_ids[0]])
+    cfg = harness.ExperimentConfig(manifest="manifest.ini", output_dir="out", methods=methods,
+                                   measures=measure_ids)
+    block = [values[m][measure][k] for k in range(n) for m in methods for measure in measure_ids]
+    result = harness.ExperimentResult.from_blocks(
+        cfg, [(f"s{k:04d}", "t") for k in range(n)], block, [""] * len(block), {"t": "g"},
+        {"t": np.zeros(1, dtype=bool)}, {}, n,
+    )
+    return harness._report_scott_knott(result, harness._group_plans(result))
 
 
 #: what ``datasets.read_input`` says of the byte ``put_latin1_byte`` writes

@@ -8,7 +8,9 @@ ranks and counts its null distribution again. The harness builds the same
 sections from one value table, one array pass per target and one batched
 Wilcoxon call per report; tests require byte-equal text. Wilcoxon, the
 contingency count, McNemar and Scott-Knott come from ``reference_stats``,
-so the oracles share none of the new arithmetic. The unidentified section
+so the oracles share none of the new arithmetic. Both orient pmi20 and
+ifa by their own ``LOWER_IS_BETTER``, and Scott-Knott prints each mean as
+the ``ndarray.mean`` of the values as measured. The unidentified section
 counts each plan's missed defective modules one module at a time.
 
 ``load_results`` and ``value_table`` are the loader and the report table
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 import reference_stats
-from hdpbench import measures, stats
+from hdpbench import stats
 from hdpbench.harness import (
     PREDICTION_COLUMNS,
     RESULT_COLUMNS,
@@ -43,6 +45,10 @@ from hdpbench.harness import (
     _variant_sides,
     load_config,
 )
+
+#: The measures where lower is better, written out here so that the
+#: Scott-Knott and win/tie/loss oracles do not share ``measures.oriented``
+LOWER_IS_BETTER = {"pmi20", "ifa"}
 
 
 def _csv_records(path: Path, columns: tuple[str, ...]):
@@ -196,7 +202,7 @@ def _arrays(samples: dict[str, list[float]]) -> dict[str, np.ndarray]:
     return {m: np.array(values, dtype=float) for m, values in samples.items()}
 
 
-def _scott_knott_section(columns: dict[str, np.ndarray], title: str) -> list[str]:
+def _scott_knott_section(measure: str, columns: dict[str, np.ndarray], title: str) -> list[str]:
     samples = {m: column[~np.isnan(column)] for m, column in columns.items()}
     usable = {m: v for m, v in samples.items() if len(v) >= 2}
     excluded = sorted(set(samples) - set(usable))
@@ -204,9 +210,10 @@ def _scott_knott_section(columns: dict[str, np.ndarray], title: str) -> list[str
     if not usable:
         lines.append("  no method has enough values")
         return lines
-    ranking = reference_stats.scott_knott(usable)
+    sign = -1.0 if measure in LOWER_IS_BETTER else 1.0
+    ranking = reference_stats.scott_knott({m: sign * v for m, v in usable.items()})
     for rank, group in enumerate(ranking.groups, start=1):
-        members = ", ".join(f"{m} (mean {ranking.means[m]:.4f})" for m in group)
+        members = ", ".join(f"{m} (mean {usable[m].mean():.4f})" for m in group)
         lines.append(f"  rank {rank}: {members}")
     if excluded:
         lines.append(f"  excluded (fewer than 2 values): {', '.join(excluded)}")
@@ -228,7 +235,7 @@ def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
             ]
             for m in cfg.methods
         }
-        out.extend(_scott_knott_section(_arrays(samples), "all subjects"))
+        out.extend(_scott_knott_section(measure, _arrays(samples), "all subjects"))
         for group in groups:
             samples = {
                 m: [
@@ -240,7 +247,7 @@ def _report_scott_knott(result: ExperimentResult, index, by_target) -> str:
                 ]
                 for m in cfg.methods
             }
-            out.extend(_scott_knott_section(_arrays(samples), f"group: {group}"))
+            out.extend(_scott_knott_section(measure, _arrays(samples), f"group: {group}"))
         out.append("")
     return "\n".join(out) + "\n"
 
@@ -252,7 +259,7 @@ def wtl_matrix(
     second: str,
     index: dict[tuple[str, str, str, str], float | None],
 ) -> stats.WtlRecord:
-    orient = 1.0 if measures.HIGHER_IS_BETTER[measure] else -1.0
+    orient = -1.0 if measure in LOWER_IS_BETTER else 1.0
     paired: dict[str, tuple[list[float], list[float]]] = {}
     for target, sources in by_target.items():
         xs, ys = [], []

@@ -16,7 +16,7 @@ DEMO_7_EXPORTS = {
 DEMO_7_REPORTS = {
     "report_diversity.txt": "4d639451f1e30dedfc8acaaccac86ccf85b2e74256023021badf20ebf1abf388",
     "report_satisfactory.txt": "719a13f2d33cec2b9c96b83e3372a04e284d5a1f75997808804a5c7f8f61b141",
-    "report_scottknott.txt": "8c51d917c5c9c26c6fba1df1c6c122f2e8c13bca7ab40eea6dfe69ef9d3a7d0c",
+    "report_scottknott.txt": "930dbbe3c3cdd73864259ae7beb493c9c5192ca0fa466fc339c91062f46ef1f2",
     "report_unidentified.txt": "d8122ac44e9f757fa421e3dd153480c682b3d14f6fe46e83aeea29a31f90bd8d",
     "report_wtl.txt": "3b277e446b4519c7db69cbb96f149970c233e785a56f029de1b03fae867d0ec8",
 }
@@ -28,7 +28,7 @@ PLANS226_3_0 = {
     "results.csv": "b14889eb93ce7617f46627dcf50b4b9dfc9f3abe768bfc07c29fb1be6ad797e6",
     "report_diversity.txt": "8e26a3ca92b99c100a0abcb58e018ebef5f248fd080c0bebff9602a5b63d9d07",
     "report_satisfactory.txt": "84237ba0c7a84b154a696fc282213e3bb711f9786547f53d129a06dc61f21295",
-    "report_scottknott.txt": "63d1f535747b693203296833d9775214fec5770e102e7582f72540f0c560db57",
+    "report_scottknott.txt": "991ac2aa9cb965715ba9739279421c04e7fb65d96a2e7c7ce8dd96d55a780323",
     "report_unidentified.txt": "bb842045251ee6488dc4ae0d1cdc8fc043dbdec9f437a92dbd16db71fb4f3316",
     "report_wtl.txt": "4e245485a4427b8b122f020edb7f9b2f508392cbbe10a65fc129ab6bba62ac69",
 }
@@ -39,7 +39,7 @@ BIGTARGETS_5 = {
     "results.csv": "54acd9bca0b31b1617459763f98b0e6fc95de79e15d2f0293513c74cc4a4c2d7",
     "report_diversity.txt": "a59560ef0f202e69dd2574352a37debf449fb1c32d3f908d8ef5c9838de75684",
     "report_satisfactory.txt": "003e61d17c8a86fada496939d194bce80b9aefda6ceef86bc94dc175b279f8de",
-    "report_scottknott.txt": "186c45f3611d3ef17a4133846f43ae277db7713c7dee3c899677bd6219b5fe70",
+    "report_scottknott.txt": "7c412df68c0cd8928d1697c183978760af505ad278fd60edda255b93a272af79",
     "report_unidentified.txt": "3639c46c7f73aed2005faf7c07a9ec815727979e563aa94796285d95e7cdb756",
     "report_wtl.txt": "3b277e446b4519c7db69cbb96f149970c233e785a56f029de1b03fae867d0ec8",
 }
@@ -91,7 +91,7 @@ PLANS226_3_0_SCENARIO2 = {
     "summary.txt": "8b5ac779f03c3de6ae68c4d5b9429b02811c4f01d06f698f63eb7fe3f292425d",
     "report_diversity.txt": "f95645afbdb39f2c0abb8fbdd93728107e9d9dc35cead3f710ceb403f822ac04",
     "report_satisfactory.txt": "a6eedbe34c33b76419864fe9cf218363368cdba13cef7289c4050bc67cd72762",
-    "report_scottknott.txt": "ae484a485abf701733ac9d7f1ecad9cd8ad155c4d453ad5d8c47393ac212cd1d",
+    "report_scottknott.txt": "f8162f7b5219f5f4f374a9098611488587782e389018fed62341061b02e87398",
     "report_unidentified.txt": "bb842045251ee6488dc4ae0d1cdc8fc043dbdec9f437a92dbd16db71fb4f3316",
     "report_wtl.txt": "5b63df6fc4595a13df95740dddcd6fe0c3d17a6b4e7f2405c9d94784b61c29c1",
 }

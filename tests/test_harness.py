@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hdpbench
 from hdpbench import cli, datasets, harness, hdp, udp
@@ -23,9 +25,11 @@ from hdpbench.harness import (
     write_report,
 )
 from hdpbench.hdp import HdpOutcome
+from hdpbench.measures import MEASURE_IDS
 from hdpbench.udp import Prediction
 import reference_hdp
-from helpers import NOT_UTF8, put_latin1_byte, write_benchmark_stub_files, write_synthetic_benchmark
+from helpers import (NOT_UTF8, put_latin1_byte, scott_knott_report, write_benchmark_stub_files,
+                     write_synthetic_benchmark)
 
 
 @pytest.fixture(scope="module")
@@ -1254,6 +1258,52 @@ def test_reports_of_one_method_or_no_plan_say_what_they_cannot_compute(tmp_path)
     assert "\nhdp1 vs cla | 0/0\n" in report["report_diversity.txt"]
     assert report["report_unidentified.txt"].endswith(
         "\nno plan has predictions from every configured method\n")
+
+
+def _sk_section(report: str, measure: str) -> str:
+    """The "[all subjects]" lines of ``measure`` in a Scott-Knott report."""
+    return report.split(f"== {measure} ==\n[all subjects]\n")[1].split("\n[group: ")[0]
+
+
+def test_scott_knott_ranks_every_measure_best_first():
+    # pmi20 and ifa used to rank by descending mean, their worst method first
+    report = scott_knott_report({
+        "cla": {"f1": [0.8, 0.9, 0.85, 0.8], "pmi20": [0.1, 0.15, 0.12, 0.1], "ifa": [0.0] * 4},
+        "manual": {"f1": [0.1, 0.2, 0.15, 0.1], "pmi20": [0.6, 0.7, 0.65, 0.6], "ifa": [10.0, 12.0, 14.0, 16.0]},
+    })
+    assert _sk_section(report, "f1") == "  rank 1: cla (mean 0.8375)\n  rank 2: manual (mean 0.1375)"
+    assert _sk_section(report, "pmi20") == "  rank 1: cla (mean 0.1175)\n  rank 2: manual (mean 0.6375)"
+    # the all-zero column prints as measured, not as a negated -0.0000
+    assert _sk_section(report, "ifa") == "  rank 1: cla (mean 0.0000)\n  rank 2: manual (mean 13.0000)"
+
+
+_SK_VALUES = st.one_of(st.just(float("nan")), st.floats(0, 50, allow_nan=False),
+                       st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.lists(st.lists(_SK_VALUES, min_size=n, max_size=n), min_size=8, max_size=8),
+    min_size=1, max_size=4)))
+def test_scott_knott_puts_the_best_mean_of_each_measure_first(tables):
+    methods = ("hdp1", "hdp5", "cla", "manual")[:len(tables)]
+    values = {m: dict(zip(MEASURE_IDS, table)) for m, table in zip(methods, tables)}
+    report = scott_knott_report(values)
+    for measure in MEASURE_IDS:
+        section = _sk_section(report, measure)
+        columns = {m: np.array(values[m][measure]) for m in methods}
+        means = {m: c[~np.isnan(c)].mean() for m, c in columns.items() if (~np.isnan(c)).sum() >= 2}
+        if not means:
+            assert section.startswith("  no method has enough values")
+            continue
+        lower = measure in ("pmi20", "ifa")
+        best = (min if lower else max)(means.values())
+        first = min(m for m, mean in means.items() if mean == best)
+        assert section.startswith(f"  rank 1: {first} (mean ")
+        # every later method is no better, as printed
+        printed = [float(v) for v in re.findall(r"\(mean (-?[\d.]+)\)", section)]
+        assert printed == sorted(printed, reverse=not lower)
+        assert "-0.0000" not in section
 
 
 @pytest.mark.parametrize("methods, missing", [

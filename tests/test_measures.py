@@ -14,6 +14,7 @@ from hdpbench.measures import (
     compute_measure,
     confusion,
     ifa,
+    oriented,
     pmi_at,
     popt,
     prf1,
@@ -480,3 +481,16 @@ def test_f1_between_precision_and_recall(tp, fp, fn):
         lo = min(out["precision"], out["recall"])
         hi = max(out["precision"], out["recall"])
         assert lo - 1e-12 <= out["f1"] <= hi + 1e-12
+
+
+@given(st.sampled_from(MEASURE_IDS), st.lists(st.floats(allow_nan=False), max_size=6))
+def test_oriented_negates_pmi20_and_ifa_and_keeps_the_others(measure, values):
+    array = np.array(values)
+    turned = oriented(measure, array)
+    if measure in ("pmi20", "ifa"):
+        # an exact negation: every sign bit flips, zeros included
+        assert turned.tobytes() == (-array).tobytes()
+        assert np.array([oriented(measure, v) for v in values]).tobytes() == (-array).tobytes()
+    else:
+        assert turned is array
+        assert all(oriented(measure, v) is v for v in values)

@@ -16,7 +16,6 @@ import reference_measures as ref
 from hdpbench.datasets import effort_values
 from hdpbench.measures import (
     CORE_MEASURES,
-    HIGHER_IS_BETTER,
     MEASURE_IDS,
     NoDefects,
     Ranking,
@@ -179,7 +178,7 @@ def brute_force_best_metric(d, measure):
             value, _ = compute_measure(measure, scores, predicted, efforts, d.labels)
             if value is None:
                 continue
-            quality = value if HIGHER_IS_BETTER[measure] else -value
+            quality = -value if measure in ("pmi20", "ifa") else value
             if best is None or quality > best[0]:
                 best = (quality, name, Prediction(scores, predicted), value)
     if best is None:
